@@ -9,7 +9,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -680,13 +680,12 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0,
     }
 
 
-def check_global_stability(game, n_random_starts=50, horizon=20000, seed=0,
-                           rule=None, theta_tol=0.05, q_tol=0.02,
-                           belief_grid_resolution=51):
+def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
+                           seed=0, rule=None, theta_tol=0.05, q_tol=0.02):
     """Globally stable iff every fixed point is complete-information; verified
-    empirically by random-start convergence when the enumeration allows it."""
+    empirically by random-start convergence when the enumerated clusters (from
+    enumerate_fixed_points) allow it."""
     rule = rule or UpdateRule.sequential()
-    clusters = enumerate_fixed_points(game, belief_grid_resolution)
     # a single cluster may mix complete-info and other certificates (connected
     # fixed-point families), so scan every member for a witness
     witness = None
@@ -740,31 +739,6 @@ def check_global_stability(game, n_random_starts=50, horizon=20000, seed=0,
 # Nearest fixed point (used by run summaries and the statistical suites)
 
 
-def project_to_eq(eq, q):
-    """Nearest member (L-infinity) of an equilibrium set."""
-    q = np.asarray(q, dtype=float)
-    if eq.kind == "point":
-        return np.asarray(eq.point)
-    if eq.kind == "box":
-        return np.clip(q, np.asarray(eq.lo), np.asarray(eq.hi))
-    if eq.kind == "line":
-        base = np.asarray(eq.base)
-        direction = np.asarray(eq.direction)
-        a, b = eq.t_range
-        for _ in range(200):
-            m1 = b - 0.6180339887498949 * (b - a)
-            m2 = a + 0.6180339887498949 * (b - a)
-            if np.max(np.abs(q - base - m1 * direction)) <= np.max(
-                np.abs(q - base - m2 * direction)
-            ):
-                b = m2
-            else:
-                a = m1
-        return base + 0.5 * (a + b) * direction
-    best = min(eq.members, key=lambda m: float(np.max(np.abs(q - np.asarray(m)))))
-    return np.asarray(best)
-
-
 def nearest_fixed_point(game, theta, q, clusters=None, zero_tol=0.05):
     """Nearest certified fixed point to a terminal state.
 
@@ -779,7 +753,7 @@ def nearest_fixed_point(game, theta, q, clusters=None, zero_tol=0.05):
         nonlocal best
         theta_bar = np.asarray(theta_bar, dtype=float)
         eq = equilibrium_set(game, Belief.from_probs(theta_bar))
-        q_bar = project_to_eq(eq, q)
+        q_bar = eq.project(q)
         cert = certify_fixed_point(game, theta_bar, q_bar)
         if not cert.valid:
             return
@@ -802,9 +776,8 @@ def nearest_fixed_point(game, theta, q, clusters=None, zero_tol=0.05):
 
 
 def to_jsonable(obj):
-    if isinstance(obj, (FixedPointCertificate, StabilityThresholds)):
-        return {k: to_jsonable(v) for k, v in obj.__dict__.items()}
-    if isinstance(obj, StabilityReport):
+    if isinstance(obj, (FixedPointCertificate, StabilityThresholds,
+                        StabilityReport)):
         return {k: to_jsonable(v) for k, v in obj.__dict__.items()}
     if isinstance(obj, FixedPointCluster):
         return {

@@ -14,19 +14,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, games
-from .dynamics import (
-    Trajectory,
-    UpdateRule,
-    replica_seed,
-    run,
-    run_two_timescale,
-    trajectory_to_csv,
-)
+from .dynamics import UpdateRule, run, run_two_timescale, trajectory_to_csv
 from .param_belief import (
     Belief,
     OlsState,
@@ -35,8 +28,6 @@ from .param_belief import (
     ols_solve,
 )
 
-GAME_IDS = ("cournot", "zerosum", "investment", "coordination_penalty",
-            "two_route_congestion", "affine")
 RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
 SCHEDULE_KINDS = ("every_stage", "fixed_batch", "geometric", "two_timescale")
 ESTIMATORS = ("bayes", "map", "ols")
@@ -72,39 +63,38 @@ class ExperimentConfig:
         return self.seeds[0]
 
 
+def _floats(values):
+    return tuple(float(x) for x in values)
+
+
+# id -> (factory, {override key: converter}, defaults for keys not given)
+GAMES = {
+    "cournot": (games.cournot, {"sigma": float}, {}),
+    "zerosum": (games.zerosum_example, {"sigma": float}, {}),
+    "investment": (games.investment, {"sigmas": _floats}, {}),
+    "coordination_penalty": (games.coordination_penalty, {"sigma": float}, {}),
+    "two_route_congestion": (games.two_route_congestion,
+                             {"n_players": int, "sigma": float}, {}),
+    "affine": (games.affine_game, {"alpha": np.asarray, "beta": np.asarray,
+                                   "sigma": float},
+               {"alpha": [[-2.0, 1.0], [1.0, -2.0]], "beta": [1.0, 1.0],
+                "sigma": 0.5}),
+}
+GAME_IDS = tuple(GAMES)
+
+
 def _build_game(game_id, overrides, errors):
+    factory, converters, defaults = GAMES[game_id]
+    unknown = sorted(set(overrides) - set(converters))
+    if unknown:
+        errors.append("unknown override(s) %s for game %r; allowed: %s"
+                      % (", ".join(map(repr, unknown)), game_id,
+                         ", ".join(sorted(converters))))
+        return None
     try:
-        if game_id == "cournot":
-            kw = {}
-            if "sigma" in overrides:
-                kw["sigma"] = float(overrides["sigma"])
-            return games.cournot(**kw)
-        if game_id == "zerosum":
-            kw = {}
-            if "sigma" in overrides:
-                kw["sigma"] = float(overrides["sigma"])
-            return games.zerosum_example(**kw)
-        if game_id == "investment":
-            kw = {}
-            if "sigmas" in overrides:
-                kw["sigmas"] = tuple(float(x) for x in overrides["sigmas"])
-            return games.investment(**kw)
-        if game_id == "coordination_penalty":
-            kw = {}
-            if "sigma" in overrides:
-                kw["sigma"] = float(overrides["sigma"])
-            return games.coordination_penalty(**kw)
-        if game_id == "two_route_congestion":
-            return games.two_route_congestion(
-                n_players=int(overrides.get("n_players", 2)),
-                sigma=float(overrides.get("sigma", 1.0)),
-            )
-        if game_id == "affine":
-            return games.affine_game(
-                alpha=overrides.get("alpha", [[-2.0, 1.0], [1.0, -2.0]]),
-                beta=overrides.get("beta", [1.0, 1.0]),
-                sigma=float(overrides.get("sigma", 0.5)),
-            )
+        kw = dict(defaults)
+        kw.update((k, converters[k](v)) for k, v in overrides.items())
+        return factory(**kw)
     except Exception as exc:  # bad override values
         errors.append("game overrides invalid: %s" % exc)
     return None
@@ -288,15 +278,20 @@ def _clusters(cfg):
 # Subcommands
 
 
-def _run_one_seed(cfg, seed, clusters):
+def _configured_run(cfg, seed):
+    """One run of the configured dynamics: rule, schedule and the estimator
+    the strategies respond to."""
+    init = (Belief.from_probs(cfg.theta1), cfg.q1)
+    respond_to = "map" if cfg.estimator == "map" else "posterior"
     if cfg.schedule.kind == "two_timescale":
-        traj = run_two_timescale(cfg.game, cfg.rule, cfg.schedule.gap_fn,
-                                 (Belief.from_probs(cfg.theta1), cfg.q1),
-                                 cfg.horizon, seed)
-    else:
-        traj = run(cfg.game, cfg.rule, cfg.schedule,
-                   (Belief.from_probs(cfg.theta1), cfg.q1), cfg.horizon, seed,
-                   respond_to="map" if cfg.estimator == "map" else "posterior")
+        return run_two_timescale(cfg.game, cfg.rule, cfg.schedule.gap_fn, init,
+                                 cfg.horizon, seed, respond_to=respond_to)
+    return run(cfg.game, cfg.rule, cfg.schedule, init, cfg.horizon, seed,
+               respond_to=respond_to)
+
+
+def _run_one_seed(cfg, seed, clusters):
+    traj = _configured_run(cfg, seed)
     near = analysis.nearest_fixed_point(
         cfg.game, np.asarray(traj.summary["final_theta"]),
         np.asarray(traj.summary["final_q"]), clusters,
@@ -384,7 +379,7 @@ def cmd_fixed_points(cfg):
         payload["all_fixed_points_complete"] = complete
         payload["counterexample"] = counterexample
         payload["global_stability"] = analysis.check_global_stability(
-            cfg.game, seed=cfg.master_seed,
+            cfg.game, clusters, seed=cfg.master_seed,
             horizon=min(cfg.horizon, 20000),
         )
     _write_json(os.path.join(cfg.output_dir, "fixed_points.json"),
@@ -422,7 +417,7 @@ def cmd_stability(cfg, threads=1):
         eps_x=float(spec.get("eps_x", 0.1)),
         n_runs=int(spec.get("n_runs", 200)),
         horizon=cfg.horizon, seed=cfg.master_seed,
-        rule=cfg.rule, threads=threads,
+        rule=cfg.rule, schedule=cfg.schedule, threads=threads,
     )
     report.assumption2 = a2
     report.thresholds = thresholds
@@ -440,8 +435,7 @@ def cmd_rate(cfg):
     slopes = []
     finals = []
     for seed in cfg.seeds:
-        traj = run(cfg.game, cfg.rule, cfg.schedule,
-                   (Belief.from_probs(cfg.theta1), cfg.q1), cfg.horizon, seed)
+        traj = _configured_run(cfg, seed)
         slope, r2 = analysis.estimate_convergence_rate(traj, s, burn_in)
         slopes.append({"seed": seed, "slope": slope, "r2": r2})
         finals.append(traj.summary["final_q"])

@@ -8,7 +8,6 @@ core (`_step_core`) so they are behaviorally identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +16,8 @@ from .games import best_response, sample_payoffs
 from .param_belief import (
     Belief,
     ContractViolation,
-    ImpossibleObservation,
     ObservationBatch,
+    _log_normalize,
     batch_log_likelihoods,
     next_update_stage,
 )
@@ -85,12 +84,6 @@ class Trajectory:
     @property
     def horizon(self):
         return self.thetas.shape[0]
-
-
-def _log_normalize_arr(lp):
-    m = np.max(lp)
-    shifted = lp - m
-    return shifted - math.log(np.sum(np.exp(shifted)))
 
 
 def _realized_profile(game, rule_kind, log_probs, q, rng):
@@ -166,10 +159,9 @@ def _step_core(game, rule, schedule, log_probs, q, pending, next_k, t, rng,
     updated = False
     if t + 1 == next_k:
         batch = ObservationBatch(pending)
-        acc = log_probs + batch_log_likelihoods(None, batch, game)
-        if np.max(acc) == -np.inf:
-            raise ImpossibleObservation("all parameters carry zero likelihood")
-        log_probs = _log_normalize_arr(acc)
+        log_probs = _log_normalize(
+            log_probs + batch_log_likelihoods(None, batch, game)
+        )
         pending = []
         next_k = next_update_stage(schedule, rng)
         updated = True
@@ -308,7 +300,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
 
 
 def run_two_timescale(game, rule, gap_fn, init, horizon, seed,
-                      stop_when_converged=False):
+                      stop_when_converged=False, respond_to="posterior"):
     """Run with a growing-gap schedule; additionally records, at each belief
     update, the distance of the current strategy to EQ(theta)."""
     from .games import equilibrium_set
@@ -316,7 +308,7 @@ def run_two_timescale(game, rule, gap_fn, init, horizon, seed,
 
     schedule = UpdateSchedule.two_timescale(gap_fn)
     traj = run(game, rule, schedule, init, horizon, seed,
-               stop_when_converged=stop_when_converged)
+               stop_when_converged=stop_when_converged, respond_to=respond_to)
     distances = []
     for k in traj.summary["update_stages"]:
         idx = k - 1

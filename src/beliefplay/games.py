@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .param_belief import Belief, ContractViolation, ParameterSpace
+from .param_belief import Belief, ParameterSpace
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
@@ -91,37 +91,34 @@ class EquilibriumSet:
             members=tuple(tuple(np.asarray(m, float).tolist()) for m in members),
         )
 
-    def distance(self, q):
-        """L-infinity distance from a flat profile to the set."""
+    def project(self, q):
+        """L-infinity nearest member to a flat profile: on a line the one with
+        the smallest t, in a finite list the first one."""
         q = np.asarray(q, dtype=float)
         if self.kind == "point":
-            return float(np.max(np.abs(q - np.asarray(self.point))))
+            return np.asarray(self.point)
         if self.kind == "box":
-            lo = np.asarray(self.lo)
-            hi = np.asarray(self.hi)
-            gap = np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
-            return float(np.max(gap))
+            return np.clip(q, np.asarray(self.lo), np.asarray(self.hi))
         if self.kind == "line":
             base = np.asarray(self.base)
-            direction = np.asarray(self.direction)
-            a, b = self.t_range
-
-            def dist_at(t):
-                return float(np.max(np.abs(q - base - t * direction)))
-
-            # L-inf distance to a segment is convex in t: golden-section.
-            lo_t, hi_t = a, b
-            for _ in range(200):
-                m1 = hi_t - GOLDEN * (hi_t - lo_t)
-                m2 = lo_t + GOLDEN * (hi_t - lo_t)
-                if dist_at(m1) <= dist_at(m2):
-                    hi_t = m2
-                else:
-                    lo_t = m1
-            return dist_at(0.5 * (lo_t + hi_t))
-        return min(
-            float(np.max(np.abs(q - np.asarray(m)))) for m in self.members
+            d = np.asarray(self.direction)
+            r = q - base
+            # max_k |r_k - t d_k| is convex and piecewise linear in t, so it is
+            # least at an endpoint or a kink; every kink solves
+            # r_j - t d_j = +-(r_k - t d_k) for some j, k (j = k included)
+            num = np.concatenate([np.add.outer(r, r), np.subtract.outer(r, r)]).ravel()
+            den = np.concatenate([np.add.outer(d, d), np.subtract.outer(d, d)]).ravel()
+            kinks = num[den != 0.0] / den[den != 0.0]
+            ts = np.concatenate([self.t_range, np.clip(kinks, *self.t_range)])
+            dist = np.max(np.abs(r - ts[:, None] * d), axis=1)
+            return base + np.min(ts[dist == np.min(dist)]) * d
+        return np.asarray(
+            min(self.members, key=lambda m: float(np.max(np.abs(q - np.asarray(m)))))
         )
+
+    def distance(self, q):
+        """L-infinity distance from a flat profile to the set."""
+        return float(np.max(np.abs(np.asarray(q, dtype=float) - self.project(q))))
 
     def sample(self, n, rng):
         """n member profiles (uniform over the set's parametrization)."""
@@ -380,9 +377,13 @@ def equilibrium_set(game, belief, n_starts=20, max_iter=2000, tol=1e-10):
         )
     rng = np.random.default_rng(0)
     limits = []
-    lo, hi = game.box_lo(), game.box_hi()
     for _ in range(n_starts):
-        q = lo + (hi - lo) * rng.random(game.n_players)
+        if game.kind == "finite":
+            # boxes holds action counts here: draw a mixed strategy per player
+            q = np.concatenate([rng.dirichlet(np.ones(n_act)) for n_act in game.boxes])
+        else:
+            lo, hi = game.box_lo(), game.box_hi()
+            q = lo + (hi - lo) * rng.random(game.n_players)
         for it in range(max_iter):
             nxt = 0.5 * q + 0.5 * br_profile(game, belief, q)
             if np.max(np.abs(nxt - q)) < tol:

@@ -128,9 +128,8 @@ def _log_normalize(lp):
     m = np.max(lp)
     if m == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero probability")
-    with np.errstate(divide="ignore"):
-        shifted = lp - m
-        return shifted - math.log(np.sum(np.exp(shifted)))
+    shifted = lp - m
+    return shifted - math.log(np.sum(np.exp(shifted)))
 
 
 @dataclass
@@ -186,20 +185,8 @@ def batch_log_likelihoods(belief_or_space, batch, game):
     return acc
 
 
-def bayes_update(belief, batch, game):
-    """Posterior over parameters given a batch: theta(s) prop. to
-    theta_prev(s) * prod_t phi^s(c^t|q^t), in log-space."""
-    if len(batch) == 0:
-        raise ContractViolation("batch must be non-empty")
-    lp = np.asarray(belief.log_probs, dtype=float)
-    acc = lp + batch_log_likelihoods(belief, batch, game)
-    if np.max(acc) == NEG_INF:
-        raise ImpossibleObservation("all parameters carry zero likelihood")
-    return Belief(tuple(_log_normalize(acc).tolist()))
-
-
-def map_update(space, prior, batch, game):
-    """argmax_s prior(s) * prod phi^s(c|q), lowest index on ties."""
+def _posterior_scores(prior, batch, game):
+    """Unnormalized log-posterior: log prior(s) + sum_t log phi^s(c^t|q^t)."""
     if len(batch) == 0:
         raise ContractViolation("batch must be non-empty")
     scores = np.asarray(prior.log_probs, dtype=float) + batch_log_likelihoods(
@@ -207,7 +194,19 @@ def map_update(space, prior, batch, game):
     )
     if np.max(scores) == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero likelihood")
-    return int(np.argmax(scores))
+    return scores
+
+
+def bayes_update(belief, batch, game):
+    """Posterior over parameters given a batch: theta(s) prop. to
+    theta_prev(s) * prod_t phi^s(c^t|q^t), in log-space."""
+    # Belief normalizes the scores; normalizing here too would round twice
+    return Belief(tuple(_posterior_scores(belief, batch, game).tolist()))
+
+
+def map_update(space, prior, batch, game):
+    """argmax_s prior(s) * prod phi^s(c|q), lowest index on ties."""
+    return int(np.argmax(_posterior_scores(prior, batch, game)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +291,15 @@ class OlsState:
     def __init__(self, q_dim, n_players):
         self.q_dim = int(q_dim)
         self.n_players = int(n_players)
-        d = self.q_dim + 1
         self._rows = []  # shared append-only buffer
         self._responses = []  # rows of per-player payoffs
         self.n_records = 0
-        self.normal_matrix = np.zeros((d, d))
-        self.cross_vector = np.zeros((self.n_players, d))
 
     def _snapshot(self):
         out = OlsState(self.q_dim, self.n_players)
         out._rows = self._rows
         out._responses = self._responses
         out.n_records = self.n_records
-        out.normal_matrix = self.normal_matrix.copy()
-        out.cross_vector = self.cross_vector.copy()
         return out
 
     @property
@@ -322,7 +316,7 @@ class OlsState:
 
 
 def ols_ingest(state, q, c):
-    """Accumulate one record: normal matrix += row row^T, cross += row * c_i."""
+    """Append one record: design row (q, 1) and per-player payoffs c."""
     q = np.atleast_1d(np.asarray(q, dtype=float)).ravel()
     c = np.atleast_1d(np.asarray(c, dtype=float)).ravel()
     if q.size != state.q_dim or c.size != state.n_players:
@@ -336,8 +330,6 @@ def ols_ingest(state, q, c):
     out._rows.append(row)
     out._responses.append(c)
     out.n_records += 1
-    out.normal_matrix += np.outer(row, row)
-    out.cross_vector += c[:, None] * row[None, :]
     return out
 
 

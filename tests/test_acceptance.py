@@ -350,7 +350,8 @@ def test_criterion_7_local_stability_monte_carlo(criterion):
 
 def test_criterion_8_global_stability(criterion):
     fails = []
-    out = check_global_stability(games.investment(), seed=0)
+    game = games.investment()
+    out = check_global_stability(game, enumerate_fixed_points(game), seed=0)
     if out["verdict"] != "globally_stable":
         fails.append("investment verdict %r" % out["verdict"])
     if out["n_converged"] != out["n_runs"] or out["n_runs"] != 50:
@@ -358,7 +359,8 @@ def test_criterion_8_global_stability(criterion):
                      % (out["n_converged"], out["n_runs"]))
     for name, game in (("cournot", games.cournot()),
                        ("zerosum", games.zerosum_example())):
-        out = check_global_stability(game, seed=0)
+        out = check_global_stability(game, enumerate_fixed_points(game),
+                                     seed=0)
         if out["verdict"] != "not_globally_stable":
             fails.append("%s verdict %r" % (name, out["verdict"]))
         elif out["witness"] is None:

@@ -25,7 +25,6 @@ from beliefplay.analysis import (
     nearest_fixed_point,
     payoff_equivalent_set,
     payoff_equivalent_set_mixed,
-    project_to_eq,
     report_document,
     sample_belief_ball,
     stability_thresholds,
@@ -34,7 +33,6 @@ from beliefplay.analysis import (
     wilson_ci,
 )
 from beliefplay.dynamics import Trajectory
-from beliefplay.games import EquilibriumSet
 from beliefplay.param_belief import Belief, ContractViolation
 
 
@@ -325,16 +323,6 @@ def test_sample_belief_ball_properties(rng):
         assert np.max(np.abs(x - theta_bar)) <= 0.05 + 1e-12
     exact = sample_belief_ball(theta_bar, 0.0, rng)
     assert np.array_equal(exact, theta_bar)
-
-
-def test_project_to_eq_geometry():
-    box = EquilibriumSet.of_box((0.0, 0.0), (0.0, 3.0))
-    assert np.array_equal(project_to_eq(box, [0.4, 2.0]), [0.0, 2.0])
-    line = EquilibriumSet.of_line((0.5, 1.0), (1.0, 1.0), (0.0, 1.5))
-    proj = project_to_eq(line, [1.0, 1.5])
-    assert np.allclose(proj, [1.0, 1.5], atol=1e-8)
-    fl = EquilibriumSet.of_finite_list([(0.0, 0.0), (1.0, 1.0)])
-    assert np.array_equal(project_to_eq(fl, [0.9, 0.8]), [1.0, 1.0])
 
 
 def test_stability_stays_with_zero_radii(cournot_game):

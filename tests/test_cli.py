@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from beliefplay import cli
+from beliefplay import analysis, cli, games
 from beliefplay.cli import ConfigError, main, parse_config
-from beliefplay.dynamics import UpdateRule, run
+from beliefplay.dynamics import UpdateRule, run, run_two_timescale
 from beliefplay.param_belief import Belief, UpdateSchedule
 
 
@@ -89,6 +89,18 @@ def test_parse_estimator_and_rule_compatibility():
         parse_config(json.dumps({"game": "cournot", "horizon": 10,
                                  "rule": "fictitious_play"}))
     assert any("finite game" in e for e in err.value.errors)
+
+
+def test_parse_rejects_unknown_game_override(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"game": {"id": "cournot", "sigmas": [1.0]},
+                                 "horizon": 10}))
+    assert err.value.errors == [
+        "unknown override(s) 'sigmas' for game 'cournot'; allowed: sigma"]
+    cfg = write_config(tmp_path, {"game": {"id": "affine", "gamma": 1},
+                                  "horizon": 10})
+    assert main(["run", "--config", cfg]) == 1
+    assert "allowed: alpha, beta, sigma" in capsys.readouterr().err
 
 
 def test_parse_rule_and_schedule_options():
@@ -204,6 +216,74 @@ def test_rate_subcommand(tmp_path):
     assert len(out["per_seed"]) == 2
     assert out["pooled_slope"] < 0.0
     assert out["relative_error"] is not None
+
+
+def read_csv_rows(path):
+    lines = path.read_text().strip().split("\n")[2:]
+    return np.asarray([[float(x) for x in line.split(",")] for line in lines])
+
+
+def test_run_map_two_timescale_matches_library(tmp_path):
+    doc = dict(BASE, estimator="map", output_dir=str(tmp_path),
+               schedule={"kind": "two_timescale", "gap": "2t"})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    lib = run_two_timescale(parse_config(json.dumps(BASE)).game,
+                            UpdateRule.simultaneous(), lambda t: 2 * t,
+                            (Belief.from_probs([0.8, 0.2]),
+                             np.asarray([1.0, 1.0])),
+                            BASE["horizon"], seed=3, respond_to="map")
+    rows = read_csv_rows(tmp_path / "trajectory.csv")
+    assert np.array_equal(rows[:, 1:3], lib.thetas)
+    assert np.array_equal(rows[:, 3:5], lib.qs)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["eq_distance_at_updates"] == [
+        list(x) for x in lib.summary["eq_distance_at_updates"]]
+
+
+def test_rate_map_matches_library(tmp_path):
+    doc = {"game": "cournot", "horizon": 300, "estimator": "map",
+           "seeds": {"start": 0, "count": 2},
+           "init": {"theta": [0.6, 0.4], "q": [1.0, 1.0]},
+           "analysis": {"rate": {"param": 1, "burn_in": 30}},
+           "output_dir": str(tmp_path)}
+    assert main(["rate", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads((tmp_path / "rate.json").read_text())
+    for seed, entry in zip((0, 1), out["per_seed"]):
+        lib = run(games.cournot(), UpdateRule.simultaneous(),
+                  UpdateSchedule.every_stage(),
+                  (Belief.from_probs([0.6, 0.4]), np.asarray([1.0, 1.0])),
+                  300, seed, respond_to="map")
+        slope, r2 = analysis.estimate_convergence_rate(lib, 1, 30)
+        assert (entry["slope"], entry["r2"]) == (slope, r2)
+
+
+def test_stability_uses_configured_schedule(tmp_path):
+    # with batch > horizon the belief never updates, so few replicas stay
+    # within eps_bar of theta_bar; updating every stage, all of them do
+    spec = {"cluster": "complete_info", "eps1": 0.05, "delta1": 0.02,
+            "eps_bar": 0.01, "eps_x": 0.1, "n_runs": 6, "n_probe": 20}
+    doc = {"game": "cournot", "rule": "linear", "horizon": 200, "seed": 5,
+           "schedule": {"kind": "fixed_batch", "batch": 1000},
+           "analysis": {"stability": spec}, "output_dir": str(tmp_path)}
+    assert main(["stability", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads((tmp_path / "stability_report.json").read_text())
+    game = games.cournot()
+    cert = [c for c in analysis.enumerate_fixed_points(game)
+            if c.cluster_id == "complete_info"][0].representative
+    lib = analysis.monte_carlo_local_stability(
+        game, cert, eps1=0.05, delta1=0.02, eps_bar=0.01, eps_x=0.1,
+        n_runs=6, horizon=200, seed=5, rule=UpdateRule.linear(),
+        schedule=UpdateSchedule.fixed_batch(1000))
+    assert out["report"]["n_stayed"] == lib.n_stayed < 6
+
+
+def test_run_three_player_routing(tmp_path):
+    doc = {"game": {"id": "two_route_congestion", "n_players": 3},
+           "horizon": 50, "seed": 0, "output_dir": str(tmp_path)}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["final_q"]) == 6
+    assert "nearest_fixed_point" in summary
 
 
 def test_ols_estimator_run(tmp_path):

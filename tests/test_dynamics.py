@@ -21,7 +21,9 @@ from beliefplay.dynamics import (
 from beliefplay.param_belief import (
     Belief,
     ContractViolation,
+    ObservationBatch,
     UpdateSchedule,
+    bayes_update,
 )
 
 
@@ -72,6 +74,28 @@ def test_step_loop_matches_run(investment_game):
                      rng)
         assert np.allclose(traj.cs[t], state.last_obs, atol=1e-9)
         assert traj.updated[t] == state.last_updated
+
+
+@pytest.mark.parametrize("schedule", [UpdateSchedule.every_stage(),
+                                      UpdateSchedule.fixed_batch(5)],
+                         ids=["every_stage", "fixed_batch"])
+@pytest.mark.parametrize("maker, theta1, q1", [
+    (games.cournot, [0.7, 0.3], [1.0, 1.0]),
+    (games.investment, [0.2, 0.5, 0.3], [0.1, 0.9]),
+    (games.zerosum_example, [0.3, 0.3, 0.4], [1.0, 2.0]),
+], ids=["cournot", "investment", "zerosum"])
+def test_bayes_update_chain_matches_run_exactly(maker, theta1, q1, schedule):
+    game = maker()
+    belief = Belief.from_probs(theta1)
+    traj = run(game, UpdateRule.simultaneous(), schedule,
+               (belief, np.asarray(q1)), 200, seed=11)
+    batch = ObservationBatch()
+    for t in range(traj.horizon - 1):
+        batch.append(traj.qs[t], traj.cs[t])
+        if traj.updated[t]:
+            belief = bayes_update(belief, batch, game)
+            batch = ObservationBatch()
+        assert np.array_equal(belief.probs, traj.thetas[t + 1])
 
 
 def test_sequential_rule_moves_one_player_per_stage(investment_game):

@@ -226,6 +226,77 @@ def test_equilibrium_set_distance_geometry():
     assert fl.distance([0.1, 0.8]) == pytest.approx(0.2)
 
 
+def test_equilibrium_set_project_geometry():
+    box = EquilibriumSet.of_box((0.0, 0.0), (0.0, 3.0))
+    assert np.array_equal(box.project([0.4, 2.0]), [0.0, 2.0])
+    line = EquilibriumSet.of_line((0.5, 1.0), (1.0, 1.0), (0.0, 1.5))
+    proj = line.project([1.0, 1.5])
+    assert np.allclose(proj, [1.0, 1.5], atol=1e-8)
+    fl = EquilibriumSet.of_finite_list([(0.0, 0.0), (1.0, 1.0)])
+    assert np.array_equal(fl.project([0.9, 0.8]), [1.0, 1.0])
+
+
+def test_line_projection_takes_smallest_nearest_t():
+    # every t in [0, 1] is at distance 1 from q; the smallest one wins
+    line = EquilibriumSet.of_line((0.0, 0.0), (1.0, 0.0), (0.0, 2.0))
+    assert np.array_equal(line.project([0.5, 1.0]), [0.0, 0.0])
+    assert line.distance([0.5, 1.0]) == 1.0
+
+
+_coord = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                   st.floats(-5.0, 5.0).filter(lambda x: abs(x) > 1e-3))
+
+
+@st.composite
+def _eq_set_and_query(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(_coord, min_size=dim, max_size=dim).map(np.asarray)
+    kind = draw(st.sampled_from(["point", "box", "line", "finite_list"]))
+    if kind == "point":
+        eq = EquilibriumSet.of_point(draw(vec))
+    elif kind == "box":
+        a, b = draw(vec), draw(vec)
+        eq = EquilibriumSet.of_box(np.minimum(a, b), np.maximum(a, b))
+    elif kind == "line":
+        t_range = sorted(draw(st.lists(_coord, min_size=2, max_size=2)))
+        eq = EquilibriumSet.of_line(draw(vec), draw(vec), t_range)
+    else:
+        eq = EquilibriumSet.of_finite_list(
+            draw(st.lists(vec, min_size=1, max_size=5)))
+    return eq, draw(vec)
+
+
+def _is_member(eq, p, tol=1e-9):
+    if eq.kind == "point":
+        return np.array_equal(p, eq.point)
+    if eq.kind == "box":
+        return bool(np.all(np.asarray(eq.lo) <= p)
+                    and np.all(p <= np.asarray(eq.hi)))
+    if eq.kind == "finite_list":
+        return tuple(p.tolist()) in eq.members
+    base, d = np.asarray(eq.base), np.asarray(eq.direction)
+    k = int(np.argmax(np.abs(d)))
+    if d[k] == 0.0:
+        return np.array_equal(p, base)
+    t = (p[k] - base[k]) / d[k]
+    a, b = eq.t_range
+    return (a - tol <= t <= b + tol
+            and float(np.max(np.abs(base + t * d - p))) <= tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eq_set_and_query())
+def test_projection_is_the_nearest_member(case):
+    eq, q = case
+    proj = eq.project(q)
+    assert _is_member(eq, proj)
+    dist = eq.distance(q)
+    assert dist == float(np.max(np.abs(q - proj)))
+    members = np.vstack([eq.representatives(9),
+                         eq.sample(64, np.random.default_rng(0))])
+    assert np.min(np.max(np.abs(members - q), axis=1)) >= dist - 1e-9
+
+
 def test_equilibrium_set_samples_are_members(rng):
     box = EquilibriumSet.of_box((0.0, 1.0), (0.5, 4.0))
     for q in box.sample(50, rng):

@@ -229,9 +229,10 @@ def test_ols_gram_matrix_oracle():
     state = OlsState(q_dim=2, n_players=2)
     state = ols_ingest(state, [1.0, 0.0], [0.5, -0.5])
     state = ols_ingest(state, [0.0, 1.0], [1.0, 2.0])
-    assert np.array_equal(state.normal_matrix,
+    design = state.design_rows
+    assert np.array_equal(design.T @ design,
                           [[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-    assert np.array_equal(state.cross_vector,
+    assert np.array_equal(state.response_columns @ design,
                           [[0.5, 1.0, 1.5], [-0.5, 2.0, 1.5]])
 
 
