@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +50,21 @@ def kl_divergence(game, s_a, s_b, q):
     return total
 
 
-def payoff_equivalent_set(game, q, tol=KL_TOL):
-    """S*(q): parameters whose payoff distribution at q matches the truth's."""
+def payoff_equivalent_set(game, q, tol=KL_TOL, support_tol=SUPPORT_TOL):
+    """S*(q): parameters whose payoff distribution at q matches the truth's.
+
+    In a finite game, the intersection of these sets over the pure profiles in
+    the support of the mixed profile q (probabilities above support_tol)."""
     s_star = game.space.true_index
-    out = []
-    for s in range(len(game.space)):
-        if kl_divergence(game, s_star, s, q) <= tol:
-            out.append(s)
-    return tuple(out)
+    if game.kind == "finite":
+        profiles = _pure_profiles_in_support(game, q, support_tol)
+    else:
+        profiles = [q]
+    result = range(len(game.space))
+    for profile in profiles:
+        result = [s for s in result
+                  if kl_divergence(game, s_star, s, profile) <= tol]
+    return tuple(result)
 
 
 def _pure_profiles_in_support(game, q, support_tol=SUPPORT_TOL):
@@ -72,23 +78,6 @@ def _pure_profiles_in_support(game, q, support_tol=SUPPORT_TOL):
         for i, a in enumerate(combo):
             profile[game.slices[i].start + a] = 1.0
         yield profile
-
-
-def payoff_equivalent_set_mixed(game, q, tol=KL_TOL, support_tol=SUPPORT_TOL):
-    """Finite-game S*(q): intersection of pure equivalence sets over the
-    support of the mixed profile (strictly positive probabilities)."""
-    if game.kind != "finite":
-        raise ContractViolation("mixed equivalence needs a finite game")
-    result = set(range(len(game.space)))
-    for profile in _pure_profiles_in_support(game, q, support_tol):
-        result &= set(payoff_equivalent_set(game, profile, tol))
-    return tuple(sorted(result))
-
-
-def equivalence_set_for(game, q, tol=KL_TOL):
-    if game.kind == "finite":
-        return payoff_equivalent_set_mixed(game, q, tol)
-    return payoff_equivalent_set(game, q, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +105,7 @@ def certify_fixed_point(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
     """Certificate for ([theta] subset of S*(q), q in EQ(theta))."""
     probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
     q = np.asarray(q, dtype=float)
-    equiv = equivalence_set_for(game, q, tol_kl)
+    equiv = payoff_equivalent_set(game, q, tol_kl)
     support = tuple(int(s) for s in np.nonzero(probs > 0.0)[0])
     subset = set(support) <= set(equiv)
     if game.kind == "finite":
@@ -287,7 +276,7 @@ def check_all_fixed_points_complete(game, n_dirichlet=500,
         eq = equilibrium_set(game, belief)
         support = set(np.nonzero(probs > 0.0)[0].tolist())
         for q in eq.representatives(strategy_samples):
-            if support <= set(equivalence_set_for(game, q, tol_kl)):
+            if support <= set(payoff_equivalent_set(game, q, tol_kl)):
                 return False, (tuple(probs.tolist()), tuple(q.tolist()))
     return True, None
 
@@ -308,7 +297,7 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
     counterexample = None
     for _ in range(n_probe):
         q = np.clip(q_bar + (2.0 * rng.random(q_bar.size) - 1.0) * xi, lo, hi)
-        if not set(support) <= set(equivalence_set_for(game, q, tol_kl)):
+        if not set(support) <= set(payoff_equivalent_set(game, q, tol_kl)):
             cond_i = False
             counterexample = tuple(q.tolist())
             break
@@ -560,47 +549,35 @@ def _directed_hausdorff(eq_from, eq_to, rng, n=256):
     return float(max(eq_to.distance(p) for p in pts))
 
 
-def _stability_replica(args):
-    (game, rule, schedule, theta_bar, eq_bar, eps1, delta1, eps_bar, eps_x,
-     horizon, seed_k) = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed_k))
-    theta1 = sample_belief_ball(theta_bar, eps1, rng)
-    q1 = sample_near_eq(game, eq_bar, delta1, rng)
-    if np.all(theta1 > 0.0):
-        traj = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
-                   horizon, seed_k)
-        final_theta = np.asarray(traj.summary["final_theta"])
-        final_q = np.asarray(traj.summary["final_q"])
-    else:
-        final_theta, final_q = theta1, q1  # frozen degenerate start
-    stayed = (
-        float(np.max(np.abs(final_theta - theta_bar))) <= eps_bar
-        and eq_bar.distance(final_q) <= eps_x
-    )
-    return stayed
-
-
 def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
                                 eps_x, n_runs, horizon, seed,
-                                rule=None, schedule=None, threads=1,
+                                rule=None, schedule=None,
+                                respond_to="posterior",
                                 stable_level=0.9, unstable_level=0.5):
     """Estimate Pr(theta^T near theta_bar and q^T near EQ(theta_bar)) from
-    runs started in the (eps1, delta1) neighborhoods, with a Wilson 95% CI."""
+    runs started in the (eps1, delta1) neighborhoods, with a Wilson 95% CI.
+    Strategies respond to ``respond_to``, as in ``run``."""
     rule = rule or UpdateRule.simultaneous()
     schedule = schedule or UpdateSchedule.every_stage()
     theta_bar = np.asarray(certificate.belief, dtype=float)
     eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
-    jobs = [
-        (game, rule, schedule, theta_bar, eq_bar, eps1, delta1, eps_bar,
-         eps_x, horizon, replica_seed(seed, k))
-        for k in range(n_runs)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_stability_replica, jobs))
-    else:
-        results = [_stability_replica(j) for j in jobs]
-    stayed = int(sum(results))
+    stayed = 0
+    for k in range(n_runs):
+        seed_k = replica_seed(seed, k)
+        rng = np.random.default_rng(np.random.SeedSequence(seed_k))
+        theta1 = sample_belief_ball(theta_bar, eps1, rng)
+        q1 = sample_near_eq(game, eq_bar, delta1, rng)
+        if np.all(theta1 > 0.0):
+            traj = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
+                       horizon, seed_k, respond_to=respond_to)
+            final_theta = np.asarray(traj.summary["final_theta"])
+            final_q = np.asarray(traj.summary["final_q"])
+        else:
+            final_theta, final_q = theta1, q1  # frozen degenerate start
+        stayed += (
+            float(np.max(np.abs(final_theta - theta_bar))) <= eps_bar
+            and eq_bar.distance(final_q) <= eps_x
+        )
     p = stayed / n_runs if n_runs else 0.0
     lo, hi = wilson_ci(stayed, n_runs)
     if lo >= stable_level:
@@ -666,7 +643,7 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0,
     a2c_counterexample = None
     for _ in range(n_probe):
         q = sample_near_eq(game, eq_bar, delta, rng)
-        if not set(support) <= set(equivalence_set_for(game, q, tol_kl)):
+        if not set(support) <= set(payoff_equivalent_set(game, q, tol_kl)):
             a2c_violations += 1
             if a2c_counterexample is None:
                 a2c_counterexample = tuple(q.tolist())
@@ -710,12 +687,11 @@ def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
     theta_star = np.zeros(n)
     theta_star[s_star] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lo, hi = game.box_lo(), game.box_hi()
     n_converged = 0
     schedule = UpdateSchedule.every_stage()
     for k in range(n_random_starts):
         theta1 = rng.dirichlet(np.ones(n))
-        q1 = lo + (hi - lo) * rng.random(lo.size)
+        q1 = game.random_profile(rng)
         traj = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
                    horizon, replica_seed(seed, k), stop_when_converged=True)
         final_theta = np.asarray(traj.summary["final_theta"])

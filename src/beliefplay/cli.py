@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +60,11 @@ class ExperimentConfig:
     @property
     def master_seed(self):
         return self.seeds[0]
+
+    @property
+    def respond_to(self):
+        """What the strategies respond to: the MAP estimate or the posterior."""
+        return "map" if self.estimator == "map" else "posterior"
 
 
 def _floats(values):
@@ -282,12 +286,11 @@ def _configured_run(cfg, seed):
     """One run of the configured dynamics: rule, schedule and the estimator
     the strategies respond to."""
     init = (Belief.from_probs(cfg.theta1), cfg.q1)
-    respond_to = "map" if cfg.estimator == "map" else "posterior"
     if cfg.schedule.kind == "two_timescale":
         return run_two_timescale(cfg.game, cfg.rule, cfg.schedule.gap_fn, init,
-                                 cfg.horizon, seed, respond_to=respond_to)
+                                 cfg.horizon, seed, respond_to=cfg.respond_to)
     return run(cfg.game, cfg.rule, cfg.schedule, init, cfg.horizon, seed,
-               respond_to=respond_to)
+               respond_to=cfg.respond_to)
 
 
 def _run_one_seed(cfg, seed, clusters):
@@ -339,7 +342,7 @@ def _ols_experiment(cfg, seed):
     }
 
 
-def cmd_run(cfg, threads=1):
+def cmd_run(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     if cfg.estimator == "ols":
         results = [_ols_experiment(cfg, s) for s in cfg.seeds]
@@ -348,16 +351,8 @@ def cmd_run(cfg, threads=1):
         return 0
     clusters = _clusters(cfg) if cfg.game.analytic_eq is not None else []
     multi = len(cfg.seeds) > 1
-
-    def job(seed):
-        return seed, _run_one_seed(cfg, seed, clusters)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, cfg.seeds))
-    else:
-        results = [job(s) for s in cfg.seeds]
-    for seed, traj in results:
+    for seed in cfg.seeds:
+        traj = _run_one_seed(cfg, seed, clusters)
         suffix = "_%d" % seed if multi else ""
         trajectory_to_csv(
             traj, os.path.join(cfg.output_dir, "trajectory%s.csv" % suffix),
@@ -387,7 +382,7 @@ def cmd_fixed_points(cfg):
     return 0
 
 
-def cmd_stability(cfg, threads=1):
+def cmd_stability(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.analysis.get("stability", {})
     cluster_id = spec.get("cluster", "complete_info")
@@ -417,7 +412,7 @@ def cmd_stability(cfg, threads=1):
         eps_x=float(spec.get("eps_x", 0.1)),
         n_runs=int(spec.get("n_runs", 200)),
         horizon=cfg.horizon, seed=cfg.master_seed,
-        rule=cfg.rule, schedule=cfg.schedule, threads=threads,
+        rule=cfg.rule, schedule=cfg.schedule, respond_to=cfg.respond_to,
     )
     report.assumption2 = a2
     report.thresholds = thresholds
@@ -473,7 +468,7 @@ def main(argv=None):
                         choices=["run", "fixed-points", "stability", "rate"])
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, help="accepted and ignored")
     parser.add_argument("--seed-override", type=int, default=None)
     try:
         args = parser.parse_args(argv)
@@ -501,11 +496,11 @@ def main(argv=None):
 
     try:
         if args.command == "run":
-            return cmd_run(cfg, threads=args.threads)
+            return cmd_run(cfg)
         if args.command == "fixed-points":
             return cmd_fixed_points(cfg)
         if args.command == "stability":
-            return cmd_stability(cfg, threads=args.threads)
+            return cmd_stability(cfg)
         return cmd_rate(cfg)
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .param_belief import Belief, ParameterSpace
+from .param_belief import Belief, ContractViolation, ParameterSpace
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
@@ -190,11 +190,16 @@ class GameModel:
     def q_dim(self):
         return self.slices[-1].stop
 
+    def _box(self, end):
+        if self.kind == "finite":
+            raise ContractViolation("finite games have no strategy box")
+        return np.asarray([b[end] for b in self.boxes], dtype=float)
+
     def box_lo(self):
-        return np.asarray([b[0] for b in self.boxes], dtype=float)
+        return self._box(0)
 
     def box_hi(self):
-        return np.asarray([b[1] for b in self.boxes], dtype=float)
+        return self._box(1)
 
     def feasible(self, q, tol=1e-9):
         q = np.asarray(q, dtype=float)
@@ -215,6 +220,15 @@ class GameModel:
         for sl, n_act in zip(self.slices, self.boxes):
             out[sl] = 1.0 / n_act
         return out
+
+    def random_profile(self, rng):
+        """A random start: uniform on the strategy box, or one Dirichlet mixed
+        strategy per player in a finite game."""
+        if self.kind == "finite":
+            return np.concatenate([rng.dirichlet(np.ones(n_act))
+                                   for n_act in self.boxes])
+        lo, hi = self.box_lo(), self.box_hi()
+        return lo + (hi - lo) * rng.random(self.n_players)
 
     # -- channels -----------------------------------------------------------
     def channel_means(self, s_idx, q):
@@ -378,12 +392,7 @@ def equilibrium_set(game, belief, n_starts=20, max_iter=2000, tol=1e-10):
     rng = np.random.default_rng(0)
     limits = []
     for _ in range(n_starts):
-        if game.kind == "finite":
-            # boxes holds action counts here: draw a mixed strategy per player
-            q = np.concatenate([rng.dirichlet(np.ones(n_act)) for n_act in game.boxes])
-        else:
-            lo, hi = game.box_lo(), game.box_hi()
-            q = lo + (hi - lo) * rng.random(game.n_players)
+        q = game.random_profile(rng)
         for it in range(max_iter):
             nxt = 0.5 * q + 0.5 * br_profile(game, belief, q)
             if np.max(np.abs(nxt - q)) < tol:

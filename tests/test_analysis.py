@@ -17,14 +17,12 @@ from beliefplay.analysis import (
     check_assumption2,
     check_complete_info_equilibrium_conditions,
     enumerate_fixed_points,
-    equivalence_set_for,
     estimate_convergence_rate,
     kl_divergence,
     martingale_diagnostic,
     monte_carlo_local_stability,
     nearest_fixed_point,
     payoff_equivalent_set,
-    payoff_equivalent_set_mixed,
     report_document,
     sample_belief_ball,
     stability_thresholds,
@@ -84,16 +82,14 @@ def test_payoff_equivalent_sets_zerosum(zerosum_game):
 def test_mixed_equivalence_intersects_over_support(routing_game):
     # a mixed profile is equivalent only if every supported pure profile is
     pure = np.asarray([1.0, 0.0, 0.0, 1.0])
-    assert payoff_equivalent_set_mixed(routing_game, pure) == (0,)
+    assert payoff_equivalent_set(routing_game, pure) == (0,)
     mixed = np.asarray([0.5, 0.5, 0.5, 0.5])
-    assert payoff_equivalent_set_mixed(routing_game, mixed) == (0,)
-    with pytest.raises(ContractViolation):
-        payoff_equivalent_set_mixed(games.cournot(), pure)
+    assert payoff_equivalent_set(routing_game, mixed) == (0,)
 
 
 def test_equivalence_set_ignores_below_support_tolerance(routing_game):
     almost_pure = np.asarray([1.0 - 1e-13, 1e-13, 0.0, 1.0])
-    assert payoff_equivalent_set_mixed(routing_game, almost_pure) == (0,)
+    assert payoff_equivalent_set(routing_game, almost_pure) == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +350,13 @@ def test_complete_info_conditions_cournot(cournot_game):
     out = check_complete_info_equilibrium_conditions(cournot_game, cert,
                                                      xi=0.1, n_probe=50)
     assert out["condition_i"] and out["condition_ii"] and out["eq_sets_equal"]
+
+
+def test_complete_info_conditions_reject_finite_games(routing_game):
+    cert = certify_fixed_point(routing_game, Belief.point_mass(2, 0),
+                               [1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ContractViolation, match="no strategy box"):
+        check_complete_info_equilibrium_conditions(routing_game, cert)
 
 
 def test_nearest_fixed_point_snaps_to_complete_info(cournot_game):

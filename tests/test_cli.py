@@ -2,10 +2,14 @@
 defaults, reproducible outputs, exit codes, and agreement with the library."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import beliefplay
 from beliefplay import analysis, cli, games
 from beliefplay.cli import ConfigError, main, parse_config
 from beliefplay.dynamics import UpdateRule, run, run_two_timescale
@@ -284,6 +288,67 @@ def test_run_three_player_routing(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["final_q"]) == 6
     assert "nearest_fixed_point" in summary
+
+
+def test_stability_honours_map_estimator(tmp_path, monkeypatch):
+    received = []
+    real_run = analysis.run
+
+    def spy(*args, **kwargs):
+        received.append(kwargs.get("respond_to"))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", spy)
+    doc = {"game": "cournot", "estimator": "map", "horizon": 50, "seed": 1,
+           "analysis": {"stability": {"n_runs": 4, "n_probe": 10},
+                        "fixed_points": {"belief_grid": 11}},
+           "output_dir": str(tmp_path)}
+    assert main(["stability", "--config", write_config(tmp_path, doc)]) == 0
+    assert received == ["map"] * 4
+
+
+def test_fixed_points_on_finite_game(tmp_path):
+    # the global-stability random starts are mixed strategies, not box points
+    doc = {"game": "two_route_congestion", "horizon": 200,
+           "output_dir": str(tmp_path)}
+    assert main(["fixed-points", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads((tmp_path / "fixed_points.json").read_text())
+    assert out["global_stability"]["verdict"] == "globally_stable"
+    assert out["global_stability"]["n_converged"] == 50
+
+
+def test_stability_rejects_finite_games(tmp_path, capsys):
+    doc = {"game": "two_route_congestion", "horizon": 20,
+           "analysis": {"stability": {"n_runs": 2, "n_probe": 5}},
+           "output_dir": str(tmp_path)}
+    assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
+    assert "finite games have no strategy box" in capsys.readouterr().err
+
+
+def test_threads_flag_is_ignored(tmp_path):
+    doc = {"game": "cournot", "rule": "linear", "horizon": 100,
+           "seeds": {"start": 4, "count": 3},
+           "analysis": {"stability": {"n_runs": 3, "n_probe": 10},
+                        "fixed_points": {"belief_grid": 11}}}
+    cfg = write_config(tmp_path, doc)
+    for command in ("run", "stability"):
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / command / threads
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0] == outs[1] and outs[0]
+
+
+def test_python_m_entry_point():
+    src = os.path.dirname(os.path.dirname(beliefplay.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "beliefplay", "run"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "usage: beliefplay" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_ols_estimator_run(tmp_path):

@@ -19,7 +19,7 @@ from beliefplay.games import (
     expected_payoff,
     sample_payoffs,
 )
-from beliefplay.param_belief import Belief
+from beliefplay.param_belief import Belief, ContractViolation
 
 
 def strip_analytic_br(game):
@@ -346,6 +346,27 @@ def test_feasibility_and_box_center(zerosum_game, routing_game):
     assert routing_game.feasible([0.5, 0.5, 1.0, 0.0])
     assert not routing_game.feasible([0.7, 0.7, 1.0, 0.0])
     assert np.array_equal(routing_game.box_center(), [0.5, 0.5, 0.5, 0.5])
+
+
+def test_finite_games_have_no_strategy_box(routing_game):
+    with pytest.raises(ContractViolation, match="no strategy box"):
+        routing_game.box_lo()
+    with pytest.raises(ContractViolation, match="no strategy box"):
+        routing_game.box_hi()
+
+
+def test_random_profile_draws(zerosum_game, routing_game):
+    # continuous: uniform on the box, one draw per player from the stream
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    q = zerosum_game.random_profile(a)
+    lo, hi = zerosum_game.box_lo(), zerosum_game.box_hi()
+    assert np.array_equal(q, lo + (hi - lo) * b.random(2))
+    # finite: one Dirichlet mixed strategy per player
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    q = routing_game.random_profile(a)
+    assert np.array_equal(q, np.concatenate([b.dirichlet(np.ones(2)),
+                                             b.dirichlet(np.ones(2))]))
+    assert routing_game.feasible(q)
 
 
 @settings(max_examples=40, deadline=None)
