@@ -175,11 +175,78 @@ def belief_grid(n_params, resolution):
     return grid
 
 
+def _link_groups(thetas, qs, link_theta, link_q):
+    """Connected components of the graph that links certificates i and j when
+    max|theta_i - theta_j| <= link_theta and max|q_i - q_j| <= link_q.
+
+    Each certificate goes into the cell floor(theta / w) with w a hair above
+    link_theta, so a linked pair sits in the same or in adjacent cells (exact
+    while |theta| / w stays far below 1e7; beliefs lie in [0, 1]).  Each cell
+    is compared with itself and with the neighbours whose key is
+    lexicographically greater, one cell pair at a time.  Groups come ordered
+    by their smallest member, members ascending."""
+    thetas = np.asarray(thetas, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    n = len(thetas)
+    if n == 0:
+        return []
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    cells = {}
+    keys = np.floor(thetas / (link_theta * (1.0 + 1e-9))).astype(np.int64)
+    for idx, key in enumerate(map(tuple, keys.tolist())):
+        cells.setdefault(key, []).append(idx)
+    cells = {key: np.asarray(members) for key, members in cells.items()}
+    zero = (0,) * thetas.shape[1]
+    offsets = [off for off in itertools.product((-1, 0, 1), repeat=len(zero))
+               if off > zero]
+    for key, rows in cells.items():
+        th_rows, q_rows = thetas[rows][:, None, :], qs[rows][:, None, :]
+        for off in [zero] + offsets:
+            cols = cells.get(tuple(k + o for k, o in zip(key, off)))
+            if cols is None:
+                continue
+            close = (
+                (np.max(np.abs(thetas[cols] - th_rows), axis=2) <= link_theta)
+                & (np.max(np.abs(qs[cols] - q_rows), axis=2) <= link_q)
+            )
+            if off == zero:
+                close = np.triu(close, 1)
+            for i in np.flatnonzero(close.any(axis=1)).tolist():
+                ra = find(int(rows[i]))
+                for b in cols[close[i]].tolist():
+                    rb = find(b)
+                    if rb != ra:
+                        parent[rb] = ra
+    groups = {}
+    for idx in range(n):
+        groups.setdefault(find(idx), []).append(idx)
+    return list(groups.values())
+
+
 def enumerate_fixed_points(game, belief_grid_resolution=51,
                            strategy_grid_resolution=5, tol_kl=KL_TOL,
                            tol_eq=1e-8):
     """Grid-scan beliefs, certify sampled equilibrium members, and cluster the
-    valid certificates by connected components in (theta, q)."""
+    valid certificates by connected components in (theta, q).
+
+    Two valid certificates are linked when they are within 2.5 grid steps in
+    both coordinates: L-infinity on theta at most 2.5 * d_theta and
+    L-infinity on q at most 2.5 * max(d_q, d_theta), where d_theta is the
+    belief-grid step and d_q the strategy-grid step.  Clusters are the
+    connected components of these links.  Cost: one equilibrium set per grid
+    belief and one certificate per sampled member; the linking compares only
+    certificates in neighbouring theta cells (see `_link_groups`), so it
+    grows with the number of certificates times the cell occupancy instead
+    of with its square."""
+    if belief_grid_resolution < 2:
+        raise ContractViolation("grid needs at least 2 points per axis")
     n = len(game.space)
     valid = []
     d_theta = 1.0 / (belief_grid_resolution - 1)
@@ -197,34 +264,12 @@ def enumerate_fixed_points(game, belief_grid_resolution=51,
     else:
         diam = 1.0
     d_q = diam / max(strategy_grid_resolution - 1, 1)
-    link_theta = 2.5 * d_theta
-    link_q = 2.5 * max(d_q, d_theta)
-
-    parent = list(range(len(valid)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    thetas = np.asarray([c.belief for c, _ in valid])
-    qs = np.asarray([c.q for c, _ in valid])
-    for a in range(len(valid)):
-        close = (
-            (np.max(np.abs(thetas[a + 1:] - thetas[a]), axis=1) <= link_theta)
-            & (np.max(np.abs(qs[a + 1:] - qs[a]), axis=1) <= link_q)
-        )
-        for off in np.nonzero(close)[0]:
-            ra, rb = find(a), find(a + 1 + int(off))
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for idx in range(len(valid)):
-        groups.setdefault(find(idx), []).append(idx)
+    groups = _link_groups([c.belief for c, _ in valid],
+                          [c.q for c, _ in valid],
+                          2.5 * d_theta, 2.5 * max(d_q, d_theta))
 
     clusters = []
-    for members in groups.values():
+    for members in groups:
         certs = [valid[i][0] for i in members]
         rep = min(
             certs,

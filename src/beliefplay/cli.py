@@ -55,6 +55,7 @@ class ExperimentConfig:
     seeds: list
     analysis: dict
     output_dir: str
+    belief_grid: int
     config_hash: str = ""
 
     @property
@@ -244,6 +245,14 @@ def parse_config(text):
     if not isinstance(analysis_spec, dict):
         errors.append("analysis must be an object")
         analysis_spec = {}
+    fixed_points_spec = analysis_spec.get("fixed_points", {})
+    if not isinstance(fixed_points_spec, dict):
+        errors.append("analysis.fixed_points must be an object")
+        fixed_points_spec = {}
+    belief_grid = fixed_points_spec.get("belief_grid", 51)
+    if type(belief_grid) is not int or belief_grid < 2:
+        errors.append("analysis.fixed_points.belief_grid must be an integer "
+                      ">= 2")
 
     output_dir = raw.get("output_dir", ".")
 
@@ -253,6 +262,7 @@ def parse_config(text):
         raw=raw, game_id=game_id, game=game, rule=rule, schedule=schedule,
         estimator=estimator, theta1=theta1, q1=q1, horizon=horizon,
         seeds=seeds, analysis=analysis_spec, output_dir=output_dir,
+        belief_grid=belief_grid,
     )
     cfg.config_hash = hashlib.sha256(
         json.dumps(raw, sort_keys=True).encode()
@@ -274,8 +284,7 @@ def _write_json(path, payload, cfg):
 
 
 def _clusters(cfg):
-    res = int(cfg.analysis.get("fixed_points", {}).get("belief_grid", 51))
-    return analysis.enumerate_fixed_points(cfg.game, res)
+    return analysis.enumerate_fixed_points(cfg.game, cfg.belief_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +395,9 @@ def cmd_stability(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.analysis.get("stability", {})
     cluster_id = spec.get("cluster", "complete_info")
+    # the probes and replicas sample the strategy box, which a finite game
+    # lacks: box_lo() raises before the enumeration does any work
+    cfg.game.box_lo()
     clusters = _clusters(cfg)
     match = [c for c in clusters if c.cluster_id == cluster_id]
     if not match:

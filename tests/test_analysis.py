@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefplay import games
+from beliefplay import analysis, games
 from beliefplay.analysis import (
+    _link_groups,
     belief_grid,
     certify_fixed_point,
     check_assumption2,
@@ -152,6 +153,95 @@ def test_enumerate_fixed_points_cournot_small_grid(cournot_game):
                        atol=1e-9)
     assert np.allclose(by_id["theta_dagger"].belief, [0.5, 0.5], atol=1e-12)
     assert np.allclose(by_id["theta_dagger"].q, [0.5, 0.5], atol=1e-9)
+
+
+def test_enumerate_fixed_points_rejects_small_grid(cournot_game):
+    for res in (1, 0):
+        with pytest.raises(ContractViolation,
+                           match="grid needs at least 2 points per axis"):
+            enumerate_fixed_points(cournot_game, belief_grid_resolution=res)
+
+
+def _link_bruteforce(thetas, qs, link_theta, link_q):
+    """Reference linking: every pair compared, O(n^2)."""
+    thetas = np.asarray(thetas, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    parent = list(range(len(thetas)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(len(thetas)):
+        close = (
+            (np.max(np.abs(thetas[a + 1:] - thetas[a]), axis=1) <= link_theta)
+            & (np.max(np.abs(qs[a + 1:] - qs[a]), axis=1) <= link_q)
+        )
+        for off in np.nonzero(close)[0]:
+            ra, rb = find(a), find(a + 1 + int(off))
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for idx in range(len(thetas)):
+        groups.setdefault(find(idx), []).append(idx)
+    return list(groups.values())
+
+
+def _coordinates(link, grid, span):
+    return st.one_of(
+        st.integers(0, 8).map(lambda k: k * link / 2),  # exactly link apart
+        st.integers(0, grid).map(lambda i: span * i / grid),  # grid-aligned
+        st.floats(0.0, span),
+    )
+
+
+@st.composite
+def certificate_clouds(draw):
+    grid = draw(st.sampled_from([4, 10, 50]))
+    link_theta = draw(st.sampled_from([0.25, 0.5, 2.5 / grid]))
+    link_q = draw(st.sampled_from([3.75, 0.25, 2.5 / grid]))
+    theta_dim = draw(st.integers(1, 3))
+    q_dim = draw(st.integers(1, 2))
+    theta = st.lists(_coordinates(link_theta, grid, 1.0),
+                     min_size=theta_dim, max_size=theta_dim)
+    q = st.lists(_coordinates(link_q, grid, 4.0 * link_q),
+                 min_size=q_dim, max_size=q_dim)
+    base = draw(st.lists(st.tuples(theta, q), min_size=1, max_size=30))
+    copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=20))
+    cloud = draw(st.permutations(base + [base[i] for i in copies]))
+    return ([t for t, _ in cloud], [x for _, x in cloud], link_theta, link_q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_clouds())
+def test_link_groups_match_bruteforce(cloud):
+    thetas, qs, link_theta, link_q = cloud
+    assert (_link_groups(thetas, qs, link_theta, link_q)
+            == _link_bruteforce(thetas, qs, link_theta, link_q))
+
+
+@pytest.mark.parametrize("res", [11, 51])
+@pytest.mark.parametrize("factory", [
+    games.cournot, games.investment, games.zerosum_example,
+    games.coordination_penalty, games.two_route_congestion])
+def test_enumerated_clusters_match_bruteforce_linking(factory, res,
+                                                      monkeypatch):
+    calls = []
+    real = analysis._link_groups
+
+    def spy(thetas, qs, link_theta, link_q):
+        calls.append((thetas, qs, link_theta, link_q))
+        return real(thetas, qs, link_theta, link_q)
+
+    monkeypatch.setattr(analysis, "_link_groups", spy)
+    clusters = enumerate_fixed_points(factory(), belief_grid_resolution=res)
+    (thetas, qs, link_theta, link_q), = calls
+    groups = _link_bruteforce(thetas, qs, link_theta, link_q)
+    expected = sorted([(thetas[i], qs[i]) for i in g] for g in groups)
+    got = sorted([(c.belief, c.q) for c in cl.members] for cl in clusters)
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,31 @@ def test_parse_rejects_unknown_game_override(tmp_path, capsys):
     assert "allowed: alpha, beta, sigma" in capsys.readouterr().err
 
 
+def test_parse_belief_grid():
+    assert parse_config(json.dumps({"game": "cournot", "horizon": 10})
+                        ).belief_grid == 51
+    doc = {"game": "cournot", "horizon": 10,
+           "analysis": {"fixed_points": {"belief_grid": 11}}}
+    assert parse_config(json.dumps(doc)).belief_grid == 11
+
+
+@pytest.mark.parametrize("fixed_points, field", [
+    ({"belief_grid": 1}, "analysis.fixed_points.belief_grid"),
+    ({"belief_grid": "x"}, "analysis.fixed_points.belief_grid"),
+    ({"belief_grid": 2.7}, "analysis.fixed_points.belief_grid"),
+    ({"belief_grid": True}, "analysis.fixed_points.belief_grid"),
+    (5, "analysis.fixed_points"),
+], ids=["below_two", "string", "float", "bool", "not_an_object"])
+def test_fixed_points_rejects_bad_belief_grid(tmp_path, capsys, fixed_points,
+                                              field):
+    doc = {"game": "cournot", "horizon": 10, "output_dir": str(tmp_path),
+           "analysis": {"fixed_points": fixed_points}}
+    assert main(["fixed-points", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: %s must be" % field in err
+    assert not (tmp_path / "fixed_points.json").exists()
+
+
 def test_parse_rule_and_schedule_options():
     cfg = parse_config(json.dumps({
         "game": "cournot", "horizon": 10,
@@ -323,6 +348,26 @@ def test_stability_rejects_finite_games(tmp_path, capsys):
            "output_dir": str(tmp_path)}
     assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
     assert "finite games have no strategy box" in capsys.readouterr().err
+
+
+def test_stability_fails_fast_on_finite_games(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError("%s called" % name)
+        return record
+
+    monkeypatch.setattr(analysis, "enumerate_fixed_points",
+                        spy("enumerate_fixed_points"))
+    monkeypatch.setattr(analysis, "check_assumption2",
+                        spy("check_assumption2"))
+    doc = {"game": "two_route_congestion", "horizon": 20,
+           "output_dir": str(tmp_path)}
+    assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
+    assert "finite games have no strategy box" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_threads_flag_is_ignored(tmp_path):
