@@ -787,7 +787,11 @@ def nearest_fixed_point(game, theta, q, clusters=None, zero_tol=0.05):
             consider(cl.cluster_id, cl.representative.belief)
     trimmed = np.where(theta < zero_tol, 0.0, theta)
     if trimmed.sum() > 0:
-        consider("self", trimmed / trimmed.sum())
+        trimmed = trimmed / trimmed.sum()
+        consider("self", trimmed)
+        # an equal candidate has an equal distance, so it could never win
+        if np.array_equal(trimmed, theta):
+            return best
     consider("self", theta)
     return best
 

@@ -34,6 +34,12 @@ ESTIMATORS = ("bayes", "map", "ols")
 TOP_KEYS = {"game", "rule", "schedule", "estimator", "init", "horizon",
             "seed", "seeds", "analysis", "output_dir"}
 
+# analysis.stability fields by type; every one is optional
+STABILITY_INTS = ("n_probe", "n_runs")
+STABILITY_FLOATS = ("eps", "delta", "eps1", "delta1", "eps_bar", "eps_x",
+                    "eps_hat", "gamma")
+STABILITY_KEYS = STABILITY_INTS + STABILITY_FLOATS + ("cluster",)
+
 
 class ConfigError(ValueError):
     def __init__(self, errors):
@@ -152,6 +158,29 @@ def _parse_schedule(spec, errors):
         return UpdateSchedule.every_stage()
 
 
+def _check_stability(spec, errors):
+    """Validate analysis.stability: counts >= 1, finite numbers, a string
+    cluster id and no unknown keys (bools are not numbers here)."""
+    if not isinstance(spec, dict):
+        errors.append("analysis.stability must be an object")
+        return
+    unknown = sorted(set(spec) - set(STABILITY_KEYS))
+    if unknown:
+        errors.append("unknown key(s) %s in analysis.stability; allowed: %s"
+                      % (", ".join(map(repr, unknown)),
+                         ", ".join(sorted(STABILITY_KEYS))))
+    for key in STABILITY_INTS:
+        value = spec.get(key, 1)
+        if type(value) is not int or value < 1:
+            errors.append("analysis.stability.%s must be an integer >= 1" % key)
+    for key in STABILITY_FLOATS:
+        value = spec.get(key, 0.0)
+        if type(value) not in (int, float) or not math.isfinite(value):
+            errors.append("analysis.stability.%s must be a finite number" % key)
+    if not isinstance(spec.get("cluster", ""), str):
+        errors.append("analysis.stability.cluster must be a string")
+
+
 def parse_config(text):
     """Parse and validate a config document; raises ConfigError listing every
     validation problem found (not just the first)."""
@@ -253,6 +282,7 @@ def parse_config(text):
     if type(belief_grid) is not int or belief_grid < 2:
         errors.append("analysis.fixed_points.belief_grid must be an integer "
                       ">= 2")
+    _check_stability(analysis_spec.get("stability", {}), errors)
 
     output_dir = raw.get("output_dir", ".")
 

@@ -331,6 +331,8 @@ def best_response(game, belief, i, q, current=None):
     if game.kind == "finite":
         return _finite_best_response(game, probs, i, q, current)
 
+    # golden-section search: the oracle the closed forms are tested against,
+    # and the path for games built without an analytic_br
     lo = game.box_lo()[i]
     hi = game.box_hi()[i]
     sl = game.slices[i]
@@ -418,6 +420,15 @@ def equilibrium_set(game, belief, n_starts=20, max_iter=2000, tol=1e-10):
 # Concrete games
 
 
+def _noise_scale(name, value):
+    """A channel noise scale: finite and >= 0 (0 is a degenerate channel)."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ContractViolation("%s must be a finite number >= 0, got %r"
+                                % (name, value))
+    return value
+
+
 def _interval_br(lo, hi, current):
     cur = float(np.atleast_1d(current)[0])
     canonical = min(max(cur, lo), hi)
@@ -432,6 +443,7 @@ def cournot(sigma=math.sqrt(0.5)):
     Price = alpha - beta(q1+q2) + eps; each firm's payoff is q_i * price.
     Observed channel: the realized price.
     """
+    sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((2.0, 1.0), (4.0, 3.0)), true_index=0,
                            labels=("s1", "s2"))
     arr = space.as_array()
@@ -475,6 +487,7 @@ def zerosum_example(sigma=1.0):
 
     v^s(q) = (max(|q1-q2|, s) - s)^2 - 2 q1^2; c1 = v + eps, c2 = -c1.
     """
+    sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((1.0,), (3.0,), (5.0,)), true_index=1,
                            labels=("1", "3", "5"))
     svals = space.as_array()[:, 0]
@@ -525,7 +538,10 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
     space = ParameterSpace(params=((0.0,), (1.0,), (2.0,)), true_index=1,
                            labels=("l", "m", "h"))
     svals = space.as_array()[:, 0]
-    sigmas = tuple(float(x) for x in sigmas)
+    sigmas = tuple(_noise_scale("sigmas", x) for x in sigmas)
+    if len(sigmas) != len(space):
+        raise ContractViolation("sigmas must have one entry per parameter (%d)"
+                                % len(space))
 
     def channel_mean(s, q):
         return np.asarray([svals[s] + q[0] + q[1]])
@@ -561,6 +577,7 @@ def coordination_penalty(sigma=1.0):
     Common cost -(q1-q2)^2 when |q1-q2|<=1, else -(1+s(|q1-q2|-1))^2; player 1
     additionally pays q1, player 2 collects q2.  S = {2, 4}, s* = 2.
     """
+    sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((2.0,), (4.0,)), true_index=0, labels=("2", "4"))
     svals = space.as_array()[:, 0]
 
@@ -608,6 +625,7 @@ def two_route_congestion(n_players=2, sigma=1.0):
     Expected edge cost is E[s] x_e + 1 with x_e the number of players on the
     edge; each player's payoff is minus their own realized route cost.
     """
+    sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((1.0,), (2.0,)), true_index=0, labels=("1", "2"))
     svals = space.as_array()[:, 0]
     n = int(n_players)
@@ -660,26 +678,48 @@ def two_route_congestion(n_players=2, sigma=1.0):
 
 
 def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
-    """Affine payoff family c_i = (q, 1) . s_i + eps_i.
+    """Affine payoff family c_i = (q, 1) . s_i + eps_i on the box [0, 1]^n.
 
-    alpha: (n_players, q_dim) slope rows; beta: (n_players,) intercepts.
-    ``grid`` optionally supplies alternative (alpha, beta) tuples forming a
+    alpha: (n, n) slope rows; beta: (n,) intercepts.  ``grid`` optionally
+    supplies alternative (alpha, beta) vectors of length n^2 + n forming a
     finite parameter grid for MAP experiments; the truth is entry
     ``true_grid_index`` (which must reproduce alpha/beta).
+
+    Player i's expected payoff is linear in its own strategy, with slope
+    m_i = sum over s with p_s > 0 of p_s alpha^s_ii, so its best response is
+    the whole box when |m_i| (hi - lo) <= FLAT_TOL (canonical point: the
+    current strategy clipped to the box), else hi when m_i > 0 and lo when
+    m_i < 0.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    n, q_dim = alpha.shape
+    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1] or alpha.size == 0:
+        raise ContractViolation("alpha must be a non-empty n x n matrix, got "
+                                "shape %s" % (alpha.shape,))
+    n = alpha.shape[0]
+    if beta.shape != (n,):
+        raise ContractViolation("beta must have length %d, got shape %s"
+                                % (n, beta.shape))
+    sigma = _noise_scale("sigma", sigma)
     if grid is None:
         grid = [np.concatenate([alpha.ravel(), beta])]
         true_grid_index = 0
-    params = tuple(tuple(np.asarray(g, float).ravel().tolist()) for g in grid)
+    vecs = [np.asarray(g, float).ravel() for g in grid]
+    if any(v.size != n * n + n for v in vecs):
+        raise ContractViolation("every grid entry must have length n^2 + n = %d"
+                                % (n * n + n))
+    if not np.all(np.isfinite(np.concatenate([alpha.ravel(), beta, *vecs]))):
+        raise ContractViolation("alpha, beta and grid values must be finite")
+    params = tuple(tuple(v.tolist()) for v in vecs)
     space = ParameterSpace(params=params, true_index=true_grid_index)
+    # own slopes alpha^s_ii, one row per grid entry
+    own_slopes = np.asarray([v[: n * n].reshape(n, n).diagonal() for v in vecs])
+    lo, hi = 0.0, 1.0
 
     def unpack(s):
         vec = np.asarray(space.params[s])
-        a = vec[: n * q_dim].reshape(n, q_dim)
-        b = vec[n * q_dim:]
+        a = vec[: n * n].reshape(n, n)
+        b = vec[n * n:]
         return a, b
 
     def channel_mean(s, q):
@@ -687,15 +727,22 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
         return a @ q + b
 
     def channel_sigma(s):
-        return np.full(n, float(sigma))
+        return np.full(n, sigma)
 
     def mean_payoff(s, q, i):
         a, b = unpack(s)
         return float(a[i] @ q + b[i])
 
+    def analytic_br(probs, i, q, current):
+        m = float(probs @ own_slopes[:, i])
+        if abs(m) * (hi - lo) <= FLAT_TOL:
+            return _interval_br(lo, hi, current)
+        return BRResult(point=np.asarray([hi if m > 0.0 else lo]))
+
     return GameModel(
         name="affine", n_players=n, space=space, kind="continuous",
-        boxes=[(0.0, 1.0)] * n, obs_dim=n, likelihood_channels=tuple(range(n)),
+        boxes=[(lo, hi)] * n, obs_dim=n, likelihood_channels=tuple(range(n)),
         channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
-        mean_payoff_fn=mean_payoff, lipschitz=float(np.abs(alpha).sum() + 1.0),
+        mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
+        lipschitz=float(np.abs(alpha).sum() + 1.0),
     )

@@ -458,6 +458,33 @@ def test_nearest_fixed_point_snaps_to_complete_info(cournot_game):
     assert cert.is_complete_info
 
 
+@pytest.mark.parametrize("theta, calls", [([1.0], 1), ([0.99, 0.01], 2),
+                                           ([0.5, 0.5], 1)],
+                         ids=["affine_point_mass", "trimmed", "untrimmed"])
+def test_nearest_fixed_point_solves_each_distinct_candidate_once(
+        monkeypatch, theta, calls):
+    # the trimmed and the raw terminal belief are one candidate when equal
+    seen = []
+    real = analysis.equilibrium_set
+
+    def spy(game, belief, *args, **kwargs):
+        seen.append(belief.probs.tolist())
+        return real(game, belief, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "equilibrium_set", spy)
+    if len(theta) == 1:
+        game = games.affine_game([[-2.0, 1.0], [1.0, -2.0]], [1.0, 1.0], 0.5)
+        q = [0.0, 0.0]
+    else:
+        game = games.cournot()
+        q = [0.5, 0.5]
+    near = nearest_fixed_point(game, theta, q)
+    assert len(seen) == calls
+    assert near is not None and near[0] == "self"
+    if len(theta) == 1:
+        assert near[1] == 0.0 and near[2].valid
+
+
 def test_report_document_is_json_serializable(cournot_game):
     cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
                                [2.0 / 3.0, 2.0 / 3.0])

@@ -132,6 +132,62 @@ def test_fixed_points_rejects_bad_belief_grid(tmp_path, capsys, fixed_points,
     assert not (tmp_path / "fixed_points.json").exists()
 
 
+@pytest.mark.parametrize("game, message", [
+    ({"id": "affine", "alpha": [[1, 2, 3]]}, "n x n"),
+    ({"id": "affine", "beta": [1.0]}, "beta must have length 2"),
+    ({"id": "affine", "alpha": [[-2.0, float("nan")], [1.0, -2.0]]},
+     "must be finite"),
+    ({"id": "cournot", "sigma": -1}, "sigma must be a finite number >= 0"),
+    ({"id": "affine", "sigma": -1}, "sigma must be a finite number >= 0"),
+    ({"id": "investment", "sigmas": [1.0, float("inf"), 1.0]},
+     "sigmas must be a finite number >= 0"),
+], ids=["affine_alpha_shape", "affine_beta_length", "affine_nan",
+        "cournot_negative_sigma", "affine_negative_sigma", "investment_inf"])
+def test_run_rejects_bad_game_overrides(tmp_path, capsys, game, message):
+    doc = {"game": game, "horizon": 10, "output_dir": str(tmp_path)}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: game overrides invalid" in err and message in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_parse_accepts_every_stability_field():
+    spec = {"cluster": "theta_dagger", "eps": 1, "delta": 1.0, "eps1": 0.02,
+            "delta1": 0.02, "eps_bar": 0.1, "eps_x": 0.1, "eps_hat": 0.3,
+            "gamma": 0.9, "n_runs": 3, "n_probe": 10}
+    cfg = parse_config(json.dumps({"game": "cournot", "horizon": 10,
+                                   "analysis": {"stability": spec}}))
+    assert cfg.analysis["stability"] == spec
+
+
+@pytest.mark.parametrize("stability, message", [
+    ({"n_probe": "x"}, "analysis.stability.n_probe must be an integer >= 1"),
+    ({"n_probe": 2.5}, "analysis.stability.n_probe must be an integer >= 1"),
+    ({"n_runs": 0}, "analysis.stability.n_runs must be an integer >= 1"),
+    ({"n_runs": True}, "analysis.stability.n_runs must be an integer >= 1"),
+    ({"eps": "a"}, "analysis.stability.eps must be a finite number"),
+    ({"gamma": float("nan")}, "analysis.stability.gamma must be a finite "
+                              "number"),
+    ({"eps_bar": float("inf")}, "analysis.stability.eps_bar must be a finite "
+                                "number"),
+    ({"delta1": False}, "analysis.stability.delta1 must be a finite number"),
+    ({"cluster": 3}, "analysis.stability.cluster must be a string"),
+    ({"n_prob": 10}, "unknown key(s) 'n_prob' in analysis.stability; "
+                     "allowed: cluster, delta, delta1, eps, eps1, eps_bar, "
+                     "eps_hat, eps_x, gamma, n_probe, n_runs"),
+    (5, "analysis.stability must be an object"),
+], ids=["n_probe_string", "n_probe_float", "n_runs_zero", "n_runs_bool",
+        "eps_string", "gamma_nan", "eps_bar_inf", "delta1_bool",
+        "cluster_not_string", "unknown_key", "not_an_object"])
+def test_stability_rejects_bad_analysis_stability(tmp_path, capsys, stability,
+                                                  message):
+    doc = {"game": "cournot", "horizon": 10, "output_dir": str(tmp_path),
+           "analysis": {"stability": stability}}
+    assert main(["stability", "--config", write_config(tmp_path, doc)]) == 1
+    assert "config error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "stability_report.json").exists()
+
+
 def test_parse_rule_and_schedule_options():
     cfg = parse_config(json.dumps({
         "game": "cournot", "horizon": 10,

@@ -136,9 +136,29 @@ def test_cournot_br_contraction(cournot_game, rng):
         assert abs(ba - bb) <= 0.5 * abs(qa - qb) + 1e-12
 
 
-@pytest.mark.parametrize("maker", [games.cournot, games.investment,
-                                   games.zerosum_example,
-                                   games.coordination_penalty])
+AFFINE_ALPHA = [[-2.0, 1.0], [1.0, -2.0]]
+AFFINE_BETA = [1.0, 1.0]
+# three (alpha, beta) entries; each player's own slopes alpha^s_ii have both
+# signs across the grid: player 1 (-2, 1.5, -0.5), player 2 (-2, 0.5, 3)
+AFFINE_GRID = [[-2.0, 1.0, 1.0, -2.0, 1.0, 1.0],
+               [1.5, 1.0, 1.0, 0.5, 1.0, 1.0],
+               [-0.5, 0.0, 2.0, 3.0, 0.0, 0.5]]
+
+
+def affine_default():
+    return games.affine_game(AFFINE_ALPHA, AFFINE_BETA, 0.5)
+
+
+def affine_mixed_slopes():
+    return games.affine_game(AFFINE_ALPHA, AFFINE_BETA, 0.5, grid=AFFINE_GRID)
+
+
+@pytest.mark.parametrize("maker", [
+    games.cournot, games.investment, games.zerosum_example,
+    games.coordination_penalty,
+    pytest.param(affine_default, id="affine"),
+    pytest.param(affine_mixed_slopes, id="affine_mixed_slopes"),
+])
 def test_numeric_br_matches_analytic(maker, rng):
     game = maker()
     numeric = strip_analytic_br(game)
@@ -155,6 +175,113 @@ def test_numeric_br_matches_analytic(maker, rng):
                 assert gap <= 1e-6
             else:
                 assert abs(num.point[0] - ana.point[0]) <= 1e-6
+
+
+def test_affine_br_exact_flat_returns_clipped_current():
+    # player 1's own slope is 0 under the truth, and 0.5 * 1 + 0.5 * (-1) = 0
+    # under an even mixture of slopes +1 and -1
+    flat = games.affine_game([[0.0, 1.0], [1.0, -2.0]], AFFINE_BETA, 0.5)
+    mixed = games.affine_game(
+        AFFINE_ALPHA, AFFINE_BETA, 0.5,
+        grid=[[1.0, 1.0, 1.0, -2.0, 1.0, 1.0],
+              [-1.0, 3.0, 1.0, -2.0, 0.0, 1.0]])
+    for game, probs in ((flat, [1.0]), (mixed, [0.5, 0.5])):
+        for current, expected in ((0.4, 0.4), (1.7, 1.0), (-0.3, 0.0)):
+            br = best_response(game, probs, 0, [0.2, 0.9], current=[current])
+            assert br.is_set_valued
+            assert br.interval == ((0.0,), (1.0,))
+            assert br.point[0] == expected
+        # player 2's slope is -2: the lower box edge, exactly
+        br = best_response(game, probs, 1, [0.2, 0.9])
+        assert not br.is_set_valued
+        assert br.point[0] == 0.0
+
+
+def _own_slope(grid, n, probs, i):
+    return sum(p * grid[s][i * n + i] for s, p in enumerate(probs) if p > 0)
+
+
+@st.composite
+def _affine_case(draw):
+    n = draw(st.integers(1, 3))
+    coef = st.floats(-5.0, 5.0, allow_nan=False)
+    grid = draw(st.lists(st.lists(coef, min_size=n * n + n,
+                                  max_size=n * n + n),
+                         min_size=1, max_size=3, unique_by=tuple))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.7]),
+                            min_size=len(grid), max_size=len(grid))
+                   .filter(lambda w: sum(w) > 0))
+    probs = np.asarray(weights) / sum(weights)
+    unit = st.floats(0.0, 1.0)
+    q = np.asarray(draw(st.lists(unit, min_size=n, max_size=n)))
+    current = draw(st.floats(-0.5, 1.5))
+    return n, grid, probs, q, current
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affine_case())
+def test_affine_closed_form_br_matches_numeric_oracle(case):
+    n, grid, probs, q, current = case
+    game = games.affine_game(np.reshape(grid[0][: n * n], (n, n)),
+                             grid[0][n * n:], 0.5, grid=grid)
+    numeric = strip_analytic_br(game)
+    for i in range(n):
+        # the oracle cannot decide 1e-13 < |m| < 1e-6: its flatness test
+        # reads a 201-point grid, and its golden-section comparisons lose
+        # so small a slope to rounding
+        m = _own_slope(grid, n, probs, i)
+        if 1e-13 < abs(m) < 1e-6:
+            continue
+        ana = best_response(game, probs, i, q, current=[current])
+        num = best_response(numeric, probs, i, q, current=[current])
+        assert ana.is_set_valued == num.is_set_valued
+        assert abs(ana.point[0] - num.point[0]) <= 1e-6
+        if abs(m) > 1e-6:
+            assert ana.point[0] == (1.0 if m > 0 else 0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": [[1.0, 2.0, 3.0]]}, "n x n"),
+    ({"alpha": [1.0, 2.0]}, "n x n"),
+    ({"beta": [1.0, 1.0, 1.0]}, "beta must have length 2"),
+    ({"grid": [[1.0] * 6, [1.0] * 5]}, "grid entry must have length"),
+    ({"alpha": [[float("nan"), 1.0], [1.0, -2.0]]}, "finite"),
+    ({"beta": [1.0, float("inf")]}, "finite"),
+    ({"grid": [[1.0] * 5 + [float("nan")]]}, "finite"),
+], ids=["alpha_not_square", "alpha_1d", "beta_length", "grid_entry_length",
+        "alpha_nan", "beta_inf", "grid_nan"])
+def test_affine_game_rejects_bad_inputs(kwargs, message):
+    args = {"alpha": AFFINE_ALPHA, "beta": AFFINE_BETA, "sigma": 0.5}
+    args.update(kwargs)
+    with pytest.raises(ContractViolation, match=message):
+        games.affine_game(**args)
+
+
+NOISE_FACTORIES = [
+    (games.cournot, "sigma"), (games.zerosum_example, "sigma"),
+    (games.coordination_penalty, "sigma"),
+    (lambda sigma: games.two_route_congestion(sigma=sigma), "sigma"),
+    (lambda sigma: games.affine_game(AFFINE_ALPHA, AFFINE_BETA, sigma),
+     "sigma"),
+    (lambda sigma: games.investment(sigmas=(1.0, sigma, 1.0)), "sigmas"),
+]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("factory, name", NOISE_FACTORIES,
+                         ids=["cournot", "zerosum", "coordination_penalty",
+                              "two_route_congestion", "affine", "investment"])
+def test_game_factories_reject_bad_noise_scales(factory, name, bad):
+    with pytest.raises(ContractViolation, match="%s must be a finite" % name):
+        factory(bad)
+    # degenerate (noiseless) channels stay allowed
+    assert np.all(np.asarray(factory(0.0).channel_sigmas(0)) >= 0.0)
+
+
+def test_investment_needs_one_noise_scale_per_parameter():
+    with pytest.raises(ContractViolation, match="one entry per parameter"):
+        games.investment(sigmas=(1.0, 1.0))
 
 
 def test_br_profile_stacks_players(investment_game):
