@@ -591,7 +591,7 @@ def sample_near_eq(game, eq, delta, rng):
 
 def _directed_hausdorff(eq_from, eq_to, rng, n=256):
     pts = np.vstack([eq_from.representatives(16), eq_from.sample(n, rng)])
-    return float(max(eq_to.distance(p) for p in pts))
+    return float(eq_to.distance(pts).max())
 
 
 def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,

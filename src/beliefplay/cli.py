@@ -78,6 +78,11 @@ def _floats(values):
     return tuple(float(x) for x in values)
 
 
+def _as_given(value):
+    """No conversion: the factory checks the JSON value itself."""
+    return value
+
+
 # id -> (factory, {override key: converter}, defaults for keys not given)
 GAMES = {
     "cournot": (games.cournot, {"sigma": float}, {}),
@@ -85,7 +90,7 @@ GAMES = {
     "investment": (games.investment, {"sigmas": _floats}, {}),
     "coordination_penalty": (games.coordination_penalty, {"sigma": float}, {}),
     "two_route_congestion": (games.two_route_congestion,
-                             {"n_players": int, "sigma": float}, {}),
+                             {"n_players": _as_given, "sigma": float}, {}),
     "affine": (games.affine_game, {"alpha": np.asarray, "beta": np.asarray,
                                    "sigma": float},
                {"alpha": [[-2.0, 1.0], [1.0, -2.0]], "beta": [1.0, 1.0],
@@ -228,8 +233,11 @@ def parse_config(text):
         spec = raw["seeds"]
         try:
             start = int(spec["start"])
-            count = int(spec["count"])
-            seeds = [start + k for k in range(count)]
+            count = spec["count"]
+            if type(count) is not int or count < 1:
+                errors.append("seeds.count must be an integer >= 1")
+            else:
+                seeds = [start + k for k in range(count)]
         except (KeyError, TypeError, ValueError):
             errors.append("seeds must be {'start': int, 'count': int}")
     else:
@@ -252,6 +260,8 @@ def parse_config(text):
             theta1 = np.asarray(init["theta"], dtype=float)
             if theta1.size != n:
                 errors.append("initial belief has wrong length")
+            elif not np.all(np.isfinite(theta1)):
+                errors.append("initial belief entries must be finite")
             elif np.any(theta1 <= 0.0):
                 errors.append(
                     "initial belief must have full support "
@@ -265,6 +275,8 @@ def parse_config(text):
             q1 = np.asarray(init["q"], dtype=float)
             if q1.size != game.q_dim:
                 errors.append("initial strategy has wrong length")
+            elif not np.all(np.isfinite(q1)):
+                errors.append("initial strategy entries must be finite")
             elif not game.feasible(q1):
                 errors.append("initial strategy outside the strategy set")
         else:

@@ -2,8 +2,12 @@
 best-response strategy updates, trajectory recording, and the finite-game
 fictitious-play variant.
 
-The hot loop (`run`) and the public single-step operation (`step`) share one
-core (`_step_core`) so they are behaviorally identical.
+The hot loop (`run`) and the public single-step operation (`step`) play each
+stage through one stage function (`_stage_fn`), so they are behaviorally
+identical.  It computes exp(log_probs) once per belief update and reads the
+game's geometry once per run, and its arithmetic is the same, operation for
+operation, as the plain per-stage loop it replaced: `run` reproduces that
+loop's trajectories bit for bit (pinned by an exact-equality test).
 """
 
 from __future__ import annotations
@@ -86,27 +90,21 @@ class Trajectory:
         return self.thetas.shape[0]
 
 
-def _realized_profile(game, rule_kind, log_probs, q, rng):
-    """Profile at which payoffs realize this stage.
-
-    Continuous games: the strategy itself.  Finite games: one-hot actions --
-    drawn from the mixed strategy, except under fictitious play where each
-    player best responds (lowest index on ties) to the opponents' empirical
-    frequencies.
+def _realized_profile(game, slices, fictitious, probs, q, rng):
+    """Finite games: the one-hot action profile at which payoffs realize this
+    stage, and the actions.  Actions are drawn from the mixed strategy,
+    except under fictitious play where each player best responds (lowest
+    index on ties) to the opponents' empirical frequencies under ``probs``.
     """
-    if game.kind == "continuous":
-        return q, None
-    probs = np.exp(log_probs)
     out = np.zeros_like(q)
     actions = []
-    for i, sl in enumerate(game.slices):
-        if rule_kind == "fictitious_play":
-            br = best_response(game, probs, i, q)
-            a = br.tied_actions[0]
+    for i, sl in enumerate(slices):
+        if fictitious:
+            a = best_response(game, probs, i, q).tied_actions[0]
         else:
             block = q[sl]
-            if np.max(block) > 1.0 - 1e-12:
-                a = int(np.argmax(block))
+            if block.max() > 1.0 - 1e-12:
+                a = int(block.argmax())
             else:
                 a = int(rng.choice(block.size, p=block / block.sum()))
         actions.append(a)
@@ -114,75 +112,83 @@ def _realized_profile(game, rule_kind, log_probs, q, rng):
     return out, tuple(actions)
 
 
-def _apply_rule(game, rule, log_probs, q, t, actions):
-    """Produce q^{t+1} from q^t under the (already updated) belief."""
-    probs = np.exp(log_probs)
-    n = game.n_players
-    if rule.kind == "simultaneous":
+def _apply_rule(game, rule, slices, probs, q, t, profile):
+    """Produce q^{t+1} from q^t under the (already updated) belief
+    probabilities; fictitious play averages in the realized profile."""
+    kind = rule.kind
+    if kind == "fictitious_play":
+        # empirical frequency of realized actions
+        return (t * q + profile) / (t + 1.0)
+    if kind == "sequential":
+        i = (t - 1) % game.n_players
+        sl = slices[i]
         out = q.copy()
-        for i in range(n):
-            out[game.slices[i]] = best_response(
-                game, probs, i, q, current=q[game.slices[i]]
-            ).point
+        out[sl] = best_response(game, probs, i, q, current=q[sl]).point
         return out
-    if rule.kind == "sequential":
-        i = (t - 1) % n
-        out = q.copy()
-        out[game.slices[i]] = best_response(
-            game, probs, i, q, current=q[game.slices[i]]
-        ).point
-        return out
-    if rule.kind == "linear":
+    if kind == "linear":
         alpha = float(rule.alpha_schedule(t))
         if not 0.0 <= alpha <= 1.0:
             raise ContractViolation("linear stepsize must lie in [0, 1]")
-        out = q.copy()
-        for i in range(n):
-            br = best_response(game, probs, i, q, current=q[game.slices[i]]).point
-            out[game.slices[i]] = (1.0 - alpha) * q[game.slices[i]] + alpha * br
-        return out
-    # fictitious play: empirical frequency of realized actions
-    out = q.copy()
-    for i, sl in enumerate(game.slices):
-        onehot = np.zeros(sl.stop - sl.start)
-        onehot[actions[i]] = 1.0
-        out[sl] = (t * q[sl] + onehot) / (t + 1.0)
-    return out
+    br = q.copy()
+    for i, sl in enumerate(slices):
+        br[sl] = best_response(game, probs, i, q, current=q[sl]).point
+    if kind == "simultaneous":
+        return br
+    return (1.0 - alpha) * q + alpha * br
 
 
-def _step_core(game, rule, schedule, log_probs, q, pending, next_k, t, rng,
-               respond_to="posterior"):
-    """One stage: observe, maybe update the belief, apply the strategy rule."""
-    profile, actions = _realized_profile(game, rule.kind, log_probs, q, rng)
-    c = sample_payoffs(game, game.space.true_index, profile, rng)
-    pending.append((profile, c))
-    updated = False
-    if t + 1 == next_k:
-        batch = ObservationBatch(pending)
-        log_probs = _log_normalize(
-            log_probs + batch_log_likelihoods(None, batch, game)
-        )
-        pending = []
-        next_k = next_update_stage(schedule, rng)
-        updated = True
-    # fictitious play responds to the pre-update belief via its realized
-    # actions; the other rules respond to the freshest belief
-    if respond_to == "map":
-        lp_respond = np.full_like(log_probs, -np.inf)
-        lp_respond[int(np.argmax(log_probs))] = 0.0
-    else:
-        lp_respond = log_probs
-    q_next = _apply_rule(game, rule, lp_respond, q, t, actions)
-    return log_probs, q_next, pending, next_k, c, updated, actions
+def _stage_fn(game, rule, schedule, rng, respond_to="posterior"):
+    """The one stage function, shared by `run` and `step`.
+
+    Returns ``stage(log_probs, probs, q, pending, next_k, t)``, which plays
+    stage t: realize the profile, sample the payoffs, update the belief when
+    t + 1 is the next update stage, apply the strategy rule.  It returns
+    ``(log_probs, probs, q_next, pending, next_k, c, updated, actions)``.
+    ``probs`` is exp(log_probs), carried between stages so that it is
+    computed once per belief update.
+    """
+    slices = game.slices
+    true_index = game.space.true_index
+    finite = game.kind == "finite"
+    fictitious = rule.kind == "fictitious_play"
+    respond_map = respond_to == "map"
+
+    def stage(log_probs, probs, q, pending, next_k, t):
+        if finite:
+            profile, actions = _realized_profile(game, slices, fictitious,
+                                                 probs, q, rng)
+        else:
+            profile, actions = q, None
+        c = sample_payoffs(game, true_index, profile, rng)
+        pending.append((profile, c))
+        updated = t + 1 == next_k
+        if updated:
+            log_probs = _log_normalize(
+                log_probs + batch_log_likelihoods(None, pending, game)
+            )
+            probs = np.exp(log_probs)
+            pending = []
+            next_k = next_update_stage(schedule, rng)
+        # fictitious play responds to the pre-update belief via its realized
+        # actions; the other rules respond to the freshest belief
+        if respond_map:
+            respond = np.zeros_like(probs)
+            respond[int(np.argmax(log_probs))] = 1.0
+        else:
+            respond = probs
+        q_next = _apply_rule(game, rule, slices, respond, q, t, profile)
+        return log_probs, probs, q_next, pending, next_k, c, updated, actions
+
+    return stage
 
 
 def step(state, rule, schedule, game, rng):
     """Public single-step operation on LearnerState."""
     lp = np.asarray(state.belief.log_probs, dtype=float)
-    pending = list(state.pending.records)
-    lp2, q2, pending2, next_k2, c, updated, actions = _step_core(
-        game, rule, schedule, lp, np.asarray(state.strategy, float),
-        pending, state.next_k, state.t, rng,
+    stage = _stage_fn(game, rule, schedule, rng)
+    lp2, _, q2, pending2, next_k2, c, updated, actions = stage(
+        lp, np.exp(lp), np.asarray(state.strategy, float),
+        list(state.pending.records), state.next_k, state.t,
     )
     return LearnerState(
         t=state.t + 1,
@@ -237,34 +243,35 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
         if game.kind == "finite" else None
 
     log_probs = np.asarray(belief.log_probs, dtype=float)
+    probs = np.exp(log_probs)
     q = q0.copy()
     pending = []
     last_big_move = 0  # last stage with a strategy step >= conv_tol
     converged = False
     t_stop = horizon
     eq_checkpoints = []
+    stage = _stage_fn(game, rule, schedule, rng, respond_to)
 
     for t in range(1, horizon + 1):
-        thetas[t - 1] = np.exp(log_probs)
+        thetas[t - 1] = probs
         qs[t - 1] = q
-        log_probs, q_next, pending, next_k, c, updated, actions = _step_core(
-            game, rule, schedule, log_probs, q, pending, next_k, t, rng,
-            respond_to=respond_to,
+        log_probs, probs, q_next, pending, next_k, c, updated, actions = stage(
+            log_probs, probs, q, pending, next_k, t
         )
         cs[t - 1] = c
-        upd[t - 1] = updated
+        if updated:
+            upd[t - 1] = True
+            eq_checkpoints.append(t + 1)
         if actions is not None:
             acts[t - 1] = actions
-        if updated:
-            eq_checkpoints.append(t + 1)
-        if np.max(np.abs(q_next - q)) >= conv_tol:
+        if abs(q_next - q).max() >= conv_tol:
             last_big_move = t
         q = q_next
         if (
             not converged
             and t >= conv_window + 1
             and t - last_big_move >= conv_window
-            and np.max(np.abs(thetas[t - 1] - thetas[t - 1 - conv_window]))
+            and abs(thetas[t - 1] - thetas[t - 1 - conv_window]).max()
             < conv_tol
         ):
             converged = True
@@ -278,7 +285,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
                     acts = acts[:t]
                 break
 
-    final_theta = np.exp(log_probs)
+    final_theta = probs
     cycle = _detect_cycle(qs) if not converged else None
     summary = {
         "converged": bool(converged),

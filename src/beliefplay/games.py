@@ -10,7 +10,9 @@ over their actions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,32 +95,50 @@ class EquilibriumSet:
 
     def project(self, q):
         """L-infinity nearest member to a flat profile: on a line the one with
-        the smallest t, in a finite list the first one."""
+        the smallest t, in a finite list the first one.
+
+        ``q`` may also be a stack of profiles, shape (m, q_dim); the result is
+        then (m, q_dim), and each row equals the single-profile call on that
+        row exactly.
+        """
         q = np.asarray(q, dtype=float)
         if self.kind == "point":
-            return np.asarray(self.point)
+            point = np.asarray(self.point)
+            return point if q.ndim == 1 else np.tile(point, (len(q), 1))
         if self.kind == "box":
             return np.clip(q, np.asarray(self.lo), np.asarray(self.hi))
+        rows = np.atleast_2d(q)
         if self.kind == "line":
             base = np.asarray(self.base)
             d = np.asarray(self.direction)
-            r = q - base
+            r = rows - base
             # max_k |r_k - t d_k| is convex and piecewise linear in t, so it is
             # least at an endpoint or a kink; every kink solves
             # r_j - t d_j = +-(r_k - t d_k) for some j, k (j = k included)
-            num = np.concatenate([np.add.outer(r, r), np.subtract.outer(r, r)]).ravel()
-            den = np.concatenate([np.add.outer(d, d), np.subtract.outer(d, d)]).ravel()
-            kinks = num[den != 0.0] / den[den != 0.0]
-            ts = np.concatenate([self.t_range, np.clip(kinks, *self.t_range)])
-            dist = np.max(np.abs(r - ts[:, None] * d), axis=1)
-            return base + np.min(ts[dist == np.min(dist)]) * d
-        return np.asarray(
-            min(self.members, key=lambda m: float(np.max(np.abs(q - np.asarray(m)))))
-        )
+            num = np.concatenate([r[:, :, None] + r[:, None, :],
+                                  r[:, :, None] - r[:, None, :]], axis=1)
+            den = np.concatenate([np.add.outer(d, d),
+                                  np.subtract.outer(d, d)]).ravel()
+            live = den != 0.0
+            kinks = num.reshape(len(r), -1)[:, live] / den[live]
+            ts = np.concatenate([np.broadcast_to(self.t_range, (len(r), 2)),
+                                 np.clip(kinks, *self.t_range)], axis=1)
+            dist = abs(r[:, None, :] - ts[:, :, None] * d).max(axis=2)
+            nearest = dist == dist.min(axis=1, keepdims=True)
+            out = base + np.where(nearest, ts, np.inf).min(axis=1)[:, None] * d
+        else:
+            members = np.asarray(self.members)
+            gaps = abs(rows[:, None, :] - members).max(axis=2)
+            out = members[gaps.argmin(axis=1)]
+        return out if q.ndim == 2 else out[0]
 
     def distance(self, q):
-        """L-infinity distance from a flat profile to the set."""
-        return float(np.max(np.abs(np.asarray(q, dtype=float) - self.project(q))))
+        """L-infinity distance from a flat profile to the set; for a stack of
+        profiles (m, q_dim), an array of the m row distances, each equal to
+        the single-profile call."""
+        q = np.asarray(q, dtype=float)
+        gap = abs(q - self.project(q)).max(axis=-1)
+        return gap if q.ndim == 2 else float(gap)
 
     def sample(self, n, rng):
         """n member profiles (uniform over the set's parametrization)."""
@@ -172,21 +192,19 @@ class GameModel:
     extras: dict = field(default_factory=dict)
 
     # -- geometry -----------------------------------------------------------
-    @property
+    # computed once: the stage loop reads them several times per stage
+    @cached_property
     def slices(self):
+        """Each player's coordinate block of a flat profile (a tuple)."""
         if self.kind == "continuous":
-            out, pos = [], 0
-            for _ in range(self.n_players):
-                out.append(slice(pos, pos + 1))
-                pos += 1
-            return out
+            return tuple(slice(i, i + 1) for i in range(self.n_players))
         out, pos = [], 0
         for n_act in self.boxes:
             out.append(slice(pos, pos + n_act))
             pos += n_act
-        return out
+        return tuple(out)
 
-    @property
+    @cached_property
     def q_dim(self):
         return self.slices[-1].stop
 
@@ -253,14 +271,14 @@ def expected_payoff(game, belief, q, i):
 
 def sample_payoffs(game, s_idx, q, rng):
     """Observed channel vector: channel means plus Gaussian noise."""
-    mu = np.array(game.channel_means(s_idx, q), dtype=float, copy=True)
+    mu = np.asarray(game.channel_means(s_idx, q), dtype=float)
     if game.noise_loadings is not None:
         loadings = np.asarray(game.noise_loadings, dtype=float)
         z = rng.standard_normal(loadings.shape[1])
         return mu + loadings @ z
     sig = np.asarray(game.channel_sigmas(s_idx), dtype=float)
-    if np.all(sig == 0.0):
-        return mu
+    if not sig.any():
+        return mu.copy()
     return mu + sig * rng.standard_normal(mu.size)
 
 
@@ -323,7 +341,9 @@ def best_response(game, belief, i, q, current=None):
     q = np.asarray(q, dtype=float)
     if current is None:
         current = q[game.slices[i]]
-    current = np.atleast_1d(np.asarray(current, dtype=float))
+    current = np.asarray(current, dtype=float)
+    if current.ndim == 0:
+        current = current.reshape(1)
 
     if game.analytic_br is not None:
         return game.analytic_br(probs, i, q, current)
@@ -429,6 +449,14 @@ def _noise_scale(name, value):
     return value
 
 
+def _frozen(values):
+    """A read-only float array, built once with the game and shared by every
+    caller."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _interval_br(lo, hi, current):
     cur = float(np.atleast_1d(current)[0])
     canonical = min(max(cur, lo), hi)
@@ -447,28 +475,31 @@ def cournot(sigma=math.sqrt(0.5)):
     space = ParameterSpace(params=((2.0, 1.0), (4.0, 3.0)), true_index=0,
                            labels=("s1", "s2"))
     arr = space.as_array()
+    # column views taken once: every contraction reads the same memory
+    a_col, b_col = arr[:, 0], arr[:, 1]
+    sig = _frozen([sigma])
 
     def channel_mean(s, q):
         a, b = arr[s]
         return np.asarray([a - b * (q[0] + q[1])])
 
     def channel_sigma(s):
-        return np.asarray([sigma])
+        return sig
 
     def mean_payoff(s, q, i):
         a, b = arr[s]
         return q[i] * (a - b * (q[0] + q[1]))
 
     def analytic_br(probs, i, q, current):
-        ea = float(probs @ arr[:, 0])
-        eb = float(probs @ arr[:, 1])
+        ea = float(probs @ a_col)
+        eb = float(probs @ b_col)
         j = 1 - i
         x = min(max(ea / (2.0 * eb) - q[j] / 2.0, 0.0), 3.0)
         return BRResult(point=np.asarray([x]))
 
     def analytic_eq(probs):
-        ea = float(probs @ arr[:, 0])
-        eb = float(probs @ arr[:, 1])
+        ea = float(probs @ a_col)
+        eb = float(probs @ b_col)
         r = ea / (2.0 * eb)
         x = min(max(2.0 * r / 3.0, 0.0), 3.0)
         return EquilibriumSet.of_point((x, x))
@@ -491,6 +522,7 @@ def zerosum_example(sigma=1.0):
     space = ParameterSpace(params=((1.0,), (3.0,), (5.0,)), true_index=1,
                            labels=("1", "3", "5"))
     svals = space.as_array()[:, 0]
+    sig = _frozen([sigma, sigma])
 
     def v(s, q):
         d = abs(q[0] - q[1])
@@ -501,7 +533,7 @@ def zerosum_example(sigma=1.0):
         return np.asarray([val, -val])
 
     def channel_sigma(s):
-        return np.asarray([sigma, sigma])
+        return sig
 
     def mean_payoff(s, q, i):
         return v(s, q) if i == 0 else -v(s, q)
@@ -542,12 +574,13 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
     if len(sigmas) != len(space):
         raise ContractViolation("sigmas must have one entry per parameter (%d)"
                                 % len(space))
+    sigs = [_frozen([x]) for x in sigmas]
 
     def channel_mean(s, q):
         return np.asarray([svals[s] + q[0] + q[1]])
 
     def channel_sigma(s):
-        return np.asarray([sigmas[s]])
+        return sigs[s]
 
     def mean_payoff(s, q, i):
         return q[i] * (svals[s] - 2.0 * q[i] + q[1 - i])
@@ -580,6 +613,7 @@ def coordination_penalty(sigma=1.0):
     sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((2.0,), (4.0,)), true_index=0, labels=("2", "4"))
     svals = space.as_array()[:, 0]
+    sig = _frozen([sigma, sigma])
 
     def common(s, q):
         d = abs(q[0] - q[1])
@@ -592,7 +626,7 @@ def coordination_penalty(sigma=1.0):
         return np.asarray([c - q[0], c + q[1]])
 
     def channel_sigma(s):
-        return np.asarray([sigma, sigma])
+        return sig
 
     def mean_payoff(s, q, i):
         c = common(s, q)
@@ -624,11 +658,17 @@ def two_route_congestion(n_players=2, sigma=1.0):
 
     Expected edge cost is E[s] x_e + 1 with x_e the number of players on the
     edge; each player's payoff is minus their own realized route cost.
+    ``n_players`` must be an integer >= 1 (bools are rejected).
     """
+    if (isinstance(n_players, bool) or not isinstance(n_players, numbers.Integral)
+            or n_players < 1):
+        raise ContractViolation("n_players must be an integer >= 1, got %r"
+                                % (n_players,))
     sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((1.0,), (2.0,)), true_index=0, labels=("1", "2"))
     svals = space.as_array()[:, 0]
     n = int(n_players)
+    sig = _frozen(np.full(n, sigma))
 
     def loads(q):
         # expected load per edge given a (possibly mixed) flat profile
@@ -647,7 +687,7 @@ def two_route_congestion(n_players=2, sigma=1.0):
         return out
 
     def channel_sigma(s):
-        return np.full(n, sigma)
+        return sig
 
     def mean_payoff(s, q, i):
         x = loads(q)
@@ -715,6 +755,7 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
     # own slopes alpha^s_ii, one row per grid entry
     own_slopes = np.asarray([v[: n * n].reshape(n, n).diagonal() for v in vecs])
     lo, hi = 0.0, 1.0
+    sig = _frozen(np.full(n, sigma))
 
     def unpack(s):
         vec = np.asarray(space.params[s])
@@ -727,7 +768,7 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
         return a @ q + b
 
     def channel_sigma(s):
-        return np.full(n, sigma)
+        return sig
 
     def mean_payoff(s, q, i):
         a, b = unpack(s)

@@ -125,11 +125,11 @@ class Belief:
 
 
 def _log_normalize(lp):
-    m = np.max(lp)
+    m = lp.max()
     if m == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero probability")
     shifted = lp - m
-    return shifted - math.log(np.sum(np.exp(shifted)))
+    return shifted - math.log(np.exp(shifted).sum())
 
 
 @dataclass
@@ -158,8 +158,10 @@ def log_likelihood(space, s_idx, game, q, c):
         raise ContractViolation(
             "observation has dimension %s, expected %d" % (c.shape, game.obs_dim)
         )
-    mu = game.channel_means(s_idx, q)
-    sig = game.channel_sigmas(s_idx)
+    # Python floats: the same IEEE arithmetic as numpy scalars, less overhead
+    c = c.tolist()
+    mu = np.asarray(game.channel_means(s_idx, q), dtype=float).tolist()
+    sig = np.asarray(game.channel_sigmas(s_idx), dtype=float).tolist()
     total = 0.0
     for k in game.likelihood_channels:
         s = sig[k]
@@ -175,14 +177,13 @@ def log_likelihood(space, s_idx, game, q, c):
 
 def batch_log_likelihoods(belief_or_space, batch, game):
     """Accumulated log-likelihood of a batch for every parameter (vector)."""
-    n = len(game.space)
-    acc = np.zeros(n)
+    space = game.space
+    acc = [0.0] * len(space)
     for q, c in batch:
-        for s in range(n):
-            if acc[s] == NEG_INF:
-                continue
-            acc[s] += log_likelihood(game.space, s, game, q, c)
-    return acc
+        for s, total in enumerate(acc):
+            if total != NEG_INF:
+                acc[s] = total + log_likelihood(space, s, game, q, c)
+    return np.asarray(acc)
 
 
 def _posterior_scores(prior, batch, game):

@@ -16,6 +16,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from beliefplay import games
 from beliefplay.analysis import (
@@ -316,6 +317,7 @@ def test_criterion_6_assumption_certification(criterion):
 # while leaving the complete-information point firmly attracting.
 
 
+@pytest.mark.slow
 def test_criterion_7_local_stability_monte_carlo(criterion):
     game = games.cournot()
     fails = []
@@ -348,6 +350,7 @@ def test_criterion_7_local_stability_monte_carlo(criterion):
 # 8. Global stability verdicts
 
 
+@pytest.mark.slow
 def test_criterion_8_global_stability(criterion):
     fails = []
     game = games.investment()

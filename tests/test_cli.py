@@ -77,6 +77,22 @@ def test_parse_rejects_belief_shape_and_sum():
     assert any("sum to 1" in e for e in err.value.errors)
 
 
+@pytest.mark.parametrize("init, message", [
+    ({"theta": [float("nan"), 0.5, 0.5]}, "initial belief entries must be "
+                                          "finite"),
+    ({"theta": [float("inf"), 0.5, 0.5]}, "initial belief entries must be "
+                                          "finite"),
+    ({"q": [float("nan"), 0.5]}, "initial strategy entries must be finite"),
+    ({"q": [0.5, float("-inf")]}, "initial strategy entries must be finite"),
+], ids=["theta_nan", "theta_inf", "q_nan", "q_inf"])
+def test_run_rejects_non_finite_init(tmp_path, capsys, init, message):
+    doc = {"game": "investment", "horizon": 10, "init": init,
+           "output_dir": str(tmp_path)}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert "config error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_parse_rejects_infeasible_strategy():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps({"game": "cournot", "horizon": 10,
@@ -141,8 +157,16 @@ def test_fixed_points_rejects_bad_belief_grid(tmp_path, capsys, fixed_points,
     ({"id": "affine", "sigma": -1}, "sigma must be a finite number >= 0"),
     ({"id": "investment", "sigmas": [1.0, float("inf"), 1.0]},
      "sigmas must be a finite number >= 0"),
+    ({"id": "two_route_congestion", "n_players": 0},
+     "n_players must be an integer >= 1"),
+    ({"id": "two_route_congestion", "n_players": True},
+     "n_players must be an integer >= 1"),
+    ({"id": "two_route_congestion", "n_players": 2.5},
+     "n_players must be an integer >= 1"),
 ], ids=["affine_alpha_shape", "affine_beta_length", "affine_nan",
-        "cournot_negative_sigma", "affine_negative_sigma", "investment_inf"])
+        "cournot_negative_sigma", "affine_negative_sigma", "investment_inf",
+        "routing_zero_players", "routing_bool_players",
+        "routing_float_players"])
 def test_run_rejects_bad_game_overrides(tmp_path, capsys, game, message):
     doc = {"game": game, "horizon": 10, "output_dir": str(tmp_path)}
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
@@ -209,6 +233,18 @@ def test_parse_seed_range():
                                    "seeds": {"start": 4, "count": 3}}))
     assert cfg.seeds == [4, 5, 6]
     assert cfg.master_seed == 4
+
+
+@pytest.mark.parametrize("command", ["run", "rate"])
+@pytest.mark.parametrize("count", [0, -2, True, 2.5, "3"],
+                         ids=["zero", "negative", "bool", "float", "string"])
+def test_bad_seed_count_is_a_config_error(tmp_path, capsys, command, count):
+    doc = {"game": "investment", "horizon": 50, "output_dir": str(tmp_path),
+           "seeds": {"start": 0, "count": count}}
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert "config error: seeds.count must be an integer >= 1" \
+        in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) == [tmp_path / "cfg.json"]
 
 
 def test_parse_invalid_json():

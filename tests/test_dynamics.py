@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from beliefplay import games
+from beliefplay.cli import GAMES
 from beliefplay.dynamics import (
+    CONV_TOL,
+    CONV_WINDOW,
     Trajectory,
     UpdateRule,
+    _detect_cycle,
     initial_state,
     replica_seed,
     run,
@@ -18,12 +22,16 @@ from beliefplay.dynamics import (
     step,
     trajectory_to_csv,
 )
+from beliefplay.games import best_response, sample_payoffs
 from beliefplay.param_belief import (
     Belief,
     ContractViolation,
     ObservationBatch,
     UpdateSchedule,
+    _log_normalize,
+    batch_log_likelihoods,
     bayes_update,
+    next_update_stage,
 )
 
 
@@ -283,3 +291,189 @@ def test_trajectory_csv_roundtrip(tmp_path, investment_game):
         assert np.array_equal([float(x) for x in cells[4:6]], traj.qs[t])
         assert float(cells[6]) == traj.cs[t][0]
         assert int(cells[7]) == int(traj.updated[t])
+
+
+# ---------------------------------------------------------------------------
+# Exact-equality pin: `run` against the plain per-stage loop it replaced
+#
+# `_reference_run` is that loop, kept here as the scalar reference: it
+# recomputes exp(log_probs) wherever a belief is needed, builds a -inf log
+# vector for MAP, reads the game's geometry at every use and applies the
+# linear rule slice by slice.  `run` must reproduce it bit for bit.
+
+
+def _ref_realized_profile(game, rule_kind, log_probs, q, rng):
+    if game.kind == "continuous":
+        return q, None
+    probs = np.exp(log_probs)
+    out = np.zeros_like(q)
+    actions = []
+    for i, sl in enumerate(game.slices):
+        if rule_kind == "fictitious_play":
+            a = best_response(game, probs, i, q).tied_actions[0]
+        else:
+            block = q[sl]
+            if np.max(block) > 1.0 - 1e-12:
+                a = int(np.argmax(block))
+            else:
+                a = int(rng.choice(block.size, p=block / block.sum()))
+        actions.append(a)
+        out[sl.start + a] = 1.0
+    return out, tuple(actions)
+
+
+def _ref_apply_rule(game, rule, log_probs, q, t, actions):
+    probs = np.exp(log_probs)
+    n = game.n_players
+    if rule.kind == "simultaneous":
+        out = q.copy()
+        for i in range(n):
+            out[game.slices[i]] = best_response(
+                game, probs, i, q, current=q[game.slices[i]]).point
+        return out
+    if rule.kind == "sequential":
+        i = (t - 1) % n
+        out = q.copy()
+        out[game.slices[i]] = best_response(
+            game, probs, i, q, current=q[game.slices[i]]).point
+        return out
+    if rule.kind == "linear":
+        alpha = float(rule.alpha_schedule(t))
+        out = q.copy()
+        for i in range(n):
+            br = best_response(game, probs, i, q,
+                               current=q[game.slices[i]]).point
+            out[game.slices[i]] = (1.0 - alpha) * q[game.slices[i]] + alpha * br
+        return out
+    out = q.copy()
+    for i, sl in enumerate(game.slices):
+        onehot = np.zeros(sl.stop - sl.start)
+        onehot[actions[i]] = 1.0
+        out[sl] = (t * q[sl] + onehot) / (t + 1.0)
+    return out
+
+
+def _reference_run(game, rule, schedule, init, horizon, seed,
+                   stop_when_converged=False, conv_window=CONV_WINDOW,
+                   conv_tol=CONV_TOL, respond_to="posterior"):
+    belief, q0 = init
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    schedule = schedule.clone()
+    next_k = next_update_stage(schedule, rng)
+    thetas = np.empty((horizon, len(game.space)))
+    qs = np.empty((horizon, game.q_dim))
+    cs = np.empty((horizon, game.obs_dim))
+    upd = np.zeros(horizon, dtype=bool)
+    acts = (np.empty((horizon, game.n_players), dtype=np.int64)
+            if game.kind == "finite" else None)
+    log_probs = np.asarray(belief.log_probs, dtype=float)
+    q = np.asarray(q0, dtype=float).copy()
+    pending = []
+    last_big_move = 0
+    converged = False
+    t_stop = horizon
+    eq_checkpoints = []
+    for t in range(1, horizon + 1):
+        thetas[t - 1] = np.exp(log_probs)
+        qs[t - 1] = q
+        profile, actions = _ref_realized_profile(game, rule.kind, log_probs,
+                                                 q, rng)
+        c = sample_payoffs(game, game.space.true_index, profile, rng)
+        pending.append((profile, c))
+        updated = False
+        if t + 1 == next_k:
+            log_probs = _log_normalize(log_probs + batch_log_likelihoods(
+                None, ObservationBatch(pending), game))
+            pending = []
+            next_k = next_update_stage(schedule, rng)
+            updated = True
+        if respond_to == "map":
+            lp_respond = np.full_like(log_probs, -np.inf)
+            lp_respond[int(np.argmax(log_probs))] = 0.0
+        else:
+            lp_respond = log_probs
+        q_next = _ref_apply_rule(game, rule, lp_respond, q, t, actions)
+        cs[t - 1] = c
+        upd[t - 1] = updated
+        if actions is not None:
+            acts[t - 1] = actions
+        if updated:
+            eq_checkpoints.append(t + 1)
+        if np.max(np.abs(q_next - q)) >= conv_tol:
+            last_big_move = t
+        q = q_next
+        if (not converged and t >= conv_window + 1
+                and t - last_big_move >= conv_window
+                and np.max(np.abs(thetas[t - 1] - thetas[t - 1 - conv_window]))
+                < conv_tol):
+            converged = True
+            t_stop = t
+            if stop_when_converged:
+                thetas, qs, cs, upd = thetas[:t], qs[:t], cs[:t], upd[:t]
+                if acts is not None:
+                    acts = acts[:t]
+                break
+    cycle = _detect_cycle(qs) if not converged else None
+    summary = {
+        "converged": bool(converged),
+        "t_stop": int(t_stop if converged else thetas.shape[0]),
+        "final_theta": np.exp(log_probs).tolist(),
+        "final_q": q.tolist(),
+        "seed": int(seed),
+        "rule": rule.kind,
+        "schedule": schedule.kind,
+        "game": game.name,
+    }
+    if cycle is not None:
+        summary["cycle_detected"] = True
+        summary["cycle_period"] = int(cycle)
+    summary["update_stages"] = eq_checkpoints
+    return Trajectory(thetas=thetas, qs=qs, cs=cs, updated=upd, actions=acts,
+                      summary=summary)
+
+
+def _builtin_game(game_id):
+    factory, _, defaults = GAMES[game_id]
+    return factory(**defaults)
+
+
+_CONTINUOUS_RULES = ("simultaneous", "sequential", "linear")
+_GAME_RULES = [(g, r) for g in GAMES for r in _CONTINUOUS_RULES] + [
+    ("two_route_congestion", "fictitious_play")]
+_SCHEDULES = {"every_stage": UpdateSchedule.every_stage,
+              "fixed_batch": lambda: UpdateSchedule.fixed_batch(4),
+              "geometric": lambda: UpdateSchedule.geometric(0.3)}
+
+
+def _assert_same_trajectory(got, want):
+    for name in ("thetas", "qs", "cs", "updated"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    if want.actions is None:
+        assert got.actions is None
+    else:
+        assert got.actions.tobytes() == want.actions.tobytes()
+    # repr distinguishes every float bit pattern, and key order matters
+    assert repr(got.summary) == repr(want.summary)
+
+
+@pytest.mark.parametrize("respond_to", ["posterior", "map"])
+@pytest.mark.parametrize("schedule", list(_SCHEDULES))
+@pytest.mark.parametrize("game_id, rule_kind", _GAME_RULES,
+                         ids=["%s-%s" % gr for gr in _GAME_RULES])
+def test_run_matches_reference_loop_exactly(game_id, rule_kind, schedule,
+                                            respond_to):
+    game = _builtin_game(game_id)
+    n = len(game.space)
+    belief = Belief.from_probs(np.arange(1.0, n + 1.0))
+    init = (belief, game.box_center())
+    rule = UpdateRule(rule_kind)
+    for stop, kw in ((False, {}),
+                     (True, {"conv_window": 20, "conv_tol": 1e-2})):
+        got = run(game, rule, _SCHEDULES[schedule](), init, 150, seed=17,
+                  stop_when_converged=stop, respond_to=respond_to, **kw)
+        want = _reference_run(game, rule, _SCHEDULES[schedule](), init, 150,
+                              seed=17, stop_when_converged=stop,
+                              respond_to=respond_to, **kw)
+        _assert_same_trajectory(got, want)

@@ -411,6 +411,65 @@ def _is_member(eq, p, tol=1e-9):
             and float(np.max(np.abs(base + t * d - p))) <= tol)
 
 
+@st.composite
+def _eq_set_and_stack(draw):
+    eq, q = draw(_eq_set_and_query())
+    dim = q.size
+    vec = st.lists(_coord, min_size=dim, max_size=dim)
+    rows = draw(st.lists(vec, min_size=1, max_size=6))
+    # members, and midpoints of two members (ties), exercise the kinks and
+    # the first-nearest rule
+    rows += [eq.sample(1, np.random.default_rng(len(rows)))[0].tolist(),
+             q.tolist()]
+    if eq.kind == "finite_list":
+        rows += [((np.asarray(a) + np.asarray(b)) / 2.0).tolist()
+                 for a, b in zip(eq.members, eq.members[1:])]
+    return eq, np.asarray(rows, dtype=float)
+
+
+def _reference_project(eq, q):
+    """The one-profile projection, scalar code: the reference for the
+    vectorised one."""
+    if eq.kind == "point":
+        return np.asarray(eq.point)
+    if eq.kind == "box":
+        return np.clip(q, np.asarray(eq.lo), np.asarray(eq.hi))
+    if eq.kind == "line":
+        base, d = np.asarray(eq.base), np.asarray(eq.direction)
+        r = q - base
+        num = np.concatenate([np.add.outer(r, r),
+                              np.subtract.outer(r, r)]).ravel()
+        den = np.concatenate([np.add.outer(d, d),
+                              np.subtract.outer(d, d)]).ravel()
+        kinks = num[den != 0.0] / den[den != 0.0]
+        ts = np.concatenate([eq.t_range, np.clip(kinks, *eq.t_range)])
+        dist = np.max(np.abs(r - ts[:, None] * d), axis=1)
+        return base + np.min(ts[dist == np.min(dist)]) * d
+    return np.asarray(min(eq.members,
+                          key=lambda m: float(np.max(np.abs(q - np.asarray(m))))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eq_set_and_stack())
+def test_stacked_projection_equals_row_by_row(case):
+    eq, stack = case
+    proj = eq.project(stack)
+    dist = eq.distance(stack)
+    assert proj.shape == stack.shape and dist.shape == (len(stack),)
+    for k, row in enumerate(stack):
+        want = _reference_project(eq, row)
+        assert proj[k].tobytes() == eq.project(row).tobytes() == want.tobytes()
+        want_dist = np.max(np.abs(row - want))
+        assert (dist[k].tobytes() == np.float64(eq.distance(row)).tobytes()
+                == want_dist.tobytes())
+
+
+@pytest.mark.parametrize("n_players", [0, -1, True, 2.0, "2"])
+def test_routing_rejects_bad_player_counts(n_players):
+    with pytest.raises(ContractViolation, match="n_players must be an integer"):
+        games.two_route_congestion(n_players=n_players)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_eq_set_and_query())
 def test_projection_is_the_nearest_member(case):
