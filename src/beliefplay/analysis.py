@@ -14,7 +14,12 @@ import numpy as np
 
 from .dynamics import UpdateRule, replica_seed, run
 from .games import EquilibriumSet, br_profile, equilibrium_set
-from .param_belief import Belief, ContractViolation, UpdateSchedule
+from .param_belief import (
+    Belief,
+    ContractViolation,
+    UpdateSchedule,
+    log_likelihood,
+)
 
 INF = float("inf")
 KL_TOL = 1e-9
@@ -30,16 +35,16 @@ REPORT_SCHEMA = "beliefplay/report-v1"
 def kl_divergence(game, s_a, s_b, q):
     """D_KL(phi^{s_a}(.|q) || phi^{s_b}(.|q)) over the likelihood channels.
 
-    Gaussian closed form per channel; +inf when absolute continuity fails
-    (zero-variance atom mismatch)."""
-    mu_a = game.channel_means(s_a, q)
-    mu_b = game.channel_means(s_b, q)
-    sig_a = game.channel_sigmas(s_a)
-    sig_b = game.channel_sigmas(s_b)
+    Gaussian closed form per channel, on the channel means at q and the
+    game's sigma table; +inf when absolute continuity fails (zero-variance
+    atom mismatch)."""
+    means = game.channel_means(q)
+    mu_a, mu_b = means[s_a], means[s_b]
+    sig_a, sig_b = game.sigmas[s_a], game.sigmas[s_b]
     total = 0.0
     for k in game.likelihood_channels:
-        sa, sb = float(sig_a[k]), float(sig_b[k])
-        da = float(mu_a[k]) - float(mu_b[k])
+        sa, sb = sig_a[k], sig_b[k]
+        da = mu_a[k] - mu_b[k]
         if sa == 0.0 and sb == 0.0:
             if da != 0.0:
                 return INF
@@ -478,18 +483,18 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
     n_s = len(game.space)
     chans = list(game.likelihood_channels)
 
-    mu_star = np.asarray(game.channel_means(s_star, q), float)[chans]
-    sig_star = np.asarray(game.channel_sigmas(s_star), float)[chans]
+    mu_star = np.asarray(game.channel_means(q)[s_star])[chans]
+    sig_star = np.asarray(game.sigmas[s_star])[chans]
     draws = mu_star + sig_star * rng.standard_normal((n_samples, len(chans)))
 
+    # the kernel takes one array of samples per likelihood channel (it reads
+    # no other channel) and returns one array per parameter
+    c = [None] * game.obs_dim
+    for j, k in enumerate(chans):
+        c[k] = draws[:, j]
     loglik = np.empty((n_s, n_samples))
-    for s in range(n_s):
-        mu = np.asarray(game.channel_means(s, q), float)[chans]
-        sig = np.asarray(game.channel_sigmas(s), float)[chans]
-        z = (draws - mu) / sig
-        loglik[s] = np.sum(
-            -0.5 * z * z - np.log(sig) - 0.5 * math.log(2.0 * math.pi), axis=1
-        )
+    for s, values in enumerate(log_likelihood(game, q, c)):
+        loglik[s] = values
 
     ratio_mean = np.empty(n_s)
     ratio_se = np.empty(n_s)

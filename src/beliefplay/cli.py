@@ -74,6 +74,14 @@ class ExperimentConfig:
         return "map" if self.estimator == "map" else "posterior"
 
 
+def _number_array(value):
+    """A JSON list of numbers as a float array; None for anything else."""
+    if not isinstance(value, list) or any(
+            type(x) not in (int, float) for x in value):
+        return None
+    return np.asarray(value, dtype=float)
+
+
 def _floats(values):
     return tuple(float(x) for x in values)
 
@@ -119,6 +127,9 @@ def _build_game(game_id, overrides, errors):
 def _parse_rule(spec, errors):
     if isinstance(spec, str):
         spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        errors.append("rule must be a kind string or an object")
+        return UpdateRule.simultaneous()
     kind = spec.get("kind")
     if kind not in RULE_KINDS:
         errors.append("unknown rule kind %r" % kind)
@@ -142,6 +153,9 @@ def _parse_rule(spec, errors):
 def _parse_schedule(spec, errors):
     if isinstance(spec, str):
         spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        errors.append("schedule must be a kind string or an object")
+        return UpdateSchedule.every_stage()
     kind = spec.get("kind")
     if kind not in SCHEDULE_KINDS:
         errors.append("unknown schedule kind %r" % kind)
@@ -194,6 +208,9 @@ def parse_config(text):
         raw = json.loads(text) if isinstance(text, str) else dict(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(["config is not valid JSON: %s" % exc])
+    if not isinstance(raw, dict):
+        raise ConfigError(["config must be a JSON object, got %s"
+                           % type(raw).__name__])
     unknown = set(raw) - TOP_KEYS
     for key in sorted(unknown):
         errors.append("unknown key %r" % key)
@@ -201,12 +218,14 @@ def parse_config(text):
     game_spec = raw.get("game")
     if isinstance(game_spec, str):
         game_spec = {"id": game_spec}
-    game_spec = dict(game_spec or {})
-    game_id = game_spec.pop("id", None)
-    game = None
-    if game_id not in GAME_IDS:
-        errors.append("unknown game id %r" % game_id)
+    game = game_id = None
+    if not isinstance(game_spec, dict):
+        errors.append("game must be an id string or an object")
+    elif game_spec.get("id") not in GAME_IDS:
+        errors.append("unknown game id %r" % game_spec.get("id"))
     else:
+        game_spec = dict(game_spec)
+        game_id = game_spec.pop("id")
         game = _build_game(game_id, game_spec, errors)
 
     rule = _parse_rule(raw.get("rule", "simultaneous"), errors)
@@ -222,7 +241,7 @@ def parse_config(text):
         errors.append("fictitious_play requires a finite game")
 
     horizon = raw.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
+    if type(horizon) is not int or horizon < 1:
         errors.append("horizon must be a positive integer")
         horizon = 1
 
@@ -231,18 +250,21 @@ def parse_config(text):
     seeds = []
     if "seeds" in raw:
         spec = raw["seeds"]
-        try:
-            start = int(spec["start"])
-            count = spec["count"]
-            if type(count) is not int or count < 1:
-                errors.append("seeds.count must be an integer >= 1")
-            else:
-                seeds = [start + k for k in range(count)]
-        except (KeyError, TypeError, ValueError):
+        if not isinstance(spec, dict) or not {"start", "count"} <= set(spec):
             errors.append("seeds must be {'start': int, 'count': int}")
+        else:
+            start, count = spec["start"], spec["count"]
+            start_ok = type(start) is int
+            count_ok = type(count) is int and count >= 1
+            if not start_ok:
+                errors.append("seeds.start must be an integer")
+            if not count_ok:
+                errors.append("seeds.count must be an integer >= 1")
+            if start_ok and count_ok:
+                seeds = [start + k for k in range(count)]
     else:
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             errors.append("seed must be an integer")
             seed = 0
         seeds = [seed]
@@ -257,8 +279,10 @@ def parse_config(text):
     if game is not None:
         n = len(game.space)
         if "theta" in init:
-            theta1 = np.asarray(init["theta"], dtype=float)
-            if theta1.size != n:
+            theta1 = _number_array(init["theta"])
+            if theta1 is None:
+                errors.append("init.theta must be a list of numbers")
+            elif theta1.size != n:
                 errors.append("initial belief has wrong length")
             elif not np.all(np.isfinite(theta1)):
                 errors.append("initial belief entries must be finite")
@@ -272,8 +296,10 @@ def parse_config(text):
         else:
             theta1 = np.full(n, 1.0 / n)
         if "q" in init:
-            q1 = np.asarray(init["q"], dtype=float)
-            if q1.size != game.q_dim:
+            q1 = _number_array(init["q"])
+            if q1 is None:
+                errors.append("init.q must be a list of numbers")
+            elif q1.size != game.q_dim:
                 errors.append("initial strategy has wrong length")
             elif not np.all(np.isfinite(q1)):
                 errors.append("initial strategy entries must be finite")

@@ -4,10 +4,16 @@ fictitious-play variant.
 
 The hot loop (`run`) and the public single-step operation (`step`) play each
 stage through one stage function (`_stage_fn`), so they are behaviorally
-identical.  It computes exp(log_probs) once per belief update and reads the
-game's geometry once per run, and its arithmetic is the same, operation for
-operation, as the plain per-stage loop it replaced: `run` reproduces that
-loop's trajectories bit for bit (pinned by an exact-equality test).
+identical.  The stage is float-native: it carries the profile q, the belief
+probabilities and the payoffs c between stages as lists of Python floats;
+numpy appears only in the normaliser's `np.exp`, the finite games' action
+draws and the trajectory rows.  It computes exp(log_probs) once per
+belief update and reads the game's geometry once per run.  Every kernel it
+calls follows the bit rule stated in `games`: sums over the parameters run
+left to right, with no `@`, `dot`, `einsum` or `np.log`, so one replica's
+arithmetic is the same as it would be inside a batch of replicas.  `run`
+reproduces the plain per-stage loop it replaced bit for bit (pinned by an
+exact-equality test).
 """
 
 from __future__ import annotations
@@ -96,17 +102,19 @@ def _realized_profile(game, slices, fictitious, probs, q, rng):
     except under fictitious play where each player best responds (lowest
     index on ties) to the opponents' empirical frequencies under ``probs``.
     """
-    out = np.zeros_like(q)
+    out = [0.0] * len(q)
     actions = []
     for i, sl in enumerate(slices):
         if fictitious:
             a = best_response(game, probs, i, q).tied_actions[0]
         else:
             block = q[sl]
-            if block.max() > 1.0 - 1e-12:
-                a = int(block.argmax())
+            top = max(block)
+            if top > 1.0 - 1e-12:
+                a = block.index(top)
             else:
-                a = int(rng.choice(block.size, p=block / block.sum()))
+                p = np.asarray(block)
+                a = int(rng.choice(p.size, p=p / p.sum()))
         actions.append(a)
         out[sl.start + a] = 1.0
     return out, tuple(actions)
@@ -118,23 +126,23 @@ def _apply_rule(game, rule, slices, probs, q, t, profile):
     kind = rule.kind
     if kind == "fictitious_play":
         # empirical frequency of realized actions
-        return (t * q + profile) / (t + 1.0)
+        return [(t * x + p) / (t + 1.0) for x, p in zip(q, profile)]
     if kind == "sequential":
         i = (t - 1) % game.n_players
         sl = slices[i]
-        out = q.copy()
-        out[sl] = best_response(game, probs, i, q, current=q[sl]).point
+        out = list(q)
+        out[sl] = best_response(game, probs, i, q, q[sl]).point
         return out
     if kind == "linear":
         alpha = float(rule.alpha_schedule(t))
         if not 0.0 <= alpha <= 1.0:
             raise ContractViolation("linear stepsize must lie in [0, 1]")
-    br = q.copy()
+    br = []
     for i, sl in enumerate(slices):
-        br[sl] = best_response(game, probs, i, q, current=q[sl]).point
+        br += best_response(game, probs, i, q, q[sl]).point
     if kind == "simultaneous":
         return br
-    return (1.0 - alpha) * q + alpha * br
+    return [(1.0 - alpha) * x + alpha * b for x, b in zip(q, br)]
 
 
 def _stage_fn(game, rule, schedule, rng, respond_to="posterior"):
@@ -144,6 +152,7 @@ def _stage_fn(game, rule, schedule, rng, respond_to="posterior"):
     stage t: realize the profile, sample the payoffs, update the belief when
     t + 1 is the next update stage, apply the strategy rule.  It returns
     ``(log_probs, probs, q_next, pending, next_k, c, updated, actions)``.
+    ``log_probs``, ``probs``, ``q`` and ``c`` are lists of floats;
     ``probs`` is exp(log_probs), carried between stages so that it is
     computed once per belief update.
     """
@@ -163,17 +172,17 @@ def _stage_fn(game, rule, schedule, rng, respond_to="posterior"):
         pending.append((profile, c))
         updated = t + 1 == next_k
         if updated:
+            scores = batch_log_likelihoods(None, pending, game)
             log_probs = _log_normalize(
-                log_probs + batch_log_likelihoods(None, pending, game)
-            )
-            probs = np.exp(log_probs)
+                [lp + ll for lp, ll in zip(log_probs, scores)])
+            probs = np.exp(log_probs).tolist()
             pending = []
             next_k = next_update_stage(schedule, rng)
         # fictitious play responds to the pre-update belief via its realized
         # actions; the other rules respond to the freshest belief
         if respond_map:
-            respond = np.zeros_like(probs)
-            respond[int(np.argmax(log_probs))] = 1.0
+            respond = [0.0] * len(probs)
+            respond[log_probs.index(max(log_probs))] = 1.0
         else:
             respond = probs
         q_next = _apply_rule(game, rule, slices, respond, q, t, profile)
@@ -184,19 +193,19 @@ def _stage_fn(game, rule, schedule, rng, respond_to="posterior"):
 
 def step(state, rule, schedule, game, rng):
     """Public single-step operation on LearnerState."""
-    lp = np.asarray(state.belief.log_probs, dtype=float)
+    lp = list(state.belief.log_probs)
     stage = _stage_fn(game, rule, schedule, rng)
     lp2, _, q2, pending2, next_k2, c, updated, actions = stage(
-        lp, np.exp(lp), np.asarray(state.strategy, float),
+        lp, np.exp(lp).tolist(), np.asarray(state.strategy, float).tolist(),
         list(state.pending.records), state.next_k, state.t,
     )
     return LearnerState(
         t=state.t + 1,
-        belief=Belief(tuple(lp2.tolist())),
-        strategy=q2,
+        belief=Belief(tuple(lp2)),
+        strategy=np.asarray(q2),
         pending=ObservationBatch(pending2),
         next_k=next_k2,
-        last_obs=c,
+        last_obs=np.asarray(c),
         last_updated=updated,
         last_actions=actions,
     )
@@ -242,9 +251,9 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     acts = np.empty((horizon, game.n_players), dtype=np.int64) \
         if game.kind == "finite" else None
 
-    log_probs = np.asarray(belief.log_probs, dtype=float)
-    probs = np.exp(log_probs)
-    q = q0.copy()
+    log_probs = list(belief.log_probs)
+    probs = np.exp(log_probs).tolist()
+    q = q0.tolist()
     pending = []
     last_big_move = 0  # last stage with a strategy step >= conv_tol
     converged = False
@@ -264,8 +273,10 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
             eq_checkpoints.append(t + 1)
         if actions is not None:
             acts[t - 1] = actions
-        if abs(q_next - q).max() >= conv_tol:
-            last_big_move = t
+        for a, b in zip(q_next, q):
+            if abs(a - b) >= conv_tol:
+                last_big_move = t
+                break
         q = q_next
         if (
             not converged
@@ -285,13 +296,12 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
                     acts = acts[:t]
                 break
 
-    final_theta = probs
     cycle = _detect_cycle(qs) if not converged else None
     summary = {
         "converged": bool(converged),
         "t_stop": int(t_stop if converged else thetas.shape[0]),
-        "final_theta": final_theta.tolist(),
-        "final_q": q.tolist(),
+        "final_theta": probs,
+        "final_q": q,
         "seed": int(seed),
         "rule": rule.kind,
         "schedule": schedule.kind,

@@ -2,9 +2,24 @@
 observation channels, best-response and equilibrium oracles) plus the concrete
 games used throughout the experiments.
 
-Strategy profiles are flat numpy vectors; ``GameModel.slices`` maps players to
+Strategy profiles are flat vectors; ``GameModel.slices`` maps players to
 their coordinate blocks.  Finite games use one probability block per player
 over their actions.
+
+The kernels the stage loop calls are float-native.  ``channel_means(q)``
+returns the channel means under all |S| parameters at once, one row of
+``obs_dim`` Python floats per parameter, built from ``space.params`` when the
+game is built; ``GameModel.sigmas`` is the matching (|S|, obs_dim) table of
+noise scales and ``log_sigmas`` their logs, computed once.  Every
+``analytic_br`` and the finite best response take lists of floats and return
+a `BRResult` whose ``point`` is a tuple of floats.
+
+Bit rule: a sum over the parameters (an expectation under the belief) runs
+left to right in plain float arithmetic, never through ``@``, ``dot`` or
+``einsum``, whose BLAS kernels round differently with the batch shape; so
+does the affine game's slope contraction in its channel means.  The same
+expression evaluated on one profile or inside a batch then gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .param_belief import Belief, ContractViolation, ParameterSpace
+from .param_belief import NEG_INF, Belief, ContractViolation, ParameterSpace
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
@@ -26,17 +41,20 @@ class SolverError(RuntimeError):
     """Numeric best-response search failed to converge."""
 
 
-@dataclass(frozen=True)
 class BRResult:
     """One canonical maximizer plus a set descriptor.
 
-    ``interval`` is (lo, hi) per coordinate when the argmax is flat within
-    FLAT_TOL; for finite games ``tied_actions`` lists the optimal actions.
+    ``point`` is a tuple of floats (the player's block).  ``interval`` is
+    (lo, hi) per coordinate when the argmax is flat within FLAT_TOL; for
+    finite games ``tied_actions`` lists the optimal actions.
     """
 
-    point: np.ndarray
-    interval: tuple | None = None
-    tied_actions: tuple | None = None
+    __slots__ = ("point", "interval", "tied_actions")
+
+    def __init__(self, point, interval=None, tied_actions=None):
+        self.point = point
+        self.interval = interval
+        self.tied_actions = tied_actions
 
     @property
     def is_set_valued(self):
@@ -45,7 +63,22 @@ class BRResult:
         if self.interval is None:
             return False
         lo, hi = self.interval
-        return bool(np.any(np.asarray(hi) - np.asarray(lo) > 0))
+        return any(h - l > 0 for l, h in zip(lo, hi))
+
+
+def _floats(x):
+    """A flat list of floats; a list is taken to hold floats already."""
+    if type(x) is list:
+        return x
+    return np.asarray(x, dtype=float).ravel().tolist()
+
+
+def _expect(probs, values):
+    """sum_s probs[s] * values[s], accumulated left to right."""
+    total = 0.0
+    for p, v in zip(probs, values):
+        total += p * v
+    return total
 
 
 @dataclass(frozen=True)
@@ -173,7 +206,14 @@ class EquilibriumSet:
 
 @dataclass
 class GameModel:
-    """Immutable game description; all callables are pure."""
+    """Immutable game description; all callables are pure.
+
+    ``channel_mean_fn(q)`` maps a list of floats to the channel means under
+    every parameter (|S| rows of ``obs_dim`` floats), ``sigmas`` holds the
+    noise scale of each (parameter, channel) pair (0 is a noiseless channel)
+    and ``mean_payoff_fn(s, q, i)`` is player i's mean payoff under
+    parameter s at a list of floats q.
+    """
 
     name: str
     n_players: int
@@ -183,13 +223,26 @@ class GameModel:
     obs_dim: int
     likelihood_channels: tuple
     channel_mean_fn: object
-    channel_sigma_fn: object
+    sigmas: tuple  # (|S|, obs_dim) noise scales
     mean_payoff_fn: object
     noise_loadings: object = None  # obs_dim x n_noise matrix, or None for diag
     analytic_br: object = None
     analytic_eq: object = None
     lipschitz: float = 10.0
     extras: dict = field(default_factory=dict)
+    log_sigmas: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sigmas = tuple(tuple(float(x) for x in row) for row in self.sigmas)
+        if len(self.sigmas) != len(self.space) or any(
+                len(row) != self.obs_dim for row in self.sigmas):
+            raise ContractViolation("sigmas must be a (%d, %d) table"
+                                    % (len(self.space), self.obs_dim))
+        # log 0 = -inf is never read: the likelihood treats a noiseless
+        # channel as an atom
+        self.log_sigmas = tuple(
+            tuple(math.log(x) if x > 0.0 else NEG_INF for x in row)
+            for row in self.sigmas)
 
     # -- geometry -----------------------------------------------------------
     # computed once: the stage loop reads them several times per stage
@@ -249,14 +302,13 @@ class GameModel:
         return lo + (hi - lo) * rng.random(self.n_players)
 
     # -- channels -----------------------------------------------------------
-    def channel_means(self, s_idx, q):
-        return self.channel_mean_fn(s_idx, np.asarray(q, dtype=float))
-
-    def channel_sigmas(self, s_idx):
-        return self.channel_sigma_fn(s_idx)
+    def channel_means(self, q):
+        """Channel means at profile q under every parameter: a list of |S|
+        rows, each a list of obs_dim floats."""
+        return self.channel_mean_fn(q if type(q) is list else _floats(q))
 
     def mean_payoff(self, s_idx, q, i):
-        return float(self.mean_payoff_fn(s_idx, np.asarray(q, dtype=float), i))
+        return float(self.mean_payoff_fn(s_idx, _floats(q), i))
 
 
 def expected_payoff(game, belief, q, i):
@@ -270,16 +322,26 @@ def expected_payoff(game, belief, q, i):
 
 
 def sample_payoffs(game, s_idx, q, rng):
-    """Observed channel vector: channel means plus Gaussian noise."""
-    mu = np.asarray(game.channel_means(s_idx, q), dtype=float)
-    if game.noise_loadings is not None:
-        loadings = np.asarray(game.noise_loadings, dtype=float)
-        z = rng.standard_normal(loadings.shape[1])
-        return mu + loadings @ z
-    sig = np.asarray(game.channel_sigmas(s_idx), dtype=float)
-    if not sig.any():
-        return mu.copy()
-    return mu + sig * rng.standard_normal(mu.size)
+    """Observed channel vector (a list of floats): the channel means under
+    parameter s_idx plus Gaussian noise."""
+    mu = game.channel_means(q)[s_idx]
+    loadings = game.noise_loadings
+    if loadings is not None:
+        z = rng.standard_normal(len(loadings[0])).tolist()
+        out = []
+        for m, row in zip(mu, loadings):
+            noise = 0.0
+            for w, zj in zip(row, z):
+                noise += w * zj
+            out.append(m + noise)
+        return out
+    sig = game.sigmas[s_idx]
+    if not any(sig):
+        return list(mu)
+    # one scalar draw per channel, in channel order: the same stream and
+    # values as one draw of obs_dim normals
+    normal = rng.standard_normal
+    return [m + s * normal() for m, s in zip(mu, sig)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +396,23 @@ def _flat_interval(f, x_star, lo, hi, n_grid=201):
 def best_response(game, belief, i, q, current=None):
     """Best response of player i to the opponents in the profile q.
 
-    Returns a BRResult: a canonical maximizer (the one nearest the player's
-    current strategy when the argmax is set-valued) plus a descriptor.
+    ``belief`` is a Belief or a probability vector, ``q`` and ``current``
+    (player i's current block, by default read from q) are arrays,
+    sequences or lists of floats.  Returns a BRResult: a canonical maximizer
+    (the one nearest the player's current strategy when the argmax is
+    set-valued) plus a descriptor.
     """
-    probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
-    q = np.asarray(q, dtype=float)
+    # the stage loop passes lists of floats, which need no conversion
+    if type(belief) is list:
+        probs = belief
+    else:
+        probs = _floats(belief.probs if isinstance(belief, Belief) else belief)
+    if type(q) is not list:
+        q = _floats(q)
     if current is None:
         current = q[game.slices[i]]
-    current = np.asarray(current, dtype=float)
-    if current.ndim == 0:
-        current = current.reshape(1)
+    elif type(current) is not list:
+        current = _floats(current)
 
     if game.analytic_br is not None:
         return game.analytic_br(probs, i, q, current)
@@ -355,52 +424,58 @@ def best_response(game, belief, i, q, current=None):
     # and the path for games built without an analytic_br
     lo = game.box_lo()[i]
     hi = game.box_hi()[i]
-    sl = game.slices[i]
+    pos = game.slices[i].start
 
     def value(x):
-        trial = q.copy()
-        trial[sl] = x
+        trial = list(q)
+        trial[pos] = x
         return sum(
             p * game.mean_payoff(s, trial, i) for s, p in enumerate(probs) if p > 0
         )
 
     x_star = _golden_max(value, lo, hi)
     f_lo, f_hi = _flat_interval(value, x_star, lo, hi)
-    canonical = min(max(float(current[0]), f_lo), f_hi)
     if f_hi - f_lo <= FLAT_TOL:
-        canonical = x_star
-        return BRResult(point=np.asarray([x_star]))
-    return BRResult(point=np.asarray([canonical]), interval=((f_lo,), (f_hi,)))
+        return BRResult((x_star,))
+    canonical = min(max(float(current[0]), f_lo), f_hi)
+    return BRResult((canonical,), interval=((f_lo,), (f_hi,)))
 
 
 def _finite_best_response(game, probs, i, q, current):
+    """Pure best responses of player i in a finite game: each action's
+    expected payoff summed over the parameters left to right."""
     n_act = game.boxes[i]
     sl = game.slices[i]
-    values = np.empty(n_act)
+    payoff = game.mean_payoff_fn
+    values = []
     for a in range(n_act):
-        trial = q.copy()
-        trial[sl] = 0.0
+        trial = list(q)
+        trial[sl] = [0.0] * n_act
         trial[sl.start + a] = 1.0
-        values[a] = sum(
-            p * game.mean_payoff(s, trial, i) for s, p in enumerate(probs) if p > 0
-        )
-    best = float(np.max(values))
-    tied = tuple(int(a) for a in range(n_act) if values[a] >= best - FLAT_TOL)
+        value = 0.0
+        for s, p in enumerate(probs):
+            if p > 0.0:
+                value += p * payoff(s, trial, i)
+        values.append(value)
+    best = max(values)
+    tied = tuple(a for a in range(n_act) if values[a] >= best - FLAT_TOL)
     # canonical: keep the current action when it is tied, else lowest index
-    cur_act = int(np.argmax(current)) if current.size == n_act else -1
+    cur_act = current.index(max(current)) if len(current) == n_act else -1
     pick = cur_act if cur_act in tied and current[cur_act] > 1.0 - 1e-9 else tied[0]
-    point = np.zeros(n_act)
+    point = [0.0] * n_act
     point[pick] = 1.0
-    return BRResult(point=point, tied_actions=tied)
+    return BRResult(tuple(point), tied_actions=tied)
 
 
 def br_profile(game, belief, q, current=None):
     """Stack each player's canonical best response into one flat profile."""
+    probs = _floats(belief.probs if isinstance(belief, Belief) else belief)
     q = np.asarray(q, dtype=float)
+    flat = q.tolist()
     out = q.copy()
-    for i in range(game.n_players):
-        cur = None if current is None else current[game.slices[i]]
-        out[game.slices[i]] = best_response(game, belief, i, q, current=cur).point
+    for i, sl in enumerate(game.slices):
+        cur = flat[sl] if current is None else current[sl]
+        out[sl] = best_response(game, probs, i, flat, current=cur).point
     return out
 
 
@@ -449,20 +524,11 @@ def _noise_scale(name, value):
     return value
 
 
-def _frozen(values):
-    """A read-only float array, built once with the game and shared by every
-    caller."""
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 def _interval_br(lo, hi, current):
-    cur = float(np.atleast_1d(current)[0])
-    canonical = min(max(cur, lo), hi)
+    canonical = min(max(current[0], lo), hi)
     if hi - lo <= FLAT_TOL:
-        return BRResult(point=np.asarray([0.5 * (lo + hi)]))
-    return BRResult(point=np.asarray([canonical]), interval=((lo,), (hi,)))
+        return BRResult((0.5 * (lo + hi),))
+    return BRResult((canonical,), interval=((lo,), (hi,)))
 
 
 def cournot(sigma=math.sqrt(0.5)):
@@ -475,27 +541,25 @@ def cournot(sigma=math.sqrt(0.5)):
     space = ParameterSpace(params=((2.0, 1.0), (4.0, 3.0)), true_index=0,
                            labels=("s1", "s2"))
     arr = space.as_array()
-    # column views taken once: every contraction reads the same memory
+    # column views taken once for analytic_eq's contractions (the stage loop
+    # never calls it; the best response sums left to right instead)
     a_col, b_col = arr[:, 0], arr[:, 1]
-    sig = _frozen([sigma])
 
-    def channel_mean(s, q):
-        a, b = arr[s]
-        return np.asarray([a - b * (q[0] + q[1])])
-
-    def channel_sigma(s):
-        return sig
+    def channel_mean(q):
+        x = q[0] + q[1]
+        return [[a - b * x] for a, b in space.params]
 
     def mean_payoff(s, q, i):
         a, b = arr[s]
         return q[i] * (a - b * (q[0] + q[1]))
 
     def analytic_br(probs, i, q, current):
-        ea = float(probs @ a_col)
-        eb = float(probs @ b_col)
-        j = 1 - i
-        x = min(max(ea / (2.0 * eb) - q[j] / 2.0, 0.0), 3.0)
-        return BRResult(point=np.asarray([x]))
+        ea = eb = 0.0
+        for p, (a, b) in zip(probs, space.params):
+            ea += p * a
+            eb += p * b
+        x = min(max(ea / (2.0 * eb) - q[1 - i] / 2.0, 0.0), 3.0)
+        return BRResult((x,))
 
     def analytic_eq(probs):
         ea = float(probs @ a_col)
@@ -507,7 +571,7 @@ def cournot(sigma=math.sqrt(0.5)):
     return GameModel(
         name="cournot", n_players=2, space=space, kind="continuous",
         boxes=[(0.0, 3.0), (0.0, 3.0)], obs_dim=1, likelihood_channels=(0,),
-        channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
+        channel_mean_fn=channel_mean, sigmas=[[sigma]] * len(space),
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
         analytic_eq=analytic_eq, lipschitz=30.0,
     )
@@ -521,29 +585,26 @@ def zerosum_example(sigma=1.0):
     sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((1.0,), (3.0,), (5.0,)), true_index=1,
                            labels=("1", "3", "5"))
-    svals = space.as_array()[:, 0]
-    sig = _frozen([sigma, sigma])
+    svals = space.as_array()[:, 0].tolist()
 
-    def v(s, q):
+    def v(sv, q):
         d = abs(q[0] - q[1])
-        return (max(d, svals[s]) - svals[s]) ** 2 - 2.0 * q[0] ** 2
+        return (max(d, sv) - sv) ** 2 - 2.0 * q[0] ** 2
 
-    def channel_mean(s, q):
-        val = v(s, q)
-        return np.asarray([val, -val])
-
-    def channel_sigma(s):
-        return sig
+    def channel_mean(q):
+        out = []
+        for sv in svals:
+            val = v(sv, q)
+            out.append([val, -val])
+        return out
 
     def mean_payoff(s, q, i):
-        return v(s, q) if i == 0 else -v(s, q)
-
-    loadings = np.asarray([[sigma], [-sigma]])
+        return v(svals[s], q) if i == 0 else -v(svals[s], q)
 
     def analytic_br(probs, i, q, current):
         if i == 0:
-            return BRResult(point=np.asarray([0.0]))
-        m = float(min(svals[s] for s in range(3) if probs[s] > 0))
+            return BRResult((0.0,))
+        m = min(sv for sv, p in zip(svals, probs) if p > 0)
         lo = max(q[0] - m, 0.0)
         hi = min(q[0] + m, 6.0)
         return _interval_br(lo, hi, current)
@@ -555,8 +616,8 @@ def zerosum_example(sigma=1.0):
     return GameModel(
         name="zerosum", n_players=2, space=space, kind="continuous",
         boxes=[(0.0, 6.0), (0.0, 6.0)], obs_dim=2, likelihood_channels=(0,),
-        channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
-        mean_payoff_fn=mean_payoff, noise_loadings=loadings,
+        channel_mean_fn=channel_mean, sigmas=[[sigma, sigma]] * len(space),
+        mean_payoff_fn=mean_payoff, noise_loadings=[[sigma], [-sigma]],
         analytic_br=analytic_br, analytic_eq=analytic_eq, lipschitz=40.0,
     )
 
@@ -569,36 +630,33 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
     """
     space = ParameterSpace(params=((0.0,), (1.0,), (2.0,)), true_index=1,
                            labels=("l", "m", "h"))
-    svals = space.as_array()[:, 0]
+    svals_arr = space.as_array()[:, 0]
+    svals = svals_arr.tolist()
     sigmas = tuple(_noise_scale("sigmas", x) for x in sigmas)
     if len(sigmas) != len(space):
         raise ContractViolation("sigmas must have one entry per parameter (%d)"
                                 % len(space))
-    sigs = [_frozen([x]) for x in sigmas]
 
-    def channel_mean(s, q):
-        return np.asarray([svals[s] + q[0] + q[1]])
-
-    def channel_sigma(s):
-        return sigs[s]
+    def channel_mean(q):
+        return [[sv + q[0] + q[1]] for sv in svals]
 
     def mean_payoff(s, q, i):
         return q[i] * (svals[s] - 2.0 * q[i] + q[1 - i])
 
     def analytic_br(probs, i, q, current):
-        es = float(probs @ svals)
+        es = _expect(probs, svals)
         x = min(max((es + q[1 - i]) / 4.0, 0.0), 1.0)
-        return BRResult(point=np.asarray([x]))
+        return BRResult((x,))
 
     def analytic_eq(probs):
-        es = float(probs @ svals)
+        es = float(probs @ svals_arr)
         x = min(max(es / 3.0, 0.0), 1.0)
         return EquilibriumSet.of_point((x, x))
 
     return GameModel(
         name="investment", n_players=2, space=space, kind="continuous",
         boxes=[(0.0, 1.0), (0.0, 1.0)], obs_dim=1, likelihood_channels=(0,),
-        channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
+        channel_mean_fn=channel_mean, sigmas=[[x] for x in sigmas],
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
         analytic_eq=analytic_eq, lipschitz=10.0,
     )
@@ -612,24 +670,23 @@ def coordination_penalty(sigma=1.0):
     """
     sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((2.0,), (4.0,)), true_index=0, labels=("2", "4"))
-    svals = space.as_array()[:, 0]
-    sig = _frozen([sigma, sigma])
+    svals = space.as_array()[:, 0].tolist()
 
-    def common(s, q):
+    def common(sv, q):
         d = abs(q[0] - q[1])
         if d <= 1.0:
             return -(q[0] - q[1]) ** 2
-        return -((1.0 + svals[s] * (d - 1.0)) ** 2)
+        return -((1.0 + sv * (d - 1.0)) ** 2)
 
-    def channel_mean(s, q):
-        c = common(s, q)
-        return np.asarray([c - q[0], c + q[1]])
-
-    def channel_sigma(s):
-        return sig
+    def channel_mean(q):
+        out = []
+        for sv in svals:
+            c = common(sv, q)
+            out.append([c - q[0], c + q[1]])
+        return out
 
     def mean_payoff(s, q, i):
-        c = common(s, q)
+        c = common(svals[s], q)
         return c - q[0] if i == 0 else c + q[1]
 
     def analytic_br(probs, i, q, current):
@@ -637,7 +694,7 @@ def coordination_penalty(sigma=1.0):
             x = min(max(q[1] - 0.5, 0.0), 2.0)
         else:
             x = min(max(q[0] + 0.5, 1.0), 4.0)
-        return BRResult(point=np.asarray([x]))
+        return BRResult((x,))
 
     def analytic_eq(probs):
         # q2 - q1 = 1/2 clipped to Q1 x Q2
@@ -647,7 +704,7 @@ def coordination_penalty(sigma=1.0):
     return GameModel(
         name="coordination_penalty", n_players=2, space=space, kind="continuous",
         boxes=[(0.0, 2.0), (1.0, 4.0)], obs_dim=2, likelihood_channels=(0, 1),
-        channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
+        channel_mean_fn=channel_mean, sigmas=[[sigma, sigma]] * len(space),
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
         analytic_eq=analytic_eq, lipschitz=60.0,
     )
@@ -666,37 +723,31 @@ def two_route_congestion(n_players=2, sigma=1.0):
                                 % (n_players,))
     sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((1.0,), (2.0,)), true_index=0, labels=("1", "2"))
-    svals = space.as_array()[:, 0]
+    svals = space.as_array()[:, 0].tolist()
     n = int(n_players)
-    sig = _frozen(np.full(n, sigma))
 
     def loads(q):
         # expected load per edge given a (possibly mixed) flat profile
-        x = np.zeros(2)
+        x0 = x1 = 0.0
         for i in range(n):
-            x += q[2 * i: 2 * i + 2]
-        return x
+            x0 += q[2 * i]
+            x1 += q[2 * i + 1]
+        return x0, x1
 
-    def channel_mean(s, q):
+    def channel_mean(q):
         x = loads(q)
         # player i's chosen edge = their argmax block entry (pure profiles)
-        out = np.empty(n)
-        for i in range(n):
-            e = int(np.argmax(q[2 * i: 2 * i + 2]))
-            out[i] = svals[s] * x[e] + 1.0
-        return out
-
-    def channel_sigma(s):
-        return sig
+        chosen = [x[1] if q[2 * i + 1] > q[2 * i] else x[0] for i in range(n)]
+        return [[sv * xe + 1.0 for xe in chosen] for sv in svals]
 
     def mean_payoff(s, q, i):
         x = loads(q)
-        qi = q[2 * i: 2 * i + 2]
+        sv = svals[s]
         # expected cost: own mixture over edges, counting self in the load
-        others = x - qi
-        cost = sum(
-            qi[e] * (svals[s] * (1.0 + others[e]) + 1.0) for e in range(2)
-        )
+        cost = 0.0
+        for e in (0, 1):
+            qie = q[2 * i + e]
+            cost += qie * (sv * (1.0 + (x[e] - qie)) + 1.0)
         return -cost
 
     def analytic_eq(probs):
@@ -711,7 +762,7 @@ def two_route_congestion(n_players=2, sigma=1.0):
     return GameModel(
         name="two_route_congestion", n_players=n, space=space, kind="finite",
         boxes=[2] * n, obs_dim=n, likelihood_channels=tuple(range(n)),
-        channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
+        channel_mean_fn=channel_mean, sigmas=[[sigma] * n] * len(space),
         mean_payoff_fn=mean_payoff,
         analytic_eq=analytic_eq if n == 2 else None, lipschitz=10.0,
     )
@@ -723,11 +774,12 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
     alpha: (n, n) slope rows; beta: (n,) intercepts.  ``grid`` optionally
     supplies alternative (alpha, beta) vectors of length n^2 + n forming a
     finite parameter grid for MAP experiments; the truth is entry
-    ``true_grid_index`` (which must reproduce alpha/beta).
+    ``true_grid_index`` (which must reproduce alpha/beta).  The channel
+    means sum each slope row times q left to right, then add the intercept.
 
     Player i's expected payoff is linear in its own strategy, with slope
-    m_i = sum over s with p_s > 0 of p_s alpha^s_ii, so its best response is
-    the whole box when |m_i| (hi - lo) <= FLAT_TOL (canonical point: the
+    m_i = sum over s of p_s alpha^s_ii (left to right), so its best response
+    is the whole box when |m_i| (hi - lo) <= FLAT_TOL (canonical point: the
     current strategy clipped to the box), else hi when m_i > 0 and lo when
     m_i < 0.
     """
@@ -752,38 +804,38 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
         raise ContractViolation("alpha, beta and grid values must be finite")
     params = tuple(tuple(v.tolist()) for v in vecs)
     space = ParameterSpace(params=params, true_index=true_grid_index)
-    # own slopes alpha^s_ii, one row per grid entry
-    own_slopes = np.asarray([v[: n * n].reshape(n, n).diagonal() for v in vecs])
+    # per grid entry: slope rows alpha^s_i and intercepts beta^s_i as floats
+    rows = [[p[i * n:(i + 1) * n] for i in range(n)] for p in space.params]
+    intercepts = [p[n * n:] for p in space.params]
+    # own slopes alpha^s_ii, one column per player
+    own_slopes = [[r[i][i] for r in rows] for i in range(n)]
     lo, hi = 0.0, 1.0
-    sig = _frozen(np.full(n, sigma))
 
-    def unpack(s):
-        vec = np.asarray(space.params[s])
-        a = vec[: n * n].reshape(n, n)
-        b = vec[n * n:]
-        return a, b
-
-    def channel_mean(s, q):
-        a, b = unpack(s)
-        return a @ q + b
-
-    def channel_sigma(s):
-        return sig
+    def channel_mean(q):
+        out = []
+        for a, b in zip(rows, intercepts):
+            means = []
+            for a_i, b_i in zip(a, b):
+                total = 0.0
+                for a_ij, q_j in zip(a_i, q):
+                    total += a_ij * q_j
+                means.append(total + b_i)
+            out.append(means)
+        return out
 
     def mean_payoff(s, q, i):
-        a, b = unpack(s)
-        return float(a[i] @ q + b[i])
+        return _expect(q, rows[s][i]) + intercepts[s][i]
 
     def analytic_br(probs, i, q, current):
-        m = float(probs @ own_slopes[:, i])
+        m = _expect(probs, own_slopes[i])
         if abs(m) * (hi - lo) <= FLAT_TOL:
             return _interval_br(lo, hi, current)
-        return BRResult(point=np.asarray([hi if m > 0.0 else lo]))
+        return BRResult((hi if m > 0.0 else lo,))
 
     return GameModel(
         name="affine", n_players=n, space=space, kind="continuous",
         boxes=[(lo, hi)] * n, obs_dim=n, likelihood_channels=tuple(range(n)),
-        channel_mean_fn=channel_mean, channel_sigma_fn=channel_sigma,
+        channel_mean_fn=channel_mean, sigmas=[[sigma] * n] * len(space),
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
         lipschitz=float(np.abs(alpha).sum() + 1.0),
     )

@@ -85,8 +85,8 @@ class Belief:
         if np.any(np.isnan(lp)) or np.any(lp == np.inf):
             raise ContractViolation("log-probabilities must be finite or -inf")
         # normalize so exp sums to 1
-        lp = _log_normalize(lp)
-        object.__setattr__(self, "log_probs", tuple(lp.tolist()))
+        object.__setattr__(self, "log_probs",
+                           tuple(_log_normalize(lp.tolist())))
 
     @classmethod
     def from_probs(cls, probs):
@@ -125,11 +125,18 @@ class Belief:
 
 
 def _log_normalize(lp):
-    m = lp.max()
+    """Log-probabilities (a list of floats) shifted so that their exps sum
+    to one.  The sum runs left to right and its log is `math.log`, so the
+    result does not depend on how many beliefs are normalised at once."""
+    m = max(lp)
     if m == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero probability")
-    shifted = lp - m
-    return shifted - math.log(np.exp(shifted).sum())
+    shifted = [x - m for x in lp]
+    total = 0.0
+    for e in np.exp(shifted).tolist():
+        total += e
+    log_total = math.log(total)
+    return [x - log_total for x in shifted]
 
 
 @dataclass
@@ -148,42 +155,51 @@ class ObservationBatch:
         return iter(self.records)
 
 
-def log_likelihood(space, s_idx, game, q, c):
-    """log phi^s(c|q) for the game's observed channels; -inf on a zero-density
-    observation (degenerate channel mismatch)."""
-    if not (0 <= s_idx < len(space)):
-        raise ContractViolation("parameter index out of range")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (game.obs_dim,):
+def log_likelihood(game, q, c):
+    """log phi^s(c|q) under every parameter s: a list of |S| values.
+
+    The one Gaussian kernel.  It reads the channel means at q under all
+    parameters (`GameModel.channel_means`) and the game's sigma table, and
+    sums the game's likelihood channels left to right.  A noiseless channel
+    (sigma 0) is an atom at its mean: it adds 0 when c hits it and makes the
+    value -inf otherwise.  ``c`` holds one value per channel, or one array of
+    samples per likelihood channel; the values are then arrays of the same
+    shape.
+    """
+    if len(c) != game.obs_dim:
         raise ContractViolation(
-            "observation has dimension %s, expected %d" % (c.shape, game.obs_dim)
+            "observation has %d channels, expected %d" % (len(c), game.obs_dim)
         )
-    # Python floats: the same IEEE arithmetic as numpy scalars, less overhead
-    c = c.tolist()
-    mu = np.asarray(game.channel_means(s_idx, q), dtype=float).tolist()
-    sig = np.asarray(game.channel_sigmas(s_idx), dtype=float).tolist()
-    total = 0.0
-    for k in game.likelihood_channels:
-        s = sig[k]
-        if s == 0.0:
-            if c[k] != mu[k]:
-                return NEG_INF
-            # degenerate channel observed exactly at its atom
-            continue
-        z = (c[k] - mu[k]) / s
-        total += -0.5 * z * z - math.log(s) - _HALF_LOG_2PI
-    return total
+    if isinstance(c, np.ndarray) and c.ndim == 1:
+        c = c.tolist()  # Python floats: the same arithmetic, less overhead
+    channels = game.likelihood_channels
+    out = []
+    for mu, sig, log_sig in zip(game.channel_means(q), game.sigmas,
+                                game.log_sigmas):
+        total = 0.0
+        for k in channels:
+            s = sig[k]
+            if s == 0.0:
+                if isinstance(c[k], np.ndarray):
+                    total = total + np.where(c[k] == mu[k], 0.0, NEG_INF)
+                elif c[k] != mu[k]:
+                    total = NEG_INF
+                    break
+                continue
+            z = (c[k] - mu[k]) / s
+            total += -0.5 * z * z - log_sig[k] - _HALF_LOG_2PI
+        out.append(total)
+    return out
 
 
 def batch_log_likelihoods(belief_or_space, batch, game):
-    """Accumulated log-likelihood of a batch for every parameter (vector)."""
-    space = game.space
-    acc = [0.0] * len(space)
+    """Accumulated log-likelihood of a batch of (q, c) records under every
+    parameter: a list of |S| floats.  The first argument is unused."""
+    acc = None
     for q, c in batch:
-        for s, total in enumerate(acc):
-            if total != NEG_INF:
-                acc[s] = total + log_likelihood(space, s, game, q, c)
-    return np.asarray(acc)
+        ll = log_likelihood(game, q, c)
+        acc = ll if acc is None else [a + x for a, x in zip(acc, ll)]
+    return [0.0] * len(game.space) if acc is None else acc
 
 
 def _posterior_scores(prior, batch, game):

@@ -506,10 +506,10 @@ def test_criterion_11_oracle_equivalences(criterion):
     # a / (b - a) = 1
     game = games.investment()
     q = np.asarray([1.0 / 3.0, 1.0 / 3.0])
-    mu0 = np.asarray(game.channel_means(0, q), dtype=float)
-    mu1 = np.asarray(game.channel_means(1, q), dtype=float)
-    sig0 = np.asarray(game.channel_sigmas(0), dtype=float)
-    sig1 = np.asarray(game.channel_sigmas(1), dtype=float)
+    mu0 = np.asarray(game.channel_means(q)[0], dtype=float)
+    mu1 = np.asarray(game.channel_means(q)[1], dtype=float)
+    sig0 = np.asarray(game.sigmas[0], dtype=float)
+    sig1 = np.asarray(game.sigmas[1], dtype=float)
     z = rng.standard_normal((1000, 300, mu1.size))
     c = mu1 + sig1 * z
     log_ratio = (-np.log(sig0) - (c - mu0) ** 2 / (2.0 * sig0 ** 2)

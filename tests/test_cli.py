@@ -247,6 +247,51 @@ def test_bad_seed_count_is_a_config_error(tmp_path, capsys, command, count):
     assert list(tmp_path.glob("*.json")) == [tmp_path / "cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "rate"])
+@pytest.mark.parametrize("seeds, message", [
+    ({"seeds": {"start": 2.7, "count": 2}}, "seeds.start must be an integer"),
+    ({"seeds": {"start": "5", "count": 2}}, "seeds.start must be an integer"),
+    ({"seeds": {"start": True, "count": 2}}, "seeds.start must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+], ids=["start_float", "start_string", "start_bool", "seed_bool"])
+def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
+                                    message):
+    doc = dict({"game": "investment", "horizon": 50,
+                "output_dir": str(tmp_path)}, **seeds)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: " + message]
+    assert list(tmp_path.glob("*.json")) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([BASE], "config must be a JSON object, got list"),
+    (dict(BASE, game=5), "game must be an id string or an object"),
+    (dict(BASE, rule=5), "rule must be a kind string or an object"),
+    (dict(BASE, schedule=[1]), "schedule must be a kind string or an object"),
+    (dict(BASE, init={"theta": "ab"}), "init.theta must be a list of numbers"),
+    (dict(BASE, init={"q": ["a", 1.0]}), "init.q must be a list of numbers"),
+    (dict(BASE, horizon=True), "horizon must be a positive integer"),
+], ids=["top_level_list", "game_number", "rule_number", "schedule_list",
+        "theta_string", "q_non_numeric", "horizon_bool"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: " + message]
+    assert not out.exists()
+
+
+def test_python_m_top_level_list_has_no_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(beliefplay.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "beliefplay", "run", "--config",
+         write_config(tmp_path, [1])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: config must be a JSON object, got list\n"
+
+
 def test_parse_invalid_json():
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")

@@ -341,8 +341,8 @@ def _ref_apply_rule(game, rule, log_probs, q, t, actions):
         alpha = float(rule.alpha_schedule(t))
         out = q.copy()
         for i in range(n):
-            br = best_response(game, probs, i, q,
-                               current=q[game.slices[i]]).point
+            br = np.asarray(best_response(game, probs, i, q,
+                                          current=q[game.slices[i]]).point)
             out[game.slices[i]] = (1.0 - alpha) * q[game.slices[i]] + alpha * br
         return out
     out = q.copy()
@@ -382,8 +382,8 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
         pending.append((profile, c))
         updated = False
         if t + 1 == next_k:
-            log_probs = _log_normalize(log_probs + batch_log_likelihoods(
-                None, ObservationBatch(pending), game))
+            scores = batch_log_likelihoods(None, ObservationBatch(pending), game)
+            log_probs = np.asarray(_log_normalize((log_probs + scores).tolist()))
             pending = []
             next_k = next_update_stage(schedule, rng)
             updated = True

@@ -1,0 +1,310 @@
+"""The float-native kernels against the array code they replaced.
+
+`_loglik_oracle` is the per-parameter, per-channel likelihood loop that
+`log_likelihood(game, q, c)` replaced, on per-parameter channel means
+computed the way the games computed them before (`_ref_channel_mean`).
+`_br_oracle` holds the array best responses: `probs @ column` contractions
+for Cournot, investment and affine, and the finite best response on numpy
+profiles.  The new likelihood must equal the oracle bit for bit, -inf
+included; a best response must equal the oracle's, except where an `@`
+became a left-to-right sum, where the two may differ in the last bits.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beliefplay import games
+from beliefplay.games import best_response, sample_payoffs
+from beliefplay.param_belief import (
+    NEG_INF,
+    batch_log_likelihoods,
+    log_likelihood,
+)
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+AFFINE_ALPHA = [[-2.0, 1.0], [1.0, -2.0]]
+AFFINE_BETA = [1.0, 1.0]
+AFFINE_GRID = [[-2.0, 1.0, 1.0, -2.0, 1.0, 1.0],
+               [1.5, -0.5, 0.25, 3.0, -1.0, 0.5],
+               [-0.75, 2.0, -1.0, 0.5, 0.0, 2.0]]
+
+# id -> factory of the noise scale: sigma 0 gives noiseless channels
+FACTORIES = {
+    "cournot": lambda sigma: games.cournot(sigma=sigma),
+    "zerosum": lambda sigma: games.zerosum_example(sigma=sigma),
+    "investment": lambda sigma: games.investment(sigmas=(sigma, 1.5, sigma)),
+    "coordination_penalty": lambda sigma: games.coordination_penalty(
+        sigma=sigma),
+    "routing": lambda sigma: games.two_route_congestion(sigma=sigma),
+    "routing_3": lambda sigma: games.two_route_congestion(n_players=3,
+                                                          sigma=sigma),
+    "affine": lambda sigma: games.affine_game(AFFINE_ALPHA, AFFINE_BETA,
+                                              sigma),
+    "affine_grid": lambda sigma: games.affine_game(
+        AFFINE_ALPHA, AFFINE_BETA, sigma, grid=AFFINE_GRID),
+}
+# the best responses that contract over the parameters with `@` before
+CONTRACTED = {"cournot", "investment", "affine", "affine_grid"}
+
+
+def _ref_channel_mean(game, s, q):
+    """Channel means under parameter s, per game, as numpy arrays."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(game.space.params[s])
+    if game.name == "cournot":
+        return np.asarray([p[0] - p[1] * (q[0] + q[1])])
+    if game.name == "zerosum":
+        d = abs(q[0] - q[1])
+        v = (max(d, p[0]) - p[0]) ** 2 - 2.0 * q[0] ** 2
+        return np.asarray([v, -v])
+    if game.name == "investment":
+        return np.asarray([p[0] + q[0] + q[1]])
+    if game.name == "coordination_penalty":
+        d = abs(q[0] - q[1])
+        c = -(q[0] - q[1]) ** 2 if d <= 1.0 else -((1.0 + p[0] * (d - 1.0)) ** 2)
+        return np.asarray([c - q[0], c + q[1]])
+    if game.name == "two_route_congestion":
+        x = np.zeros(2)
+        for i in range(game.n_players):
+            x += q[2 * i: 2 * i + 2]
+        return np.asarray([p[0] * x[int(np.argmax(q[2 * i: 2 * i + 2]))] + 1.0
+                           for i in range(game.n_players)])
+    # affine: each slope row times q, summed left to right (the contraction
+    # the bit rule fixes; `a @ q + b` is checked separately, to 1e-14)
+    n = game.n_players
+    a = p[: n * n].reshape(n, n)
+    out = []
+    for i in range(n):
+        total = 0.0
+        for j in range(n):
+            total += a[i, j] * q[j]
+        out.append(total + p[n * n + i])
+    return np.asarray(out)
+
+
+def _loglik_oracle(game, s, q, c):
+    """log phi^s(c|q): the per-parameter, per-channel loop."""
+    c = np.asarray(c, dtype=float).tolist()
+    mu = _ref_channel_mean(game, s, q).tolist()
+    sig = list(game.sigmas[s])
+    total = 0.0
+    for k in game.likelihood_channels:
+        sk = sig[k]
+        if sk == 0.0:
+            if c[k] != mu[k]:
+                return NEG_INF
+            continue
+        z = (c[k] - mu[k]) / sk
+        total += -0.5 * z * z - math.log(sk) - _HALF_LOG_2PI
+    return total
+
+
+def _ref_routing_payoff(game, s, q, i):
+    sv = game.space.params[s][0]
+    x = np.zeros(2)
+    for j in range(game.n_players):
+        x += q[2 * j: 2 * j + 2]
+    qi = q[2 * i: 2 * i + 2]
+    others = x - qi
+    return -sum(qi[e] * (sv * (1.0 + others[e]) + 1.0) for e in range(2))
+
+
+def _interval(lo, hi, current):
+    canonical = min(max(float(np.atleast_1d(current)[0]), lo), hi)
+    if hi - lo <= games.FLAT_TOL:
+        return [0.5 * (lo + hi)], None, None
+    return [canonical], ((lo,), (hi,)), None
+
+
+def _br_oracle(game, probs, i, q, current):
+    """(point, interval, tied_actions) of the array best responses."""
+    probs = np.asarray(probs, dtype=float)
+    q = np.asarray(q, dtype=float)
+    current = np.atleast_1d(np.asarray(current, dtype=float))
+    arr = game.space.as_array()
+    if game.name == "cournot":
+        ea = float(probs @ arr[:, 0])
+        eb = float(probs @ arr[:, 1])
+        return [min(max(ea / (2.0 * eb) - q[1 - i] / 2.0, 0.0), 3.0)], None, None
+    if game.name == "zerosum":
+        if i == 0:
+            return [0.0], None, None
+        m = float(min(arr[s, 0] for s in range(3) if probs[s] > 0))
+        return _interval(max(q[0] - m, 0.0), min(q[0] + m, 6.0), current)
+    if game.name == "investment":
+        es = float(probs @ arr[:, 0])
+        return [min(max((es + q[1 - i]) / 4.0, 0.0), 1.0)], None, None
+    if game.name == "coordination_penalty":
+        if i == 0:
+            return [min(max(q[1] - 0.5, 0.0), 2.0)], None, None
+        return [min(max(q[0] + 0.5, 1.0), 4.0)], None, None
+    if game.name == "affine":
+        n = game.n_players
+        own = np.asarray([p[: n * n].reshape(n, n).diagonal() for p in arr])
+        m = float(probs @ own[:, i])
+        if abs(m) <= games.FLAT_TOL:
+            return _interval(0.0, 1.0, current)
+        return [1.0 if m > 0.0 else 0.0], None, None
+    # the finite best response on numpy profiles
+    n_act = game.boxes[i]
+    sl = game.slices[i]
+    values = np.empty(n_act)
+    for a in range(n_act):
+        trial = q.copy()
+        trial[sl] = 0.0
+        trial[sl.start + a] = 1.0
+        values[a] = sum(p * float(_ref_routing_payoff(game, s, trial, i))
+                        for s, p in enumerate(probs) if p > 0)
+    best = float(np.max(values))
+    tied = tuple(a for a in range(n_act) if values[a] >= best - games.FLAT_TOL)
+    cur = int(np.argmax(current)) if current.size == n_act else -1
+    pick = cur if cur in tied and current[cur] > 1.0 - 1e-9 else tied[0]
+    point = np.zeros(n_act)
+    point[pick] = 1.0
+    return point.tolist(), None, tied
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def _close(a, b):
+    """Equal up to the rounding of a reordered sum: 1e-14 relative to the
+    larger magnitude, and absolute below 1 (strategies live in boxes of
+    size 1 to 6, so their rounding error is absolute)."""
+    return abs(a - b) <= 1e-14 * max(abs(a), abs(b), 1.0)
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(FACTORIES)))
+    sigma = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    game = FACTORIES[name](sigma)
+    n_s = len(game.space)
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n_s,
+        max_size=n_s).filter(any))
+    probs = (np.asarray(weights) / sum(weights)).tolist()
+
+    def profile():
+        if game.kind == "finite":
+            blocks = []
+            for _ in range(game.n_players):
+                if draw(st.booleans()):  # pure
+                    block = [0.0, 0.0]
+                    block[draw(st.integers(0, 1))] = 1.0
+                else:  # mixed
+                    w = draw(st.floats(0.0, 1.0))
+                    block = [w, 1.0 - w]
+                blocks += block
+            return blocks
+        return [draw(st.one_of(st.sampled_from(box),
+                               st.floats(box[0], box[1])))
+                for box in game.boxes]
+
+    q, current = profile(), profile()
+    s_obs = draw(st.integers(0, n_s - 1))
+    c = list(game.channel_means(q)[s_obs])
+    for k in range(game.obs_dim):
+        # keep the atom, nudge it, or draw a random payoff
+        c[k] = draw(st.one_of(st.just(c[k]), st.just(c[k] + 1e-9),
+                              st.floats(-30.0, 30.0)))
+    return name, game, probs, q, current, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(cases())
+def test_kernels_match_the_array_oracles(case):
+    name, game, probs, q, current, c = case
+    n_s = len(game.space)
+
+    # channel means: the game's rows are the per-parameter means
+    means = game.channel_means(q)
+    for s in range(n_s):
+        assert _bits(means[s]) == _bits(_ref_channel_mean(game, s, q))
+        if game.name == "affine":
+            p = np.asarray(game.space.params[s])
+            n = game.n_players
+            a, b = p[: n * n].reshape(n, n), p[n * n:]
+            scale = np.abs(a) @ np.abs(q) + np.abs(b)
+            assert np.all(np.abs(np.asarray(means[s]) - (a @ np.asarray(q) + b))
+                          <= 1e-14 * np.maximum(scale, 1.0))
+
+    # the likelihood, bit for bit, -inf included
+    oracle = [_loglik_oracle(game, s, q, c) for s in range(n_s)]
+    assert _bits(log_likelihood(game, q, c)) == _bits(oracle)
+    assert _bits(log_likelihood(game, np.asarray(q), np.asarray(c))) == \
+        _bits(oracle)
+    batch = [(q, c), (current, means[0])]
+    second = [_loglik_oracle(game, s, current, means[0]) for s in range(n_s)]
+    assert _bits(batch_log_likelihoods(None, batch, game)) == \
+        _bits([a + b for a, b in zip(oracle, second)])
+
+    # the payoff draw: the same stream and values as the array draw
+    s_star = game.space.true_index
+    seed = int(abs(c[0]) * 1e6) % 1000
+    got = sample_payoffs(game, s_star, q, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    mu = _ref_channel_mean(game, s_star, q)
+    if game.noise_loadings is not None:
+        loadings = np.asarray(game.noise_loadings)
+        want = mu + loadings @ rng.standard_normal(loadings.shape[1])
+    elif not np.any(game.sigmas[s_star]):
+        want = mu
+    else:
+        want = mu + np.asarray(game.sigmas[s_star]) * rng.standard_normal(
+            mu.size)
+    assert _bits(got) == _bits(want)
+
+    # best responses
+    for i, sl in enumerate(game.slices):
+        br = best_response(game, probs, i, q, current=current[sl])
+        point, interval, tied = _br_oracle(game, probs, i, q, current[sl])
+        assert isinstance(br.point, tuple)
+        assert br.interval == interval
+        assert br.tied_actions == tied
+        if name in CONTRACTED:
+            assert all(_close(a, b) for a, b in zip(br.point, point))
+        else:
+            assert _bits(br.point) == _bits(point)
+        # the array call and the list call agree exactly
+        again = best_response(game, np.asarray(probs), i, np.asarray(q),
+                              current=np.asarray(current[sl]))
+        assert _bits(again.point) == _bits(br.point)
+
+
+def test_noiseless_channel_is_an_atom_in_every_game():
+    for name, factory in FACTORIES.items():
+        game = factory(0.0)
+        q = [0.0] * game.q_dim if game.kind == "continuous" else \
+            [1.0, 0.0] * game.n_players
+        means = game.channel_means(q)
+        for s in range(len(game.space)):
+            values = log_likelihood(game, q, means[s])
+            for r in range(len(game.space)):
+                if any(game.sigmas[r]):  # a noisy parameter
+                    assert math.isfinite(values[r]), name
+                    continue
+                hit = all(means[r][k] == means[s][k]
+                          for k in game.likelihood_channels)
+                assert values[r] == (0.0 if hit else NEG_INF), name
+
+
+def test_per_channel_sample_arrays_match_scalar_calls():
+    game = games.coordination_penalty(sigma=0.75)
+    q = [0.4, 1.7]
+    rng = np.random.default_rng(3)
+    samples = [rng.normal(-2.0, 1.0, 50), rng.normal(1.0, 1.0, 50)]
+    values = log_likelihood(game, q, samples)
+    for t in range(50):
+        scalar = log_likelihood(game, q, [samples[0][t], samples[1][t]])
+        assert _bits([v[t] for v in values]) == _bits(scalar)
+    # a noiseless channel gives 0 at its atom and -inf elsewhere, per sample
+    game = games.investment(sigmas=(0.0, 1.0, 2.0))
+    atom = game.channel_means(q)[0][0]
+    values = log_likelihood(game, q, [np.asarray([atom, atom + 1.0])])
+    assert values[0].tolist() == [0.0, NEG_INF]

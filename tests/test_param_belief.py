@@ -85,40 +85,37 @@ def test_belief_probs_sum_to_one(weights):
 def test_gaussian_loglik_at_the_mean(cournot_game):
     # sigma^2 = 0.5, peak density log value is -0.5*log(2*pi*0.5) = -0.5*log(pi)
     q = np.asarray([2.0 / 3.0, 2.0 / 3.0])
-    mu = cournot_game.channel_means(0, q)[0]
-    val = log_likelihood(cournot_game.space, 0, cournot_game, q, np.asarray([mu]))
+    mu = cournot_game.channel_means(q)[0][0]
+    val = log_likelihood(cournot_game, q, np.asarray([mu]))[0]
     assert math.isclose(val, -0.5 * math.log(math.pi), rel_tol=0, abs_tol=1e-14)
 
 
 def test_gaussian_loglik_quadratic_falloff(investment_game):
     q = np.asarray([0.5, 0.5])
-    mu = investment_game.channel_means(1, q)[0]
-    sig = investment_game.channel_sigmas(1)[0]
-    at_mu = log_likelihood(investment_game.space, 1, investment_game, q,
-                           np.asarray([mu]))
-    off = log_likelihood(investment_game.space, 1, investment_game, q,
-                         np.asarray([mu + 2.0]))
+    mu = investment_game.channel_means(q)[1][0]
+    sig = investment_game.sigmas[1][0]
+    at_mu = log_likelihood(investment_game, q, np.asarray([mu]))[1]
+    off = log_likelihood(investment_game, q, np.asarray([mu + 2.0]))[1]
     assert math.isclose(at_mu - off, 0.5 * (2.0 / sig) ** 2, abs_tol=1e-13)
 
 
 def test_loglik_dimension_checks(cournot_game):
     with pytest.raises(ContractViolation):
-        log_likelihood(cournot_game.space, 0, cournot_game, np.ones(2),
-                       np.ones(2))
-    with pytest.raises(ContractViolation):
-        log_likelihood(cournot_game.space, 9, cournot_game, np.ones(2),
-                       np.ones(1))
+        log_likelihood(cournot_game, np.ones(2), np.ones(2))
+    # one value for each parameter index, and no other
+    assert len(log_likelihood(cournot_game, np.ones(2), np.ones(1))) == len(
+        cournot_game.space)
 
 
 def test_degenerate_channel_atom():
     game = games.two_route_congestion(sigma=0.0)
     q = np.asarray([1.0, 0.0, 0.0, 1.0])
-    mu = game.channel_means(0, q)
-    exact = log_likelihood(game.space, 0, game, q, mu)
+    mu = game.channel_means(q)[0]
+    exact = log_likelihood(game, q, mu)[0]
     assert exact == 0.0
     off = np.array(mu, copy=True)
     off[0] += 1e-9
-    assert log_likelihood(game.space, 0, game, q, off) == NEG_INF
+    assert log_likelihood(game, q, off)[0] == NEG_INF
 
 
 def test_bayes_hand_posterior(cournot_game):
@@ -161,7 +158,8 @@ def test_bayes_impossible_observation():
     game = games.two_route_congestion(sigma=0.0)
     q = np.asarray([1.0, 0.0, 0.0, 1.0])
     batch = ObservationBatch()
-    batch.append(q, game.channel_means(0, q) + 0.5)  # matches no parameter
+    # matches no parameter
+    batch.append(q, np.asarray(game.channel_means(q)[0]) + 0.5)
     with pytest.raises(ImpossibleObservation):
         bayes_update(Belief.uniform(2), batch, game)
 
@@ -179,7 +177,7 @@ def test_bayes_preserves_simplex(weights, noise):
     game = games.investment()
     prior = Belief.from_probs(weights)
     q = np.asarray([0.3, 0.6])
-    c = game.channel_means(1, q) + noise
+    c = np.asarray(game.channel_means(q)[1]) + noise
     batch = ObservationBatch()
     batch.append(q, c)
     post = bayes_update(prior, batch, game)
@@ -244,7 +242,7 @@ def test_ols_noiseless_interpolation():
     rng = np.random.default_rng(7)
     for _ in range(6):
         q = rng.random(2)
-        state = ols_ingest(state, q, game.channel_means(0, q))
+        state = ols_ingest(state, q, game.channel_means(q)[0])
     est = ols_solve(state)
     truth = np.hstack([alpha, beta[:, None]])
     assert np.max(np.abs(est - truth)) < 1e-10
@@ -346,7 +344,7 @@ def test_batch_loglik_matches_sum(investment_game, rng):
     acc = batch_log_likelihoods(None, batch, investment_game)
     for s in range(3):
         manual = sum(
-            log_likelihood(investment_game.space, s, investment_game, q, c)
+            log_likelihood(investment_game, q, c)[s]
             for q, c in batch
         )
         assert math.isclose(acc[s], manual, abs_tol=1e-12)
