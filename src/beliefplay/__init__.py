@@ -3,7 +3,7 @@ payoff-relevant parameter: belief estimators, best-response strategy updates,
 fixed-point certification and stability analysis."""
 
 from . import analysis, cli, dynamics, games, param_belief
-from .dynamics import Trajectory, UpdateRule, run, run_two_timescale, step
+from .dynamics import Trajectory, UpdateRule, run, run_two_timescale
 from .games import (
     EquilibriumSet,
     GameModel,
@@ -20,15 +20,12 @@ from .games import (
 )
 from .param_belief import (
     Belief,
-    ObservationBatch,
-    OlsState,
     ParameterSpace,
     UpdateSchedule,
     bayes_update,
     log_likelihood,
     map_update,
     next_update_stage,
-    ols_ingest,
     ols_solve,
 )
 

@@ -18,6 +18,7 @@ from .param_belief import (
     Belief,
     ContractViolation,
     UpdateSchedule,
+    _as_probs,
     log_likelihood,
 )
 
@@ -108,7 +109,7 @@ class FixedPointCertificate:
 
 def certify_fixed_point(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
     """Certificate for ([theta] subset of S*(q), q in EQ(theta))."""
-    probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
+    probs = _as_probs(belief)
     q = np.asarray(q, dtype=float)
     equiv = payoff_equivalent_set(game, q, tol_kl)
     support = tuple(int(s) for s in np.nonzero(probs > 0.0)[0])
@@ -400,10 +401,7 @@ class StabilityThresholds:
 
 def stability_thresholds(theta_bar, eps_hat, gamma, n_params=None):
     """The three belief-radius thresholds controlling local stability."""
-    probs = (
-        theta_bar.probs if isinstance(theta_bar, Belief)
-        else np.asarray(theta_bar, float)
-    )
+    probs = _as_probs(theta_bar)
     n = int(n_params) if n_params is not None else probs.size
     if not (0.0 < gamma < 1.0):
         raise ContractViolation("gamma must lie in (0,1)")
@@ -475,7 +473,7 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
     Returns per-parameter empirical means/standard errors of the posterior
     ratio theta'(s)/theta'(s*), plus the mean of log theta'(s*) (submartingale
     side).  Normalization cancels inside the ratio."""
-    probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
+    probs = _as_probs(belief)
     if np.any(probs <= 0.0):
         raise ContractViolation("diagnostic needs a full-support belief")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

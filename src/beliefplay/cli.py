@@ -19,13 +19,7 @@ import numpy as np
 
 from . import analysis, games
 from .dynamics import UpdateRule, run, run_two_timescale, trajectory_to_csv
-from .param_belief import (
-    Belief,
-    OlsState,
-    UpdateSchedule,
-    ols_ingest,
-    ols_solve,
-)
+from .param_belief import Belief, UpdateSchedule, ols_solve
 
 RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
 SCHEDULE_KINDS = ("every_stage", "fixed_batch", "geometric", "two_timescale")
@@ -76,8 +70,7 @@ class ExperimentConfig:
 
 def _number_array(value):
     """A JSON list of numbers as a float array; None for anything else."""
-    if not isinstance(value, list) or any(
-            type(x) not in (int, float) for x in value):
+    if not isinstance(value, list) or not all(map(_is_number, value)):
         return None
     return np.asarray(value, dtype=float)
 
@@ -107,13 +100,26 @@ GAMES = {
 GAME_IDS = tuple(GAMES)
 
 
+def _unknown_keys(spec, allowed, where, errors, noun="key(s)"):
+    """Append one config error naming the keys of ``spec`` outside
+    ``allowed``; true when there are any."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        errors.append("unknown %s %s %s; allowed: %s"
+                      % (noun, ", ".join(map(repr, unknown)), where,
+                         ", ".join(sorted(allowed))))
+    return bool(unknown)
+
+
+def _is_number(value):
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
 def _build_game(game_id, overrides, errors):
     factory, converters, defaults = GAMES[game_id]
-    unknown = sorted(set(overrides) - set(converters))
-    if unknown:
-        errors.append("unknown override(s) %s for game %r; allowed: %s"
-                      % (", ".join(map(repr, unknown)), game_id,
-                         ", ".join(sorted(converters))))
+    if _unknown_keys(overrides, converters, "for game %r" % game_id, errors,
+                     "override(s)"):
         return None
     try:
         kw = dict(defaults)
@@ -130,6 +136,7 @@ def _parse_rule(spec, errors):
     if not isinstance(spec, dict):
         errors.append("rule must be a kind string or an object")
         return UpdateRule.simultaneous()
+    _unknown_keys(spec, ("kind", "alpha"), "in rule", errors)
     kind = spec.get("kind")
     if kind not in RULE_KINDS:
         errors.append("unknown rule kind %r" % kind)
@@ -138,14 +145,13 @@ def _parse_rule(spec, errors):
         alpha = spec.get("alpha", "1/t")
         if alpha == "1/t":
             return UpdateRule.linear()
-        try:
-            a = float(alpha)
-        except (TypeError, ValueError):
+        if not _is_number(alpha):
             errors.append("linear alpha must be '1/t' or a constant in [0,1]")
             return UpdateRule.linear()
-        if not 0.0 <= a <= 1.0:
+        if not 0.0 <= alpha <= 1.0:
             errors.append("linear alpha must lie in [0,1]")
             return UpdateRule.linear()
+        a = float(alpha)
         return UpdateRule.linear(lambda t, _a=a: _a)
     return UpdateRule(kind)
 
@@ -156,25 +162,40 @@ def _parse_schedule(spec, errors):
     if not isinstance(spec, dict):
         errors.append("schedule must be a kind string or an object")
         return UpdateSchedule.every_stage()
+    _unknown_keys(spec, ("kind", "batch", "p", "gap"), "in schedule",
+                  errors)
     kind = spec.get("kind")
     if kind not in SCHEDULE_KINDS:
         errors.append("unknown schedule kind %r" % kind)
-        return UpdateSchedule.every_stage()
-    try:
-        if kind == "every_stage":
-            return UpdateSchedule.every_stage()
-        if kind == "fixed_batch":
-            return UpdateSchedule.fixed_batch(int(spec["batch"]))
-        if kind == "geometric":
-            return UpdateSchedule.geometric(float(spec["p"]))
-        gap = spec.get("gap", "10t")
-        if isinstance(gap, str) and gap.endswith("t"):
-            coef = int(gap[:-1] or 1)
-            return UpdateSchedule.two_timescale(lambda t, _c=coef: _c * t)
-        return UpdateSchedule.two_timescale(lambda t, _g=int(gap): _g)
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append("invalid schedule parameters: %s" % exc)
-        return UpdateSchedule.every_stage()
+    elif kind == "fixed_batch":
+        batch = spec.get("batch")
+        if type(batch) is int and batch >= 1:
+            return UpdateSchedule.fixed_batch(batch)
+        errors.append("schedule.batch must be an integer >= 1")
+    elif kind == "geometric":
+        p = spec.get("p")
+        if _is_number(p) and 0.0 < p <= 1.0:
+            return UpdateSchedule.geometric(p)
+        errors.append("schedule.p must be a number in (0, 1]")
+    elif kind == "two_timescale":
+        gap_fn = _gap_fn(spec.get("gap", "10t"))
+        if gap_fn is not None:
+            return UpdateSchedule.two_timescale(gap_fn)
+        errors.append("schedule.gap must be an integer >= 1 or '<c>t' with "
+                      "an integer c >= 1")
+    return UpdateSchedule.every_stage()
+
+
+def _gap_fn(gap):
+    """The two_timescale gap t -> gap for an integer gap >= 1, or t -> c*t
+    for "<c>t" with an integer c >= 1 ("t" is "1t"); None otherwise."""
+    if type(gap) is int and gap >= 1:
+        return lambda t, _g=gap: _g
+    if isinstance(gap, str) and gap.endswith("t"):
+        coef = gap[:-1] or "1"
+        if coef.isascii() and coef.isdigit() and int(coef) >= 1:
+            return lambda t, _c=int(coef): _c * t
+    return None
 
 
 def _check_stability(spec, errors):
@@ -183,21 +204,34 @@ def _check_stability(spec, errors):
     if not isinstance(spec, dict):
         errors.append("analysis.stability must be an object")
         return
-    unknown = sorted(set(spec) - set(STABILITY_KEYS))
-    if unknown:
-        errors.append("unknown key(s) %s in analysis.stability; allowed: %s"
-                      % (", ".join(map(repr, unknown)),
-                         ", ".join(sorted(STABILITY_KEYS))))
+    _unknown_keys(spec, STABILITY_KEYS, "in analysis.stability", errors)
     for key in STABILITY_INTS:
         value = spec.get(key, 1)
         if type(value) is not int or value < 1:
             errors.append("analysis.stability.%s must be an integer >= 1" % key)
     for key in STABILITY_FLOATS:
         value = spec.get(key, 0.0)
-        if type(value) not in (int, float) or not math.isfinite(value):
+        if not _is_number(value) or not math.isfinite(value):
             errors.append("analysis.stability.%s must be a finite number" % key)
     if not isinstance(spec.get("cluster", ""), str):
         errors.append("analysis.stability.cluster must be a string")
+
+
+def _check_rate(spec, game, errors):
+    """Validate analysis.rate: an integer parameter index in [0, |S|) and
+    an integer burn-in >= 0, both optional, and no other keys."""
+    if not isinstance(spec, dict):
+        errors.append("analysis.rate must be an object")
+        return
+    _unknown_keys(spec, ("burn_in", "param"), "in analysis.rate", errors)
+    param = spec.get("param", 0)
+    if type(param) is not int or param < 0 or (
+            game is not None and param >= len(game.space)):
+        n = "|S|" if game is None else len(game.space)
+        errors.append("analysis.rate.param must be an integer in [0, %s)" % n)
+    burn_in = spec.get("burn_in", 0)
+    if type(burn_in) is not int or burn_in < 0:
+        errors.append("analysis.rate.burn_in must be an integer >= 0")
 
 
 def parse_config(text):
@@ -252,7 +286,7 @@ def parse_config(text):
         spec = raw["seeds"]
         if not isinstance(spec, dict) or not {"start", "count"} <= set(spec):
             errors.append("seeds must be {'start': int, 'count': int}")
-        else:
+        elif not _unknown_keys(spec, ("start", "count"), "in seeds", errors):
             start, count = spec["start"], spec["count"]
             start_ok = type(start) is int
             count_ok = type(count) is int and count >= 1
@@ -271,11 +305,10 @@ def parse_config(text):
 
     theta1 = q1 = None
     init = raw.get("init", {})
-    if init == "random":
-        init = {"random": True}
     if not isinstance(init, dict):
-        errors.append("init must be an object or 'random'")
+        errors.append("init must be an object")
         init = {}
+    _unknown_keys(init, ("theta", "q"), "in init", errors)
     if game is not None:
         n = len(game.space)
         if "theta" in init:
@@ -321,8 +354,11 @@ def parse_config(text):
         errors.append("analysis.fixed_points.belief_grid must be an integer "
                       ">= 2")
     _check_stability(analysis_spec.get("stability", {}), errors)
+    _check_rate(analysis_spec.get("rate", {}), game, errors)
 
     output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str) or not output_dir:
+        errors.append("output_dir must be a non-empty string")
 
     if errors:
         raise ConfigError(errors)
@@ -398,13 +434,14 @@ def _ols_experiment(cfg, seed):
         corner = lo.copy()
         corner[i] = hi[i]
         probes.append(corner)
-    state = OlsState(game.q_dim, game.n_players)
     s_star = game.space.true_index
+    design = np.ones((cfg.horizon, game.q_dim + 1))
+    responses = np.empty((cfg.horizon, game.n_players))
     for t in range(cfg.horizon):
         q = probes[t % len(probes)]
-        c = games.sample_payoffs(game, s_star, q, rng)
-        state = ols_ingest(state, q, c)
-    est = ols_solve(state)
+        design[t, :-1] = q
+        responses[t] = games.sample_payoffs(game, s_star, q, rng)
+    est = ols_solve(design, responses)
     # the parameter vector is [alpha.ravel(), beta]; per-player rows (a_i, b_i)
     vec = np.asarray(game.space.params[s_star])
     n, d = est.shape
@@ -505,8 +542,8 @@ def cmd_stability(cfg):
 def cmd_rate(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.analysis.get("rate", {})
-    s = int(spec.get("param", 0))
-    burn_in = int(spec.get("burn_in", cfg.horizon // 10))
+    s = spec.get("param", 0)
+    burn_in = spec.get("burn_in", cfg.horizon // 10)
     slopes = []
     finals = []
     for seed in cfg.seeds:

@@ -2,12 +2,12 @@
 best-response strategy updates, trajectory recording, and the finite-game
 fictitious-play variant.
 
-The hot loop (`run`) and the public single-step operation (`step`) play each
-stage through one stage function (`_stage_fn`), so they are behaviorally
-identical.  The stage is float-native: it carries the profile q, the belief
-probabilities and the payoffs c between stages as lists of Python floats;
-numpy appears only in the normaliser's `np.exp`, the finite games' action
-draws and the trajectory rows.  It computes exp(log_probs) once per
+`run` is the one stage loop.  Each stage realizes the profile, samples the
+payoffs, updates the belief when the schedule says so and applies the
+strategy rule.  The loop is float-native: it carries the profile q, the
+belief probabilities and the payoffs c between stages as lists of Python
+floats; numpy appears only in the normaliser's `np.exp`, the finite games'
+action draws and the trajectory rows.  It computes exp(log_probs) once per
 belief update and reads the game's geometry once per run.  Every kernel it
 calls follows the bit rule stated in `games`: sums over the parameters run
 left to right, with no `@`, `dot`, `einsum` or `np.log`, so one replica's
@@ -26,7 +26,6 @@ from .games import best_response, sample_payoffs
 from .param_belief import (
     Belief,
     ContractViolation,
-    ObservationBatch,
     _log_normalize,
     batch_log_likelihoods,
     next_update_stage,
@@ -66,18 +65,6 @@ class UpdateRule:
     @classmethod
     def fictitious_play(cls):
         return cls("fictitious_play")
-
-
-@dataclass
-class LearnerState:
-    t: int
-    belief: Belief
-    strategy: np.ndarray
-    pending: ObservationBatch
-    next_k: int
-    last_obs: np.ndarray | None = None
-    last_updated: bool = False
-    last_actions: tuple | None = None
 
 
 @dataclass
@@ -145,84 +132,6 @@ def _apply_rule(game, rule, slices, probs, q, t, profile):
     return [(1.0 - alpha) * x + alpha * b for x, b in zip(q, br)]
 
 
-def _stage_fn(game, rule, schedule, rng, respond_to="posterior"):
-    """The one stage function, shared by `run` and `step`.
-
-    Returns ``stage(log_probs, probs, q, pending, next_k, t)``, which plays
-    stage t: realize the profile, sample the payoffs, update the belief when
-    t + 1 is the next update stage, apply the strategy rule.  It returns
-    ``(log_probs, probs, q_next, pending, next_k, c, updated, actions)``.
-    ``log_probs``, ``probs``, ``q`` and ``c`` are lists of floats;
-    ``probs`` is exp(log_probs), carried between stages so that it is
-    computed once per belief update.
-    """
-    slices = game.slices
-    true_index = game.space.true_index
-    finite = game.kind == "finite"
-    fictitious = rule.kind == "fictitious_play"
-    respond_map = respond_to == "map"
-
-    def stage(log_probs, probs, q, pending, next_k, t):
-        if finite:
-            profile, actions = _realized_profile(game, slices, fictitious,
-                                                 probs, q, rng)
-        else:
-            profile, actions = q, None
-        c = sample_payoffs(game, true_index, profile, rng)
-        pending.append((profile, c))
-        updated = t + 1 == next_k
-        if updated:
-            scores = batch_log_likelihoods(None, pending, game)
-            log_probs = _log_normalize(
-                [lp + ll for lp, ll in zip(log_probs, scores)])
-            probs = np.exp(log_probs).tolist()
-            pending = []
-            next_k = next_update_stage(schedule, rng)
-        # fictitious play responds to the pre-update belief via its realized
-        # actions; the other rules respond to the freshest belief
-        if respond_map:
-            respond = [0.0] * len(probs)
-            respond[log_probs.index(max(log_probs))] = 1.0
-        else:
-            respond = probs
-        q_next = _apply_rule(game, rule, slices, respond, q, t, profile)
-        return log_probs, probs, q_next, pending, next_k, c, updated, actions
-
-    return stage
-
-
-def step(state, rule, schedule, game, rng):
-    """Public single-step operation on LearnerState."""
-    lp = list(state.belief.log_probs)
-    stage = _stage_fn(game, rule, schedule, rng)
-    lp2, _, q2, pending2, next_k2, c, updated, actions = stage(
-        lp, np.exp(lp).tolist(), np.asarray(state.strategy, float).tolist(),
-        list(state.pending.records), state.next_k, state.t,
-    )
-    return LearnerState(
-        t=state.t + 1,
-        belief=Belief(tuple(lp2)),
-        strategy=np.asarray(q2),
-        pending=ObservationBatch(pending2),
-        next_k=next_k2,
-        last_obs=np.asarray(c),
-        last_updated=updated,
-        last_actions=actions,
-    )
-
-
-def initial_state(game, belief, q, schedule, rng=None):
-    if not belief.full_support():
-        raise ContractViolation("initial belief must have full support")
-    q = np.asarray(q, dtype=float)
-    if not game.feasible(q):
-        raise ContractViolation("initial strategy outside the strategy set")
-    return LearnerState(
-        t=1, belief=belief, strategy=q, pending=ObservationBatch([]),
-        next_k=next_update_stage(schedule, rng),
-    )
-
-
 def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
         conv_window=CONV_WINDOW, conv_tol=CONV_TOL, respond_to="posterior"):
     """Run the learning dynamics; deterministic given the seed.
@@ -251,6 +160,10 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     acts = np.empty((horizon, game.n_players), dtype=np.int64) \
         if game.kind == "finite" else None
 
+    slices = game.slices
+    true_index = game.space.true_index
+    fictitious = rule.kind == "fictitious_play"
+    respond_map = respond_to == "map"
     log_probs = list(belief.log_probs)
     probs = np.exp(log_probs).tolist()
     q = q0.tolist()
@@ -259,20 +172,35 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     converged = False
     t_stop = horizon
     eq_checkpoints = []
-    stage = _stage_fn(game, rule, schedule, rng, respond_to)
 
     for t in range(1, horizon + 1):
         thetas[t - 1] = probs
         qs[t - 1] = q
-        log_probs, probs, q_next, pending, next_k, c, updated, actions = stage(
-            log_probs, probs, q, pending, next_k, t
-        )
+        if acts is not None:
+            profile, acts[t - 1] = _realized_profile(game, slices, fictitious,
+                                                     probs, q, rng)
+        else:
+            profile = q
+        c = sample_payoffs(game, true_index, profile, rng)
         cs[t - 1] = c
-        if updated:
+        pending.append((profile, c))
+        if t + 1 == next_k:
+            scores = batch_log_likelihoods(None, pending, game)
+            log_probs = _log_normalize(
+                [lp + ll for lp, ll in zip(log_probs, scores)])
+            probs = np.exp(log_probs).tolist()
+            pending = []
+            next_k = next_update_stage(schedule, rng)
             upd[t - 1] = True
             eq_checkpoints.append(t + 1)
-        if actions is not None:
-            acts[t - 1] = actions
+        # fictitious play responds to the pre-update belief via its realized
+        # actions; the other rules respond to the freshest belief
+        if respond_map:
+            respond = [0.0] * n_s
+            respond[log_probs.index(max(log_probs))] = 1.0
+        else:
+            respond = probs
+        q_next = _apply_rule(game, rule, slices, respond, q, t, profile)
         for a, b in zip(q_next, q):
             if abs(a - b) >= conv_tol:
                 last_big_move = t
@@ -310,10 +238,9 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     if cycle is not None:
         summary["cycle_detected"] = True
         summary["cycle_period"] = int(cycle)
-    traj = Trajectory(thetas=thetas, qs=qs, cs=cs, updated=upd, actions=acts,
+    summary["update_stages"] = eq_checkpoints
+    return Trajectory(thetas=thetas, qs=qs, cs=cs, updated=upd, actions=acts,
                       summary=summary)
-    traj.summary["update_stages"] = eq_checkpoints
-    return traj
 
 
 def run_two_timescale(game, rule, gap_fn, init, horizon, seed,

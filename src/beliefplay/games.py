@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .param_belief import NEG_INF, Belief, ContractViolation, ParameterSpace
+from .param_belief import NEG_INF, ContractViolation, ParameterSpace, _as_probs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
@@ -313,7 +313,7 @@ class GameModel:
 
 def expected_payoff(game, belief, q, i):
     """E_theta[u_i^s(q)]."""
-    probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
+    probs = _as_probs(belief)
     total = 0.0
     for s, p in enumerate(probs):
         if p > 0.0:
@@ -406,7 +406,7 @@ def best_response(game, belief, i, q, current=None):
     if type(belief) is list:
         probs = belief
     else:
-        probs = _floats(belief.probs if isinstance(belief, Belief) else belief)
+        probs = _floats(_as_probs(belief))
     if type(q) is not list:
         q = _floats(q)
     if current is None:
@@ -469,7 +469,7 @@ def _finite_best_response(game, probs, i, q, current):
 
 def br_profile(game, belief, q, current=None):
     """Stack each player's canonical best response into one flat profile."""
-    probs = _floats(belief.probs if isinstance(belief, Belief) else belief)
+    probs = _floats(_as_probs(belief))
     q = np.asarray(q, dtype=float)
     flat = q.tolist()
     out = q.copy()
@@ -483,9 +483,7 @@ def equilibrium_set(game, belief, n_starts=20, max_iter=2000, tol=1e-10):
     """EQ(theta): analytic when available, else damped iterated best response
     from random starts with limit-point clustering."""
     if game.analytic_eq is not None:
-        return game.analytic_eq(
-            belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
-        )
+        return game.analytic_eq(_as_probs(belief))
     rng = np.random.default_rng(0)
     limits = []
     for _ in range(n_starts):

@@ -10,7 +10,7 @@ probability floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,6 +124,14 @@ class Belief:
         return len(self.log_probs)
 
 
+def _as_probs(belief):
+    """The probabilities of a Belief, or a probability vector as a float
+    array."""
+    if isinstance(belief, Belief):
+        return belief.probs
+    return np.asarray(belief, dtype=float)
+
+
 def _log_normalize(lp):
     """Log-probabilities (a list of floats) shifted so that their exps sum
     to one.  The sum runs left to right and its log is `math.log`, so the
@@ -137,22 +145,6 @@ def _log_normalize(lp):
         total += e
     log_total = math.log(total)
     return [x - log_total for x in shifted]
-
-
-@dataclass
-class ObservationBatch:
-    """Strategy/payoff records collected between consecutive update stages."""
-
-    records: list = field(default_factory=list)
-
-    def append(self, q, c):
-        self.records.append((np.asarray(q, dtype=float), np.asarray(c, dtype=float)))
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 def log_likelihood(game, q, c):
@@ -215,13 +207,13 @@ def _posterior_scores(prior, batch, game):
 
 
 def bayes_update(belief, batch, game):
-    """Posterior over parameters given a batch: theta(s) prop. to
-    theta_prev(s) * prod_t phi^s(c^t|q^t), in log-space."""
+    """Posterior over parameters given a batch, a list of (q, c) records:
+    theta(s) prop. to theta_prev(s) * prod_t phi^s(c^t|q^t), in log-space."""
     # Belief normalizes the scores; normalizing here too would round twice
     return Belief(tuple(_posterior_scores(belief, batch, game).tolist()))
 
 
-def map_update(space, prior, batch, game):
+def map_update(prior, batch, game):
     """argmax_s prior(s) * prod phi^s(c|q), lowest index on ties."""
     return int(np.argmax(_posterior_scores(prior, batch, game)))
 
@@ -295,69 +287,24 @@ def next_update_stage(schedule, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# Online OLS
+# Least squares
 
 
-class OlsState:
-    """Running least-squares state over design rows (q, 1).
-
-    Persistent value: ols_ingest returns a new state sharing the append-only
-    row buffer, so accumulation is O(1) per record without mutation semantics.
-    """
-
-    def __init__(self, q_dim, n_players):
-        self.q_dim = int(q_dim)
-        self.n_players = int(n_players)
-        self._rows = []  # shared append-only buffer
-        self._responses = []  # rows of per-player payoffs
-        self.n_records = 0
-
-    def _snapshot(self):
-        out = OlsState(self.q_dim, self.n_players)
-        out._rows = self._rows
-        out._responses = self._responses
-        out.n_records = self.n_records
-        return out
-
-    @property
-    def design_rows(self):
-        return np.asarray(self._rows[: self.n_records], dtype=float).reshape(
-            self.n_records, self.q_dim + 1
-        )
-
-    @property
-    def response_columns(self):
-        return np.asarray(self._responses[: self.n_records], dtype=float).reshape(
-            self.n_records, self.n_players
-        ).T
-
-
-def ols_ingest(state, q, c):
-    """Append one record: design row (q, 1) and per-player payoffs c."""
-    q = np.atleast_1d(np.asarray(q, dtype=float)).ravel()
-    c = np.atleast_1d(np.asarray(c, dtype=float)).ravel()
-    if q.size != state.q_dim or c.size != state.n_players:
-        raise ContractViolation("OLS record dimension mismatch")
-    row = np.concatenate([q, [1.0]])
-    out = state._snapshot()
-    if len(out._rows) != out.n_records:
-        # the shared buffer diverged (ingest on a non-tip state): copy
-        out._rows = list(out._rows[: out.n_records])
-        out._responses = list(out._responses[: out.n_records])
-    out._rows.append(row)
-    out._responses.append(c)
-    out.n_records += 1
-    return out
-
-
-def ols_solve(state, rcond_threshold=1e-10):
-    """Per-player coefficient estimates s_i = (Q~'Q~)^-1 Q~'Y_i."""
-    if state.n_records == 0:
-        raise Unidentifiable(np.eye(state.q_dim + 1))
-    design = state.design_rows
+def ols_solve(design, responses, rcond_threshold=1e-10):
+    """Per-player coefficient estimates s_i = (Q~'Q~)^-1 Q~'Y_i from the
+    (n, q_dim + 1) design rows (q, 1) and the (n, n_players) payoffs."""
+    design = np.asarray(design, dtype=float)
+    responses = np.asarray(responses, dtype=float)
+    if (design.ndim != 2 or responses.ndim != 2
+            or responses.shape[0] != design.shape[0]):
+        raise ContractViolation(
+            "OLS needs (n, k) design rows and (n, players) responses, got "
+            "shapes %s and %s" % (design.shape, responses.shape))
+    if design.shape[0] == 0:
+        raise Unidentifiable(np.eye(design.shape[1]))
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
     if sv[0] == 0 or sv[-1] / sv[0] < rcond_threshold:
         null = vt[sv < sv[0] * rcond_threshold if sv[0] > 0 else slice(None)]
         raise Unidentifiable(null if len(null) else vt)
-    coeffs, *_ = np.linalg.lstsq(design, state.response_columns.T, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(design, responses, rcond=None)
     return coeffs.T  # shape (n_players, q_dim + 1)

@@ -42,7 +42,6 @@ from beliefplay.dynamics import (
 from beliefplay.games import best_response, equilibrium_set
 from beliefplay.param_belief import (
     Belief,
-    ObservationBatch,
     UpdateSchedule,
     map_update,
 )
@@ -424,10 +423,9 @@ def test_criterion_10_estimator_variants(criterion, tmp_path):
     for k in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(replica_seed(77,
                                                                         k)))
-        batch = ObservationBatch(records=[])
-        for _ in range(1000):
-            batch.append(q, games.sample_payoffs(game, 0, q, rng))
-        hits += map_update(game.space, Belief.uniform(3), batch, game) == 0
+        batch = [(q, games.sample_payoffs(game, 0, q, rng))
+                 for _ in range(1000)]
+        hits += map_update(Belief.uniform(3), batch, game) == 0
     if hits < 95:
         fails.append("map hit %d/100 < 95" % hits)
 

@@ -24,6 +24,9 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 BASE = {"game": "cournot", "horizon": 200, "seed": 3,
         "init": {"theta": [0.8, 0.2], "q": [1.0, 1.0]}}
+NO_SEED = {k: v for k, v in BASE.items() if k != "seed"}
+BAD_GAP = ("schedule.gap must be an integer >= 1 or '<c>t' with an integer "
+           "c >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,18 @@ def test_parse_rule_and_schedule_options():
         "schedule": {"kind": "two_timescale", "gap": "5t"},
     }))
     assert cfg.schedule.gap_fn(3) == 15
+    for gap, stage_gap in ((3, 3), ("t", 4), ("10t", 40)):
+        cfg = parse_config(json.dumps({
+            "game": "cournot", "horizon": 10,
+            "schedule": {"kind": "two_timescale", "gap": gap},
+        }))
+        assert cfg.schedule.gap_fn(4) == stage_gap
+    cfg = parse_config(json.dumps({
+        "game": "cournot", "horizon": 10,
+        "rule": {"kind": "linear", "alpha": 0},
+        "schedule": {"kind": "geometric", "p": 1},
+    }))
+    assert cfg.rule.alpha_schedule(5) == 0.0 and cfg.schedule.p == 1.0
 
 
 def test_parse_seed_range():
@@ -271,8 +286,48 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
     (dict(BASE, init={"theta": "ab"}), "init.theta must be a list of numbers"),
     (dict(BASE, init={"q": ["a", 1.0]}), "init.q must be a list of numbers"),
     (dict(BASE, horizon=True), "horizon must be a positive integer"),
+    (dict(NO_SEED, seeds={"start": 0, "count": 2, "extra": 1}),
+     "unknown key(s) 'extra' in seeds; allowed: count, start"),
+    (dict(BASE, init={"theta": [0.5, 0.5], "typo": 1}),
+     "unknown key(s) 'typo' in init; allowed: q, theta"),
+    (dict(BASE, init="random"), "init must be an object"),
+    (dict(BASE, rule={"kind": "linear", "step": 0.5}),
+     "unknown key(s) 'step' in rule; allowed: alpha, kind"),
+    (dict(BASE, rule={"kind": "linear", "alpha": True}),
+     "linear alpha must be '1/t' or a constant in [0,1]"),
+    (dict(BASE, schedule={"kind": "fixed_batch", "batch": 2, "size": 3}),
+     "unknown key(s) 'size' in schedule; allowed: batch, gap, kind, p"),
+    (dict(BASE, schedule={"kind": "fixed_batch", "batch": True}),
+     "schedule.batch must be an integer >= 1"),
+    (dict(BASE, schedule={"kind": "fixed_batch", "batch": 2.7}),
+     "schedule.batch must be an integer >= 1"),
+    (dict(BASE, schedule={"kind": "fixed_batch", "batch": "3"}),
+     "schedule.batch must be an integer >= 1"),
+    (dict(BASE, schedule={"kind": "geometric", "p": True}),
+     "schedule.p must be a number in (0, 1]"),
+    (dict(BASE, schedule={"kind": "two_timescale", "gap": True}), BAD_GAP),
+    (dict(BASE, schedule={"kind": "two_timescale", "gap": "0t"}), BAD_GAP),
+    (dict(BASE, schedule={"kind": "two_timescale", "gap": -2}), BAD_GAP),
+    (dict(BASE, schedule={"kind": "two_timescale", "gap": 2.5}), BAD_GAP),
+    (dict(BASE, output_dir=5), "output_dir must be a non-empty string"),
+    (dict(BASE, output_dir=""), "output_dir must be a non-empty string"),
+    (dict(BASE, analysis={"rate": 5}), "analysis.rate must be an object"),
+    (dict(BASE, analysis={"rate": {"param": 9}}),
+     "analysis.rate.param must be an integer in [0, 2)"),
+    (dict(BASE, analysis={"rate": {"param": True}}),
+     "analysis.rate.param must be an integer in [0, 2)"),
+    (dict(BASE, analysis={"rate": {"burn_in": "x"}}),
+     "analysis.rate.burn_in must be an integer >= 0"),
+    (dict(BASE, analysis={"rate": {"burn_in": 10, "params": 1}}),
+     "unknown key(s) 'params' in analysis.rate; allowed: burn_in, param"),
 ], ids=["top_level_list", "game_number", "rule_number", "schedule_list",
-        "theta_string", "q_non_numeric", "horizon_bool"])
+        "theta_string", "q_non_numeric", "horizon_bool", "seeds_extra_key",
+        "init_typo", "init_random", "rule_unknown_key", "alpha_bool",
+        "schedule_unknown_key", "batch_bool", "batch_float", "batch_string",
+        "p_bool", "gap_bool", "gap_zero_t", "gap_negative", "gap_float",
+        "output_dir_number", "output_dir_empty", "rate_not_object",
+        "rate_param_range", "rate_param_bool", "rate_burn_in_string",
+        "rate_unknown_key"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, doc),

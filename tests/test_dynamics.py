@@ -15,18 +15,15 @@ from beliefplay.dynamics import (
     Trajectory,
     UpdateRule,
     _detect_cycle,
-    initial_state,
     replica_seed,
     run,
     run_two_timescale,
-    step,
     trajectory_to_csv,
 )
 from beliefplay.games import best_response, sample_payoffs
 from beliefplay.param_belief import (
     Belief,
     ContractViolation,
-    ObservationBatch,
     UpdateSchedule,
     _log_normalize,
     batch_log_likelihoods,
@@ -49,39 +46,17 @@ def test_run_is_deterministic_given_seed(investment_game):
     assert not np.array_equal(a.cs, c.cs)
 
 
-def test_step_fixed_point_invariance(zerosum_game, rng):
+def test_run_fixed_point_invariance(zerosum_game):
     # at q = (0, 1) every parameter produces the same payoff distribution, so
     # the belief posterior is exactly the prior and the canonical best
     # response keeps the current strategy: the state is invariant
-    sched = UpdateSchedule.every_stage()
-    state = initial_state(zerosum_game, Belief.uniform(3),
-                          np.asarray([0.0, 1.0]), sched, rng)
-    for _ in range(25):
-        state = step(state, UpdateRule.simultaneous(), sched, zerosum_game,
-                     rng)
-        assert np.array_equal(state.strategy, [0.0, 1.0])
-        assert np.allclose(state.belief.probs, 1.0 / 3.0, atol=1e-12)
-
-
-def test_step_loop_matches_run(investment_game):
-    horizon = 40
-    init_belief = Belief.from_probs([0.2, 0.5, 0.3])
-    q0 = np.asarray([0.1, 0.9])
-    traj = run(investment_game, UpdateRule.sequential(),
-               UpdateSchedule.fixed_batch(3), (init_belief, q0), horizon,
-               seed=7)
-    rng = np.random.default_rng(np.random.SeedSequence(7))
-    sched = UpdateSchedule.fixed_batch(3)
-    state = initial_state(investment_game, init_belief, q0, sched, rng)
-    # step() round-trips the belief through Belief's normalizing constructor,
-    # which can move the last ulp; agreement is to 1e-12, not bit identity
-    for t in range(horizon):
-        assert np.allclose(traj.thetas[t], state.belief.probs, atol=1e-12)
-        assert np.allclose(traj.qs[t], state.strategy, atol=1e-12)
-        state = step(state, UpdateRule.sequential(), sched, investment_game,
-                     rng)
-        assert np.allclose(traj.cs[t], state.last_obs, atol=1e-9)
-        assert traj.updated[t] == state.last_updated
+    traj = run(zerosum_game, UpdateRule.simultaneous(),
+               UpdateSchedule.every_stage(),
+               (Belief.uniform(3), np.asarray([0.0, 1.0])), 25, seed=0)
+    assert traj.horizon == 25 and traj.updated.all()
+    for t in range(traj.horizon):
+        assert np.array_equal(traj.qs[t], [0.0, 1.0])
+        assert np.allclose(traj.thetas[t], 1.0 / 3.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("schedule", [UpdateSchedule.every_stage(),
@@ -97,12 +72,12 @@ def test_bayes_update_chain_matches_run_exactly(maker, theta1, q1, schedule):
     belief = Belief.from_probs(theta1)
     traj = run(game, UpdateRule.simultaneous(), schedule,
                (belief, np.asarray(q1)), 200, seed=11)
-    batch = ObservationBatch()
+    batch = []
     for t in range(traj.horizon - 1):
-        batch.append(traj.qs[t], traj.cs[t])
+        batch.append((traj.qs[t], traj.cs[t]))
         if traj.updated[t]:
             belief = bayes_update(belief, batch, game)
-            batch = ObservationBatch()
+            batch = []
         assert np.array_equal(belief.probs, traj.thetas[t + 1])
 
 
@@ -382,7 +357,7 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
         pending.append((profile, c))
         updated = False
         if t + 1 == next_k:
-            scores = batch_log_likelihoods(None, ObservationBatch(pending), game)
+            scores = batch_log_likelihoods(None, pending, game)
             log_probs = np.asarray(_log_normalize((log_probs + scores).tolist()))
             pending = []
             next_k = next_update_stage(schedule, rng)

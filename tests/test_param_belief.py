@@ -14,8 +14,6 @@ from beliefplay.param_belief import (
     Belief,
     ContractViolation,
     ImpossibleObservation,
-    ObservationBatch,
-    OlsState,
     ParameterSpace,
     Unidentifiable,
     UpdateSchedule,
@@ -24,7 +22,6 @@ from beliefplay.param_belief import (
     log_likelihood,
     map_update,
     next_update_stage,
-    ols_ingest,
     ols_solve,
 )
 
@@ -121,8 +118,7 @@ def test_degenerate_channel_atom():
 def test_bayes_hand_posterior(cournot_game):
     # prior (1/2, 1/2), q = (2/3, 2/3), observed price c = 2/3 (the mean under
     # s1).  Log-likelihood gap is 4/9, so theta'(s1) = 1 / (1 + e^{-4/9}).
-    batch = ObservationBatch()
-    batch.append([2.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0])
+    batch = [([2.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0])]
     post = bayes_update(Belief.uniform(2), batch, cournot_game)
     expected = 1.0 / (1.0 + math.exp(-4.0 / 9.0))
     assert math.isclose(post.probs[0], expected, abs_tol=1e-13)
@@ -132,14 +128,13 @@ def test_bayes_batch_equals_sequential(investment_game, rng):
     q = np.asarray([0.4, 0.7])
     prior = Belief.from_probs([0.2, 0.5, 0.3])
     obs = [games.sample_payoffs(investment_game, 1, q, rng) for _ in range(5)]
-    batch = ObservationBatch()
+    batch = []
     for c in obs:
-        batch.append(q, c)
+        batch.append((q, c))
     joint = bayes_update(prior, batch, investment_game)
     b = prior
     for c in obs:
-        one = ObservationBatch()
-        one.append(q, c)
+        one = [(q, c)]
         b = bayes_update(b, one, investment_game)
     assert np.allclose(joint.probs, b.probs, atol=1e-12)
 
@@ -147,8 +142,7 @@ def test_bayes_batch_equals_sequential(investment_game, rng):
 def test_bayes_zero_forcing_is_permanent(investment_game, rng):
     prior = Belief.from_probs([0.0, 0.7, 0.3])
     q = np.asarray([0.4, 0.7])
-    batch = ObservationBatch()
-    batch.append(q, games.sample_payoffs(investment_game, 1, q, rng))
+    batch = [(q, games.sample_payoffs(investment_game, 1, q, rng))]
     post = bayes_update(prior, batch, investment_game)
     assert post.log_probs[0] == NEG_INF
     assert post.probs[0] == 0.0
@@ -157,16 +151,15 @@ def test_bayes_zero_forcing_is_permanent(investment_game, rng):
 def test_bayes_impossible_observation():
     game = games.two_route_congestion(sigma=0.0)
     q = np.asarray([1.0, 0.0, 0.0, 1.0])
-    batch = ObservationBatch()
     # matches no parameter
-    batch.append(q, np.asarray(game.channel_means(q)[0]) + 0.5)
+    batch = [(q, np.asarray(game.channel_means(q)[0]) + 0.5)]
     with pytest.raises(ImpossibleObservation):
         bayes_update(Belief.uniform(2), batch, game)
 
 
 def test_bayes_empty_batch_rejected(cournot_game):
     with pytest.raises(ContractViolation):
-        bayes_update(Belief.uniform(2), ObservationBatch(), cournot_game)
+        bayes_update(Belief.uniform(2), [], cournot_game)
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,8 +171,7 @@ def test_bayes_preserves_simplex(weights, noise):
     prior = Belief.from_probs(weights)
     q = np.asarray([0.3, 0.6])
     c = np.asarray(game.channel_means(q)[1]) + noise
-    batch = ObservationBatch()
-    batch.append(q, c)
+    batch = [(q, c)]
     post = bayes_update(prior, batch, game)
     assert math.isclose(float(post.probs.sum()), 1.0, abs_tol=1e-12)
     assert np.all(post.probs >= 0.0)
@@ -194,28 +186,25 @@ def test_map_picks_likelihood_winner(investment_game):
     # (sqrt3, sqrt5, sqrt10); per-record scores at c = 4 are
     # -16/6 - log(sqrt3) < -9/10 - log(sqrt5) < -4/20 - log(sqrt10)
     q = np.asarray([0.0, 0.0])
-    batch = ObservationBatch()
+    batch = []
     for _ in range(10):
-        batch.append(q, np.asarray([4.0]))
-    assert map_update(investment_game.space, Belief.uniform(3), batch,
-                      investment_game) == 2
+        batch.append((q, np.asarray([4.0])))
+    assert map_update(Belief.uniform(3), batch, investment_game) == 2
 
 
 def test_map_tie_breaks_to_lowest_index():
     # zero-sum game at d <= 1: every parameter has the same mean, so the
     # posterior scores tie under a uniform prior
     game = games.zerosum_example()
-    batch = ObservationBatch()
-    batch.append([0.0, 1.0], [0.3, -0.3])
-    assert map_update(game.space, Belief.uniform(3), batch, game) == 0
+    batch = [([0.0, 1.0], [0.3, -0.3])]
+    assert map_update(Belief.uniform(3), batch, game) == 0
 
 
 def test_map_respects_prior_on_ties():
     game = games.zerosum_example()
-    batch = ObservationBatch()
-    batch.append([0.0, 1.0], [0.3, -0.3])
+    batch = [([0.0, 1.0], [0.3, -0.3])]
     prior = Belief.from_probs([0.2, 0.5, 0.3])
-    assert map_update(game.space, prior, batch, game) == 1
+    assert map_update(prior, batch, game) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,63 +212,59 @@ def test_map_respects_prior_on_ties():
 
 
 def test_ols_gram_matrix_oracle():
-    # rows (1,0,1) and (0,1,1) give X'X = [[1,0,1],[0,1,1],[1,1,2]]
-    state = OlsState(q_dim=2, n_players=2)
-    state = ols_ingest(state, [1.0, 0.0], [0.5, -0.5])
-    state = ols_ingest(state, [0.0, 1.0], [1.0, 2.0])
-    design = state.design_rows
+    # design rows (1,0,1), (0,1,1), (0,0,1) give X'X = [[1,0,1],[0,1,1],
+    # [1,1,3]]; the third row fixes each player's intercept and the first two
+    # its slopes over that intercept
+    design = np.asarray([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    responses = np.asarray([[0.5, -0.5], [1.0, 2.0], [0.25, 0.0]])
     assert np.array_equal(design.T @ design,
-                          [[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-    assert np.array_equal(state.response_columns @ design,
-                          [[0.5, 1.0, 1.5], [-0.5, 2.0, 1.5]])
+                          [[1, 0, 1], [0, 1, 1], [1, 1, 3]])
+    est = ols_solve(design, responses)
+    assert est.shape == (2, 3)
+    assert np.allclose(est, [[0.25, 0.75, 0.25], [-0.5, 2.0, 0.0]],
+                       atol=1e-12)
+    # normal equations: s_i' X'X = Y_i' X
+    assert np.allclose(est @ (design.T @ design),
+                       [[0.5, 1.0, 1.75], [-0.5, 2.0, 1.5]], atol=1e-12)
 
 
 def test_ols_noiseless_interpolation():
     alpha = np.asarray([[-2.0, 1.0], [1.0, -2.0]])
     beta = np.asarray([1.0, 1.0])
     game = games.affine_game(alpha, beta, sigma=0.0)
-    state = OlsState(game.q_dim, game.n_players)
     rng = np.random.default_rng(7)
-    for _ in range(6):
-        q = rng.random(2)
-        state = ols_ingest(state, q, game.channel_means(q)[0])
-    est = ols_solve(state)
+    qs = rng.random((6, 2))
+    design = np.hstack([qs, np.ones((6, 1))])
+    responses = np.asarray([game.channel_means(q)[0] for q in qs])
+    est = ols_solve(design, responses)
     truth = np.hstack([alpha, beta[:, None]])
     assert np.max(np.abs(est - truth)) < 1e-10
 
 
 def test_ols_unidentifiable_reports_null_directions():
-    state = OlsState(q_dim=2, n_players=1)
-    for _ in range(4):
-        state = ols_ingest(state, [1.0, 1.0], [0.0])
+    design = np.ones((4, 3))  # the design row (1, 1, 1), repeated
     with pytest.raises(Unidentifiable) as err:
-        ols_solve(state)
+        ols_solve(design, np.zeros((4, 1)))
     null = err.value.null_directions
     # every null direction must annihilate the repeated design row (1,1,1)
     assert null.shape[0] >= 1
     assert np.max(np.abs(null @ np.asarray([1.0, 1.0, 1.0]))) < 1e-9
 
 
-def test_ols_empty_state_unidentifiable():
-    with pytest.raises(Unidentifiable):
-        ols_solve(OlsState(q_dim=1, n_players=1))
+def test_ols_empty_design_unidentifiable():
+    with pytest.raises(Unidentifiable) as err:
+        ols_solve(np.empty((0, 2)), np.empty((0, 1)))
+    assert np.array_equal(err.value.null_directions, np.eye(2))
 
 
-def test_ols_persistent_states_are_independent():
-    s0 = OlsState(q_dim=1, n_players=1)
-    s1 = ols_ingest(s0, [1.0], [2.0])
-    s2a = ols_ingest(s1, [2.0], [3.0])
-    s2b = ols_ingest(s1, [5.0], [9.0])  # fork from s1
-    assert s0.n_records == 0 and s1.n_records == 1
-    assert np.array_equal(s2a.design_rows[-1], [2.0, 1.0])
-    assert np.array_equal(s2b.design_rows[-1], [5.0, 1.0])
-    assert np.array_equal(s1.design_rows, [[1.0, 1.0]])
-
-
-def test_ols_dimension_mismatch():
-    state = OlsState(q_dim=2, n_players=2)
+@pytest.mark.parametrize("design, responses", [
+    (np.ones((3, 3)), np.ones((2, 2))),
+    (np.ones(3), np.ones((3, 1))),
+    (np.ones((3, 3)), np.ones(3)),
+], ids=["row_count", "design_1d", "responses_1d"])
+def test_ols_dimension_mismatch(design, responses):
     with pytest.raises(ContractViolation):
-        ols_ingest(state, [1.0], [0.0, 0.0])
+        ols_solve(design, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +323,9 @@ def test_schedule_validation():
 
 def test_batch_loglik_matches_sum(investment_game, rng):
     q = np.asarray([0.3, 0.8])
-    batch = ObservationBatch()
+    batch = []
     for _ in range(4):
-        batch.append(q, games.sample_payoffs(investment_game, 1, q, rng))
+        batch.append((q, games.sample_payoffs(investment_game, 1, q, rng)))
     acc = batch_log_likelihoods(None, batch, investment_game)
     for s in range(3):
         manual = sum(
