@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import UpdateRule, replica_seed, run
+from .dynamics import UpdateRule, _map_replicas, replica_seed, run
 from .games import EquilibriumSet, br_profile, equilibrium_set
 from .param_belief import (
     Belief,
@@ -609,19 +609,25 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
     schedule = schedule or UpdateSchedule.every_stage()
     theta_bar = np.asarray(certificate.belief, dtype=float)
     eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
-    stayed = 0
+    starts = []
     for k in range(n_runs):
         seed_k = replica_seed(seed, k)
         rng = np.random.default_rng(np.random.SeedSequence(seed_k))
         theta1 = sample_belief_ball(theta_bar, eps1, rng)
         q1 = sample_near_eq(game, eq_bar, delta1, rng)
-        if np.all(theta1 > 0.0):
-            traj = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
-                       horizon, seed_k, respond_to=respond_to)
-            final_theta = np.asarray(traj.summary["final_theta"])
-            final_q = np.asarray(traj.summary["final_q"])
-        else:
-            final_theta, final_q = theta1, q1  # frozen degenerate start
+        starts.append((seed_k, theta1, q1))
+
+    def replica(k):
+        seed_k, theta1, q1 = starts[k]
+        if not np.all(theta1 > 0.0):
+            return theta1, q1  # frozen degenerate start
+        summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
+                      horizon, seed_k, respond_to=respond_to).summary
+        return (np.asarray(summary["final_theta"]),
+                np.asarray(summary["final_q"]))
+
+    stayed = 0
+    for final_theta, final_q in _map_replicas(replica, n_runs):
         stayed += (
             float(np.max(np.abs(final_theta - theta_bar))) <= eps_bar
             and eq_bar.distance(final_q) <= eps_x
@@ -735,15 +741,22 @@ def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
     theta_star = np.zeros(n)
     theta_star[s_star] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_converged = 0
     schedule = UpdateSchedule.every_stage()
+    starts = []
     for k in range(n_random_starts):
         theta1 = rng.dirichlet(np.ones(n))
         q1 = game.random_profile(rng)
-        traj = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
-                   horizon, replica_seed(seed, k), stop_when_converged=True)
-        final_theta = np.asarray(traj.summary["final_theta"])
-        final_q = np.asarray(traj.summary["final_q"])
+        starts.append((theta1, q1, replica_seed(seed, k)))
+
+    def replica(k):
+        theta1, q1, seed_k = starts[k]
+        summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
+                      horizon, seed_k, stop_when_converged=True).summary
+        return (np.asarray(summary["final_theta"]),
+                np.asarray(summary["final_q"]))
+
+    n_converged = 0
+    for final_theta, final_q in _map_replicas(replica, n_random_starts):
         if (
             float(np.max(np.abs(final_theta - theta_star))) <= theta_tol
             and eq_star.distance(final_q) <= q_tol

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, games
-from .dynamics import UpdateRule, run, run_two_timescale, trajectory_to_csv
+from .dynamics import (UpdateRule, _map_replicas, run, run_two_timescale,
+                       trajectory_to_csv)
 from .param_belief import Belief, UpdateSchedule, ols_solve
 
 RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
@@ -345,10 +346,14 @@ def parse_config(text):
     if not isinstance(analysis_spec, dict):
         errors.append("analysis must be an object")
         analysis_spec = {}
+    _unknown_keys(analysis_spec, ("fixed_points", "rate", "stability"),
+                  "in analysis", errors)
     fixed_points_spec = analysis_spec.get("fixed_points", {})
     if not isinstance(fixed_points_spec, dict):
         errors.append("analysis.fixed_points must be an object")
         fixed_points_spec = {}
+    _unknown_keys(fixed_points_spec, ("belief_grid",),
+                  "in analysis.fixed_points", errors)
     belief_grid = fixed_points_spec.get("belief_grid", 51)
     if type(belief_grid) is not int or belief_grid < 2:
         errors.append("analysis.fixed_points.belief_grid must be an integer "
@@ -465,7 +470,9 @@ def cmd_run(cfg):
         return 0
     clusters = _clusters(cfg) if cfg.game.analytic_eq is not None else []
     multi = len(cfg.seeds) > 1
-    for seed in cfg.seeds:
+
+    def write_seed(k):
+        seed = cfg.seeds[k]
         traj = _run_one_seed(cfg, seed, clusters)
         suffix = "_%d" % seed if multi else ""
         trajectory_to_csv(
@@ -474,6 +481,8 @@ def cmd_run(cfg):
         )
         _write_json(os.path.join(cfg.output_dir, "summary%s.json" % suffix),
                     traj.summary, cfg)
+
+    _map_replicas(write_seed, len(cfg.seeds))
     return 0
 
 
@@ -544,14 +553,16 @@ def cmd_rate(cfg):
     spec = cfg.analysis.get("rate", {})
     s = spec.get("param", 0)
     burn_in = spec.get("burn_in", cfg.horizon // 10)
-    slopes = []
-    finals = []
-    for seed in cfg.seeds:
-        traj = _configured_run(cfg, seed)
+
+    def fit_seed(k):
+        traj = _configured_run(cfg, cfg.seeds[k])
         slope, r2 = analysis.estimate_convergence_rate(traj, s, burn_in)
-        slopes.append({"seed": seed, "slope": slope, "r2": r2})
-        finals.append(traj.summary["final_q"])
-    q_limit = np.mean(np.asarray(finals), axis=0)
+        return slope, r2, traj.summary["final_q"]
+
+    fits = _map_replicas(fit_seed, len(cfg.seeds))
+    slopes = [{"seed": seed, "slope": slope, "r2": r2}
+              for seed, (slope, r2, _) in zip(cfg.seeds, fits)]
+    q_limit = np.mean(np.asarray([final_q for _, _, final_q in fits]), axis=0)
     predicted = analysis.kl_divergence(
         cfg.game, cfg.game.space.true_index, s, q_limit
     )
@@ -606,6 +617,10 @@ def main(argv=None):
             print("config error: %s" % err, file=sys.stderr)
         return 1
 
+    if cfg.estimator == "ols" and args.command in ("rate", "stability"):
+        print("config error: estimator 'ols' is only supported by run, not "
+              "by %s" % args.command, file=sys.stderr)
+        return 1
     if args.out:
         cfg.output_dir = args.out
     if args.seed_override is not None:

@@ -14,10 +14,15 @@ left to right, with no `@`, `dot`, `einsum` or `np.log`, so one replica's
 arithmetic is the same as it would be inside a batch of replicas.  `run`
 reproduces the plain per-stage loop it replaced bit for bit (pinned by an
 exact-equality test).
+
+`_map_replicas` is the one way to run many independent replicas: it
+spreads them over the CPUs this process may use, in forked workers, and
+returns their results in job order.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,6 +297,74 @@ def replica_seed(master_seed, replica_index):
         np.random.SeedSequence(master_seed, spawn_key=(replica_index,))
         .generate_state(1)[0]
     )
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_worker_fn = None  # set in each forked replica worker
+
+
+def _init_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(k):
+    return _worker_fn(k)
+
+
+def _map_replicas(fn, n):
+    """``[fn(0), ..., fn(n - 1)]``, with the jobs spread over the usable CPUs.
+
+    Each job must depend only on its index (its own seeded stream), so the
+    results do not depend on where it runs.  With P = min(n, usable CPUs)
+    >= 2 and the fork start method available, this process runs the jobs
+    k = 0, P, 2P, ... and P - 1 forked workers run the rest.  ``fn`` reaches
+    the workers through the fork and need not pickle; job indices and
+    results are pickled.  If jobs fail, the exception of the lowest failing
+    index is raised, as the serial loop would raise it.  The workers are
+    joined before this returns or raises.
+    """
+    n_proc = min(n, _usable_cpus())
+    if n_proc < 2:
+        return [fn(k) for k in range(n)]
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(k) for k in range(n)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    results = [None] * n
+    failed, error = n, None  # lowest failing index and its exception
+    pool = ProcessPoolExecutor(
+        max_workers=n_proc - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(fn,))
+    try:
+        futures = {k: pool.submit(_call_worker_fn, k)
+                   for k in range(n) if k % n_proc}
+        for k in range(0, n, n_proc):
+            try:
+                results[k] = fn(k)
+            except Exception as exc:
+                failed, error = k, exc
+                break
+        for k, future in futures.items():  # in job order
+            if k > failed:
+                break
+            try:
+                results[k] = future.result()
+            except Exception as exc:
+                failed, error = k, exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    if error is not None:
+        raise error
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,21 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from beliefplay import games
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running (and stop it)."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail("child process(es) left running: %s" % left)
 
 
 @pytest.fixture

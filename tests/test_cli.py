@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import beliefplay
-from beliefplay import analysis, cli, games
+from beliefplay import analysis, dynamics, games
 from beliefplay.cli import ConfigError, main, parse_config
 from beliefplay.dynamics import UpdateRule, run, run_two_timescale
 from beliefplay.param_belief import Belief, UpdateSchedule
@@ -320,6 +320,11 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
      "analysis.rate.burn_in must be an integer >= 0"),
     (dict(BASE, analysis={"rate": {"burn_in": 10, "params": 1}}),
      "unknown key(s) 'params' in analysis.rate; allowed: burn_in, param"),
+    (dict(BASE, analysis={"stabilty": {"n_runs": 0}}),
+     "unknown key(s) 'stabilty' in analysis; allowed: fixed_points, rate, "
+     "stability"),
+    (dict(BASE, analysis={"fixed_points": {"belief_grid": 11, "grid": 5}}),
+     "unknown key(s) 'grid' in analysis.fixed_points; allowed: belief_grid"),
 ], ids=["top_level_list", "game_number", "rule_number", "schedule_list",
         "theta_string", "q_non_numeric", "horizon_bool", "seeds_extra_key",
         "init_typo", "init_random", "rule_unknown_key", "alpha_bool",
@@ -327,12 +332,25 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
         "p_bool", "gap_bool", "gap_zero_t", "gap_negative", "gap_float",
         "output_dir_number", "output_dir_empty", "rate_not_object",
         "rate_param_range", "rate_param_bool", "rate_burn_in_string",
-        "rate_unknown_key"])
+        "rate_unknown_key", "analysis_unknown_key",
+        "fixed_points_unknown_key"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["config error: " + message]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rate", "stability"])
+def test_ols_estimator_only_runs(tmp_path, capsys, command):
+    doc = {"game": "affine", "estimator": "ols", "horizon": 200}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: estimator 'ols' is only supported by run, not by %s"
+        % command]
     assert not out.exists()
 
 
@@ -516,6 +534,8 @@ def test_stability_honours_map_estimator(tmp_path, monkeypatch):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "run", spy)
+    # the spy sees only this process's replicas, so keep them all here
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
     doc = {"game": "cournot", "estimator": "map", "horizon": 50, "seed": 1,
            "analysis": {"stability": {"n_runs": 4, "n_probe": 10},
                         "fixed_points": {"belief_grid": 11}},
