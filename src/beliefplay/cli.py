@@ -29,11 +29,18 @@ ESTIMATORS = ("bayes", "map", "ols")
 TOP_KEYS = {"game", "rule", "schedule", "estimator", "init", "horizon",
             "seed", "seeds", "analysis", "output_dir"}
 
-# analysis.stability fields by type; every one is optional
+# analysis.stability fields by type; every one is optional.  Each number
+# field maps to its range: the radii are >= 0, the threshold inputs eps_hat
+# > 0 and gamma in (0, 1).
 STABILITY_INTS = ("n_probe", "n_runs")
-STABILITY_FLOATS = ("eps", "delta", "eps1", "delta1", "eps_bar", "eps_x",
-                    "eps_hat", "gamma")
-STABILITY_KEYS = STABILITY_INTS + STABILITY_FLOATS + ("cluster",)
+_RADIUS = (">= 0", lambda x: x >= 0.0)
+STABILITY_FLOATS = {
+    "eps": _RADIUS, "delta": _RADIUS, "eps1": _RADIUS, "delta1": _RADIUS,
+    "eps_bar": _RADIUS, "eps_x": _RADIUS,
+    "eps_hat": ("> 0", lambda x: x > 0.0),
+    "gamma": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
+}
+STABILITY_KEYS = STABILITY_INTS + tuple(STABILITY_FLOATS) + ("cluster",)
 
 
 class ConfigError(ValueError):
@@ -200,8 +207,9 @@ def _gap_fn(gap):
 
 
 def _check_stability(spec, errors):
-    """Validate analysis.stability: counts >= 1, finite numbers, a string
-    cluster id and no unknown keys (bools are not numbers here)."""
+    """Validate analysis.stability: counts >= 1, finite numbers in their
+    ranges (STABILITY_FLOATS), a string cluster id and no unknown keys
+    (bools are not numbers here)."""
     if not isinstance(spec, dict):
         errors.append("analysis.stability must be an object")
         return
@@ -210,10 +218,13 @@ def _check_stability(spec, errors):
         value = spec.get(key, 1)
         if type(value) is not int or value < 1:
             errors.append("analysis.stability.%s must be an integer >= 1" % key)
-    for key in STABILITY_FLOATS:
-        value = spec.get(key, 0.0)
-        if not _is_number(value) or not math.isfinite(value):
-            errors.append("analysis.stability.%s must be a finite number" % key)
+    for key, (bound, holds) in STABILITY_FLOATS.items():
+        if key not in spec:
+            continue
+        value = spec[key]
+        if not (_is_number(value) and math.isfinite(value) and holds(value)):
+            errors.append("analysis.stability.%s must be a finite number %s"
+                          % (key, bound))
     if not isinstance(spec.get("cluster", ""), str):
         errors.append("analysis.stability.cluster must be a string")
 

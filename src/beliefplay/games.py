@@ -73,6 +73,12 @@ def _floats(x):
     return np.asarray(x, dtype=float).ravel().tolist()
 
 
+def _prob_list(belief):
+    """The probabilities of a Belief, or of a probability vector, as a list
+    of floats; a list is taken to hold floats already."""
+    return belief if type(belief) is list else _floats(_as_probs(belief))
+
+
 def _expect(probs, values):
     """sum_s probs[s] * values[s], accumulated left to right."""
     total = 0.0
@@ -403,10 +409,7 @@ def best_response(game, belief, i, q, current=None):
     set-valued) plus a descriptor.
     """
     # the stage loop passes lists of floats, which need no conversion
-    if type(belief) is list:
-        probs = belief
-    else:
-        probs = _floats(_as_probs(belief))
+    probs = _prob_list(belief)
     if type(q) is not list:
         q = _floats(q)
     if current is None:
@@ -468,14 +471,15 @@ def _finite_best_response(game, probs, i, q, current):
 
 
 def br_profile(game, belief, q, current=None):
-    """Stack each player's canonical best response into one flat profile."""
-    probs = _floats(_as_probs(belief))
-    q = np.asarray(q, dtype=float)
-    flat = q.tolist()
-    out = q.copy()
+    """Stack each player's canonical best response into one flat profile, a
+    list of floats.  The belief and the profiles become lists of floats once,
+    here; a list is taken to hold floats already."""
+    probs = _prob_list(belief)
+    flat = _floats(q)
+    current = flat if current is None else _floats(current)
+    out = []
     for i, sl in enumerate(game.slices):
-        cur = flat[sl] if current is None else current[sl]
-        out[sl] = best_response(game, probs, i, flat, current=cur).point
+        out += best_response(game, probs, i, flat, current=current[sl]).point
     return out
 
 
@@ -484,12 +488,13 @@ def equilibrium_set(game, belief, n_starts=20, max_iter=2000, tol=1e-10):
     from random starts with limit-point clustering."""
     if game.analytic_eq is not None:
         return game.analytic_eq(_as_probs(belief))
+    probs = _prob_list(belief)
     rng = np.random.default_rng(0)
     limits = []
     for _ in range(n_starts):
         q = game.random_profile(rng)
         for it in range(max_iter):
-            nxt = 0.5 * q + 0.5 * br_profile(game, belief, q)
+            nxt = 0.5 * q + 0.5 * np.asarray(br_profile(game, probs, q))
             if np.max(np.abs(nxt - q)) < tol:
                 q = nxt
                 break

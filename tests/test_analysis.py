@@ -32,6 +32,7 @@ from beliefplay.analysis import (
     wilson_ci,
 )
 from beliefplay.dynamics import Trajectory
+from beliefplay.games import equilibrium_set
 from beliefplay.param_belief import Belief, ContractViolation
 
 
@@ -222,6 +223,43 @@ def test_link_groups_match_bruteforce(cloud):
             == _link_bruteforce(thetas, qs, link_theta, link_q))
 
 
+@settings(max_examples=200, deadline=None)
+@given(certificate_clouds(), st.integers(1, 4))
+def test_link_groups_match_bruteforce_across_merges(cloud, flush):
+    # a cloud holds at most 50 points, far below the real flush size, so
+    # the merge is forced every few pairs: unions must survive from one
+    # merge to the next
+    thetas, qs, link_theta, link_q = cloud
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_LINK_FLUSH", flush)
+        got = _link_groups(thetas, qs, link_theta, link_q)
+    assert got == _link_bruteforce(thetas, qs, link_theta, link_q)
+
+
+@pytest.mark.parametrize("flush", [1, 3, 1 << 13])
+def test_link_groups_chain_across_cells_and_merges(monkeypatch, flush):
+    # a zigzag chain through about 70 theta cells whose points are close
+    # only to their neighbours on the chain, plus ghost copies of its first
+    # 30 points that are close in theta but far in q; shuffled, so that the
+    # chain's links turn up in many cells and merges
+    monkeypatch.setattr(analysis, "_LINK_FLUSH", flush)
+    link_theta, link_q = 0.1, 0.5
+    steps = np.arange(120)
+    chain = np.stack([steps * 0.06, (steps % 2) * 0.05], axis=1)
+    thetas = np.concatenate([chain, chain[:30]])
+    qs = np.concatenate([np.zeros((120, 1)), np.full((30, 1), 10.0)])
+    perm = np.random.default_rng(5).permutation(len(thetas))
+    thetas, qs, steps = thetas[perm], qs[perm].tolist(), perm % 120
+    want = _link_bruteforce(thetas.tolist(), qs, link_theta, link_q)
+    assert len(want) == 2
+    assert _link_groups(thetas.tolist(), qs, link_theta, link_q) == want
+    # moving the second half of the chain away breaks it in two
+    thetas[(perm < 120) & (steps >= 60), 0] += 0.2
+    want = _link_bruteforce(thetas.tolist(), qs, link_theta, link_q)
+    assert len(want) == 3
+    assert _link_groups(thetas.tolist(), qs, link_theta, link_q) == want
+
+
 @pytest.mark.parametrize("res", [11, 51])
 @pytest.mark.parametrize("factory", [
     games.cournot, games.investment, games.zerosum_example,
@@ -236,11 +274,26 @@ def test_enumerated_clusters_match_bruteforce_linking(factory, res,
         return real(thetas, qs, link_theta, link_q)
 
     monkeypatch.setattr(analysis, "_link_groups", spy)
-    clusters = enumerate_fixed_points(factory(), belief_grid_resolution=res)
+    game = factory()
+    clusters = enumerate_fixed_points(game, belief_grid_resolution=res)
+    # the valid certificates of the grid, certified on array inputs
+    valid = []
+    for probs in belief_grid(len(game.space), res):
+        belief = Belief.from_probs(probs)
+        for q in equilibrium_set(game, belief).representatives(5):
+            cert = certify_fixed_point(game, belief, q)
+            if cert.valid:
+                valid.append(cert)
     (thetas, qs, link_theta, link_q), = calls
+    assert thetas == [c.belief for c in valid]
+    assert qs == [c.q for c in valid]
     groups = _link_bruteforce(thetas, qs, link_theta, link_q)
-    expected = sorted([(thetas[i], qs[i]) for i in g] for g in groups)
-    got = sorted([(c.belief, c.q) for c in cl.members] for cl in clusters)
+
+    def whole(group):
+        return [repr(c) for c in group]
+
+    expected = sorted(whole([valid[i] for i in g]) for g in groups)
+    got = sorted(whole(cl.members) for cl in clusters)
     assert got == expected
 
 
@@ -409,6 +462,17 @@ def test_sample_belief_ball_properties(rng):
         assert np.max(np.abs(x - theta_bar)) <= 0.05 + 1e-12
     exact = sample_belief_ball(theta_bar, 0.0, rng)
     assert np.array_equal(exact, theta_bar)
+
+
+@pytest.mark.parametrize("eps", [-0.1, -1e-300, float("nan"), float("inf"),
+                                 float("-inf")])
+def test_sample_belief_ball_rejects_bad_radius(rng, eps):
+    # no draw is ever accepted within a negative radius, and halving it
+    # never ends, so a bad radius fails before anything is drawn
+    state = rng.bit_generator.state
+    with pytest.raises(ContractViolation, match="finite number >= 0"):
+        sample_belief_ball(np.asarray([0.6, 0.3, 0.1]), eps, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_stability_stays_with_zero_radii(cournot_game):

@@ -198,6 +198,9 @@ def test_parse_accepts_every_stability_field():
     ({"eps_bar": float("inf")}, "analysis.stability.eps_bar must be a finite "
                                 "number"),
     ({"delta1": False}, "analysis.stability.delta1 must be a finite number"),
+    ({"eps1": -0.1}, "analysis.stability.eps1 must be a finite number >= 0"),
+    ({"gamma": 1.5},
+     "analysis.stability.gamma must be a finite number in (0, 1)"),
     ({"cluster": 3}, "analysis.stability.cluster must be a string"),
     ({"n_prob": 10}, "unknown key(s) 'n_prob' in analysis.stability; "
                      "allowed: cluster, delta, delta1, eps, eps1, eps_bar, "
@@ -205,7 +208,7 @@ def test_parse_accepts_every_stability_field():
     (5, "analysis.stability must be an object"),
 ], ids=["n_probe_string", "n_probe_float", "n_runs_zero", "n_runs_bool",
         "eps_string", "gamma_nan", "eps_bar_inf", "delta1_bool",
-        "cluster_not_string", "unknown_key", "not_an_object"])
+        "eps1_negative", "gamma_above_1", "cluster_not_string", "unknown_key", "not_an_object"])
 def test_stability_rejects_bad_analysis_stability(tmp_path, capsys, stability,
                                                   message):
     doc = {"game": "cournot", "horizon": 10, "output_dir": str(tmp_path),
@@ -325,6 +328,26 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
      "stability"),
     (dict(BASE, analysis={"fixed_points": {"belief_grid": 11, "grid": 5}}),
      "unknown key(s) 'grid' in analysis.fixed_points; allowed: belief_grid"),
+    (dict(BASE, analysis={"stability": {"eps1": -0.1}}),
+     "analysis.stability.eps1 must be a finite number >= 0"),
+    (dict(BASE, analysis={"stability": {"eps": -0.1}}),
+     "analysis.stability.eps must be a finite number >= 0"),
+    (dict(BASE, analysis={"stability": {"eps_bar": -0.1}}),
+     "analysis.stability.eps_bar must be a finite number >= 0"),
+    (dict(BASE, analysis={"stability": {"delta": -1}}),
+     "analysis.stability.delta must be a finite number >= 0"),
+    (dict(BASE, analysis={"stability": {"delta1": -0.02}}),
+     "analysis.stability.delta1 must be a finite number >= 0"),
+    (dict(BASE, analysis={"stability": {"eps_x": -0.1}}),
+     "analysis.stability.eps_x must be a finite number >= 0"),
+    (dict(BASE, analysis={"stability": {"gamma": 1.5}}),
+     "analysis.stability.gamma must be a finite number in (0, 1)"),
+    (dict(BASE, analysis={"stability": {"gamma": 0}}),
+     "analysis.stability.gamma must be a finite number in (0, 1)"),
+    (dict(BASE, analysis={"stability": {"eps_hat": -0.3}}),
+     "analysis.stability.eps_hat must be a finite number > 0"),
+    (dict(BASE, analysis={"stability": {"eps_hat": 0.0}}),
+     "analysis.stability.eps_hat must be a finite number > 0"),
 ], ids=["top_level_list", "game_number", "rule_number", "schedule_list",
         "theta_string", "q_non_numeric", "horizon_bool", "seeds_extra_key",
         "init_typo", "init_random", "rule_unknown_key", "alpha_bool",
@@ -333,7 +356,9 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
         "output_dir_number", "output_dir_empty", "rate_not_object",
         "rate_param_range", "rate_param_bool", "rate_burn_in_string",
         "rate_unknown_key", "analysis_unknown_key",
-        "fixed_points_unknown_key"])
+        "fixed_points_unknown_key", "eps1_negative", "eps_negative",
+        "eps_bar_negative", "delta_negative", "delta1_negative", "eps_x_negative",
+        "gamma_above_1", "gamma_zero", "eps_hat_negative", "eps_hat_zero"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, doc),

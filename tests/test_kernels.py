@@ -8,8 +8,12 @@ for Cournot, investment and affine, and the finite best response on numpy
 profiles.  The new likelihood must equal the oracle bit for bit, -inf
 included; a best response must equal the oracle's, except where an `@`
 became a left-to-right sum, where the two may differ in the last bits.
+`_certify_oracle` is the certificate on numpy beliefs and profiles that the
+float-native `certify_fixed_point` replaced; every field of a certificate
+must equal the oracle's, the residual bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefplay import games
-from beliefplay.games import best_response, sample_payoffs
+from beliefplay.analysis import (
+    KL_TOL,
+    SUPPORT_TOL,
+    FixedPointCertificate,
+    certify_fixed_point,
+    kl_divergence,
+    payoff_equivalent_set,
+)
+from beliefplay.games import (
+    best_response,
+    br_profile,
+    equilibrium_set,
+    sample_payoffs,
+)
 from beliefplay.param_belief import (
     NEG_INF,
+    Belief,
+    _as_probs,
     batch_log_likelihoods,
     log_likelihood,
 )
@@ -179,34 +198,45 @@ def _close(a, b):
     return abs(a - b) <= 1e-14 * max(abs(a), abs(b), 1.0)
 
 
-@st.composite
-def cases(draw):
+def _draw_game(draw):
     name = draw(st.sampled_from(sorted(FACTORIES)))
     sigma = draw(st.sampled_from([0.0, 0.5, 2.0]))
-    game = FACTORIES[name](sigma)
+    return name, FACTORIES[name](sigma)
+
+
+def _draw_probs(draw, game):
+    """A probability vector (a list) with some zero entries."""
     n_s = len(game.space)
     weights = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n_s,
         max_size=n_s).filter(any))
-    probs = (np.asarray(weights) / sum(weights)).tolist()
+    return (np.asarray(weights) / sum(weights)).tolist()
 
-    def profile():
-        if game.kind == "finite":
-            blocks = []
-            for _ in range(game.n_players):
-                if draw(st.booleans()):  # pure
-                    block = [0.0, 0.0]
-                    block[draw(st.integers(0, 1))] = 1.0
-                else:  # mixed
-                    w = draw(st.floats(0.0, 1.0))
-                    block = [w, 1.0 - w]
-                blocks += block
-            return blocks
-        return [draw(st.one_of(st.sampled_from(box),
-                               st.floats(box[0], box[1])))
-                for box in game.boxes]
 
-    q, current = profile(), profile()
+def _draw_profile(draw, game):
+    """A flat profile (a list): box corners or interior points, or pure and
+    mixed blocks of a finite game."""
+    if game.kind == "finite":
+        blocks = []
+        for _ in range(game.n_players):
+            if draw(st.booleans()):  # pure
+                block = [0.0, 0.0]
+                block[draw(st.integers(0, 1))] = 1.0
+            else:  # mixed
+                w = draw(st.floats(0.0, 1.0))
+                block = [w, 1.0 - w]
+            blocks += block
+        return blocks
+    return [draw(st.one_of(st.sampled_from(box), st.floats(box[0], box[1])))
+            for box in game.boxes]
+
+
+@st.composite
+def cases(draw):
+    name, game = _draw_game(draw)
+    n_s = len(game.space)
+    probs = _draw_probs(draw, game)
+    q, current = _draw_profile(draw, game), _draw_profile(draw, game)
     s_obs = draw(st.integers(0, n_s - 1))
     c = list(game.channel_means(q)[s_obs])
     for k in range(game.obs_dim):
@@ -308,3 +338,122 @@ def test_per_channel_sample_arrays_match_scalar_calls():
     atom = game.channel_means(q)[0][0]
     values = log_likelihood(game, q, [np.asarray([atom, atom + 1.0])])
     assert values[0].tolist() == [0.0, NEG_INF]
+
+
+# ---------------------------------------------------------------------------
+# Certificates
+
+
+def _pure_profiles_oracle(game, q, support_tol=SUPPORT_TOL):
+    q = np.asarray(q, dtype=float)
+    per_player = []
+    for sl in game.slices:
+        block = q[sl]
+        per_player.append([a for a in range(block.size) if block[a] > support_tol])
+    for combo in itertools.product(*per_player):
+        profile = np.zeros(game.q_dim)
+        for i, a in enumerate(combo):
+            profile[game.slices[i].start + a] = 1.0
+        yield profile
+
+
+def _payoff_equivalent_oracle(game, q, tol=KL_TOL):
+    s_star = game.space.true_index
+    if game.kind == "finite":
+        profiles = _pure_profiles_oracle(game, q)
+    else:
+        profiles = [q]
+    result = range(len(game.space))
+    for profile in profiles:
+        result = [s for s in result
+                  if kl_divergence(game, s_star, s, profile) <= tol]
+    return tuple(result)
+
+
+def _br_profile_oracle(game, belief, q, current=None):
+    probs = np.asarray(_as_probs(belief), dtype=float).tolist()
+    q = np.asarray(q, dtype=float)
+    flat = q.tolist()
+    out = q.copy()
+    for i, sl in enumerate(game.slices):
+        cur = flat[sl] if current is None else current[sl]
+        out[sl] = best_response(game, probs, i, flat, current=cur).point
+    return out
+
+
+def _certify_oracle(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
+    """The array certificate `certify_fixed_point` replaced: numpy belief and
+    profile, numpy pure profiles in payoff_equivalent_set, an array
+    br_profile and an np.max residual."""
+    probs = _as_probs(belief)
+    q = np.asarray(q, dtype=float)
+    equiv = _payoff_equivalent_oracle(game, q, tol_kl)
+    support = tuple(int(s) for s in np.nonzero(probs > 0.0)[0])
+    subset = set(support) <= set(equiv)
+    if game.kind == "finite":
+        residual = 0.0
+        for i, sl in enumerate(game.slices):
+            tied = best_response(game, probs, i, q).tied_actions
+            block = q[sl]
+            off = sum(block[a] for a in range(block.size) if a not in tied)
+            residual = max(residual, float(off))
+    else:
+        residual = float(np.max(np.abs(
+            _br_profile_oracle(game, probs, q, current=q) - q)))
+    s_star = game.space.true_index
+    complete = bool(
+        probs[s_star] >= 1.0 - 1e-12
+        and all(p <= 1e-12 for i, p in enumerate(probs) if i != s_star)
+    )
+    return FixedPointCertificate(
+        belief=tuple(float(p) for p in probs),
+        q=tuple(float(x) for x in q),
+        equivalence_set=equiv,
+        support=support,
+        support_subset=bool(subset),
+        eq_residual=residual,
+        is_complete_info=complete,
+        tol_kl=tol_kl,
+        tol_eq=tol_eq,
+    )
+
+
+@st.composite
+def certificate_cases(draw):
+    name, game = _draw_game(draw)
+    probs = _draw_probs(draw, game)
+    if draw(st.booleans()):  # the truth alone: a complete-information belief
+        probs = [0.0] * len(probs)
+        probs[game.space.true_index] = 1.0
+    if game.analytic_eq is not None and draw(st.booleans()):
+        # an equilibrium member, as enumerate_fixed_points certifies
+        eq = equilibrium_set(game, Belief.from_probs(probs))
+        reps = eq.representatives(draw(st.integers(2, 7))).tolist()
+        q = reps[draw(st.integers(0, len(reps) - 1))]
+    else:
+        q = _draw_profile(draw, game)
+    form = draw(st.sampled_from(["belief", "array", "list"]))
+    belief = {"belief": Belief.from_probs(probs), "array": np.asarray(probs),
+              "list": probs}[form]
+    tol_eq = draw(st.sampled_from([1e-8, 0.0, 0.5]))
+    return name, game, belief, q, tol_eq
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_cases(), st.booleans())
+def test_certificates_match_the_array_oracle(case, q_as_array):
+    name, game, belief, q, tol_eq = case
+    oracle = _certify_oracle(game, belief, np.asarray(q), tol_eq=tol_eq)
+    cert = certify_fixed_point(game, belief,
+                               np.asarray(q) if q_as_array else q,
+                               tol_eq=tol_eq)
+    assert cert == oracle
+    # repr tells the floats apart bit for bit and the types (bool, int,
+    # float) apart as well
+    assert repr(cert) == repr(oracle)
+    assert cert.eq_residual.hex() == oracle.eq_residual.hex()
+    assert cert.valid == oracle.valid
+    assert payoff_equivalent_set(game, q) == \
+        _payoff_equivalent_oracle(game, np.asarray(q))
+    assert _bits(br_profile(game, belief, q, current=q)) == \
+        _bits(_br_profile_oracle(game, belief, q, current=np.asarray(q)))
