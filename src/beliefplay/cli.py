@@ -26,21 +26,105 @@ RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
 SCHEDULE_KINDS = ("every_stage", "fixed_batch", "geometric", "two_timescale")
 ESTIMATORS = ("bayes", "map", "ols")
 
-TOP_KEYS = {"game", "rule", "schedule", "estimator", "init", "horizon",
-            "seed", "seeds", "analysis", "output_dir"}
+_BAD = object()  # what a field's reader returns for an invalid value
+_REQUIRED = object()  # the default of a field that must be given
 
-# analysis.stability fields by type; every one is optional.  Each number
-# field maps to its range: the radii are >= 0, the threshold inputs eps_hat
-# > 0 and gamma in (0, 1).
-STABILITY_INTS = ("n_probe", "n_runs")
-_RADIUS = (">= 0", lambda x: x >= 0.0)
-STABILITY_FLOATS = {
-    "eps": _RADIUS, "delta": _RADIUS, "eps1": _RADIUS, "delta1": _RADIUS,
-    "eps_bar": _RADIUS, "eps_x": _RADIUS,
-    "eps_hat": ("> 0", lambda x: x > 0.0),
-    "gamma": ("in (0, 1)", lambda x: 0.0 < x < 1.0),
+
+@dataclass(frozen=True)
+class _Field:
+    """One config field.  ``read`` maps its JSON value to the resolved value,
+    or to _BAD; the error then reads "<label> must be <phrase>"."""
+    read: object
+    phrase: str
+    default: object = _REQUIRED
+    kind: str = None  # the rule or schedule kind that reads the field
+    label: str = None  # default: the field's dotted path
+
+
+def _is_number(value):
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
+def _as_float(number):
+    """A JSON number as a float; an int beyond the float range is +-inf."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
+def _integer(lo):
+    """Reads an int >= lo; a bool or a float is not one."""
+    return lambda value: value if type(value) is int and value >= lo else _BAD
+
+
+def _finite(holds):
+    """Reads a finite JSON number for which ``holds`` is true, as a float."""
+    def read(value):
+        x = _as_float(value) if _is_number(value) else math.nan
+        return x if math.isfinite(x) and holds(x) else _BAD
+    return read
+
+
+def _radius(default):
+    return _Field(_finite(lambda x: x >= 0.0), "a finite number >= 0", default)
+
+
+# Every config field that holds one value, by block ("" is the top level).
+# docs/config_schema.md tabulates the same fields.
+FIELDS = {
+    "": {
+        "horizon": _Field(_integer(1), "a positive integer"),
+        "seed": _Field(_integer(0), "an integer >= 0", 0),
+        "output_dir": _Field(
+            lambda v: v if isinstance(v, str) and v else _BAD,
+            "a non-empty string", "."),
+    },
+    "seeds": {
+        "start": _Field(_integer(0), "an integer >= 0"),
+        "count": _Field(_integer(1), "an integer >= 1"),
+    },
+    "rule": {
+        # [0,1] is checked by parse_config, whose error says "must lie in"
+        "alpha": _Field(lambda v: v if v == "1/t" or _is_number(v) else _BAD,
+                        "'1/t' or a constant in [0,1]", "1/t", kind="linear",
+                        label="linear alpha"),
+    },
+    "schedule": {
+        "batch": _Field(_integer(1), "an integer >= 1", kind="fixed_batch"),
+        "p": _Field(_finite(lambda x: 0.0 < x <= 1.0), "a number in (0, 1]",
+                    kind="geometric"),
+        "gap": _Field(lambda v: _BAD if _gap_fn(v) is None else v,
+                      "an integer >= 1 or '<c>t' with an integer c >= 1",
+                      "10t", kind="two_timescale"),
+    },
+    "analysis.fixed_points": {
+        "belief_grid": _Field(_integer(2), "an integer >= 2", 51),
+    },
+    "analysis.stability": {
+        "cluster": _Field(lambda v: v if isinstance(v, str) else _BAD,
+                          "a string", "complete_info"),
+        "n_probe": _Field(_integer(1), "an integer >= 1", 1000),
+        "n_runs": _Field(_integer(1), "an integer >= 1", 200),
+        "eps": _radius(1.0 / 3.0),
+        "delta": _radius(1.0),
+        "eps1": _radius(0.02),
+        "delta1": _radius(0.02),
+        "eps_bar": _radius(0.1),
+        "eps_x": _radius(0.1),
+        "eps_hat": _Field(_finite(lambda x: x > 0.0), "a finite number > 0",
+                          0.3),
+        "gamma": _Field(_finite(lambda x: 0.0 < x < 1.0),
+                        "a finite number in (0, 1)", 0.9),
+    },
+    "analysis.rate": {
+        # parse_config checks param < |S| and turns burn_in None into
+        # horizon // 10
+        "param": _Field(_integer(0), "an integer in [0, {n_params})", 0),
+        "burn_in": _Field(_integer(0), "an integer >= 0", None),
+    },
 }
-STABILITY_KEYS = STABILITY_INTS + tuple(STABILITY_FLOATS) + ("cluster",)
 
 
 class ConfigError(ValueError):
@@ -60,10 +144,9 @@ class ExperimentConfig:
     theta1: np.ndarray
     q1: np.ndarray
     horizon: int
-    seeds: list
-    analysis: dict
+    seeds: object  # [seed], or the range a seeds block gives
+    analysis: dict  # the fixed_points, stability and rate blocks, resolved
     output_dir: str
-    belief_grid: int
     config_hash: str = ""
 
     @property
@@ -76,32 +159,34 @@ class ExperimentConfig:
         return "map" if self.estimator == "map" else "posterior"
 
 
+def _numbers(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
 def _number_array(value):
     """A JSON list of numbers as a float array; None for anything else."""
-    if not isinstance(value, list) or not all(map(_is_number, value)):
-        return None
-    return np.asarray(value, dtype=float)
+    return np.asarray(list(map(_as_float, value))) if _numbers(value) else None
 
 
-def _floats(values):
-    return tuple(float(x) for x in values)
+# The JSON type of a game override: what its error says it must be, and the
+# check.  The factories check the ranges.
+_NUMBER = ("a number", _is_number)
+_NUMBERS = ("a list of numbers", _numbers)
+_ROWS = ("a list of lists of numbers",
+         lambda v: isinstance(v, list) and all(map(_numbers, v)))
+_AS_GIVEN = ("anything", lambda v: True)  # the factory checks n_players
 
-
-def _as_given(value):
-    """No conversion: the factory checks the JSON value itself."""
-    return value
-
-
-# id -> (factory, {override key: converter}, defaults for keys not given)
+# id -> (factory, {override key: JSON type}, defaults for keys not given)
 GAMES = {
-    "cournot": (games.cournot, {"sigma": float}, {}),
-    "zerosum": (games.zerosum_example, {"sigma": float}, {}),
-    "investment": (games.investment, {"sigmas": _floats}, {}),
-    "coordination_penalty": (games.coordination_penalty, {"sigma": float}, {}),
+    "cournot": (games.cournot, {"sigma": _NUMBER}, {}),
+    "zerosum": (games.zerosum_example, {"sigma": _NUMBER}, {}),
+    "investment": (games.investment, {"sigmas": _NUMBERS}, {}),
+    "coordination_penalty": (games.coordination_penalty, {"sigma": _NUMBER},
+                             {}),
     "two_route_congestion": (games.two_route_congestion,
-                             {"n_players": _as_given, "sigma": float}, {}),
-    "affine": (games.affine_game, {"alpha": np.asarray, "beta": np.asarray,
-                                   "sigma": float},
+                             {"n_players": _AS_GIVEN, "sigma": _NUMBER}, {}),
+    "affine": (games.affine_game,
+               {"alpha": _ROWS, "beta": _NUMBERS, "sigma": _NUMBER},
                {"alpha": [[-2.0, 1.0], [1.0, -2.0]], "beta": [1.0, 1.0],
                 "sigma": 0.5}),
 }
@@ -119,79 +204,70 @@ def _unknown_keys(spec, allowed, where, errors, noun="key(s)"):
     return bool(unknown)
 
 
-def _is_number(value):
-    """A JSON number: an int or a float, not a bool."""
-    return type(value) in (int, float)
+def _read_block(spec, path, errors, kind=None, extra=(), **context):
+    """The config block at ``path`` with every FIELDS entry of that block
+    (those of the rule or schedule ``kind``) checked when given and
+    defaulted when not.  The ``extra`` keys are allowed and returned as
+    given; any other key is an error.  A block that is not an object is an
+    error and reads as {}.  ``context`` fills the phrases.  An invalid field
+    reads as its default (None when required), so that the caller can go on
+    collecting errors."""
+    if not isinstance(spec, dict):
+        errors.append("%s must be an object" % path)
+        spec = {}
+    fields = {key: field for key, field in FIELDS.get(path, {}).items()
+              if field.kind in (None, kind)}
+    if path:
+        _unknown_keys(spec, set(fields).union(extra), "in " + path, errors)
+    else:
+        errors.extend("unknown key %r" % key for key in sorted(
+            set(spec) - set(fields) - set(extra)))
+    block = {key: spec[key] for key in extra if key in spec}
+    for key, field in fields.items():
+        value = field.read(spec[key]) if key in spec else field.default
+        if value is _BAD or value is _REQUIRED:
+            errors.append(_field_error(path, key, **context))
+            value = None if field.default is _REQUIRED else field.default
+        block[key] = value
+    return block
+
+
+def _field_error(path, key, **context):
+    """The error of an invalid FIELDS entry: "<label> must be <phrase>"."""
+    field = FIELDS[path][key]
+    label = field.label or ("%s.%s" % (path, key) if path else key)
+    return "%s must be %s" % (label, field.phrase.format(**context))
+
+
+def _read_kind_block(spec, path, kinds, errors):
+    """The rule or schedule block: a kind string, or an object whose kind
+    selects the fields it reads.  None when it is neither."""
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        errors.append("%s must be a kind string or an object" % path)
+        return None
+    if spec.get("kind") not in kinds:
+        errors.append("unknown %s kind %r" % (path, spec.get("kind")))
+        return None
+    return _read_block(spec, path, errors, kind=spec["kind"], extra=("kind",))
 
 
 def _build_game(game_id, overrides, errors):
-    factory, converters, defaults = GAMES[game_id]
-    if _unknown_keys(overrides, converters, "for game %r" % game_id, errors,
+    factory, types, defaults = GAMES[game_id]
+    if _unknown_keys(overrides, types, "for game %r" % game_id, errors,
                      "override(s)"):
         return None
+    bad = ["game overrides invalid: %s must be %s" % (key, types[key][0])
+           for key in sorted(overrides) if not types[key][1](overrides[key])]
+    if bad:
+        errors.extend(bad)
+        return None
     try:
-        kw = dict(defaults)
-        kw.update((k, converters[k](v)) for k, v in overrides.items())
-        return factory(**kw)
+        return factory(**dict(defaults, **overrides))
     except Exception as exc:  # bad override values
         errors.append("game overrides invalid: %s" % exc)
     return None
-
-
-def _parse_rule(spec, errors):
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict):
-        errors.append("rule must be a kind string or an object")
-        return UpdateRule.simultaneous()
-    _unknown_keys(spec, ("kind", "alpha"), "in rule", errors)
-    kind = spec.get("kind")
-    if kind not in RULE_KINDS:
-        errors.append("unknown rule kind %r" % kind)
-        return UpdateRule.simultaneous()
-    if kind == "linear":
-        alpha = spec.get("alpha", "1/t")
-        if alpha == "1/t":
-            return UpdateRule.linear()
-        if not _is_number(alpha):
-            errors.append("linear alpha must be '1/t' or a constant in [0,1]")
-            return UpdateRule.linear()
-        if not 0.0 <= alpha <= 1.0:
-            errors.append("linear alpha must lie in [0,1]")
-            return UpdateRule.linear()
-        a = float(alpha)
-        return UpdateRule.linear(lambda t, _a=a: _a)
-    return UpdateRule(kind)
-
-
-def _parse_schedule(spec, errors):
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict):
-        errors.append("schedule must be a kind string or an object")
-        return UpdateSchedule.every_stage()
-    _unknown_keys(spec, ("kind", "batch", "p", "gap"), "in schedule",
-                  errors)
-    kind = spec.get("kind")
-    if kind not in SCHEDULE_KINDS:
-        errors.append("unknown schedule kind %r" % kind)
-    elif kind == "fixed_batch":
-        batch = spec.get("batch")
-        if type(batch) is int and batch >= 1:
-            return UpdateSchedule.fixed_batch(batch)
-        errors.append("schedule.batch must be an integer >= 1")
-    elif kind == "geometric":
-        p = spec.get("p")
-        if _is_number(p) and 0.0 < p <= 1.0:
-            return UpdateSchedule.geometric(p)
-        errors.append("schedule.p must be a number in (0, 1]")
-    elif kind == "two_timescale":
-        gap_fn = _gap_fn(spec.get("gap", "10t"))
-        if gap_fn is not None:
-            return UpdateSchedule.two_timescale(gap_fn)
-        errors.append("schedule.gap must be an integer >= 1 or '<c>t' with "
-                      "an integer c >= 1")
-    return UpdateSchedule.every_stage()
 
 
 def _gap_fn(gap):
@@ -201,49 +277,13 @@ def _gap_fn(gap):
         return lambda t, _g=gap: _g
     if isinstance(gap, str) and gap.endswith("t"):
         coef = gap[:-1] or "1"
-        if coef.isascii() and coef.isdigit() and int(coef) >= 1:
-            return lambda t, _c=int(coef): _c * t
+        try:
+            c = int(coef) if coef.isascii() and coef.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            c = 0
+        if c >= 1:
+            return lambda t, _c=c: _c * t
     return None
-
-
-def _check_stability(spec, errors):
-    """Validate analysis.stability: counts >= 1, finite numbers in their
-    ranges (STABILITY_FLOATS), a string cluster id and no unknown keys
-    (bools are not numbers here)."""
-    if not isinstance(spec, dict):
-        errors.append("analysis.stability must be an object")
-        return
-    _unknown_keys(spec, STABILITY_KEYS, "in analysis.stability", errors)
-    for key in STABILITY_INTS:
-        value = spec.get(key, 1)
-        if type(value) is not int or value < 1:
-            errors.append("analysis.stability.%s must be an integer >= 1" % key)
-    for key, (bound, holds) in STABILITY_FLOATS.items():
-        if key not in spec:
-            continue
-        value = spec[key]
-        if not (_is_number(value) and math.isfinite(value) and holds(value)):
-            errors.append("analysis.stability.%s must be a finite number %s"
-                          % (key, bound))
-    if not isinstance(spec.get("cluster", ""), str):
-        errors.append("analysis.stability.cluster must be a string")
-
-
-def _check_rate(spec, game, errors):
-    """Validate analysis.rate: an integer parameter index in [0, |S|) and
-    an integer burn-in >= 0, both optional, and no other keys."""
-    if not isinstance(spec, dict):
-        errors.append("analysis.rate must be an object")
-        return
-    _unknown_keys(spec, ("burn_in", "param"), "in analysis.rate", errors)
-    param = spec.get("param", 0)
-    if type(param) is not int or param < 0 or (
-            game is not None and param >= len(game.space)):
-        n = "|S|" if game is None else len(game.space)
-        errors.append("analysis.rate.param must be an integer in [0, %s)" % n)
-    burn_in = spec.get("burn_in", 0)
-    if type(burn_in) is not int or burn_in < 0:
-        errors.append("analysis.rate.burn_in must be an integer >= 0")
 
 
 def parse_config(text):
@@ -252,14 +292,13 @@ def parse_config(text):
     errors = []
     try:
         raw = json.loads(text) if isinstance(text, str) else dict(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigError(["config is not valid JSON: %s" % exc])
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object, got %s"
                            % type(raw).__name__])
-    unknown = set(raw) - TOP_KEYS
-    for key in sorted(unknown):
-        errors.append("unknown key %r" % key)
+    top = _read_block(raw, "", errors, extra=(
+        "game", "rule", "schedule", "estimator", "init", "seeds", "analysis"))
 
     game_spec = raw.get("game")
     if isinstance(game_spec, str):
@@ -274,53 +313,36 @@ def parse_config(text):
         game_id = game_spec.pop("id")
         game = _build_game(game_id, game_spec, errors)
 
-    rule = _parse_rule(raw.get("rule", "simultaneous"), errors)
-    schedule = _parse_schedule(raw.get("schedule", "every_stage"), errors)
+    rule = _read_kind_block(raw.get("rule", "simultaneous"), "rule",
+                            RULE_KINDS, errors)
+    if rule is not None and _is_number(rule.get("alpha")) \
+            and not 0.0 <= rule["alpha"] <= 1.0:
+        errors.append("linear alpha must lie in [0,1]")
+    schedule = _read_kind_block(raw.get("schedule", "every_stage"),
+                                "schedule", SCHEDULE_KINDS, errors)
 
     estimator = raw.get("estimator", "bayes")
     if estimator not in ESTIMATORS:
         errors.append("unknown estimator %r" % estimator)
     if estimator == "ols" and game_id != "affine":
         errors.append("estimator 'ols' requires the affine payoff game")
-    if rule.kind == "fictitious_play" and game is not None \
-            and game.kind != "finite":
+    if rule is not None and rule["kind"] == "fictitious_play" \
+            and game is not None and game.kind != "finite":
         errors.append("fictitious_play requires a finite game")
-
-    horizon = raw.get("horizon")
-    if type(horizon) is not int or horizon < 1:
-        errors.append("horizon must be a positive integer")
-        horizon = 1
 
     if "seed" in raw and "seeds" in raw:
         errors.append("give either 'seed' or 'seeds', not both")
-    seeds = []
+    seeds = None
     if "seeds" in raw:
         spec = raw["seeds"]
         if not isinstance(spec, dict) or not {"start", "count"} <= set(spec):
             errors.append("seeds must be {'start': int, 'count': int}")
-        elif not _unknown_keys(spec, ("start", "count"), "in seeds", errors):
-            start, count = spec["start"], spec["count"]
-            start_ok = type(start) is int
-            count_ok = type(count) is int and count >= 1
-            if not start_ok:
-                errors.append("seeds.start must be an integer")
-            if not count_ok:
-                errors.append("seeds.count must be an integer >= 1")
-            if start_ok and count_ok:
-                seeds = [start + k for k in range(count)]
-    else:
-        seed = raw.get("seed", 0)
-        if type(seed) is not int:
-            errors.append("seed must be an integer")
-            seed = 0
-        seeds = [seed]
+        else:
+            seeds = _read_block(spec, "seeds", errors)
 
     theta1 = q1 = None
-    init = raw.get("init", {})
-    if not isinstance(init, dict):
-        errors.append("init must be an object")
-        init = {}
-    _unknown_keys(init, ("theta", "q"), "in init", errors)
+    init = _read_block(raw.get("init", {}), "init", errors,
+                       extra=("theta", "q"))
     if game is not None:
         n = len(game.space)
         if "theta" in init:
@@ -353,36 +375,34 @@ def parse_config(text):
         else:
             q1 = game.box_center()
 
-    analysis_spec = raw.get("analysis", {})
-    if not isinstance(analysis_spec, dict):
-        errors.append("analysis must be an object")
-        analysis_spec = {}
-    _unknown_keys(analysis_spec, ("fixed_points", "rate", "stability"),
-                  "in analysis", errors)
-    fixed_points_spec = analysis_spec.get("fixed_points", {})
-    if not isinstance(fixed_points_spec, dict):
-        errors.append("analysis.fixed_points must be an object")
-        fixed_points_spec = {}
-    _unknown_keys(fixed_points_spec, ("belief_grid",),
-                  "in analysis.fixed_points", errors)
-    belief_grid = fixed_points_spec.get("belief_grid", 51)
-    if type(belief_grid) is not int or belief_grid < 2:
-        errors.append("analysis.fixed_points.belief_grid must be an integer "
-                      ">= 2")
-    _check_stability(analysis_spec.get("stability", {}), errors)
-    _check_rate(analysis_spec.get("rate", {}), game, errors)
-
-    output_dir = raw.get("output_dir", ".")
-    if not isinstance(output_dir, str) or not output_dir:
-        errors.append("output_dir must be a non-empty string")
+    names = ("fixed_points", "stability", "rate")
+    blocks = _read_block(raw.get("analysis", {}), "analysis", errors, extra=names)
+    n_params = "|S|" if game is None else len(game.space)
+    analysis_spec = {
+        name: _read_block(blocks.get(name, {}), "analysis." + name, errors,
+                          n_params=n_params)
+        for name in names}
+    rate = analysis_spec["rate"]
+    if game is not None and rate["param"] >= n_params:
+        errors.append(_field_error("analysis.rate", "param",
+                                   n_params=n_params))
 
     if errors:
         raise ConfigError(errors)
+    if rate["burn_in"] is None:
+        rate["burn_in"] = top["horizon"] // 10
+    alpha = rule.get("alpha")
     cfg = ExperimentConfig(
-        raw=raw, game_id=game_id, game=game, rule=rule, schedule=schedule,
-        estimator=estimator, theta1=theta1, q1=q1, horizon=horizon,
-        seeds=seeds, analysis=analysis_spec, output_dir=output_dir,
-        belief_grid=belief_grid,
+        raw=raw, game_id=game_id, game=game,
+        rule=UpdateRule(rule["kind"], None if alpha in (None, "1/t")
+                        else lambda t, _a=float(alpha): _a),
+        schedule=UpdateSchedule(
+            schedule["kind"], batch_size=schedule.get("batch"),
+            p=schedule.get("p"), gap_fn=_gap_fn(schedule.get("gap"))),
+        estimator=estimator, theta1=theta1, q1=q1, horizon=top["horizon"],
+        seeds=[top["seed"]] if seeds is None else
+        range(seeds["start"], seeds["start"] + seeds["count"]),
+        analysis=analysis_spec, output_dir=top["output_dir"],
     )
     cfg.config_hash = hashlib.sha256(
         json.dumps(raw, sort_keys=True).encode()
@@ -404,7 +424,8 @@ def _write_json(path, payload, cfg):
 
 
 def _clusters(cfg):
-    return analysis.enumerate_fixed_points(cfg.game, cfg.belief_grid)
+    return analysis.enumerate_fixed_points(
+        cfg.game, cfg.analysis["fixed_points"]["belief_grid"])
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +539,8 @@ def cmd_fixed_points(cfg):
 
 def cmd_stability(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
-    spec = cfg.analysis.get("stability", {})
-    cluster_id = spec.get("cluster", "complete_info")
+    spec = cfg.analysis["stability"]
+    cluster_id = spec["cluster"]
     # the probes and replicas sample the strategy box, which a finite game
     # lacks: box_lo() raises before the enumeration does any work
     cfg.game.box_lo()
@@ -531,23 +552,15 @@ def cmd_stability(cfg):
               file=sys.stderr)
         return 2
     cert = match[0].representative
-    eps = float(spec.get("eps", 1.0 / 3.0))
-    delta = float(spec.get("delta", 1.0))
     a2 = analysis.check_assumption2(
-        cfg.game, cert, eps, delta,
-        n_probe=int(spec.get("n_probe", 1000)), seed=cfg.master_seed,
+        cfg.game, cert, spec["eps"], spec["delta"], n_probe=spec["n_probe"],
+        seed=cfg.master_seed,
     )
     thresholds = analysis.stability_thresholds(
-        np.asarray(cert.belief), float(spec.get("eps_hat", 0.3)),
-        float(spec.get("gamma", 0.9)),
-    )
+        np.asarray(cert.belief), spec["eps_hat"], spec["gamma"])
     report = analysis.monte_carlo_local_stability(
-        cfg.game, cert,
-        eps1=float(spec.get("eps1", 0.02)),
-        delta1=float(spec.get("delta1", 0.02)),
-        eps_bar=float(spec.get("eps_bar", 0.1)),
-        eps_x=float(spec.get("eps_x", 0.1)),
-        n_runs=int(spec.get("n_runs", 200)),
+        cfg.game, cert, eps1=spec["eps1"], delta1=spec["delta1"],
+        eps_bar=spec["eps_bar"], eps_x=spec["eps_x"], n_runs=spec["n_runs"],
         horizon=cfg.horizon, seed=cfg.master_seed,
         rule=cfg.rule, schedule=cfg.schedule, respond_to=cfg.respond_to,
     )
@@ -561,9 +574,7 @@ def cmd_stability(cfg):
 
 def cmd_rate(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
-    spec = cfg.analysis.get("rate", {})
-    s = spec.get("param", 0)
-    burn_in = spec.get("burn_in", cfg.horizon // 10)
+    s, burn_in = cfg.analysis["rate"]["param"], cfg.analysis["rate"]["burn_in"]
 
     def fit_seed(k):
         traj = _configured_run(cfg, cfg.seeds[k])
@@ -611,6 +622,10 @@ def main(argv=None):
     parser.add_argument("--seed-override", type=int, default=None)
     try:
         args = parser.parse_args(argv)
+        if args.seed_override is not None \
+                and FIELDS[""]["seed"].read(args.seed_override) is _BAD:
+            parser.error("argument --seed-override: "
+                         + _field_error("", "seed"))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

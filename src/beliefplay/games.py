@@ -234,7 +234,6 @@ class GameModel:
     noise_loadings: object = None  # obs_dim x n_noise matrix, or None for diag
     analytic_br: object = None
     analytic_eq: object = None
-    lipschitz: float = 10.0
     extras: dict = field(default_factory=dict)
     log_sigmas: tuple = field(init=False, repr=False)
 
@@ -576,7 +575,7 @@ def cournot(sigma=math.sqrt(0.5)):
         boxes=[(0.0, 3.0), (0.0, 3.0)], obs_dim=1, likelihood_channels=(0,),
         channel_mean_fn=channel_mean, sigmas=[[sigma]] * len(space),
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
-        analytic_eq=analytic_eq, lipschitz=30.0,
+        analytic_eq=analytic_eq,
     )
 
 
@@ -621,7 +620,7 @@ def zerosum_example(sigma=1.0):
         boxes=[(0.0, 6.0), (0.0, 6.0)], obs_dim=2, likelihood_channels=(0,),
         channel_mean_fn=channel_mean, sigmas=[[sigma, sigma]] * len(space),
         mean_payoff_fn=mean_payoff, noise_loadings=[[sigma], [-sigma]],
-        analytic_br=analytic_br, analytic_eq=analytic_eq, lipschitz=40.0,
+        analytic_br=analytic_br, analytic_eq=analytic_eq,
     )
 
 
@@ -661,7 +660,7 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
         boxes=[(0.0, 1.0), (0.0, 1.0)], obs_dim=1, likelihood_channels=(0,),
         channel_mean_fn=channel_mean, sigmas=[[x] for x in sigmas],
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
-        analytic_eq=analytic_eq, lipschitz=10.0,
+        analytic_eq=analytic_eq,
     )
 
 
@@ -709,7 +708,7 @@ def coordination_penalty(sigma=1.0):
         boxes=[(0.0, 2.0), (1.0, 4.0)], obs_dim=2, likelihood_channels=(0, 1),
         channel_mean_fn=channel_mean, sigmas=[[sigma, sigma]] * len(space),
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
-        analytic_eq=analytic_eq, lipschitz=60.0,
+        analytic_eq=analytic_eq,
     )
 
 
@@ -767,7 +766,7 @@ def two_route_congestion(n_players=2, sigma=1.0):
         boxes=[2] * n, obs_dim=n, likelihood_channels=tuple(range(n)),
         channel_mean_fn=channel_mean, sigmas=[[sigma] * n] * len(space),
         mean_payoff_fn=mean_payoff,
-        analytic_eq=analytic_eq if n == 2 else None, lipschitz=10.0,
+        analytic_eq=analytic_eq if n == 2 else None,
     )
 
 
@@ -840,5 +839,4 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
         boxes=[(lo, hi)] * n, obs_dim=n, likelihood_channels=tuple(range(n)),
         channel_mean_fn=channel_mean, sigmas=[[sigma] * n] * len(space),
         mean_payoff_fn=mean_payoff, analytic_br=analytic_br,
-        lipschitz=float(np.abs(alpha).sum() + 1.0),
     )

@@ -1,17 +1,22 @@
 """Tests for the config-driven command line: validation (all errors at once),
 defaults, reproducible outputs, exit codes, and agreement with the library."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beliefplay
 from beliefplay import analysis, dynamics, games
-from beliefplay.cli import ConfigError, main, parse_config
+from beliefplay.cli import FIELDS, ConfigError, main, parse_config
 from beliefplay.dynamics import UpdateRule, run, run_two_timescale
 from beliefplay.param_belief import Belief, UpdateSchedule
 
@@ -127,11 +132,12 @@ def test_parse_rejects_unknown_game_override(tmp_path, capsys):
 
 
 def test_parse_belief_grid():
-    assert parse_config(json.dumps({"game": "cournot", "horizon": 10})
-                        ).belief_grid == 51
+    cfg = parse_config(json.dumps({"game": "cournot", "horizon": 10}))
+    assert cfg.analysis["fixed_points"] == {"belief_grid": 51}
     doc = {"game": "cournot", "horizon": 10,
            "analysis": {"fixed_points": {"belief_grid": 11}}}
-    assert parse_config(json.dumps(doc)).belief_grid == 11
+    assert parse_config(json.dumps(doc)).analysis["fixed_points"] == {
+        "belief_grid": 11}
 
 
 @pytest.mark.parametrize("fixed_points, field", [
@@ -166,10 +172,16 @@ def test_fixed_points_rejects_bad_belief_grid(tmp_path, capsys, fixed_points,
      "n_players must be an integer >= 1"),
     ({"id": "two_route_congestion", "n_players": 2.5},
      "n_players must be an integer >= 1"),
+    ({"id": "cournot", "sigma": True}, "sigma must be a number"),
+    ({"id": "cournot", "sigma": "0.5"}, "sigma must be a number"),
+    ({"id": "investment", "sigmas": "123"}, "sigmas must be a list of numbers"),
+    ({"id": "affine", "alpha": [[True, False], [False, True]]},
+     "alpha must be a list of lists of numbers"),
 ], ids=["affine_alpha_shape", "affine_beta_length", "affine_nan",
         "cournot_negative_sigma", "affine_negative_sigma", "investment_inf",
         "routing_zero_players", "routing_bool_players",
-        "routing_float_players"])
+        "routing_float_players", "cournot_bool_sigma", "cournot_string_sigma",
+        "investment_string_sigmas", "affine_bool_alpha"])
 def test_run_rejects_bad_game_overrides(tmp_path, capsys, game, message):
     doc = {"game": game, "horizon": 10, "output_dir": str(tmp_path)}
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
@@ -185,6 +197,9 @@ def test_parse_accepts_every_stability_field():
     cfg = parse_config(json.dumps({"game": "cournot", "horizon": 10,
                                    "analysis": {"stability": spec}}))
     assert cfg.analysis["stability"] == spec
+    # the radii are read as floats, so "eps": 1 is reported as 1.0
+    assert {k for k, v in cfg.analysis["stability"].items()
+            if type(v) is float} == set(spec) - {"cluster", "n_runs", "n_probe"}
 
 
 @pytest.mark.parametrize("stability, message", [
@@ -249,7 +264,7 @@ def test_parse_rule_and_schedule_options():
 def test_parse_seed_range():
     cfg = parse_config(json.dumps({"game": "cournot", "horizon": 10,
                                    "seeds": {"start": 4, "count": 3}}))
-    assert cfg.seeds == [4, 5, 6]
+    assert list(cfg.seeds) == [4, 5, 6]
     assert cfg.master_seed == 4
 
 
@@ -267,11 +282,18 @@ def test_bad_seed_count_is_a_config_error(tmp_path, capsys, command, count):
 
 @pytest.mark.parametrize("command", ["run", "rate"])
 @pytest.mark.parametrize("seeds, message", [
-    ({"seeds": {"start": 2.7, "count": 2}}, "seeds.start must be an integer"),
-    ({"seeds": {"start": "5", "count": 2}}, "seeds.start must be an integer"),
-    ({"seeds": {"start": True, "count": 2}}, "seeds.start must be an integer"),
-    ({"seed": True}, "seed must be an integer"),
-], ids=["start_float", "start_string", "start_bool", "seed_bool"])
+    ({"seeds": {"start": 2.7, "count": 2}},
+     "seeds.start must be an integer >= 0"),
+    ({"seeds": {"start": "5", "count": 2}},
+     "seeds.start must be an integer >= 0"),
+    ({"seeds": {"start": True, "count": 2}},
+     "seeds.start must be an integer >= 0"),
+    ({"seeds": {"start": -3, "count": 2}},
+     "seeds.start must be an integer >= 0"),
+    ({"seed": True}, "seed must be an integer >= 0"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
+], ids=["start_float", "start_string", "start_bool", "start_negative",
+        "seed_bool", "seed_negative"])
 def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
                                     message):
     doc = dict({"game": "investment", "horizon": 50,
@@ -299,7 +321,14 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
     (dict(BASE, rule={"kind": "linear", "alpha": True}),
      "linear alpha must be '1/t' or a constant in [0,1]"),
     (dict(BASE, schedule={"kind": "fixed_batch", "batch": 2, "size": 3}),
-     "unknown key(s) 'size' in schedule; allowed: batch, gap, kind, p"),
+     "unknown key(s) 'size' in schedule; allowed: batch, kind"),
+    (dict(BASE, rule={"kind": "simultaneous", "alpha": "junk"}),
+     "unknown key(s) 'alpha' in rule; allowed: kind"),
+    (dict(BASE, schedule={"kind": "fixed_batch", "batch": 2, "p": "junk",
+                          "gap": []}),
+     "unknown key(s) 'gap', 'p' in schedule; allowed: batch, kind"),
+    (dict(BASE, schedule={"kind": "every_stage", "batch": -4}),
+     "unknown key(s) 'batch' in schedule; allowed: kind"),
     (dict(BASE, schedule={"kind": "fixed_batch", "batch": True}),
      "schedule.batch must be an integer >= 1"),
     (dict(BASE, schedule={"kind": "fixed_batch", "batch": 2.7}),
@@ -351,7 +380,8 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
 ], ids=["top_level_list", "game_number", "rule_number", "schedule_list",
         "theta_string", "q_non_numeric", "horizon_bool", "seeds_extra_key",
         "init_typo", "init_random", "rule_unknown_key", "alpha_bool",
-        "schedule_unknown_key", "batch_bool", "batch_float", "batch_string",
+        "schedule_unknown_key", "alpha_unread", "p_gap_unread",
+        "batch_unread", "batch_bool", "batch_float", "batch_string",
         "p_bool", "gap_bool", "gap_zero_t", "gap_negative", "gap_float",
         "output_dir_number", "output_dir_empty", "rate_not_object",
         "rate_param_range", "rate_param_bool", "rate_burn_in_string",
@@ -388,6 +418,70 @@ def test_python_m_top_level_list_has_no_traceback(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr == "config error: config must be a JSON object, got list\n"
+
+
+# Every field of the table by its dotted path, and every top-level key.
+FIELD_PATHS = ["%s.%s" % (block, key) if block else key
+               for block, fields in FIELDS.items() for key in fields]
+TOP_LEVEL = ("game", "rule", "schedule", "estimator", "init", "horizon",
+             "seed", "seeds", "analysis", "output_dir")
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-1, 0, 1, 2, 10**30, -10**30, 10**400, -0.5, 0.5])
+    | st.text(max_size=6)
+    | st.sampled_from(["", "1/t", "t", "0t", "10t", "cournot", "linear"]))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def doc_with(path, value):
+    """A valid config with ``value`` put at ``path`` (the rule or schedule
+    kind set to the one that reads the field)."""
+    doc = {"game": "cournot", "horizon": 10}
+    *blocks, key = path.split(".")
+    node = doc
+    for name in blocks:
+        node = node.setdefault(name, {})
+    if blocks == ["seeds"]:
+        node.update(start=0, count=1)
+    field = FIELDS.get(".".join(blocks), {}).get(key)
+    if field is not None and field.kind is not None:
+        node["kind"] = field.kind
+    node[key] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FIELD_PATHS + list(TOP_LEVEL)), JSON_VALUES)
+def test_any_json_value_gives_a_config_or_a_config_error(path, value):
+    text = json.dumps(doc_with(path, value))
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+    else:
+        return  # a valid config; nothing is run
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", "--config", config, "--out", out]) == 1
+        lines = err.getvalue().splitlines()
+        assert lines and all(line.startswith("config error: ")
+                             for line in lines)
+        assert not os.path.exists(out)
+
+
+def test_schema_doc_names_every_field():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "config_schema.md")) as fh:
+        doc = fh.read()
+    assert [path for path in FIELD_PATHS if "`%s`" % path not in doc] == []
 
 
 def test_parse_invalid_json():
@@ -457,6 +551,15 @@ def test_seed_override_and_out_flags(tmp_path):
                  "--seed-override", "99"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 99
+
+
+def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, BASE),
+                 "--out", str(out), "--seed-override", "-1"]) == 1
+    assert "argument --seed-override: seed must be an integer >= 0" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fixed_points_subcommand(tmp_path):
