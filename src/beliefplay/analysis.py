@@ -120,14 +120,18 @@ class FixedPointCertificate:
         return self.support_subset and self.eq_residual <= self.tol_eq
 
 
-def certify_fixed_point(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
+def certify_fixed_point(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8, *,
+                        equivalence_set=None):
     """Certificate for ([theta] subset of S*(q), q in EQ(theta)).
 
     The belief (a Belief or a probability vector) and the profile become
-    lists of floats once, here; a list is taken to hold floats already."""
+    lists of floats once, here; a list is taken to hold floats already.
+    ``equivalence_set``, when given, is taken as S*(q) at tolerance tol_kl
+    instead of working it out again."""
     probs = _prob_list(belief)
     q = _floats(q)
-    equiv = payoff_equivalent_set(game, q, tol_kl)
+    equiv = (payoff_equivalent_set(game, q, tol_kl)
+             if equivalence_set is None else equivalence_set)
     support = tuple(s for s, p in enumerate(probs) if p > 0.0)
     subset = set(support) <= set(equiv)
     if game.kind == "finite":
@@ -172,19 +176,25 @@ class FixedPointCluster:
 
 def belief_grid(n_params, resolution):
     """Deterministic grid on the simplex (resolution points per edge)."""
+    return list(_grid_points(n_params, resolution))
+
+
+def _grid_points(n_params, resolution):
+    """The points of `belief_grid`, one at a time, so that a scan holds one
+    grid belief at a time."""
     if resolution < 2:
         raise ContractViolation("grid needs at least 2 points per axis")
     g = resolution - 1
     if n_params == 2:
-        return [np.asarray([i / g, 1.0 - i / g]) for i in range(g + 1)]
+        for i in range(g + 1):
+            yield np.asarray([i / g, 1.0 - i / g])
+        return
     if n_params == 3:
-        grid = []
         for i in range(g + 1):
             for j in range(g + 1 - i):
-                grid.append(np.asarray([i / g, j / g, (g - i - j) / g]))
-        return grid
+                yield np.asarray([i / g, j / g, (g - i - j) / g])
+        return
     # generic stars-and-bars walk for larger spaces
-    grid = []
     for combo in itertools.combinations(range(g + n_params - 1), n_params - 1):
         prev = -1
         parts = []
@@ -192,8 +202,7 @@ def belief_grid(n_params, resolution):
             parts.append(c - prev - 1)
             prev = c
         parts.append(g + n_params - 2 - prev)
-        grid.append(np.asarray(parts, dtype=float) / g)
-    return grid
+        yield np.asarray(parts, dtype=float) / g
 
 
 def _link_groups(thetas, qs, link_theta, link_q):
@@ -293,28 +302,34 @@ def enumerate_fixed_points(game, belief_grid_resolution=51,
     belief-grid step and d_q the strategy-grid step.  Clusters are the
     connected components of these links.
 
-    Cost: one `Belief.from_probs` and one equilibrium set per grid belief,
-    and one certificate per sampled member.  The belief's probabilities and
-    the members become lists of floats once per grid belief, so a
-    certificate makes no numpy call.  The linking makes a few array passes
-    per theta cell, each comparing the cell with all its neighbours at once,
-    and merges the close pairs in batches (see `_link_groups`); its Python
-    work grows with the number of cells, not with the number of close pairs.
-    On zerosum at the default grid (6,630 certificates, 6,628 valid, one
-    cluster) this takes about 0.3-0.4 s on a 2-core x86_64 machine, 0.05-0.07
-    s of it linking."""
+    Cost: one `Belief.from_probs` (float-native: one `np.log` and one
+    `np.exp`) and one equilibrium set per grid belief, and one certificate
+    per sampled member.  The members of each distinct equilibrium set and
+    their S*(q) are worked out once per scan (`_members_with_equivalence`):
+    zerosum's 1,326 grid beliefs share 3 distinct sets and investment's 257;
+    Cournot's 51 are all distinct.  A certificate then makes no numpy call
+    and computes no KL divergence.  The linking makes a few array passes per
+    theta cell, each comparing the cell with all its neighbours at once, and
+    merges the close pairs in batches (see `_link_groups`); its Python work
+    grows with the number of cells, not with the number of close pairs.  On
+    zerosum at the default grid (6,630 certificates, 6,628 valid, one
+    cluster) this takes about 0.14 s on a 2-core x86_64 machine, 0.04 s of
+    it linking."""
     if belief_grid_resolution < 2:
         raise ContractViolation("grid needs at least 2 points per axis")
     n = len(game.space)
     valid = []
     d_theta = 1.0 / (belief_grid_resolution - 1)
-    for probs in belief_grid(n, belief_grid_resolution):
+    members = {}
+    for probs in _grid_points(n, belief_grid_resolution):
         # the certificate carries exp(normalised log p), not the grid value
         belief = Belief.from_probs(probs)
         eq = equilibrium_set(game, belief)
         theta = belief.probs.tolist()
-        for q in eq.representatives(strategy_grid_resolution).tolist():
-            cert = certify_fixed_point(game, theta, q, tol_kl, tol_eq)
+        for q, equiv in _members_with_equivalence(
+                game, eq, strategy_grid_resolution, tol_kl, members):
+            cert = certify_fixed_point(game, theta, q, tol_kl, tol_eq,
+                                       equivalence_set=equiv)
             if cert.valid:
                 valid.append((cert, eq))
     if not valid:
@@ -372,19 +387,37 @@ def check_all_fixed_points_complete(game, n_dirichlet=500,
     n = len(game.space)
     s_star = game.space.true_index
     rng = np.random.default_rng(seed)
-    candidates = belief_grid(n, grid_resolution)
-    candidates += [rng.dirichlet(np.ones(n)) for _ in range(n_dirichlet)]
-    for probs in candidates:
+    # grid beliefs share equilibrium sets and keep them in one cache; a
+    # Dirichlet draw repeats none, so its set is not kept
+    members = {}
+    grid = ((probs, members) for probs in _grid_points(n, grid_resolution))
+    draws = ((rng.dirichlet(np.ones(n)), {}) for _ in range(n_dirichlet))
+    for probs, cache in itertools.chain(grid, draws):
         probs = probs.tolist()
         if probs[s_star] >= 1.0 - 1e-12:
             continue
         belief = Belief.from_probs(probs)
         eq = equilibrium_set(game, belief)
         support = {s for s, p in enumerate(probs) if p > 0.0}
-        for q in eq.representatives(strategy_samples).tolist():
-            if support <= set(payoff_equivalent_set(game, q, tol_kl)):
+        for q, equiv in _members_with_equivalence(
+                game, eq, strategy_samples, tol_kl, cache):
+            if support.issubset(equiv):
                 return False, (tuple(probs), tuple(q))
     return True, None
+
+
+def _members_with_equivalence(game, eq, n, tol_kl, cache):
+    """The n representatives of ``eq`` (lists of floats), each with its
+    S*(q) at tolerance tol_kl, worked out once per distinct equilibrium set
+    and kept in ``cache``, which one scan owns.  The key is the set's repr:
+    it tells every float bit pattern apart, -0.0 from 0.0 too, which the
+    dataclass equality does not."""
+    key = repr(eq)
+    found = cache.get(key)
+    if found is None:
+        found = cache[key] = [(q, payoff_equivalent_set(game, q, tol_kl))
+                              for q in eq.representatives(n).tolist()]
+    return found
 
 
 def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,

@@ -54,9 +54,15 @@ def _as_float(number):
         return math.inf if number > 0 else -math.inf
 
 
-def _integer(lo):
-    """Reads an int >= lo; a bool or a float is not one."""
-    return lambda value: value if type(value) is int and value >= lo else _BAD
+def _integer(lo, hi=math.inf):
+    """Reads an int in [lo, hi]; a bool or a float is not one."""
+    return lambda value: (value if type(value) is int and lo <= value <= hi
+                          else _BAD)
+
+
+# a horizon or a seed count no machine can run: range() and array lengths
+# stop at sys.maxsize
+_COUNT = (_integer(1, sys.maxsize), "an integer in [1, %d]" % sys.maxsize)
 
 
 def _finite(holds):
@@ -75,7 +81,7 @@ def _radius(default):
 # docs/config_schema.md tabulates the same fields.
 FIELDS = {
     "": {
-        "horizon": _Field(_integer(1), "a positive integer"),
+        "horizon": _Field(*_COUNT),
         "seed": _Field(_integer(0), "an integer >= 0", 0),
         "output_dir": _Field(
             lambda v: v if isinstance(v, str) and v else _BAD,
@@ -83,7 +89,7 @@ FIELDS = {
     },
     "seeds": {
         "start": _Field(_integer(0), "an integer >= 0"),
-        "count": _Field(_integer(1), "an integer >= 1"),
+        "count": _Field(*_COUNT),
     },
     "rule": {
         # [0,1] is checked by parse_config, whose error says "must lie in"

@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .param_belief import NEG_INF, ContractViolation, ParameterSpace, _as_probs
+from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
+                           _as_probs, _floats)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
@@ -64,13 +65,6 @@ class BRResult:
             return False
         lo, hi = self.interval
         return any(h - l > 0 for l, h in zip(lo, hi))
-
-
-def _floats(x):
-    """A flat list of floats; a list is taken to hold floats already."""
-    if type(x) is list:
-        return x
-    return np.asarray(x, dtype=float).ravel().tolist()
 
 
 def _prob_list(belief):
@@ -779,6 +773,9 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
     ``true_grid_index`` (which must reproduce alpha/beta).  The channel
     means sum each slope row times q left to right, then add the intercept.
 
+    Every row must have a finite sum_j |alpha_ij| + |beta_i|, so that the
+    channel means are finite everywhere on the box.
+
     Player i's expected payoff is linear in its own strategy, with slope
     m_i = sum over s of p_s alpha^s_ii (left to right), so its best response
     is the whole box when |m_i| (hi - lo) <= FLAT_TOL (canonical point: the
@@ -809,6 +806,18 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
     # per grid entry: slope rows alpha^s_i and intercepts beta^s_i as floats
     rows = [[p[i * n:(i + 1) * n] for i in range(n)] for p in space.params]
     intercepts = [p[n * n:] for p in space.params]
+    # |channel mean i| <= sum_j |alpha_ij| + |beta_i| on [0, 1]^n, and
+    # rounding keeps the left-to-right sums within that bound
+    for s, (a, b) in enumerate(zip(rows, intercepts)):
+        for i, (a_i, b_i) in enumerate(zip(a, b)):
+            bound = 0.0
+            for a_ij in a_i:
+                bound += abs(a_ij)
+            if not math.isfinite(bound + abs(b_i)):
+                raise ContractViolation(
+                    "channel means must stay finite on [0, 1]^n: sum_j "
+                    "|alpha_ij| + |beta_i| overflows in row %d of grid entry "
+                    "%d" % (i, s))
     # own slopes alpha^s_ii, one column per player
     own_slopes = [[r[i][i] for r in rows] for i in range(n)]
     lo, hi = 0.0, 1.0

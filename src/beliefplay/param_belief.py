@@ -79,25 +79,30 @@ class Belief:
     log_probs: tuple
 
     def __post_init__(self):
-        lp = np.asarray(self.log_probs, dtype=float)
-        if lp.size == 0:
+        lp = _floats(self.log_probs)
+        if not lp:
             raise ContractViolation("belief must have at least one entry")
-        if np.any(np.isnan(lp)) or np.any(lp == np.inf):
+        if not all(x < math.inf for x in lp):  # false for NaN and +inf
             raise ContractViolation("log-probabilities must be finite or -inf")
         # normalize so exp sums to 1
-        object.__setattr__(self, "log_probs",
-                           tuple(_log_normalize(lp.tolist())))
+        object.__setattr__(self, "log_probs", tuple(_log_normalize(lp)))
 
     @classmethod
     def from_probs(cls, probs):
-        p = np.asarray(probs, dtype=float)
-        if np.any(p < 0):
+        """The belief proportional to ``probs``: log(p / total), with the
+        total summed in numpy's order (`_pairwise_sum`) and the logs taken
+        by `np.log`, so that the result equals the one of numpy arithmetic
+        on the same vector bit for bit."""
+        p = _floats(probs)
+        if any(x < 0.0 for x in p):
             raise ContractViolation("probabilities must be non-negative")
-        total = p.sum()
+        total = _pairwise_sum(p)
         if not total > 0:
             raise ContractViolation("probabilities must have positive mass")
-        with np.errstate(divide="ignore"):
-            return cls(tuple(np.log(p / total).tolist()))
+        ratios = [x / total for x in p]
+        # log(0) is -inf; np.log of a zero would warn
+        logs = iter(np.log([r for r in ratios if r != 0.0]).tolist())
+        return cls([NEG_INF if r == 0.0 else next(logs) for r in ratios])
 
     @classmethod
     def uniform(cls, n):
@@ -130,6 +135,38 @@ def _as_probs(belief):
     if isinstance(belief, Belief):
         return belief.probs
     return np.asarray(belief, dtype=float)
+
+
+def _floats(x):
+    """A flat list of floats; a list is taken to hold floats already."""
+    if type(x) is list:
+        return x
+    return np.asarray(x, dtype=float).ravel().tolist()
+
+
+def _pairwise_sum(x):
+    """The sum of a list of floats in numpy's order, so that it equals
+    ``np.sum`` of the same values bit for bit: left to right below 8
+    entries, 8 interleaved partial sums added pairwise up to 128, and above
+    that the sums of two halves split at a multiple of 8."""
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    whole = n - n % 8
+    r = x[:8]
+    for i in range(8, whole, 8):
+        for j in range(8):
+            r[j] += x[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in x[whole:]:
+        total += v
+    return total
 
 
 def _log_normalize(lp):

@@ -61,7 +61,7 @@ def test_parse_collects_every_error():
     assert "unknown rule kind" in text
     assert "unknown schedule kind" in text
     assert "unknown estimator" in text
-    assert "horizon must be a positive integer" in text
+    assert "horizon must be an integer in [1, %d]" % sys.maxsize in text
     assert "either 'seed' or 'seeds'" in text
     assert len(err.value.errors) >= 7
 
@@ -177,11 +177,14 @@ def test_fixed_points_rejects_bad_belief_grid(tmp_path, capsys, fixed_points,
     ({"id": "investment", "sigmas": "123"}, "sigmas must be a list of numbers"),
     ({"id": "affine", "alpha": [[True, False], [False, True]]},
      "alpha must be a list of lists of numbers"),
+    ({"id": "affine", "alpha": [[1e308, 1e308], [1e308, 1e308]]},
+     "channel means must stay finite on [0, 1]^n"),
 ], ids=["affine_alpha_shape", "affine_beta_length", "affine_nan",
         "cournot_negative_sigma", "affine_negative_sigma", "investment_inf",
         "routing_zero_players", "routing_bool_players",
         "routing_float_players", "cournot_bool_sigma", "cournot_string_sigma",
-        "investment_string_sigmas", "affine_bool_alpha"])
+        "investment_string_sigmas", "affine_bool_alpha",
+        "affine_overflowing_means"])
 def test_run_rejects_bad_game_overrides(tmp_path, capsys, game, message):
     doc = {"game": game, "horizon": 10, "output_dir": str(tmp_path)}
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
@@ -275,9 +278,36 @@ def test_bad_seed_count_is_a_config_error(tmp_path, capsys, command, count):
     doc = {"game": "investment", "horizon": 50, "output_dir": str(tmp_path),
            "seeds": {"start": 0, "count": count}}
     assert main([command, "--config", write_config(tmp_path, doc)]) == 1
-    assert "config error: seeds.count must be an integer >= 1" \
-        in capsys.readouterr().err
+    assert "config error: seeds.count must be an integer in [1, %d]" \
+        % sys.maxsize in capsys.readouterr().err
     assert list(tmp_path.glob("*.json")) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "fixed-points"])
+@pytest.mark.parametrize("doc, field", [
+    ({"seeds": {"start": 0, "count": 10 ** 30}}, "seeds.count"),
+    ({"horizon": 10 ** 30}, "horizon"),
+    ({"seeds": {"start": 0, "count": sys.maxsize + 1}}, "seeds.count"),
+    ({"horizon": sys.maxsize + 1}, "horizon"),
+], ids=["count_1e30", "horizon_1e30", "count_maxsize_plus_1",
+        "horizon_maxsize_plus_1"])
+def test_huge_counts_are_config_errors(tmp_path, capsys, command, doc, field):
+    out = tmp_path / "out"
+    doc = dict({"game": "cournot", "horizon": 10, "output_dir": str(out)},
+               **doc)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: %s must be an integer in [1, %d]"
+        % (field, sys.maxsize)]
+    assert not out.exists()
+
+
+def test_parse_accepts_counts_up_to_maxsize():
+    cfg = parse_config(json.dumps({"game": "cournot", "horizon": sys.maxsize,
+                                   "seeds": {"start": 0,
+                                             "count": sys.maxsize}}))
+    assert cfg.horizon == sys.maxsize
+    assert len(cfg.seeds) == sys.maxsize
 
 
 @pytest.mark.parametrize("command", ["run", "rate"])
@@ -310,7 +340,8 @@ def test_bad_seed_is_a_config_error(tmp_path, capsys, command, seeds,
     (dict(BASE, schedule=[1]), "schedule must be a kind string or an object"),
     (dict(BASE, init={"theta": "ab"}), "init.theta must be a list of numbers"),
     (dict(BASE, init={"q": ["a", 1.0]}), "init.q must be a list of numbers"),
-    (dict(BASE, horizon=True), "horizon must be a positive integer"),
+    (dict(BASE, horizon=True),
+     "horizon must be an integer in [1, %d]" % sys.maxsize),
     (dict(NO_SEED, seeds={"start": 0, "count": 2, "extra": 1}),
      "unknown key(s) 'extra' in seeds; allowed: count, start"),
     (dict(BASE, init={"theta": [0.5, 0.5], "typo": 1}),

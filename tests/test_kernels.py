@@ -11,25 +11,36 @@ became a left-to-right sum, where the two may differ in the last bits.
 `_certify_oracle` is the certificate on numpy beliefs and profiles that the
 float-native `certify_fixed_point` replaced; every field of a certificate
 must equal the oracle's, the residual bit for bit.
+`_from_probs_oracle` and `_belief_oracle` are the array `Belief.from_probs`
+and `Belief.__post_init__` that the float-native ones replaced: the log
+probabilities must be equal bit for bit, and a bad input must raise the same
+error.  The fixed-point scans are checked against scans that work out every
+equilibrium set's members and S*(q) afresh for each grid belief.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefplay import games
+from beliefplay import analysis, games
 from beliefplay.analysis import (
     KL_TOL,
     SUPPORT_TOL,
     FixedPointCertificate,
+    _members_with_equivalence,
+    belief_grid,
     certify_fixed_point,
+    check_all_fixed_points_complete,
+    enumerate_fixed_points,
     kl_divergence,
     payoff_equivalent_set,
 )
 from beliefplay.games import (
+    EquilibriumSet,
     best_response,
     br_profile,
     equilibrium_set,
@@ -38,7 +49,10 @@ from beliefplay.games import (
 from beliefplay.param_belief import (
     NEG_INF,
     Belief,
+    ContractViolation,
     _as_probs,
+    _log_normalize,
+    _pairwise_sum,
     batch_log_likelihoods,
     log_likelihood,
 )
@@ -455,5 +469,167 @@ def test_certificates_match_the_array_oracle(case, q_as_array):
     assert cert.valid == oracle.valid
     assert payoff_equivalent_set(game, q) == \
         _payoff_equivalent_oracle(game, np.asarray(q))
+    given_equiv = certify_fixed_point(
+        game, belief, q, tol_eq=tol_eq,
+        equivalence_set=_payoff_equivalent_oracle(game, np.asarray(q)))
+    assert repr(given_equiv) == repr(oracle)
     assert _bits(br_profile(game, belief, q, current=q)) == \
         _bits(_br_profile_oracle(game, belief, q, current=np.asarray(q)))
+
+
+# ---------------------------------------------------------------------------
+# Beliefs
+
+
+def _belief_oracle(log_probs):
+    """The array `Belief.__post_init__`: the normalised log probabilities."""
+    lp = np.asarray(log_probs, dtype=float)
+    if lp.size == 0:
+        raise ContractViolation("belief must have at least one entry")
+    if np.any(np.isnan(lp)) or np.any(lp == np.inf):
+        raise ContractViolation("log-probabilities must be finite or -inf")
+    return tuple(_log_normalize(lp.tolist()))
+
+
+def _from_probs_oracle(probs):
+    """The array `Belief.from_probs`: the normalised log probabilities."""
+    p = np.asarray(probs, dtype=float)
+    if np.any(p < 0):
+        raise ContractViolation("probabilities must be non-negative")
+    total = p.sum()
+    if not total > 0:
+        raise ContractViolation("probabilities must have positive mass")
+    with np.errstate(divide="ignore"):
+        return _belief_oracle(tuple(np.log(p / total).tolist()))
+
+
+def _outcome(fn, arg):
+    """repr of fn(arg), or the type and message of what it raised."""
+    # the array oracles warn on inf and overflow; the results still count
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            return repr(fn(arg))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+BAD_ENTRIES = [-1e-5, -2.0, -math.inf, math.nan, math.inf, 1e308]
+
+
+@st.composite
+def prob_vectors(draw):
+    """1-12 entries, zeros among magnitudes from 1e-5 to 1e5; sometimes one
+    bad entry, all zeros or an empty vector."""
+    n = draw(st.integers(1, 12))
+    probs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-5, 1e5)),
+                          min_size=n, max_size=n))
+    bad = draw(st.sampled_from(["none"] * 4 + ["entry", "zeros", "empty"]))
+    if bad == "entry":
+        probs[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    elif bad == "zeros":
+        probs = [0.0] * n
+    elif bad == "empty":
+        probs = []
+    return probs
+
+
+@settings(max_examples=600, deadline=None)
+@given(prob_vectors(), st.sampled_from(["list", "array", "tuple"]))
+def test_from_probs_matches_the_array_oracle(probs, form):
+    given_probs = {"list": list, "array": np.asarray, "tuple": tuple}[form](
+        probs)
+    want = _outcome(_from_probs_oracle, probs)
+    got = _outcome(lambda p: Belief.from_probs(p).log_probs, given_probs)
+    assert got == want
+    if isinstance(got, str):
+        assert type(Belief.from_probs(given_probs).probs) is np.ndarray
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-50.0, 50.0),
+                          st.sampled_from([-math.inf, math.inf, math.nan])),
+                max_size=12), st.sampled_from([list, tuple, np.asarray]))
+def test_belief_matches_the_array_oracle(log_probs, form):
+    assert _outcome(lambda lp: Belief(lp).log_probs, form(log_probs)) == \
+        _outcome(_belief_oracle, tuple(log_probs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e5), min_size=1, max_size=300))
+def test_pairwise_sum_is_numpys_order(values):
+    assert _pairwise_sum(values).hex() == float(np.sum(values)).hex()
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point scans
+
+
+# the games of the config's game ids, with their default parameters
+BUILT_IN = [games.cournot, games.zerosum_example, games.investment,
+            games.coordination_penalty, games.two_route_congestion,
+            lambda: games.affine_game(AFFINE_ALPHA, AFFINE_BETA, 0.5)]
+BUILT_IN_IDS = ["cournot", "zerosum", "investment", "coordination_penalty",
+                "routing", "affine"]
+
+
+def _uncached_members(game, eq, n, tol_kl, cache):
+    """Every grid belief's members afresh, without S*(q): each certificate
+    then works out its own, as before the scans shared them."""
+    return [(q, None) for q in eq.representatives(n).tolist()]
+
+
+def _check_all_oracle(game, n_dirichlet=500, grid_resolution=51, seed=0,
+                      strategy_samples=7, tol_kl=KL_TOL):
+    """`check_all_fixed_points_complete` with S*(q) worked out for every
+    member of every candidate's equilibrium set."""
+    n = len(game.space)
+    s_star = game.space.true_index
+    rng = np.random.default_rng(seed)
+    candidates = belief_grid(n, grid_resolution)
+    candidates += [rng.dirichlet(np.ones(n)) for _ in range(n_dirichlet)]
+    for probs in candidates:
+        probs = probs.tolist()
+        if probs[s_star] >= 1.0 - 1e-12:
+            continue
+        eq = equilibrium_set(game, Belief.from_probs(probs))
+        support = {s for s, p in enumerate(probs) if p > 0.0}
+        for q in eq.representatives(strategy_samples).tolist():
+            if support <= set(payoff_equivalent_set(game, q, tol_kl)):
+                return False, (tuple(probs), tuple(q))
+    return True, None
+
+
+def _clusters_repr(clusters):
+    return repr([(cl.cluster_id, cl.representative, cl.members, cl.eq_set)
+                 for cl in clusters])
+
+
+@pytest.mark.parametrize("factory", BUILT_IN, ids=BUILT_IN_IDS)
+def test_scans_match_the_uncached_scans(factory, monkeypatch):
+    game = factory()
+    got = _clusters_repr(enumerate_fixed_points(game))
+    complete = None
+    if game.analytic_eq is not None:
+        complete = repr(check_all_fixed_points_complete(game))
+        assert complete == repr(_check_all_oracle(game))
+    monkeypatch.setattr(analysis, "_members_with_equivalence",
+                        _uncached_members)
+    assert got == _clusters_repr(enumerate_fixed_points(game))
+
+
+def test_minus_zero_bound_gets_its_own_cache_entry():
+    game = games.affine_game(AFFINE_ALPHA, AFFINE_BETA, 0.5)
+    plus = EquilibriumSet.of_box([0.0, 0.0], [1.0, 1.0])
+    minus = EquilibriumSet.of_box([-0.0, 0.0], [1.0, 1.0])
+    assert plus == minus  # dataclass equality does not tell them apart
+    cache = {}
+    first = _members_with_equivalence(game, plus, 3, KL_TOL, cache)
+    second = _members_with_equivalence(game, minus, 3, KL_TOL, cache)
+    assert len(cache) == 2 and first is not second
+    # the same set again is served from the cache
+    assert _members_with_equivalence(game, minus, 3, KL_TOL, cache) is second
+    # a point's sign of zero reaches its member
+    point = _members_with_equivalence(
+        game, EquilibriumSet.of_point([-0.0, 0.5]), 3, KL_TOL, cache)
+    assert math.copysign(1.0, point[0][0][0]) == -1.0
+    assert len(cache) == 3
