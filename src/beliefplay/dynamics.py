@@ -371,13 +371,14 @@ def _map_replicas(fn, n):
 # Export
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+_CSV_BLOCK = 256  # rows converted to Python floats at once
 
 
 def trajectory_to_csv(traj, path, config_hash=None, master_seed=None):
     """CSV columns: t, theta_*, q_flat..., c_flat..., updated; 17 significant
-    digits, '\\n' line endings; metadata comment header."""
+    digits, '\\n' line endings; metadata comment header.  Each row is one
+    format call on Python floats, which gives the digits of
+    format(float(x), ".17g")."""
     n_s = traj.thetas.shape[1]
     n_q = traj.qs.shape[1]
     n_c = traj.cs.shape[1]
@@ -392,14 +393,15 @@ def trajectory_to_csv(traj, path, config_hash=None, master_seed=None):
     if config_hash is not None or master_seed is not None:
         lines.append("# config_hash=%s master_seed=%s" % (config_hash, master_seed))
     lines.append(",".join(cols))
-    for t in range(traj.horizon):
-        row = (
-            [str(t + 1)]
-            + [_fmt(x) for x in traj.thetas[t]]
-            + [_fmt(x) for x in traj.qs[t]]
-            + [_fmt(x) for x in traj.cs[t]]
-            + [str(int(traj.updated[t]))]
-        )
-        lines.append(",".join(row))
+    row = ",".join(["%d"] + ["%.17g"] * (n_s + n_q + n_c) + ["%d"])
+    # a block of rows at a time, so that the Python floats never outweigh
+    # the lines
+    for start in range(0, traj.horizon, _CSV_BLOCK):
+        end = start + _CSV_BLOCK
+        for t, (theta, q, c, updated) in enumerate(zip(
+                traj.thetas[start:end].tolist(), traj.qs[start:end].tolist(),
+                traj.cs[start:end].tolist(), traj.updated[start:end].tolist()),
+                start=start + 1):
+            lines.append(row % (t, *theta, *q, *c, updated))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

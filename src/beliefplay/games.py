@@ -439,19 +439,22 @@ def best_response(game, belief, i, q, current=None):
 
 def _finite_best_response(game, probs, i, q, current):
     """Pure best responses of player i in a finite game: each action's
-    expected payoff summed over the parameters left to right."""
+    expected payoff summed over the parameters left to right.  One trial
+    profile serves every action: the action's entry is set, read and
+    cleared."""
     n_act = game.boxes[i]
     sl = game.slices[i]
     payoff = game.mean_payoff_fn
+    weights = [(s, p) for s, p in enumerate(probs) if p > 0.0]
+    trial = list(q)
+    trial[sl] = [0.0] * n_act
     values = []
-    for a in range(n_act):
-        trial = list(q)
-        trial[sl] = [0.0] * n_act
-        trial[sl.start + a] = 1.0
+    for pos in range(sl.start, sl.stop):
+        trial[pos] = 1.0
         value = 0.0
-        for s, p in enumerate(probs):
-            if p > 0.0:
-                value += p * payoff(s, trial, i)
+        for s, p in weights:
+            value += p * payoff(s, trial, i)
+        trial[pos] = 0.0
         values.append(value)
     best = max(values)
     tied = tuple(a for a in range(n_act) if values[a] >= best - FLAT_TOL)

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 
 from beliefplay import analysis, games
 from beliefplay.analysis import (
+    FixedPointCertificate,
+    FixedPointCluster,
+    StabilityReport,
+    StabilityThresholds,
     _link_groups,
     belief_grid,
     certify_fixed_point,
@@ -32,7 +36,7 @@ from beliefplay.analysis import (
     wilson_ci,
 )
 from beliefplay.dynamics import Trajectory
-from beliefplay.games import equilibrium_set
+from beliefplay.games import EquilibriumSet, equilibrium_set
 from beliefplay.param_belief import Belief, ContractViolation
 
 
@@ -560,3 +564,61 @@ def test_report_document_is_json_serializable(cournot_game):
     assert back["schema"] == "beliefplay/report-v1"
     assert back["certificate"]["is_complete_info"] is True
     assert back["array"] == [0, 1, 2]
+
+
+# a certificate's fields in the order its former per-instance __dict__ held
+# them
+CERT_KEYS = ("belief", "q", "equivalence_set", "support", "support_subset",
+             "eq_residual", "is_complete_info", "tol_kl", "tol_eq")
+
+
+def _jsonable_oracle(obj):
+    """The former `to_jsonable`, which read each object's `__dict__`; a
+    slotted certificate has none and is read through CERT_KEYS."""
+    if isinstance(obj, FixedPointCertificate):
+        return {k: _jsonable_oracle(getattr(obj, k)) for k in CERT_KEYS}
+    if isinstance(obj, (StabilityThresholds, StabilityReport)):
+        return {k: _jsonable_oracle(v) for k, v in obj.__dict__.items()}
+    if isinstance(obj, FixedPointCluster):
+        return {
+            "cluster_id": obj.cluster_id,
+            "representative": _jsonable_oracle(obj.representative),
+            "n_members": len(obj.members),
+            "eq_set": _jsonable_oracle(obj.eq_set) if obj.eq_set else None,
+        }
+    if isinstance(obj, EquilibriumSet):
+        return {k: _jsonable_oracle(v) for k, v in obj.__dict__.items()
+                if v is not None}
+    if isinstance(obj, Belief):
+        return obj.probs.tolist()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: _jsonable_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_oracle(v) for v in obj]
+    return obj
+
+
+def test_to_jsonable_matches_the_dict_form():
+    clusters = []
+    for factory in (games.cournot, games.zerosum_example,
+                    games.two_route_congestion):
+        clusters += enumerate_fixed_points(factory(), belief_grid_resolution=11)
+    cert = clusters[0].representative
+    assert not hasattr(cert, "__dict__")  # slotted
+    th = stability_thresholds([0.7, 0.3, 0.0], 0.3, 0.9)
+    report = StabilityReport(
+        n_runs=4, n_stayed=3, stay_probability=0.75, escape_probability=0.25,
+        ci_low=0.3, ci_high=0.95, verdict="inconclusive",
+        radii={"eps1": 0.02, "delta1": np.float64(0.5)},
+        assumption2={"a": np.int64(3), "b": [np.asarray([1.0, -0.0])]},
+        thresholds=th)
+    for obj in [cert, th, report, clusters, {"certificate": cert},
+                EquilibriumSet.of_line((0.5, 1.0), (1.0, 1.0), (0.0, 1.5))]:
+        got, want = to_jsonable(obj), _jsonable_oracle(obj)
+        assert got == want
+        # the same keys in the same order, so the same unsorted JSON
+        assert json.dumps(got) == json.dumps(want)

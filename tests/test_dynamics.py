@@ -268,6 +268,61 @@ def test_trajectory_csv_roundtrip(tmp_path, investment_game):
         assert int(cells[7]) == int(traj.updated[t])
 
 
+def _csv_oracle(traj, path, config_hash=None, master_seed=None):
+    """The writer that formatted each value with format(float(x), ".17g")."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    n_s, n_q, n_c = traj.thetas.shape[1], traj.qs.shape[1], traj.cs.shape[1]
+    cols = (["t"] + ["theta_%d" % i for i in range(n_s)]
+            + ["q_%d" % i for i in range(n_q)]
+            + ["c_%d" % i for i in range(n_c)] + ["updated"])
+    lines = []
+    if config_hash is not None or master_seed is not None:
+        lines.append("# config_hash=%s master_seed=%s" % (config_hash,
+                                                          master_seed))
+    lines.append(",".join(cols))
+    for t in range(traj.horizon):
+        row = ([str(t + 1)] + [fmt(x) for x in traj.thetas[t]]
+               + [fmt(x) for x in traj.qs[t]] + [fmt(x) for x in traj.cs[t]]
+               + [str(int(traj.updated[t]))])
+        lines.append(",".join(row))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e308, 0.1, 0.0, -1e-300, 2.0 ** 53 + 2,
+               1.0 / 3.0, math.inf, -math.inf, math.nan]
+
+
+def _edge_trajectory(n_rows):
+    """Rows that cycle through EDGE_VALUES in every column."""
+    vals = np.asarray(EDGE_VALUES * (n_rows * 6 // len(EDGE_VALUES) + 1))
+    block = vals[:n_rows * 6].reshape(n_rows, 6)
+    return Trajectory(thetas=block[:, :3].copy(), qs=block[:, 3:5].copy(),
+                      cs=block[:, 5:].copy(),
+                      updated=np.arange(n_rows) % 3 == 0, actions=None)
+
+
+@pytest.mark.parametrize("meta", [(None, None), ("abc123", 8), ("abc", None),
+                                  (None, 0)])
+def test_trajectory_csv_matches_the_per_value_writer(tmp_path, meta,
+                                                     investment_game):
+    hash_, seed = meta
+    real = run(investment_game, UpdateRule.simultaneous(),
+               UpdateSchedule.every_stage(),
+               (Belief.uniform(3), np.asarray([0.5, 0.5])), 300, seed=3)
+    # 600 rows cross two of the writer's 256-row blocks
+    for traj in (_edge_trajectory(600), real, _edge_trajectory(1),
+                 _edge_trajectory(0)):
+        trajectory_to_csv(traj, tmp_path / "new.csv", hash_, seed)
+        _csv_oracle(traj, tmp_path / "old.csv", hash_, seed)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+    raw = (tmp_path / "new.csv").read_bytes().decode()
+    assert raw.startswith("# config_hash=") == (meta != (None, None))
+
+
 # ---------------------------------------------------------------------------
 # Exact-equality pin: `run` against the plain per-stage loop it replaced
 #

@@ -11,11 +11,15 @@ became a left-to-right sum, where the two may differ in the last bits.
 `_certify_oracle` is the certificate on numpy beliefs and profiles that the
 float-native `certify_fixed_point` replaced; every field of a certificate
 must equal the oracle's, the residual bit for bit.
+`_finite_best_response_oracle` is the finite best response that built a
+fresh trial profile for each action, and `_payoff_equivalent_oracle` works
+out S*(q) with one `channel_means` call per parameter.
 `_from_probs_oracle` and `_belief_oracle` are the array `Belief.from_probs`
 and `Belief.__post_init__` that the float-native ones replaced: the log
 probabilities must be equal bit for bit, and a bad input must raise the same
 error.  The fixed-point scans are checked against scans that work out every
-equilibrium set's members and S*(q) afresh for each grid belief.
+equilibrium set's members and S*(q) afresh for each grid belief, and
+against a scan that certifies every member, candidate or not.
 """
 
 import itertools
@@ -573,9 +577,10 @@ BUILT_IN_IDS = ["cournot", "zerosum", "investment", "coordination_penalty",
 
 
 def _uncached_members(game, eq, n, tol_kl, cache):
-    """Every grid belief's members afresh, without S*(q): each certificate
-    then works out its own, as before the scans shared them."""
-    return [(q, None) for q in eq.representatives(n).tolist()]
+    """Every grid belief's members and their S*(q) afresh, as before the
+    scans shared them."""
+    return [(q, payoff_equivalent_set(game, q, tol_kl))
+            for q in eq.representatives(n).tolist()]
 
 
 def _check_all_oracle(game, n_dirichlet=500, grid_resolution=51, seed=0,
@@ -633,3 +638,165 @@ def test_minus_zero_bound_gets_its_own_cache_entry():
         game, EquilibriumSet.of_point([-0.0, 0.5]), 3, KL_TOL, cache)
     assert math.copysign(1.0, point[0][0][0]) == -1.0
     assert len(cache) == 3
+
+
+def _certify_every_member(game, res=51, n_members=5):
+    """The valid certificates of a scan that certifies every member of every
+    grid belief's equilibrium set, each with its own S*(q)."""
+    valid = []
+    for probs in belief_grid(len(game.space), res):
+        belief = Belief.from_probs(probs)
+        eq = equilibrium_set(game, belief)
+        theta = belief.probs.tolist()
+        for q in eq.representatives(n_members).tolist():
+            cert = certify_fixed_point(game, theta, q)
+            if cert.valid:
+                valid.append((cert, eq))
+    return valid
+
+
+def _spy_certify(monkeypatch):
+    """Count the certificates the scans make through the module global."""
+    calls = []
+    real = analysis.certify_fixed_point
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "certify_fixed_point", spy)
+    return calls
+
+
+@pytest.mark.parametrize("factory", BUILT_IN, ids=BUILT_IN_IDS)
+def test_scan_matches_a_scan_that_certifies_every_member(factory,
+                                                         monkeypatch):
+    game = factory()
+    oracle = _certify_every_member(game)
+    calls = _spy_certify(monkeypatch)
+    got = _clusters_repr(enumerate_fixed_points(game))
+    assert got == _clusters_repr(
+        analysis._cluster_certificates(game, oracle, 51, 5))
+    # every valid certificate was a candidate, so it was certified
+    assert len(oracle) <= len(calls)
+
+
+def test_only_candidates_are_certified(monkeypatch):
+    # learning identifies investment's truth: only the complete-information
+    # grid point has its support inside S*(q), so its one member is the only
+    # certificate made
+    game = games.investment()
+    calls = _spy_certify(monkeypatch)
+    clusters = enumerate_fixed_points(game)
+    assert [cl.cluster_id for cl in clusters] == ["complete_info"]
+    assert len(calls) == len(clusters[0].members) == 1
+    # on zerosum 6,628 of the 6,630 members are candidates, and each of
+    # them certifies
+    calls.clear()
+    clusters = enumerate_fixed_points(games.zerosum_example())
+    assert len(calls) == sum(len(cl.members) for cl in clusters) == 6628
+
+
+# ---------------------------------------------------------------------------
+# Payoff equivalence with one channel_means call per profile
+
+
+@st.composite
+def equivalence_cases(draw):
+    name, game = _draw_game(draw)
+    if game.analytic_eq is not None and draw(st.booleans()):
+        eq = equilibrium_set(game, Belief.from_probs(_draw_probs(draw, game)))
+        reps = eq.representatives(draw(st.integers(2, 7))).tolist()
+        q = reps[draw(st.integers(0, len(reps) - 1))]
+    else:
+        q = _draw_profile(draw, game)
+    return name, game, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(equivalence_cases(), st.sampled_from([KL_TOL, 0.0, 1e-3]))
+def test_payoff_equivalent_set_reads_the_means_once_per_profile(case, tol):
+    name, game, q = case
+    want = _payoff_equivalent_oracle(game, np.asarray(q), tol)
+    calls = []
+    real = game.channel_mean_fn
+
+    def counting(profile):
+        calls.append(profile)
+        return real(profile)
+
+    game.channel_mean_fn = counting
+    try:
+        assert payoff_equivalent_set(game, q, tol) == want
+    finally:
+        game.channel_mean_fn = real
+    if game.kind == "finite":
+        n_profiles = len(list(_pure_profiles_oracle(game, q)))
+    else:
+        n_profiles = 1
+    assert len(calls) == n_profiles
+    # the divergence on given means is the divergence on its own means
+    means = game.channel_means(q)
+    s_star = game.space.true_index
+    for s in range(len(game.space)):
+        assert _bits([kl_divergence(game, s_star, s, q, means=means)]) == \
+            _bits([kl_divergence(game, s_star, s, q)])
+
+
+# ---------------------------------------------------------------------------
+# Finite best response with one trial profile
+
+
+def _finite_best_response_oracle(game, probs, i, q, current):
+    """The finite best response that built a fresh trial profile for each
+    action: (point, tied_actions)."""
+    n_act = game.boxes[i]
+    sl = game.slices[i]
+    payoff = game.mean_payoff_fn
+    values = []
+    for a in range(n_act):
+        trial = list(q)
+        trial[sl] = [0.0] * n_act
+        trial[sl.start + a] = 1.0
+        value = 0.0
+        for s, p in enumerate(probs):
+            if p > 0.0:
+                value += p * payoff(s, trial, i)
+        values.append(value)
+    best = max(values)
+    tied = tuple(a for a in range(n_act)
+                 if values[a] >= best - games.FLAT_TOL)
+    cur_act = current.index(max(current)) if len(current) == n_act else -1
+    pick = (cur_act if cur_act in tied and current[cur_act] > 1.0 - 1e-9
+            else tied[0])
+    point = [0.0] * n_act
+    point[pick] = 1.0
+    return tuple(point), tied
+
+
+@st.composite
+def finite_cases(draw):
+    """Two-route games with 1-3 players, beliefs with zeros (sometimes a
+    point mass), and pure or mixed profiles."""
+    game = games.two_route_congestion(
+        n_players=draw(st.integers(1, 3)),
+        sigma=draw(st.sampled_from([0.0, 1.0])))
+    probs = _draw_probs(draw, game)
+    if draw(st.booleans()):
+        probs = [0.0] * len(probs)
+        probs[draw(st.integers(0, len(probs) - 1))] = 1.0
+    return game, probs, _draw_profile(draw, game), _draw_profile(draw, game)
+
+
+@settings(max_examples=400, deadline=None)
+@given(finite_cases())
+def test_finite_best_response_matches_the_fresh_profile_oracle(case):
+    game, probs, q, current = case
+    before = list(q)
+    for i, sl in enumerate(game.slices):
+        br = games._finite_best_response(game, probs, i, q, current[sl])
+        point, tied = _finite_best_response_oracle(game, probs, i, q,
+                                                   current[sl])
+        assert _bits(br.point) == _bits(point)
+        assert br.tied_actions == tied
+    assert q == before  # the profile is read, never written
