@@ -70,17 +70,17 @@ def kl_divergence(game, s_a, s_b, q, *, means=None):
     return total
 
 
-def payoff_equivalent_set(game, q, tol=KL_TOL, support_tol=SUPPORT_TOL):
+def payoff_equivalent_set(game, q, tol=KL_TOL):
     """S*(q): parameters whose payoff distribution at q matches the truth's.
 
     In a finite game, the intersection of these sets over the pure profiles in
-    the support of the mixed profile q (probabilities above support_tol).
+    the support of the mixed profile q (probabilities above SUPPORT_TOL).
     ``q`` is converted to a list of floats once; a list is taken as is.  The
     channel means are worked out once per profile."""
     q = _floats(q)
     s_star = game.space.true_index
     if game.kind == "finite":
-        profiles = _pure_profiles_in_support(game, q, support_tol)
+        profiles = _pure_profiles_in_support(game, q)
     else:
         profiles = [q]
     result = range(len(game.space))
@@ -91,10 +91,10 @@ def payoff_equivalent_set(game, q, tol=KL_TOL, support_tol=SUPPORT_TOL):
     return tuple(result)
 
 
-def _pure_profiles_in_support(game, q, support_tol=SUPPORT_TOL):
+def _pure_profiles_in_support(game, q):
     """The pure profiles (lists of floats) in the support of the mixed
     profile q, a list of floats."""
-    per_player = [[a for a, x in enumerate(q[sl]) if x > support_tol]
+    per_player = [[a for a, x in enumerate(q[sl]) if x > SUPPORT_TOL]
                   for sl in game.slices]
     for combo in itertools.product(*per_player):
         profile = [0.0] * game.q_dim
@@ -124,17 +124,18 @@ class FixedPointCertificate:
         return self.support_subset and self.eq_residual <= self.tol_eq
 
 
-def certify_fixed_point(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8, *,
+def certify_fixed_point(game, belief, q, tol_eq=1e-8, *,
                         equivalence_set=None):
-    """Certificate for ([theta] subset of S*(q), q in EQ(theta)).
+    """Certificate for ([theta] subset of S*(q), q in EQ(theta)); S*(q) is
+    at tolerance KL_TOL.
 
     The belief (a Belief or a probability vector) and the profile become
     lists of floats once, here; a list is taken to hold floats already.
-    ``equivalence_set``, when given, is taken as S*(q) at tolerance tol_kl
-    instead of working it out again."""
+    ``equivalence_set``, when given, is taken as S*(q) instead of working it
+    out again."""
     probs = _prob_list(belief)
     q = _floats(q)
-    equiv = (payoff_equivalent_set(game, q, tol_kl)
+    equiv = (payoff_equivalent_set(game, q)
              if equivalence_set is None else equivalence_set)
     support = tuple(s for s, p in enumerate(probs) if p > 0.0)
     subset = set(support) <= set(equiv)
@@ -165,7 +166,7 @@ def certify_fixed_point(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8, *,
         support_subset=subset,
         eq_residual=residual,
         is_complete_info=complete,
-        tol_kl=tol_kl,
+        tol_kl=KL_TOL,
         tol_eq=tol_eq,
     )
 
@@ -294,11 +295,10 @@ def _merge_pairs(label, pairs):
             label[:] = jumped
 
 
-def enumerate_fixed_points(game, belief_grid_resolution=51,
-                           strategy_grid_resolution=5, tol_kl=KL_TOL,
-                           tol_eq=1e-8):
-    """Grid-scan beliefs, certify sampled equilibrium members, and cluster the
-    valid certificates by connected components in (theta, q).
+def enumerate_fixed_points(game, belief_grid_resolution=51):
+    """Grid-scan beliefs, certify 5 members of each belief's equilibrium set
+    (at KL_TOL and tol_eq 1e-8), and cluster the valid certificates by
+    connected components in (theta, q).
 
     Two valid certificates are linked when they are within 2.5 grid steps in
     both coordinates: L-infinity on theta at most 2.5 * d_theta and
@@ -326,6 +326,7 @@ def enumerate_fixed_points(game, belief_grid_resolution=51,
     scan there."""
     if belief_grid_resolution < 2:
         raise ContractViolation("grid needs at least 2 points per axis")
+    n_members = 5
     valid = []
     cache = {}
     for probs in _grid_points(len(game.space), belief_grid_resolution):
@@ -335,16 +336,15 @@ def enumerate_fixed_points(game, belief_grid_resolution=51,
         theta = p.tolist()
         support = {s for s, x in enumerate(theta) if x > 0.0}
         for q, equiv in _members_with_equivalence(
-                game, eq, strategy_grid_resolution, tol_kl, cache):
+                game, eq, n_members, KL_TOL, cache):
             # a support outside S*(q) never certifies: skip the certificate
             if not support.issubset(equiv):
                 continue
-            cert = certify_fixed_point(game, theta, q, tol_kl, tol_eq,
-                                       equivalence_set=equiv)
+            cert = certify_fixed_point(game, theta, q, equivalence_set=equiv)
             if cert.valid:
                 valid.append((cert, eq))
     return _cluster_certificates(game, valid, belief_grid_resolution,
-                                 strategy_grid_resolution)
+                                 n_members)
 
 
 def _cluster_certificates(game, valid, belief_grid_resolution,
@@ -397,11 +397,11 @@ def _cluster_certificates(game, valid, belief_grid_resolution,
     return clusters
 
 
-def check_all_fixed_points_complete(game, n_dirichlet=500,
-                                    grid_resolution=51, seed=0,
-                                    strategy_samples=7, tol_kl=KL_TOL):
+def check_all_fixed_points_complete(game, seed=0):
     """True iff no belief other than theta* can support a fixed point: for
-    every theta != theta* and q in EQ(theta), [theta] \\ S*(q) is non-empty."""
+    every theta != theta* and q in EQ(theta), [theta] \\ S*(q) is non-empty.
+    Scans the 51-point belief grid and 500 Dirichlet draws, with 7 members
+    of each equilibrium set and S*(q) at tolerance KL_TOL."""
     if game.analytic_eq is None:
         raise ContractViolation("needs an analytic equilibrium description")
     n = len(game.space)
@@ -410,8 +410,8 @@ def check_all_fixed_points_complete(game, n_dirichlet=500,
     # grid beliefs share equilibrium sets and keep them in one cache; a
     # Dirichlet draw repeats none, so its set is not kept
     members = {}
-    grid = ((probs, members) for probs in _grid_points(n, grid_resolution))
-    draws = ((rng.dirichlet(np.ones(n)), {}) for _ in range(n_dirichlet))
+    grid = ((probs, members) for probs in _grid_points(n, 51))
+    draws = ((rng.dirichlet(np.ones(n)), {}) for _ in range(500))
     for probs, cache in itertools.chain(grid, draws):
         probs = probs.tolist()
         if probs[s_star] >= 1.0 - 1e-12:
@@ -419,8 +419,7 @@ def check_all_fixed_points_complete(game, n_dirichlet=500,
         belief = Belief.from_probs(probs)
         eq = equilibrium_set(game, belief)
         support = {s for s, p in enumerate(probs) if p > 0.0}
-        for q, equiv in _members_with_equivalence(
-                game, eq, strategy_samples, tol_kl, cache):
+        for q, equiv in _members_with_equivalence(game, eq, 7, KL_TOL, cache):
             if support.issubset(equiv):
                 return False, (tuple(probs), tuple(q))
     return True, None
@@ -441,12 +440,12 @@ def _members_with_equivalence(game, eq, n, tol_kl, cache):
 
 
 def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
-                                               n_probe=200, seed=0,
-                                               tol_kl=KL_TOL, tol_eq=1e-6):
+                                               n_probe=200, seed=0):
     """Conditions under which a fixed point is a complete-information
-    equilibrium: (i) the support stays payoff-equivalent in a xi-ball around
-    q_bar; (ii) own-payoffs are concave for supported parameters; also
-    verifies EQ(theta_bar) = EQ(theta*)."""
+    equilibrium: (i) the support stays payoff-equivalent (at KL_TOL) in a
+    xi-ball around q_bar; (ii) own-payoffs are concave for supported
+    parameters; also verifies EQ(theta_bar) = EQ(theta*), up to a sampled
+    Hausdorff distance of 1e-6."""
     rng = np.random.default_rng(seed)
     q_bar = np.asarray(certificate.q)
     support = certificate.support
@@ -456,7 +455,7 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
     counterexample = None
     for _ in range(n_probe):
         q = np.clip(q_bar + (2.0 * rng.random(q_bar.size) - 1.0) * xi, lo, hi)
-        if not set(support) <= set(payoff_equivalent_set(game, q, tol_kl)):
+        if not set(support) <= set(payoff_equivalent_set(game, q)):
             cond_i = False
             counterexample = tuple(q.tolist())
             break
@@ -481,7 +480,7 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
     )
     d1 = _directed_hausdorff(eq_bar, eq_star, rng)
     d2 = _directed_hausdorff(eq_star, eq_bar, rng)
-    eq_equal = bool(max(d1, d2) <= tol_eq)
+    eq_equal = bool(max(d1, d2) <= 1e-6)
     return {
         "condition_i": cond_i,
         "condition_i_counterexample": counterexample,
@@ -507,10 +506,11 @@ class StabilityThresholds:
     degenerate_full_support: bool
 
 
-def stability_thresholds(theta_bar, eps_hat, gamma, n_params=None):
-    """The three belief-radius thresholds controlling local stability."""
+def stability_thresholds(theta_bar, eps_hat, gamma):
+    """The three belief-radius thresholds controlling local stability, with
+    |S| the length of theta_bar."""
     probs = _as_probs(theta_bar)
-    n = int(n_params) if n_params is not None else probs.size
+    n = probs.size
     if not (0.0 < gamma < 1.0):
         raise ContractViolation("gamma must lie in (0,1)")
     if not eps_hat > 0.0:
@@ -659,9 +659,10 @@ class StabilityReport:
     thresholds: StabilityThresholds | None = None
 
 
-def wilson_ci(successes, n, z=1.959963984540054):
+def wilson_ci(successes, n):
     if n == 0:
         return 0.0, 1.0
+    z = 1.959963984540054  # the 97.5% normal quantile: a 95% interval
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -669,10 +670,10 @@ def wilson_ci(successes, n, z=1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def sample_belief_ball(theta_bar, eps, rng, max_tries=100000):
+def sample_belief_ball(theta_bar, eps, rng):
     """Uniform draw on the L-infinity ball around theta_bar intersected with
-    the (full-support) simplex, by rejection.  The radius eps must be a
-    finite number >= 0."""
+    the (full-support) simplex, by rejection; after 100,000 rejections the
+    radius halves.  The radius eps must be a finite number >= 0."""
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ContractViolation("belief-ball radius must be a finite number "
                                 ">= 0, got %r" % (eps,))
@@ -684,7 +685,7 @@ def sample_belief_ball(theta_bar, eps, rng, max_tries=100000):
     rest = [i for i in range(n) if i != j]
     lo = np.maximum(theta_bar - eps, 0.0)
     hi = np.minimum(theta_bar + eps, 1.0)
-    for _ in range(max_tries):
+    for _ in range(100000):
         x = np.empty(n)
         for i in rest:
             x[i] = lo[i] + (hi[i] - lo[i]) * rng.random()
@@ -694,7 +695,7 @@ def sample_belief_ball(theta_bar, eps, rng, max_tries=100000):
         if all(x[i] > 0.0 for i in range(n)):
             return x
     warnings.warn("belief-ball rejection failed; shrinking the radius")
-    return sample_belief_ball(theta_bar, eps / 2.0, rng, max_tries)
+    return sample_belief_ball(theta_bar, eps / 2.0, rng)
 
 
 def sample_near_eq(game, eq, delta, rng):
@@ -712,11 +713,11 @@ def _directed_hausdorff(eq_from, eq_to, rng, n=256):
 def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
                                 eps_x, n_runs, horizon, seed,
                                 rule=None, schedule=None,
-                                respond_to="posterior",
-                                stable_level=0.9, unstable_level=0.5):
+                                respond_to="posterior"):
     """Estimate Pr(theta^T near theta_bar and q^T near EQ(theta_bar)) from
     runs started in the (eps1, delta1) neighborhoods, with a Wilson 95% CI.
-    Strategies respond to ``respond_to``, as in ``run``."""
+    Strategies respond to ``respond_to``, as in ``run``.  Verdict: stable
+    when the CI lies in [0.9, 1], unstable when it lies in [0, 0.5]."""
     rule = rule or UpdateRule.simultaneous()
     schedule = schedule or UpdateSchedule.every_stage()
     theta_bar = np.asarray(certificate.belief, dtype=float)
@@ -746,9 +747,9 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
         )
     p = stayed / n_runs if n_runs else 0.0
     lo, hi = wilson_ci(stayed, n_runs)
-    if lo >= stable_level:
+    if lo >= 0.9:
         verdict = "locally_stable_evidence"
-    elif hi <= unstable_level:
+    elif hi <= 0.5:
         verdict = "unstable_evidence"
     else:
         verdict = "inconclusive"
@@ -760,15 +761,14 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
     )
 
 
-def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0,
-                      tol_kl=KL_TOL):
+def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
     """Sampled evidence for the three local-stability conditions.
 
     (A2a) equilibrium upper-hemicontinuity in the belief (directed Hausdorff
     envelope shrinking with the sampled radius); (A2b) the delta-neighborhood
     of EQ(theta_bar) is invariant under best response for beliefs in the
     eps-ball; (A2c) the fixed-point support stays payoff-equivalent on the
-    delta-neighborhood.  Evidence, never proof."""
+    delta-neighborhood, at KL_TOL.  Evidence, never proof."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     theta_bar = np.asarray(certificate.belief, dtype=float)
     eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
@@ -809,7 +809,7 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0,
     a2c_counterexample = None
     for _ in range(n_probe):
         q = sample_near_eq(game, eq_bar, delta, rng)
-        if not set(support) <= set(payoff_equivalent_set(game, q, tol_kl)):
+        if not set(support) <= set(payoff_equivalent_set(game, q)):
             a2c_violations += 1
             if a2c_counterexample is None:
                 a2c_counterexample = tuple(q.tolist())
@@ -824,11 +824,12 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0,
 
 
 def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
-                           seed=0, rule=None, theta_tol=0.05, q_tol=0.02):
+                           seed=0):
     """Globally stable iff every fixed point is complete-information; verified
     empirically by random-start convergence when the enumerated clusters (from
-    enumerate_fixed_points) allow it."""
-    rule = rule or UpdateRule.sequential()
+    enumerate_fixed_points) allow it: each start runs the sequential rule
+    until converged, and must end within 0.05 of theta*, 0.02 of EQ(theta*)."""
+    rule = UpdateRule.sequential()
     # a single cluster may mix complete-info and other certificates (connected
     # fixed-point families), so scan every member for a witness
     witness = None
@@ -870,8 +871,8 @@ def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
     n_converged = 0
     for final_theta, final_q in _map_replicas(replica, n_random_starts):
         if (
-            float(np.max(np.abs(final_theta - theta_star))) <= theta_tol
-            and eq_star.distance(final_q) <= q_tol
+            float(np.max(np.abs(final_theta - theta_star))) <= 0.05
+            and eq_star.distance(final_q) <= 0.02
         ):
             n_converged += 1
     verdict = ("globally_stable" if n_converged == n_random_starts
@@ -888,11 +889,11 @@ def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
 # Nearest fixed point (used by run summaries and the statistical suites)
 
 
-def nearest_fixed_point(game, theta, q, clusters=None, zero_tol=0.05):
+def nearest_fixed_point(game, theta, q, clusters=None):
     """Nearest certified fixed point to a terminal state.
 
     Candidates: each enumerated cluster representative, plus the terminal
-    belief with its small entries zeroed (the supported-limit candidate).
+    belief with its entries below 0.05 zeroed (the supported-limit candidate).
     Returns (cluster_id or 'self', theta-distance, certificate) or None."""
     theta = np.asarray(theta, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -913,7 +914,7 @@ def nearest_fixed_point(game, theta, q, clusters=None, zero_tol=0.05):
     if clusters:
         for cl in clusters:
             consider(cl.cluster_id, cl.representative.belief)
-    trimmed = np.where(theta < zero_tol, 0.0, theta)
+    trimmed = np.where(theta < 0.05, 0.0, theta)
     if trimmed.sum() > 0:
         trimmed = trimmed / trimmed.sum()
         consider("self", trimmed)

@@ -141,8 +141,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
-    game_id: str
     game: object
     rule: UpdateRule
     schedule: UpdateSchedule
@@ -399,7 +397,7 @@ def parse_config(text):
         rate["burn_in"] = top["horizon"] // 10
     alpha = rule.get("alpha")
     cfg = ExperimentConfig(
-        raw=raw, game_id=game_id, game=game,
+        game=game,
         rule=UpdateRule(rule["kind"], None if alpha in (None, "1/t")
                         else lambda t, _a=float(alpha): _a),
         schedule=UpdateSchedule(

@@ -143,11 +143,14 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
 
     Convergence is declared when over the last `conv_window` stages every
     strategy step is below `conv_tol` (max norm) and the belief moved less
-    than `conv_tol` across the window.
+    than `conv_tol` across the window.  Strategies respond to the posterior
+    or, with ``respond_to="map"``, to its mode.
     """
     belief, q0 = init
     if horizon < 1:
         raise ContractViolation("horizon must be >= 1")
+    if respond_to not in ("posterior", "map"):
+        raise ContractViolation("unknown respond_to %r" % (respond_to,))
     if not belief.full_support():
         raise ContractViolation("initial belief must have full support")
     q0 = np.asarray(q0, dtype=float)
@@ -249,15 +252,15 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
 
 
 def run_two_timescale(game, rule, gap_fn, init, horizon, seed,
-                      stop_when_converged=False, respond_to="posterior"):
-    """Run with a growing-gap schedule; additionally records, at each belief
-    update, the distance of the current strategy to EQ(theta)."""
+                      respond_to="posterior"):
+    """Run the full horizon with a growing-gap schedule; also records, at
+    each belief update, the distance of the current strategy to EQ(theta)."""
     from .games import equilibrium_set
     from .param_belief import UpdateSchedule
 
     schedule = UpdateSchedule.two_timescale(gap_fn)
     traj = run(game, rule, schedule, init, horizon, seed,
-               stop_when_converged=stop_when_converged, respond_to=respond_to)
+               respond_to=respond_to)
     distances = []
     for k in traj.summary["update_stages"]:
         idx = k - 1

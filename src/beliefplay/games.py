@@ -228,7 +228,6 @@ class GameModel:
     noise_loadings: object = None  # obs_dim x n_noise matrix, or None for diag
     analytic_br: object = None
     analytic_eq: object = None
-    extras: dict = field(default_factory=dict)
     log_sigmas: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -271,8 +270,9 @@ class GameModel:
     def box_hi(self):
         return self._box(1)
 
-    def feasible(self, q, tol=1e-9):
+    def feasible(self, q):
         q = np.asarray(q, dtype=float)
+        tol = 1e-9  # per entry; 1e-6 on each finite block's sum
         if self.kind == "continuous":
             return bool(
                 np.all(q >= self.box_lo() - tol) and np.all(q <= self.box_hi() + tol)
@@ -479,19 +479,21 @@ def br_profile(game, belief, q, current=None):
     return out
 
 
-def equilibrium_set(game, belief, n_starts=20, max_iter=2000, tol=1e-10):
+def equilibrium_set(game, belief):
     """EQ(theta): analytic when available, else damped iterated best response
-    from random starts with limit-point clustering."""
+    from 20 random starts (seed 0), each run for at most 2,000 steps until a
+    step moves less than 1e-10; limit points within 1e-6 of an earlier one
+    join its cluster."""
     if game.analytic_eq is not None:
         return game.analytic_eq(_as_probs(belief))
     probs = _prob_list(belief)
     rng = np.random.default_rng(0)
     limits = []
-    for _ in range(n_starts):
+    for _ in range(20):
         q = game.random_profile(rng)
-        for it in range(max_iter):
+        for it in range(2000):
             nxt = 0.5 * q + 0.5 * np.asarray(br_profile(game, probs, q))
-            if np.max(np.abs(nxt - q)) < tol:
+            if np.max(np.abs(nxt - q)) < 1e-10:
                 q = nxt
                 break
             q = nxt
@@ -537,8 +539,7 @@ def cournot(sigma=math.sqrt(0.5)):
     Observed channel: the realized price.
     """
     sigma = _noise_scale("sigma", sigma)
-    space = ParameterSpace(params=((2.0, 1.0), (4.0, 3.0)), true_index=0,
-                           labels=("s1", "s2"))
+    space = ParameterSpace(params=((2.0, 1.0), (4.0, 3.0)), true_index=0)
     arr = space.as_array()
     # column views taken once for analytic_eq's contractions (the stage loop
     # never calls it; the best response sums left to right instead)
@@ -582,8 +583,7 @@ def zerosum_example(sigma=1.0):
     v^s(q) = (max(|q1-q2|, s) - s)^2 - 2 q1^2; c1 = v + eps, c2 = -c1.
     """
     sigma = _noise_scale("sigma", sigma)
-    space = ParameterSpace(params=((1.0,), (3.0,), (5.0,)), true_index=1,
-                           labels=("1", "3", "5"))
+    space = ParameterSpace(params=((1.0,), (3.0,), (5.0,)), true_index=1)
     svals = space.as_array()[:, 0].tolist()
 
     def v(sv, q):
@@ -627,8 +627,7 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
     Unit return r = s + q1 + q2 + eps (per-state noise scale); player i's
     payoff is q_i (s - 2 q_i + q_{-i} + eps).  Observed channel: r.
     """
-    space = ParameterSpace(params=((0.0,), (1.0,), (2.0,)), true_index=1,
-                           labels=("l", "m", "h"))
+    space = ParameterSpace(params=((0.0,), (1.0,), (2.0,)), true_index=1)
     svals_arr = space.as_array()[:, 0]
     svals = svals_arr.tolist()
     sigmas = tuple(_noise_scale("sigmas", x) for x in sigmas)
@@ -668,7 +667,7 @@ def coordination_penalty(sigma=1.0):
     additionally pays q1, player 2 collects q2.  S = {2, 4}, s* = 2.
     """
     sigma = _noise_scale("sigma", sigma)
-    space = ParameterSpace(params=((2.0,), (4.0,)), true_index=0, labels=("2", "4"))
+    space = ParameterSpace(params=((2.0,), (4.0,)), true_index=0)
     svals = space.as_array()[:, 0].tolist()
 
     def common(sv, q):
@@ -721,7 +720,7 @@ def two_route_congestion(n_players=2, sigma=1.0):
         raise ContractViolation("n_players must be an integer >= 1, got %r"
                                 % (n_players,))
     sigma = _noise_scale("sigma", sigma)
-    space = ParameterSpace(params=((1.0,), (2.0,)), true_index=0, labels=("1", "2"))
+    space = ParameterSpace(params=((1.0,), (2.0,)), true_index=0)
     svals = space.as_array()[:, 0].tolist()
     n = int(n_players)
 
@@ -750,8 +749,6 @@ def two_route_congestion(n_players=2, sigma=1.0):
         return -cost
 
     def analytic_eq(probs):
-        if n != 2:
-            return None
         return EquilibriumSet.of_finite_list([
             (1.0, 0.0, 0.0, 1.0),
             (0.0, 1.0, 1.0, 0.0),

@@ -44,7 +44,6 @@ class ParameterSpace:
 
     params: tuple
     true_index: int
-    labels: tuple | None = None
 
     def __post_init__(self):
         params = tuple(tuple(float(x) for x in np.atleast_1d(p)) for p in self.params)
@@ -58,8 +57,6 @@ class ParameterSpace:
             raise ContractViolation("true_index out of range")
         if len(set(params)) != len(params):
             raise ContractViolation("parameter vectors must be distinct")
-        if self.labels is not None and len(self.labels) != len(params):
-            raise ContractViolation("labels length mismatch")
 
     def __len__(self):
         return len(self.params)
@@ -232,13 +229,13 @@ def batch_log_likelihoods(belief_or_space, batch, game):
 
 
 def _posterior_scores(prior, batch, game):
-    """Unnormalized log-posterior: log prior(s) + sum_t log phi^s(c^t|q^t)."""
+    """Unnormalized log-posterior as `run` sums it: log prior(s) + sum_t log
+    phi^s(c^t|q^t), a list of floats."""
     if len(batch) == 0:
         raise ContractViolation("batch must be non-empty")
-    scores = np.asarray(prior.log_probs, dtype=float) + batch_log_likelihoods(
-        prior, batch, game
-    )
-    if np.max(scores) == NEG_INF:
+    scores = [lp + ll for lp, ll in zip(
+        prior.log_probs, batch_log_likelihoods(prior, batch, game))]
+    if max(scores) == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero likelihood")
     return scores
 
@@ -246,13 +243,14 @@ def _posterior_scores(prior, batch, game):
 def bayes_update(belief, batch, game):
     """Posterior over parameters given a batch, a list of (q, c) records:
     theta(s) prop. to theta_prev(s) * prod_t phi^s(c^t|q^t), in log-space."""
-    # Belief normalizes the scores; normalizing here too would round twice
-    return Belief(tuple(_posterior_scores(belief, batch, game).tolist()))
+    # Belief normalizes as `run` does; normalizing here too would round twice
+    return Belief(_posterior_scores(belief, batch, game))
 
 
 def map_update(prior, batch, game):
     """argmax_s prior(s) * prod phi^s(c|q), lowest index on ties."""
-    return int(np.argmax(_posterior_scores(prior, batch, game)))
+    scores = _posterior_scores(prior, batch, game)
+    return scores.index(max(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ def next_update_stage(schedule, rng=None):
 # Least squares
 
 
-def ols_solve(design, responses, rcond_threshold=1e-10):
+def ols_solve(design, responses):
     """Per-player coefficient estimates s_i = (Q~'Q~)^-1 Q~'Y_i from the
     (n, q_dim + 1) design rows (q, 1) and the (n, n_players) payoffs."""
     design = np.asarray(design, dtype=float)
@@ -340,8 +338,9 @@ def ols_solve(design, responses, rcond_threshold=1e-10):
     if design.shape[0] == 0:
         raise Unidentifiable(np.eye(design.shape[1]))
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < rcond_threshold:
-        null = vt[sv < sv[0] * rcond_threshold if sv[0] > 0 else slice(None)]
+    rcond = 1e-10  # least singular-value ratio of a full-rank design
+    if sv[0] == 0 or sv[-1] / sv[0] < rcond:
+        null = vt[sv < sv[0] * rcond if sv[0] > 0 else slice(None)]
         raise Unidentifiable(null if len(null) else vt)
     coeffs, *_ = np.linalg.lstsq(design, responses, rcond=None)
     return coeffs.T  # shape (n_players, q_dim + 1)

@@ -226,6 +226,10 @@ def test_run_validates_inputs(investment_game):
         run(investment_game, UpdateRule.simultaneous(),
             UpdateSchedule.every_stage(), (Belief.uniform(3), good_q), 0,
             seed=0)
+    with pytest.raises(ContractViolation, match="respond_to"):
+        run(investment_game, UpdateRule.simultaneous(),
+            UpdateSchedule.every_stage(), (Belief.uniform(3), good_q), 10,
+            seed=0, respond_to="mpa")
     with pytest.raises(ContractViolation):
         UpdateRule("bogus")
 
