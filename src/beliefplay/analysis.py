@@ -15,8 +15,6 @@ import numpy as np
 from .dynamics import UpdateRule, _map_replicas, replica_seed, run
 from .games import (
     EquilibriumSet,
-    _floats,
-    _prob_list,
     best_response,
     br_profile,
     equilibrium_set,
@@ -25,7 +23,9 @@ from .param_belief import (
     Belief,
     ContractViolation,
     UpdateSchedule,
-    _as_probs,
+    _floats,
+    _prob_list,
+    _total,
     log_likelihood,
 )
 
@@ -331,9 +331,8 @@ def enumerate_fixed_points(game, belief_grid_resolution=51):
     cache = {}
     for probs in _grid_points(len(game.space), belief_grid_resolution):
         # the certificate carries exp(normalised log p), not the grid value
-        p = Belief.from_probs(probs).probs
-        eq = equilibrium_set(game, p)
-        theta = p.tolist()
+        theta = Belief.from_probs(probs).probs.tolist()
+        eq = equilibrium_set(game, theta)
         support = {s for s, x in enumerate(theta) if x > 0.0}
         for q, equiv in _members_with_equivalence(
                 game, eq, n_members, KL_TOL, cache):
@@ -509,13 +508,13 @@ class StabilityThresholds:
 def stability_thresholds(theta_bar, eps_hat, gamma):
     """The three belief-radius thresholds controlling local stability, with
     |S| the length of theta_bar."""
-    probs = _as_probs(theta_bar)
-    n = probs.size
+    probs = _prob_list(theta_bar)
+    n = len(probs)
     if not (0.0 < gamma < 1.0):
         raise ContractViolation("gamma must lie in (0,1)")
     if not eps_hat > 0.0:
         raise ContractViolation("eps_hat must be positive")
-    support = [s for s in range(probs.size) if probs[s] > 0.0]
+    support = [s for s in range(n) if probs[s] > 0.0]
     if not support:
         raise ContractViolation("belief support must be non-empty")
     e = n - len(support)  # |S \ [theta_bar]|
@@ -526,8 +525,11 @@ def stability_thresholds(theta_bar, eps_hat, gamma):
     )
     rho2 = eps_hat / ((e + 1) * n)
     rho3_terms = []
+    den = n - e * n * rho2
     for s in support:
-        t1 = (eps_hat - e * n * rho2 * probs[s]) / (n - e * n * rho2)
+        # eps_hat = n (e + 1) / e makes den 0 and t1 +inf (its numerator is
+        # positive, since probs[s] <= 1 < (e + 1) / e)
+        t1 = (eps_hat - e * n * rho2 * probs[s]) / den if den else INF
         t2 = eps_hat / (n + e * (probs[s] * n + eps_hat))
         rho3_terms.append(min(t1, t2, probs[s]))
     rho3 = min(rho3_terms)
@@ -581,7 +583,7 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
     Returns per-parameter empirical means/standard errors of the posterior
     ratio theta'(s)/theta'(s*), plus the mean of log theta'(s*) (submartingale
     side).  Normalization cancels inside the ratio."""
-    probs = _as_probs(belief)
+    probs = np.asarray(_prob_list(belief), dtype=float)
     if np.any(probs <= 0.0):
         raise ContractViolation("diagnostic needs a full-support belief")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -689,7 +691,7 @@ def sample_belief_ball(theta_bar, eps, rng):
         x = np.empty(n)
         for i in rest:
             x[i] = lo[i] + (hi[i] - lo[i]) * rng.random()
-        x[j] = 1.0 - sum(x[i] for i in rest)
+        x[j] = 1.0 - _total([x[i] for i in rest])
         if x[j] <= 0.0 or abs(x[j] - theta_bar[j]) > eps:
             continue
         if all(x[i] > 0.0 for i in range(n)):
@@ -708,6 +710,25 @@ def sample_near_eq(game, eq, delta, rng):
 def _directed_hausdorff(eq_from, eq_to, rng, n=256):
     pts = np.vstack([eq_from.representatives(16), eq_from.sample(n, rng)])
     return float(eq_to.distance(pts).max())
+
+
+def _final_states(game, starts, rule, schedule, horizon, respond_to,
+                  stop_when_converged):
+    """The final belief and profile (arrays) of one `run` from each
+    (seed_k, theta1, q1) in ``starts``, in start order, spread over the CPUs
+    by `_map_replicas`.  A start whose belief lacks full support stays
+    where it is."""
+    def replica(k):
+        seed_k, theta1, q1 = starts[k]
+        if not np.all(theta1 > 0.0):
+            return theta1, q1  # frozen degenerate start
+        summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
+                      horizon, seed_k, stop_when_converged=stop_when_converged,
+                      respond_to=respond_to).summary
+        return (np.asarray(summary["final_theta"]),
+                np.asarray(summary["final_q"]))
+
+    return _map_replicas(replica, len(starts))
 
 
 def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
@@ -730,17 +751,9 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
         q1 = sample_near_eq(game, eq_bar, delta1, rng)
         starts.append((seed_k, theta1, q1))
 
-    def replica(k):
-        seed_k, theta1, q1 = starts[k]
-        if not np.all(theta1 > 0.0):
-            return theta1, q1  # frozen degenerate start
-        summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
-                      horizon, seed_k, respond_to=respond_to).summary
-        return (np.asarray(summary["final_theta"]),
-                np.asarray(summary["final_q"]))
-
     stayed = 0
-    for final_theta, final_q in _map_replicas(replica, n_runs):
+    for final_theta, final_q in _final_states(
+            game, starts, rule, schedule, horizon, respond_to, False):
         stayed += (
             float(np.max(np.abs(final_theta - theta_bar))) <= eps_bar
             and eq_bar.distance(final_q) <= eps_x
@@ -859,17 +872,10 @@ def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
     for k in range(n_random_starts):
         theta1 = rng.dirichlet(np.ones(n))
         q1 = game.random_profile(rng)
-        starts.append((theta1, q1, replica_seed(seed, k)))
-
-    def replica(k):
-        theta1, q1, seed_k = starts[k]
-        summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
-                      horizon, seed_k, stop_when_converged=True).summary
-        return (np.asarray(summary["final_theta"]),
-                np.asarray(summary["final_q"]))
-
+        starts.append((replica_seed(seed, k), theta1, q1))
     n_converged = 0
-    for final_theta, final_q in _map_replicas(replica, n_random_starts):
+    for final_theta, final_q in _final_states(
+            game, starts, rule, schedule, horizon, "posterior", True):
         if (
             float(np.max(np.abs(final_theta - theta_star))) <= 0.05
             and eq_star.distance(final_q) <= 0.02
@@ -915,8 +921,9 @@ def nearest_fixed_point(game, theta, q, clusters=None):
         for cl in clusters:
             consider(cl.cluster_id, cl.representative.belief)
     trimmed = np.where(theta < 0.05, 0.0, theta)
-    if trimmed.sum() > 0:
-        trimmed = trimmed / trimmed.sum()
+    total = _total(trimmed.tolist())
+    if total > 0:
+        trimmed = trimmed / total
         consider("self", trimmed)
         # an equal candidate has an equal distance, so it could never win
         if np.array_equal(trimmed, theta):

@@ -532,10 +532,17 @@ def cmd_fixed_points(cfg):
         )
         payload["all_fixed_points_complete"] = complete
         payload["counterexample"] = counterexample
-        payload["global_stability"] = analysis.check_global_stability(
+        glob = analysis.check_global_stability(
             cfg.game, clusters, seed=cfg.master_seed,
             horizon=min(cfg.horizon, 20000),
         )
+        # a fixed point off theta* that no cluster holds is a witness too
+        if counterexample is not None \
+                and glob["verdict"] != "not_globally_stable":
+            belief, q = counterexample
+            glob["verdict"] = "not_globally_stable"
+            glob["witness"] = {"belief": belief, "q": q, "cluster": False}
+        payload["global_stability"] = glob
     _write_json(os.path.join(cfg.output_dir, "fixed_points.json"),
                 payload, cfg)
     return 0
@@ -623,13 +630,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--threads", type=int, help="accepted and ignored")
-    parser.add_argument("--seed-override", type=int, default=None)
     try:
         args = parser.parse_args(argv)
-        if args.seed_override is not None \
-                and FIELDS[""]["seed"].read(args.seed_override) is _BAD:
-            parser.error("argument --seed-override: "
-                         + _field_error("", "seed"))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
@@ -653,8 +655,6 @@ def main(argv=None):
         return 1
     if args.out:
         cfg.output_dir = args.out
-    if args.seed_override is not None:
-        cfg.seeds = [args.seed_override]
 
     try:
         if args.command == "run":

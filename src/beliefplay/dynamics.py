@@ -9,11 +9,10 @@ belief probabilities and the payoffs c between stages as lists of Python
 floats; numpy appears only in the normaliser's `np.exp`, the finite games'
 action draws and the trajectory rows.  It computes exp(log_probs) once per
 belief update and reads the game's geometry once per run.  Every kernel it
-calls follows the bit rule stated in `games`: sums over the parameters run
-left to right, with no `@`, `dot`, `einsum` or `np.log`, so one replica's
-arithmetic is the same as it would be inside a batch of replicas.  `run`
-reproduces the plain per-stage loop it replaced bit for bit (pinned by an
-exact-equality test).
+calls follows the bit rule stated in `games`, and none takes an `np.log`, so
+one replica's arithmetic is the same as it would be inside a batch of
+replicas.  `run` reproduces the plain per-stage loop it replaced bit for bit
+(pinned by an exact-equality test).
 
 `_map_replicas` is the one way to run many independent replicas: it
 spreads them over the CPUs this process may use, in forked workers, and
@@ -32,6 +31,7 @@ from .param_belief import (
     Belief,
     ContractViolation,
     _log_normalize,
+    _total,
     batch_log_likelihoods,
     next_update_stage,
 )
@@ -105,8 +105,8 @@ def _realized_profile(game, slices, fictitious, probs, q, rng):
             if top > 1.0 - 1e-12:
                 a = block.index(top)
             else:
-                p = np.asarray(block)
-                a = int(rng.choice(p.size, p=p / p.sum()))
+                a = int(rng.choice(len(block),
+                                   p=np.asarray(block) / _total(block)))
         actions.append(a)
         out[sl.start + a] = 1.0
     return out, tuple(actions)

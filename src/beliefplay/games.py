@@ -14,12 +14,16 @@ noise scales and ``log_sigmas`` their logs, computed once.  Every
 ``analytic_br`` and the finite best response take lists of floats and return
 a `BRResult` whose ``point`` is a tuple of floats.
 
-Bit rule: a sum over the parameters (an expectation under the belief) runs
-left to right in plain float arithmetic, never through ``@``, ``dot`` or
-``einsum``, whose BLAS kernels round differently with the batch shape; so
-does the affine game's slope contraction in its channel means.  The same
-expression evaluated on one profile or inside a batch then gives the same
-bits.
+Bit rule: every sum over the parameters or over a probability vector runs
+left to right in plain float arithmetic: each expectation under the belief
+in a best response, in an ``analytic_eq`` and in `expected_payoff`, and the
+affine game's slope contraction in its channel means.  It is written as
+`_expect`, `_total` or an inline loop, never through ``@``, ``dot`` or
+``einsum``, whose BLAS kernels round differently with the batch shape, nor
+through ``np.sum`` or the builtin ``sum()``, which is a compensated sum from
+Python 3.12 on.  The same expression evaluated on one profile or inside a
+batch then gives the same bits, and a best response and EQ(theta) read the
+same expectation.  ``tests/test_bit_rule.py`` checks the rule.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
-                           _as_probs, _floats)
+                           _expect, _floats, _prob_list)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
@@ -65,20 +69,6 @@ class BRResult:
             return False
         lo, hi = self.interval
         return any(h - l > 0 for l, h in zip(lo, hi))
-
-
-def _prob_list(belief):
-    """The probabilities of a Belief, or of a probability vector, as a list
-    of floats; a list is taken to hold floats already."""
-    return belief if type(belief) is list else _floats(_as_probs(belief))
-
-
-def _expect(probs, values):
-    """sum_s probs[s] * values[s], accumulated left to right."""
-    total = 0.0
-    for p, v in zip(probs, values):
-        total += p * v
-    return total
 
 
 @dataclass(frozen=True)
@@ -311,8 +301,9 @@ class GameModel:
 
 
 def expected_payoff(game, belief, q, i):
-    """E_theta[u_i^s(q)]."""
-    probs = _as_probs(belief)
+    """E_theta[u_i^s(q)], summed over the parameters with positive
+    probability, left to right."""
+    probs = _prob_list(belief)
     total = 0.0
     for s, p in enumerate(probs):
         if p > 0.0:
@@ -425,9 +416,7 @@ def best_response(game, belief, i, q, current=None):
     def value(x):
         trial = list(q)
         trial[pos] = x
-        return sum(
-            p * game.mean_payoff(s, trial, i) for s, p in enumerate(probs) if p > 0
-        )
+        return expected_payoff(game, probs, trial, i)
 
     x_star = _golden_max(value, lo, hi)
     f_lo, f_hi = _flat_interval(value, x_star, lo, hi)
@@ -484,9 +473,9 @@ def equilibrium_set(game, belief):
     from 20 random starts (seed 0), each run for at most 2,000 steps until a
     step moves less than 1e-10; limit points within 1e-6 of an earlier one
     join its cluster."""
-    if game.analytic_eq is not None:
-        return game.analytic_eq(_as_probs(belief))
     probs = _prob_list(belief)
+    if game.analytic_eq is not None:
+        return game.analytic_eq(probs)
     rng = np.random.default_rng(0)
     limits = []
     for _ in range(20):
@@ -540,17 +529,15 @@ def cournot(sigma=math.sqrt(0.5)):
     """
     sigma = _noise_scale("sigma", sigma)
     space = ParameterSpace(params=((2.0, 1.0), (4.0, 3.0)), true_index=0)
-    arr = space.as_array()
-    # column views taken once for analytic_eq's contractions (the stage loop
-    # never calls it; the best response sums left to right instead)
-    a_col, b_col = arr[:, 0], arr[:, 1]
+    intercepts = [a for a, _ in space.params]
+    slopes = [b for _, b in space.params]
 
     def channel_mean(q):
         x = q[0] + q[1]
         return [[a - b * x] for a, b in space.params]
 
     def mean_payoff(s, q, i):
-        a, b = arr[s]
+        a, b = space.params[s]
         return q[i] * (a - b * (q[0] + q[1]))
 
     def analytic_br(probs, i, q, current):
@@ -562,9 +549,7 @@ def cournot(sigma=math.sqrt(0.5)):
         return BRResult((x,))
 
     def analytic_eq(probs):
-        ea = float(probs @ a_col)
-        eb = float(probs @ b_col)
-        r = ea / (2.0 * eb)
+        r = _expect(probs, intercepts) / (2.0 * _expect(probs, slopes))
         x = min(max(2.0 * r / 3.0, 0.0), 3.0)
         return EquilibriumSet.of_point((x, x))
 
@@ -628,8 +613,7 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
     payoff is q_i (s - 2 q_i + q_{-i} + eps).  Observed channel: r.
     """
     space = ParameterSpace(params=((0.0,), (1.0,), (2.0,)), true_index=1)
-    svals_arr = space.as_array()[:, 0]
-    svals = svals_arr.tolist()
+    svals = space.as_array()[:, 0].tolist()
     sigmas = tuple(_noise_scale("sigmas", x) for x in sigmas)
     if len(sigmas) != len(space):
         raise ContractViolation("sigmas must have one entry per parameter (%d)"
@@ -647,7 +631,7 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
         return BRResult((x,))
 
     def analytic_eq(probs):
-        es = float(probs @ svals_arr)
+        es = _expect(probs, svals)
         x = min(max(es / 3.0, 0.0), 1.0)
         return EquilibriumSet.of_point((x, x))
 

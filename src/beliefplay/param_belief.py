@@ -87,13 +87,12 @@ class Belief:
     @classmethod
     def from_probs(cls, probs):
         """The belief proportional to ``probs``: log(p / total), with the
-        total summed in numpy's order (`_pairwise_sum`) and the logs taken
-        by `np.log`, so that the result equals the one of numpy arithmetic
-        on the same vector bit for bit."""
+        total summed left to right (`_total`) and the logs taken by
+        `np.log`."""
         p = _floats(probs)
         if any(x < 0.0 for x in p):
             raise ContractViolation("probabilities must be non-negative")
-        total = _pairwise_sum(p)
+        total = _total(p)
         if not total > 0:
             raise ContractViolation("probabilities must have positive mass")
         ratios = [x / total for x in p]
@@ -126,14 +125,6 @@ class Belief:
         return len(self.log_probs)
 
 
-def _as_probs(belief):
-    """The probabilities of a Belief, or a probability vector as a float
-    array."""
-    if isinstance(belief, Belief):
-        return belief.probs
-    return np.asarray(belief, dtype=float)
-
-
 def _floats(x):
     """A flat list of floats; a list is taken to hold floats already."""
     if type(x) is list:
@@ -141,28 +132,29 @@ def _floats(x):
     return np.asarray(x, dtype=float).ravel().tolist()
 
 
-def _pairwise_sum(x):
-    """The sum of a list of floats in numpy's order, so that it equals
-    ``np.sum`` of the same values bit for bit: left to right below 8
-    entries, 8 interleaved partial sums added pairwise up to 128, and above
-    that the sums of two halves split at a multiple of 8."""
-    n = len(x)
-    if n < 8:
-        total = 0.0
-        for v in x:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    whole = n - n % 8
-    r = x[:8]
-    for i in range(8, whole, 8):
-        for j in range(8):
-            r[j] += x[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in x[whole:]:
-        total += v
+def _prob_list(belief):
+    """The probabilities of a Belief, or of a probability vector, as a list
+    of floats; a list is taken to hold floats already."""
+    if type(belief) is list:
+        return belief
+    if isinstance(belief, Belief):
+        return belief.probs.tolist()
+    return _floats(belief)
+
+
+def _total(xs):
+    """sum_k xs[k], accumulated left to right."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _expect(probs, values):
+    """sum_s probs[s] * values[s], accumulated left to right."""
+    total = 0.0
+    for p, v in zip(probs, values):
+        total += p * v
     return total
 
 

@@ -321,6 +321,14 @@ def test_thresholds_full_support_degenerate_flag():
     assert math.isclose(th.rho2, 0.4 / 2.0, abs_tol=1e-15)
 
 
+def test_thresholds_where_the_t1_denominator_vanishes():
+    # N = 2, E = 1: eps_hat = N (E + 1) / E zeroes N - E N rho2, so t1 is
+    # +inf and rho3 = min(t2, theta_bar(s)) = 0.5
+    th = stability_thresholds([1.0, 0.0], eps_hat=4.0, gamma=0.5)
+    assert th.rho2 == 1.0
+    assert th.rho3 == 0.5
+
+
 def test_thresholds_input_validation():
     with pytest.raises(ContractViolation):
         stability_thresholds([1.0, 0.0], eps_hat=0.3, gamma=1.0)

@@ -575,20 +575,20 @@ def test_run_multi_seed_files(tmp_path):
         assert (tmp_path / ("summary_%d.json" % s)).exists()
 
 
-def test_seed_override_and_out_flags(tmp_path):
+def test_out_flag(tmp_path):
     cfg = write_config(tmp_path, dict(BASE, horizon=50))
     out = tmp_path / "elsewhere"
-    assert main(["run", "--config", cfg, "--out", str(out),
-                 "--seed-override", "99"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["seed"] == 99
+    assert summary["seed"] == BASE["seed"]
 
 
-def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
+def test_seed_override_flag_is_a_usage_error(tmp_path, capsys):
+    # the config's seed is the one way to set the seed
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, BASE),
-                 "--out", str(out), "--seed-override", "-1"]) == 1
-    assert "argument --seed-override: seed must be an integer >= 0" \
+                 "--out", str(out), "--seed-override", "5"]) == 1
+    assert "unrecognized arguments: --seed-override 5" \
         in capsys.readouterr().err
     assert not out.exists()
 
@@ -601,6 +601,22 @@ def test_fixed_points_subcommand(tmp_path):
     assert ids == ["complete_info", "theta_dagger"]
     assert doc["all_fixed_points_complete"] is False
     assert doc["global_stability"]["verdict"] == "not_globally_stable"
+    assert doc["global_stability"]["witness"]["cluster"] is True
+
+
+def test_completeness_counterexample_is_a_witness(tmp_path):
+    # at an even grid the scan misses the belief-frozen point (1/2, 1/2),
+    # so no cluster holds a witness; the completeness check still finds it
+    doc = dict(BASE, output_dir=str(tmp_path),
+               analysis={"fixed_points": {"belief_grid": 50}})
+    assert main(["fixed-points", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads((tmp_path / "fixed_points.json").read_text())
+    assert out["all_fixed_points_complete"] is False
+    assert out["counterexample"] == [[0.5, 0.5], [0.5, 0.5]]
+    glob = out["global_stability"]
+    assert glob["verdict"] == "not_globally_stable"
+    assert glob["witness"] == {"belief": [0.5, 0.5], "q": [0.5, 0.5],
+                               "cluster": False}
 
 
 def test_rate_subcommand(tmp_path):

@@ -15,11 +15,12 @@ must equal the oracle's, the residual bit for bit.
 fresh trial profile for each action, and `_payoff_equivalent_oracle` works
 out S*(q) with one `channel_means` call per parameter.
 `_from_probs_oracle` and `_belief_oracle` are the array `Belief.from_probs`
-and `Belief.__post_init__` that the float-native ones replaced: the log
-probabilities must be equal bit for bit, and a bad input must raise the same
-error.  The fixed-point scans are checked against scans that work out every
-equilibrium set's members and S*(q) afresh for each grid belief, and
-against a scan that certifies every member, candidate or not.
+(with its total summed left to right) and `Belief.__post_init__` that the
+float-native ones replaced: the log probabilities must be equal bit for bit,
+and a bad input must raise the same error.  The fixed-point scans are
+checked against scans that work out every equilibrium set's members and
+S*(q) afresh for each grid belief, and against a scan that certifies every
+member, candidate or not.
 """
 
 import itertools
@@ -54,9 +55,7 @@ from beliefplay.param_belief import (
     NEG_INF,
     Belief,
     ContractViolation,
-    _as_probs,
     _log_normalize,
-    _pairwise_sum,
     batch_log_likelihoods,
     log_likelihood,
 )
@@ -388,8 +387,16 @@ def _payoff_equivalent_oracle(game, q, tol=KL_TOL):
     return tuple(result)
 
 
+def _probs_oracle(belief):
+    """The probabilities of a Belief, or a probability vector, as an
+    array."""
+    if isinstance(belief, Belief):
+        return belief.probs
+    return np.asarray(belief, dtype=float)
+
+
 def _br_profile_oracle(game, belief, q, current=None):
-    probs = np.asarray(_as_probs(belief), dtype=float).tolist()
+    probs = _probs_oracle(belief).tolist()
     q = np.asarray(q, dtype=float)
     flat = q.tolist()
     out = q.copy()
@@ -403,7 +410,7 @@ def _certify_oracle(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
     """The array certificate `certify_fixed_point` replaced: numpy belief and
     profile, numpy pure profiles in payoff_equivalent_set, an array
     br_profile and an np.max residual."""
-    probs = _as_probs(belief)
+    probs = _probs_oracle(belief)
     q = np.asarray(q, dtype=float)
     equiv = _payoff_equivalent_oracle(game, q, tol_kl)
     support = tuple(int(s) for s in np.nonzero(probs > 0.0)[0])
@@ -496,11 +503,14 @@ def _belief_oracle(log_probs):
 
 
 def _from_probs_oracle(probs):
-    """The array `Belief.from_probs`: the normalised log probabilities."""
+    """The array `Belief.from_probs`, with the total summed left to right:
+    the normalised log probabilities."""
     p = np.asarray(probs, dtype=float)
     if np.any(p < 0):
         raise ContractViolation("probabilities must be non-negative")
-    total = p.sum()
+    total = 0.0
+    for x in p.tolist():
+        total += x
     if not total > 0:
         raise ContractViolation("probabilities must have positive mass")
     with np.errstate(divide="ignore"):
@@ -556,12 +566,6 @@ def test_from_probs_matches_the_array_oracle(probs, form):
 def test_belief_matches_the_array_oracle(log_probs, form):
     assert _outcome(lambda lp: Belief(lp).log_probs, form(log_probs)) == \
         _outcome(_belief_oracle, tuple(log_probs))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(0.0, 1e5), min_size=1, max_size=300))
-def test_pairwise_sum_is_numpys_order(values):
-    assert _pairwise_sum(values).hex() == float(np.sum(values)).hex()
 
 
 # ---------------------------------------------------------------------------
