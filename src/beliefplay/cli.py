@@ -111,7 +111,8 @@ FIELDS = {
     "analysis.stability": {
         "cluster": _Field(lambda v: v if isinstance(v, str) else _BAD,
                           "a string", "complete_info"),
-        "n_probe": _Field(_integer(1), "an integer >= 1", 1000),
+        # fewer than 8 probes leave an A2a radius bin empty
+        "n_probe": _Field(_integer(8), "an integer >= 8", 1000),
         "n_runs": _Field(_integer(1), "an integer >= 1", 200),
         "eps": _radius(1.0 / 3.0),
         "delta": _radius(1.0),
@@ -563,12 +564,13 @@ def cmd_stability(cfg):
               file=sys.stderr)
         return 2
     cert = match[0].representative
+    # a threshold error (eps_hat too large) comes before the costly work
+    thresholds = analysis.stability_thresholds(
+        np.asarray(cert.belief), spec["eps_hat"], spec["gamma"])
     a2 = analysis.check_assumption2(
         cfg.game, cert, spec["eps"], spec["delta"], n_probe=spec["n_probe"],
         seed=cfg.master_seed,
     )
-    thresholds = analysis.stability_thresholds(
-        np.asarray(cert.belief), spec["eps_hat"], spec["gamma"])
     report = analysis.monte_carlo_local_stability(
         cfg.game, cert, eps1=spec["eps1"], delta1=spec["delta1"],
         eps_bar=spec["eps_bar"], eps_x=spec["eps_x"], n_runs=spec["n_runs"],

@@ -329,6 +329,17 @@ def test_thresholds_where_the_t1_denominator_vanishes():
     assert th.rho3 == 0.5
 
 
+def test_thresholds_reject_eps_hat_past_the_vanishing_point():
+    # N = 2, E = 1: past eps_hat = 4 the t1 terms are negative, and rho3
+    # was -5.0 at eps_hat 5
+    with pytest.raises(ContractViolation, match="eps_hat = 5.0 exceeds"):
+        stability_thresholds([1, 0], 5.0, 0.5)
+    # N = 3, E = 2: the limit is 4.5
+    assert stability_thresholds([1.0, 0.0, 0.0], 4.5, 0.5).rho3 > 0.0
+    with pytest.raises(ContractViolation, match="eps_hat"):
+        stability_thresholds([1.0, 0.0, 0.0], 4.5000001, 0.5)
+
+
 def test_thresholds_input_validation():
     with pytest.raises(ContractViolation):
         stability_thresholds([1.0, 0.0], eps_hat=0.3, gamma=1.0)
@@ -469,11 +480,13 @@ def test_sample_belief_ball_properties(rng):
     theta_bar = np.asarray([0.6, 0.3, 0.1])
     for _ in range(200):
         x = sample_belief_ball(theta_bar, 0.05, rng)
+        assert type(x) is list
+        x = np.asarray(x)
         assert math.isclose(float(x.sum()), 1.0, abs_tol=1e-12)
         assert np.all(x > 0.0)
         assert np.max(np.abs(x - theta_bar)) <= 0.05 + 1e-12
     exact = sample_belief_ball(theta_bar, 0.0, rng)
-    assert np.array_equal(exact, theta_bar)
+    assert exact == theta_bar.tolist()
 
 
 @pytest.mark.parametrize("eps", [-0.1, -1e-300, float("nan"), float("inf"),
@@ -508,6 +521,21 @@ def test_assumption2_zerosum_quick(zerosum_game):
     assert out["A2a"]["pass"]
     assert out["A2b"]["pass"] and out["A2b"]["violations"] == 0
     assert out["A2c"]["pass"]
+
+
+def test_assumption2_needs_eight_probes(cournot_game):
+    # below 8 probes the last A2a radius bin was empty, read 0.0 and passed
+    # A2a without testing it
+    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+                               [2.0 / 3.0, 2.0 / 3.0])
+    for n_probe in (0, 5, 7):
+        with pytest.raises(ContractViolation, match="integer >= 8"):
+            check_assumption2(cournot_game, cert, eps=1.0 / 3.0, delta=1.0,
+                              n_probe=n_probe, seed=0)
+    out = check_assumption2(cournot_game, cert, eps=1.0 / 3.0, delta=1.0,
+                            n_probe=8, seed=0)
+    assert len(out["A2a"]["envelope"]) == 8
+    assert out["A2a"]["envelope"][-1] > 0.0
 
 
 def test_complete_info_conditions_cournot(cournot_game):

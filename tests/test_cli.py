@@ -206,8 +206,10 @@ def test_parse_accepts_every_stability_field():
 
 
 @pytest.mark.parametrize("stability, message", [
-    ({"n_probe": "x"}, "analysis.stability.n_probe must be an integer >= 1"),
-    ({"n_probe": 2.5}, "analysis.stability.n_probe must be an integer >= 1"),
+    ({"n_probe": "x"}, "analysis.stability.n_probe must be an integer >= 8"),
+    ({"n_probe": 2.5}, "analysis.stability.n_probe must be an integer >= 8"),
+    # 7 probes leave the last of the 8 A2a radius bins empty
+    ({"n_probe": 7}, "analysis.stability.n_probe must be an integer >= 8"),
     ({"n_runs": 0}, "analysis.stability.n_runs must be an integer >= 1"),
     ({"n_runs": True}, "analysis.stability.n_runs must be an integer >= 1"),
     ({"eps": "a"}, "analysis.stability.eps must be a finite number"),
@@ -224,7 +226,7 @@ def test_parse_accepts_every_stability_field():
                      "allowed: cluster, delta, delta1, eps, eps1, eps_bar, "
                      "eps_hat, eps_x, gamma, n_probe, n_runs"),
     (5, "analysis.stability must be an object"),
-], ids=["n_probe_string", "n_probe_float", "n_runs_zero", "n_runs_bool",
+], ids=["n_probe_string", "n_probe_float", "n_probe_seven", "n_runs_zero", "n_runs_bool",
         "eps_string", "gamma_nan", "eps_bar_inf", "delta1_bool",
         "eps1_negative", "gamma_above_1", "cluster_not_string", "unknown_key", "not_an_object"])
 def test_stability_rejects_bad_analysis_stability(tmp_path, capsys, stability,
@@ -731,7 +733,7 @@ def test_fixed_points_on_finite_game(tmp_path):
 
 def test_stability_rejects_finite_games(tmp_path, capsys):
     doc = {"game": "two_route_congestion", "horizon": 20,
-           "analysis": {"stability": {"n_runs": 2, "n_probe": 5}},
+           "analysis": {"stability": {"n_runs": 2, "n_probe": 8}},
            "output_dir": str(tmp_path)}
     assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
     assert "finite games have no strategy box" in capsys.readouterr().err
@@ -755,6 +757,23 @@ def test_stability_fails_fast_on_finite_games(tmp_path, capsys, monkeypatch):
     assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
     assert "finite games have no strategy box" in capsys.readouterr().err
     assert calls == []
+
+
+def test_stability_rejects_eps_hat_before_any_probe(tmp_path, capsys,
+                                                    monkeypatch):
+    # eps_hat 5 > |S|(E+1)/E = 4 at theta_bar (1, 0) would give rho3 = -5
+    def spy(*args, **kwargs):
+        raise AssertionError("check_assumption2 called")
+
+    monkeypatch.setattr(analysis, "check_assumption2", spy)
+    doc = {"game": "cournot", "horizon": 50, "seed": 0,
+           "analysis": {"stability": {"cluster": "complete_info",
+                                      "n_runs": 2, "n_probe": 10,
+                                      "eps_hat": 5}},
+           "output_dir": str(tmp_path)}
+    assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
+    assert "eps_hat" in capsys.readouterr().err
+    assert not (tmp_path / "stability_report.json").exists()
 
 
 def test_threads_flag_is_ignored(tmp_path):

@@ -20,11 +20,16 @@ float-native ones replaced: the log probabilities must be equal bit for bit,
 and a bad input must raise the same error.  The fixed-point scans are
 checked against scans that work out every equilibrium set's members and
 S*(q) afresh for each grid belief, and against a scan that certifies every
-member, candidate or not.
+member, candidate or not.  `_assumption2_oracle`, `_ball_oracle`,
+`_near_eq_oracle` and `_hausdorff_oracle` are the Assumption-2 probes on
+numpy arrays that the float-native ones replaced: the reports, the draws
+and the random stream after them must be equal bit for bit.
 """
 
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -804,3 +809,237 @@ def test_finite_best_response_matches_the_fresh_profile_oracle(case):
         assert _bits(br.point) == _bits(point)
         assert br.tied_actions == tied
     assert q == before  # the profile is read, never written
+
+
+# ---------------------------------------------------------------------------
+# Assumption-2 probes on lists of floats
+
+
+def _ball_oracle(theta_bar, eps, rng):
+    """`sample_belief_ball` on numpy arrays, as it was before the probes
+    moved to lists of floats."""
+    theta_bar = np.asarray(theta_bar, dtype=float)
+    if eps == 0.0:
+        return theta_bar.copy()
+    n = theta_bar.size
+    j = int(np.argmax(theta_bar))
+    rest = [i for i in range(n) if i != j]
+    lo = np.maximum(theta_bar - eps, 0.0)
+    hi = np.minimum(theta_bar + eps, 1.0)
+    for _ in range(100000):
+        x = np.empty(n)
+        for i in rest:
+            x[i] = lo[i] + (hi[i] - lo[i]) * rng.random()
+        total = 0.0
+        for i in rest:
+            total += x[i]
+        x[j] = 1.0 - total
+        if x[j] <= 0.0 or abs(x[j] - theta_bar[j]) > eps:
+            continue
+        if all(x[i] > 0.0 for i in range(n)):
+            return x
+    warnings.warn("belief-ball rejection failed; shrinking the radius")
+    return _ball_oracle(theta_bar, eps / 2.0, rng)
+
+
+def _near_eq_oracle(game, eq, delta, rng):
+    base = eq.sample(1, rng)[0]
+    if delta > 0.0:
+        base = base + (2.0 * rng.random(base.size) - 1.0) * delta
+    return np.clip(base, game.box_lo(), game.box_hi())
+
+
+def _hausdorff_oracle(eq_from, eq_to, rng, n=256):
+    pts = np.vstack([eq_from.representatives(16), eq_from.sample(n, rng)])
+    return float(eq_to.distance(pts).max())
+
+
+def _assumption2_oracle(game, certificate, eps, delta, n_probe, seed):
+    """`check_assumption2` on numpy arrays, as it was before the probes
+    moved to lists of floats."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    theta_bar = np.asarray(certificate.belief, dtype=float)
+    eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
+    support = certificate.support
+    radii, dists = [], []
+    for _ in range(n_probe):
+        theta = _ball_oracle(theta_bar, eps, rng)
+        eq = equilibrium_set(game, Belief.from_probs(theta))
+        radii.append(float(np.max(np.abs(theta - theta_bar))))
+        dists.append(_hausdorff_oracle(eq, eq_bar, rng, n=64))
+    radii = np.asarray(radii)
+    dists = np.asarray(dists)
+    bins = np.array_split(np.argsort(radii), 8)
+    envelope = [float(np.max(dists[b])) if len(b) else 0.0 for b in bins]
+    a2a_pass = bool(envelope[-1] <= 1e-9
+                    or envelope[0] <= 0.5 * envelope[-1] + 1e-8)
+    a2b_violations = 0
+    a2b_counterexample = None
+    for _ in range(n_probe):
+        theta = _ball_oracle(theta_bar, eps, rng)
+        q = _near_eq_oracle(game, eq_bar, delta, rng)
+        br = br_profile(game, theta, q, current=q)
+        if eq_bar.distance(br) > delta + 1e-12:
+            a2b_violations += 1
+            if a2b_counterexample is None:
+                a2b_counterexample = (tuple(theta.tolist()), tuple(q.tolist()))
+    a2c_violations = 0
+    a2c_counterexample = None
+    for _ in range(n_probe):
+        q = _near_eq_oracle(game, eq_bar, delta, rng)
+        if not set(support) <= set(payoff_equivalent_set(game, q)):
+            a2c_violations += 1
+            if a2c_counterexample is None:
+                a2c_counterexample = tuple(q.tolist())
+    return {
+        "A2a": {"pass": a2a_pass, "envelope": envelope, "n_probe": n_probe},
+        "A2b": {"pass": a2b_violations == 0, "violations": a2b_violations,
+                "counterexample": a2b_counterexample, "n_probe": n_probe},
+        "A2c": {"pass": a2c_violations == 0, "violations": a2c_violations,
+                "counterexample": a2c_counterexample, "n_probe": n_probe},
+    }
+
+
+def _hexed(obj):
+    """obj with every float written by `float.hex` (bit for bit, -0.0 told
+    from 0.0); containers keep their type."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_hexed(v) for v in obj)
+    return obj
+
+
+def _two_member_cournot():
+    """Cournot whose EQ(theta) is a finite list: its equilibrium point and
+    that point moved up by 0.25 (clipped to the box)."""
+    base = games.cournot()
+    hi = base.box_hi().tolist()
+
+    def analytic_eq(probs):
+        point = base.analytic_eq(probs).point
+        moved = [min(x + 0.25, h) for x, h in zip(point, hi)]
+        return EquilibriumSet.of_finite_list([point, moved])
+
+    return dataclasses.replace(base, analytic_eq=analytic_eq)
+
+
+@pytest.fixture(scope="module")
+def a2_certificates():
+    """(label, game, certificate) for every kind of EQ(theta_bar): Cournot's
+    two clusters and investment (points), zerosum (a box), coordination (a
+    line) and the two-member Cournot (a finite list)."""
+    out = []
+    for label, game in (("cournot", games.cournot()),
+                        ("investment", games.investment()),
+                        ("zerosum", games.zerosum_example()),
+                        ("coordination", games.coordination_penalty())):
+        for cl in enumerate_fixed_points(game):
+            out.append(("%s/%s" % (label, cl.cluster_id), game,
+                        cl.representative))
+    cournot_cert = out[0][2]
+    out.append(("cournot_finite_list", _two_member_cournot(), cournot_cert))
+    kinds = {label: equilibrium_set(game, list(cert.belief)).kind
+             for label, game, cert in out}
+    assert kinds == {"cournot/complete_info": "point",
+                     "cournot/theta_dagger": "point",
+                     "investment/complete_info": "point",
+                     "zerosum/complete_info": "box",
+                     "coordination/complete_info": "line",
+                     "cournot_finite_list": "finite_list"}
+    return out
+
+
+def _both(game, cert, eps, delta, n_probe, seed):
+    """(result, warning count) of `check_assumption2` and of the oracle."""
+    out = []
+    for fn in (analysis.check_assumption2, _assumption2_oracle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(game, cert, eps, delta, n_probe=n_probe, seed=seed)
+        out.append((_hexed(result), len(caught)))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 1.0 / 3.0])
+@pytest.mark.parametrize("delta", [0.0, 0.1, 1.0])
+def test_assumption2_matches_the_array_oracle(a2_certificates, eps, delta):
+    for label, game, cert in a2_certificates:
+        for seed in (0, 1, 2):
+            got, want = _both(game, cert, eps, delta, 24, seed)
+            assert got == want, (label, seed)
+
+
+class _StuckRng:
+    """A generator whose first ``stuck`` scalar ``random()`` draws are 0.0,
+    which a belief ball around a belief with a zero entry always rejects."""
+
+    def __init__(self, seed, stuck):
+        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._stuck = stuck
+
+    def random(self, size=None):
+        if size is None and self._stuck:
+            self._stuck -= 1
+            return 0.0
+        return self._gen.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_assumption2_matches_the_oracle_when_the_ball_shrinks(
+        a2_certificates, monkeypatch):
+    # theta_bar (1, 0): the first ball draw is rejected 100,000 times, so
+    # the radius halves once
+    label, game, cert = a2_certificates[0]
+    assert cert.belief == (1.0, 0.0)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _StuckRng(seed, 100000))
+    got, want = _both(game, cert, 0.05, 0.1, 8, 3)
+    assert got == want and got[1] == 1
+
+
+@pytest.mark.parametrize("theta_bar", [[0.6, 0.3, 0.1], [1.0, 0.0],
+                                       [0.2, 0.2, 0.6], [0.25] * 4,
+                                       [0.0, 0.5, 0.5]])
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.3, 1.0])
+def test_belief_ball_matches_the_array_oracle(theta_bar, eps):
+    got_rng = np.random.default_rng(7)
+    want_rng = np.random.default_rng(7)
+    for _ in range(50):
+        got = analysis.sample_belief_ball(theta_bar, eps, got_rng)
+        want = _ball_oracle(theta_bar, eps, want_rng)
+        assert type(got) is list and _bits(got) == _bits(want.tolist())
+    assert got_rng.random() == want_rng.random()
+
+
+def test_probe_helpers_match_the_array_oracles(a2_certificates):
+    # A2b and A2c report only counts and the first counterexample, so the
+    # draws near a box or a line pass unseen where nothing is violated:
+    # compare the helpers draw by draw, and the stream after them
+    cournot = a2_certificates[0][1]
+    cases = [(game, equilibrium_set(game, list(cert.belief)))
+             for _, game, cert in a2_certificates]
+    # signed zeros on the box bounds, where np.clip keeps the bound
+    cases += [(cournot, EquilibriumSet.of_point([-0.0, 0.0])),
+              (cournot, EquilibriumSet.of_box([-0.0, 0.0], [0.0, -0.0]))]
+    for seed, (game, eq) in enumerate(cases):
+        for delta in (0.0, 0.1, 1.0):
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            for _ in range(20):
+                got = analysis.sample_near_eq(game, eq, delta, got_rng)
+                want = _near_eq_oracle(game, eq, delta, want_rng)
+                assert type(got) is list
+                assert _bits(got) == _bits(want.tolist()), (eq, delta)
+            assert got_rng.random() == want_rng.random()
+        for _, eq_to in cases:
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = analysis._directed_hausdorff(eq, eq_to, got_rng, n=64)
+            want = _hausdorff_oracle(eq, eq_to, want_rng, n=64)
+            assert got.hex() == want.hex(), (eq, eq_to)
+            assert got_rng.random() == want_rng.random()
