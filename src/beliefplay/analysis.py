@@ -713,17 +713,13 @@ def sample_belief_ball(theta_bar, eps, rng):
     return sample_belief_ball(theta_bar, eps / 2.0, rng)
 
 
-def sample_near_eq(game, eq, delta, rng):
-    """A member of ``eq`` moved by up to delta in each coordinate, uniformly,
-    and clipped to the strategy box: a list of floats."""
-    return _near_eq_sampler(game, eq, delta)(rng)
-
-
 def _near_eq_sampler(game, eq, delta):
-    """The draw of `sample_near_eq` as a function of the rng, with the box
-    and the set read once.  A point set draws no member: the draw is
-    ``rng.random(q_dim)`` when delta > 0 and nothing otherwise.  Every
-    other kind draws its member by ``eq.sample(1, rng)`` first."""
+    """A draw near ``eq`` as a function of the rng, with the box and the set
+    read once: a member of ``eq`` moved by up to delta in each coordinate,
+    uniformly, and clipped to the strategy box, as a list of floats.  A
+    point set draws no member: the draw is ``rng.random(q_dim)`` when
+    delta > 0 and nothing otherwise.  Every other kind draws its member by
+    ``eq.sample(1, rng)`` first."""
     box = list(zip(game.box_lo().tolist(), game.box_hi().tolist()))
     point = list(eq.point) if eq.kind == "point" else None
 
@@ -792,12 +788,13 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
     schedule = schedule or UpdateSchedule.every_stage()
     theta_bar = np.asarray(certificate.belief, dtype=float)
     eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
+    near_eq = _near_eq_sampler(game, eq_bar, delta1)
     starts = []
     for k in range(n_runs):
         seed_k = replica_seed(seed, k)
         rng = np.random.default_rng(np.random.SeedSequence(seed_k))
         theta1 = sample_belief_ball(theta_bar, eps1, rng)
-        q1 = sample_near_eq(game, eq_bar, delta1, rng)
+        q1 = near_eq(rng)
         starts.append((seed_k, theta1, q1))
 
     stayed = 0
@@ -838,7 +835,7 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
     seeded by ``seed``, condition by condition:
     - A2a: a belief-ball draw (`sample_belief_ball`), then `equilibrium_set`
       at it, then 64 samples of that set (a point set draws none);
-    - A2b: a belief-ball draw, a draw near EQ(theta_bar) (`sample_near_eq`:
+    - A2b: a belief-ball draw, a draw near EQ(theta_bar) (`_near_eq_sampler`:
       a member by ``eq.sample`` unless the set is a point, then
       ``rng.random(q_dim)`` when delta > 0), then one `br_profile` call;
     - A2c: a draw near EQ(theta_bar), then one `payoff_equivalent_set` call.

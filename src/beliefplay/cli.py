@@ -550,7 +550,6 @@ def cmd_fixed_points(cfg):
 
 
 def cmd_stability(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.analysis["stability"]
     cluster_id = spec["cluster"]
     # the probes and replicas sample the strategy box, which a finite game
@@ -567,6 +566,9 @@ def cmd_stability(cfg):
     # a threshold error (eps_hat too large) comes before the costly work
     thresholds = analysis.stability_thresholds(
         np.asarray(cert.belief), spec["eps_hat"], spec["gamma"])
+    # a failed check above leaves no directory behind; an unwritable one
+    # still fails before the probes and the Monte Carlo
+    os.makedirs(cfg.output_dir, exist_ok=True)
     a2 = analysis.check_assumption2(
         cfg.game, cert, spec["eps"], spec["delta"], n_probe=spec["n_probe"],
         seed=cfg.master_seed,
@@ -654,6 +656,13 @@ def main(argv=None):
     if cfg.estimator == "ols" and args.command in ("rate", "stability"):
         print("config error: estimator 'ols' is only supported by run, not "
               "by %s" % args.command, file=sys.stderr)
+        return 1
+    burn_in = cfg.analysis["rate"]["burn_in"]
+    if args.command == "rate" and burn_in > cfg.horizon - 2:
+        # the fit needs at least 2 stages after the burn-in
+        print("config error: analysis.rate.burn_in must be at most horizon - "
+              "2 (%d at horizon %d) for rate, got %d"
+              % (cfg.horizon - 2, cfg.horizon, burn_in), file=sys.stderr)
         return 1
     if args.out:
         cfg.output_dir = args.out

@@ -10,9 +10,10 @@ The kernels the stage loop calls are float-native.  ``channel_means(q)``
 returns the channel means under all |S| parameters at once, one row of
 ``obs_dim`` Python floats per parameter, built from ``space.params`` when the
 game is built; ``GameModel.sigmas`` is the matching (|S|, obs_dim) table of
-noise scales and ``log_sigmas`` their logs, computed once.  Every
-``analytic_br`` and the finite best response take lists of floats and return
-a `BRResult` whose ``point`` is a tuple of floats.
+noise scales and ``log_sigmas`` their logs, computed once.  Best responses
+are closed forms: every continuous game supplies an ``analytic_br``, and a
+finite game without one uses the finite best response.  Both take lists of
+floats and return a `BRResult` whose ``point`` is a tuple of floats.
 
 Bit rule: every sum over the parameters or over a probability vector runs
 left to right in plain float arithmetic: each expectation under the belief
@@ -38,12 +39,12 @@ import numpy as np
 from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
                            _expect, _floats, _prob_list)
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FLAT_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
-    """Numeric best-response search failed to converge."""
+    """The numeric equilibrium search (`equilibrium_set` on a game without
+    an ``analytic_eq``) found no equilibrium from any start."""
 
 
 class BRResult:
@@ -202,7 +203,9 @@ class GameModel:
     every parameter (|S| rows of ``obs_dim`` floats), ``sigmas`` holds the
     noise scale of each (parameter, channel) pair (0 is a noiseless channel)
     and ``mean_payoff_fn(s, q, i)`` is player i's mean payoff under
-    parameter s at a list of floats q.
+    parameter s at a list of floats q.  ``analytic_br(probs, i, q, current)``
+    is player i's closed-form best response; a continuous game must supply
+    one, a finite game may.
     """
 
     name: str
@@ -221,6 +224,8 @@ class GameModel:
     log_sigmas: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.kind == "continuous" and self.analytic_br is None:
+            raise ContractViolation("a continuous game needs an analytic_br")
         self.sigmas = tuple(tuple(float(x) for x in row) for row in self.sigmas)
         if len(self.sigmas) != len(self.space) or any(
                 len(row) != self.obs_dim for row in self.sigmas):
@@ -338,51 +343,6 @@ def sample_payoffs(game, s_idx, q, rng):
 # Best response
 
 
-def _golden_max(f, lo, hi, iters=200, tol=1e-10):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    if b - a <= tol:
-        return 0.5 * (a + b)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if b - a <= tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-    else:
-        if b - a > 1e-6:
-            raise SolverError("golden-section bracket did not close: [%g, %g]" % (a, b))
-    return 0.5 * (a + b)
-
-
-def _flat_interval(f, x_star, lo, hi, n_grid=201):
-    """Largest grid interval around x_star where f is within FLAT_TOL of max."""
-    xs = np.linspace(lo, hi, n_grid)
-    fx = np.asarray([f(x) for x in xs])
-    f_max = max(float(np.max(fx)), f(x_star))
-    flat = fx >= f_max - FLAT_TOL
-    k = int(np.argmin(np.abs(xs - x_star)))
-    if not flat[k]:
-        return x_star, x_star
-    left = k
-    while left > 0 and flat[left - 1]:
-        left -= 1
-    right = k
-    while right < n_grid - 1 and flat[right + 1]:
-        right += 1
-    if left == right:
-        return x_star, x_star
-    return float(xs[left]), float(xs[right])
-
-
 def best_response(game, belief, i, q, current=None):
     """Best response of player i to the opponents in the profile q.
 
@@ -390,7 +350,9 @@ def best_response(game, belief, i, q, current=None):
     (player i's current block, by default read from q) are arrays,
     sequences or lists of floats.  Returns a BRResult: a canonical maximizer
     (the one nearest the player's current strategy when the argmax is
-    set-valued) plus a descriptor.
+    set-valued) plus a descriptor.  The game's ``analytic_br`` answers when
+    it has one, which every continuous game does; a finite game without one
+    uses `_finite_best_response`.  There is no numeric search.
     """
     # the stage loop passes lists of floats, which need no conversion
     probs = _prob_list(belief)
@@ -403,27 +365,7 @@ def best_response(game, belief, i, q, current=None):
 
     if game.analytic_br is not None:
         return game.analytic_br(probs, i, q, current)
-
-    if game.kind == "finite":
-        return _finite_best_response(game, probs, i, q, current)
-
-    # golden-section search: the oracle the closed forms are tested against,
-    # and the path for games built without an analytic_br
-    lo = game.box_lo()[i]
-    hi = game.box_hi()[i]
-    pos = game.slices[i].start
-
-    def value(x):
-        trial = list(q)
-        trial[pos] = x
-        return expected_payoff(game, probs, trial, i)
-
-    x_star = _golden_max(value, lo, hi)
-    f_lo, f_hi = _flat_interval(value, x_star, lo, hi)
-    if f_hi - f_lo <= FLAT_TOL:
-        return BRResult((x_star,))
-    canonical = min(max(float(current[0]), f_lo), f_hi)
-    return BRResult((canonical,), interval=((f_lo,), (f_hi,)))
+    return _finite_best_response(game, probs, i, q, current)
 
 
 def _finite_best_response(game, probs, i, q, current):

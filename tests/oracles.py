@@ -1,0 +1,90 @@
+"""Numeric oracles the closed forms of `beliefplay.games` are tested against.
+
+`numeric_best_response` is a golden-section search of player i's expected
+payoff over their strategy interval, plus a 201-point grid scan for a flat
+argmax.  It reads only ``mean_payoff_fn`` and the strategy box, never the
+game's ``analytic_br``, so it checks that closed form independently.
+"""
+
+import math
+
+import numpy as np
+
+from beliefplay.games import FLAT_TOL, BRResult, SolverError, expected_payoff
+from beliefplay.param_belief import _floats, _prob_list
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi, iters=200, tol=1e-10):
+    """Golden-section maximization of a unimodal f on [lo, hi]."""
+    a, b = float(lo), float(hi)
+    if b - a <= tol:
+        return 0.5 * (a + b)
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if b - a <= tol:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+    else:
+        if b - a > 1e-6:
+            raise SolverError("golden-section bracket did not close: [%g, %g]" % (a, b))
+    return 0.5 * (a + b)
+
+
+def _flat_interval(f, x_star, lo, hi, n_grid=201):
+    """Largest grid interval around x_star where f is within FLAT_TOL of max."""
+    xs = np.linspace(lo, hi, n_grid)
+    fx = np.asarray([f(x) for x in xs])
+    f_max = max(float(np.max(fx)), f(x_star))
+    flat = fx >= f_max - FLAT_TOL
+    k = int(np.argmin(np.abs(xs - x_star)))
+    if not flat[k]:
+        return x_star, x_star
+    left = k
+    while left > 0 and flat[left - 1]:
+        left -= 1
+    right = k
+    while right < n_grid - 1 and flat[right + 1]:
+        right += 1
+    if left == right:
+        return x_star, x_star
+    return float(xs[left]), float(xs[right])
+
+
+def numeric_best_response(game, probs, i, q, current=None):
+    """Best response of player i in a continuous game by golden-section
+    search, with the arguments and result of `games.best_response`: a
+    canonical maximizer (``current`` clipped to the flat interval when the
+    argmax is set-valued) plus the interval."""
+    probs = _prob_list(probs)
+    if type(q) is not list:
+        q = _floats(q)
+    if current is None:
+        current = q[game.slices[i]]
+    elif type(current) is not list:
+        current = _floats(current)
+    lo = game.box_lo()[i]
+    hi = game.box_hi()[i]
+    pos = game.slices[i].start
+
+    def value(x):
+        trial = list(q)
+        trial[pos] = x
+        return expected_payoff(game, probs, trial, i)
+
+    x_star = _golden_max(value, lo, hi)
+    f_lo, f_hi = _flat_interval(value, x_star, lo, hi)
+    if f_hi - f_lo <= FLAT_TOL:
+        return BRResult((x_star,))
+    canonical = min(max(float(current[0]), f_lo), f_hi)
+    return BRResult((canonical,), interval=((f_lo,), (f_hi,)))

@@ -9,7 +9,6 @@ summary (see conftest).  Tolerances and sample sizes are pinned; the whole
 module is budgeted to finish in well under fifteen minutes.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -45,6 +44,7 @@ from beliefplay.param_belief import (
     UpdateSchedule,
     map_update,
 )
+from oracles import numeric_best_response
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,6 @@ def test_criterion_11_oracle_equivalences(criterion):
     for make in (games.cournot, games.zerosum_example, games.investment,
                  games.coordination_penalty):
         game = make()
-        numeric = dataclasses.replace(game, analytic_br=None)
         n = len(game.space)
         worst = 0.0
         for _ in range(100):
@@ -487,7 +486,7 @@ def test_criterion_11_oracle_equivalences(criterion):
                                  - game.box_lo()) * rng.random(2)
             for i in range(2):
                 ana = best_response(game, probs, i, q)
-                num = best_response(numeric, probs, i, q)
+                num = numeric_best_response(game, probs, i, q)
                 if ana.is_set_valued:
                     lo, hi = ana.interval
                     gap = max(lo[0] - num.point[0], num.point[0] - hi[0], 0.0)

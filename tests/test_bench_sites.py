@@ -1,0 +1,87 @@
+"""The call sites the benchmark pins still exist in the package.
+
+A traced benchmark run (``bench/run.py --trace 1``) fails when a pinned
+``module:attr`` site of ``SITES`` in ``bench/workloads.py`` records no call,
+and its tracer only wraps public functions of the package's layers.  This
+test reads those tables, and the tracer's ``HOOKS``, from the source with
+`ast` (it imports nothing from ``bench/`` and writes no bytecode there) and
+checks that every site and hook names a function the tracer can wrap.  A
+renamed or deleted function fails here; a call site that moved out of a
+workload's path is still seen only by a traced run.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _assignments(filename):
+    """name -> value node of each top-level assignment in a bench file."""
+    tree = ast.parse((BENCH / filename).read_text(), filename=filename)
+    return {target.id: node.value for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name)}
+
+
+def _strings(node):
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+_WORKLOADS = _assignments("workloads.py")
+_TRACER = _assignments("tracer.py")
+LAYERS = ast.literal_eval(_TRACER["LAYERS"])
+SITES = sorted({site for name in ("_CORE_SITES", "_LOOP_SITES", "SITES")
+                for site in _strings(_WORKLOADS[name]) if ":" in site})
+HOOKS = [key.value for key in _TRACER["HOOKS"].keys]
+
+
+def _layer_function(layer, name):
+    """The public function ``name`` defined in ``beliefplay.<layer>``, or an
+    assertion error saying why there is none."""
+    module = importlib.import_module("beliefplay." + layer)
+    obj = getattr(module, name, None)
+    assert inspect.isfunction(obj), "beliefplay.%s has no function %s" % (
+        layer, name)
+    assert not name.startswith("_"), "%s.%s is private" % (layer, name)
+    assert obj.__module__ == module.__name__, "%s.%s is defined in %s" % (
+        layer, name, obj.__module__)
+    return obj
+
+
+def test_the_tables_were_read():
+    assert len(SITES) >= 20 and "games:best_response" in SITES
+    assert len(HOOKS) >= 5 and "games.best_response" in HOOKS
+    assert "games" in LAYERS
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_pinned_site_is_a_traced_function(site):
+    module, attr = site.split(":")
+    assert module in LAYERS
+    if "." in attr:  # a method, e.g. GameModel.channel_means
+        cls_name, method = attr.split(".")
+        cls = getattr(importlib.import_module("beliefplay." + module),
+                      cls_name, None)
+        assert inspect.isclass(cls), "beliefplay.%s has no class %s" % (
+            module, cls_name)
+        assert inspect.isfunction(getattr(cls, method, None)), site
+        return
+    obj = getattr(importlib.import_module("beliefplay." + module), attr, None)
+    assert inspect.isfunction(obj), "%s is not bound to a function" % site
+    # the tracer wraps it only as a public function of the layer defining it
+    layer = obj.__module__.rpartition(".")[2]
+    assert layer in LAYERS, "%s is defined outside the layers" % site
+    assert _layer_function(layer, obj.__name__) is obj
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+def test_hook_names_a_public_layer_function(hook):
+    layer, name = hook.split(".")
+    assert layer in LAYERS
+    _layer_function(layer, name)

@@ -27,8 +27,8 @@ RULED = {
     "param_belief": ("_expect", "_total", "_prob_list", "log_likelihood",
                      "batch_log_likelihoods", "_log_normalize",
                      "next_update_stage"),
-    "analysis": ("sample_belief_ball", "sample_near_eq", "_near_eq_sampler",
-                 "_distance", "_directed_hausdorff"),
+    "analysis": ("sample_belief_ball", "_near_eq_sampler", "_distance",
+                 "_directed_hausdorff"),
 }
 
 

@@ -442,6 +442,34 @@ def test_ols_estimator_only_runs(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon, rate, burn_in", [
+    (3000, {"burn_in": 5000}, 5000), (1, {}, 0), (50, {"burn_in": 49}, 49),
+], ids=["burn_in_past_horizon", "horizon_1", "one_stage_left"])
+def test_rate_burn_in_must_leave_two_stages(tmp_path, capsys, horizon, rate,
+                                            burn_in):
+    # the fit needs 2 stages after the burn-in: anything less is refused
+    # before any run, not after every seed has run
+    doc = {"game": "cournot", "horizon": horizon,
+           "seeds": {"start": 0, "count": 4}, "analysis": {"rate": rate}}
+    out = tmp_path / "out"
+    assert main(["rate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: analysis.rate.burn_in must be at most horizon - 2 "
+        "(%d at horizon %d) for rate, got %d"
+        % (horizon - 2, horizon, burn_in)]
+    assert not out.exists()
+
+
+def test_rate_fits_the_last_two_stages(tmp_path):
+    doc = {"game": "cournot", "horizon": 50, "seed": 0,
+           "analysis": {"rate": {"burn_in": 48}}}
+    out = tmp_path / "out"
+    assert main(["rate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert (out / "rate.json").exists()
+
+
 def test_python_m_top_level_list_has_no_traceback(tmp_path):
     src = os.path.dirname(os.path.dirname(beliefplay.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -830,6 +858,22 @@ def test_exit_code_unknown_cluster(tmp_path, capsys):
                analysis={"stability": {"cluster": "nonesuch"}})
     assert main(["stability", "--config", write_config(tmp_path, doc)]) == 2
     assert "unknown cluster id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stability, message", [
+    ({"cluster": "nonesuch"}, "unknown cluster id 'nonesuch'"),
+    # |S|(E+1)/E = 3 * 3 / 2 = 4.5 at theta* of zerosum
+    ({"eps_hat": 5}, "eps_hat"),
+], ids=["unknown_cluster", "eps_hat_too_large"])
+def test_failed_stability_leaves_no_output_directory(tmp_path, capsys,
+                                                     stability, message):
+    doc = {"game": "zerosum", "horizon": 50, "seed": 0,
+           "analysis": {"stability": dict(stability, n_runs=2, n_probe=8)}}
+    out = tmp_path / "out"
+    assert main(["stability", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_usage_error():

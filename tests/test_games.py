@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefplay import games
+from beliefplay.cli import GAMES
 from beliefplay.games import (
     BRResult,
     EquilibriumSet,
@@ -20,10 +21,7 @@ from beliefplay.games import (
     sample_payoffs,
 )
 from beliefplay.param_belief import Belief, ContractViolation
-
-
-def strip_analytic_br(game):
-    return dataclasses.replace(game, analytic_br=None)
+from oracles import numeric_best_response
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +159,13 @@ def affine_mixed_slopes():
 ])
 def test_numeric_br_matches_analytic(maker, rng):
     game = maker()
-    numeric = strip_analytic_br(game)
     n = len(game.space)
     for _ in range(25):
         probs = rng.dirichlet(np.ones(n))
         q = game.box_lo() + (game.box_hi() - game.box_lo()) * rng.random(2)
         for i in range(2):
             ana = best_response(game, probs, i, q)
-            num = best_response(numeric, probs, i, q)
+            num = numeric_best_response(game, probs, i, q)
             if ana.is_set_valued:
                 lo, hi = ana.interval
                 gap = max(lo[0] - num.point[0], num.point[0] - hi[0], 0.0)
@@ -224,7 +221,6 @@ def test_affine_closed_form_br_matches_numeric_oracle(case):
     n, grid, probs, q, current = case
     game = games.affine_game(np.reshape(grid[0][: n * n], (n, n)),
                              grid[0][n * n:], 0.5, grid=grid)
-    numeric = strip_analytic_br(game)
     for i in range(n):
         # the oracle cannot decide 1e-13 < |m| < 1e-6: its flatness test
         # reads a 201-point grid, and its golden-section comparisons lose
@@ -233,7 +229,7 @@ def test_affine_closed_form_br_matches_numeric_oracle(case):
         if 1e-13 < abs(m) < 1e-6:
             continue
         ana = best_response(game, probs, i, q, current=[current])
-        num = best_response(numeric, probs, i, q, current=[current])
+        num = numeric_best_response(game, probs, i, q, current=[current])
         assert ana.is_set_valued == num.is_set_valued
         assert abs(ana.point[0] - num.point[0]) <= 1e-6
         if abs(m) > 1e-6:
@@ -282,6 +278,18 @@ def test_game_factories_reject_bad_noise_scales(factory, name, bad):
 def test_investment_needs_one_noise_scale_per_parameter():
     with pytest.raises(ContractViolation, match="one entry per parameter"):
         games.investment(sigmas=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("game_id", GAMES)
+def test_continuous_game_needs_an_analytic_br(game_id):
+    # every built-in game builds with its CLI defaults; a continuous game
+    # without its closed form is refused, as best_response has no numeric
+    # search to fall back on
+    factory, _, defaults = GAMES[game_id]
+    game = factory(**defaults)
+    if game.kind == "continuous":
+        with pytest.raises(ContractViolation, match="needs an analytic_br"):
+            dataclasses.replace(game, analytic_br=None)
 
 
 def test_br_profile_stacks_players(investment_game):

@@ -1030,8 +1030,9 @@ def test_probe_helpers_match_the_array_oracles(a2_certificates):
         for delta in (0.0, 0.1, 1.0):
             got_rng = np.random.default_rng(seed)
             want_rng = np.random.default_rng(seed)
+            near_eq = analysis._near_eq_sampler(game, eq, delta)
             for _ in range(20):
-                got = analysis.sample_near_eq(game, eq, delta, got_rng)
+                got = near_eq(got_rng)
                 want = _near_eq_oracle(game, eq, delta, want_rng)
                 assert type(got) is list
                 assert _bits(got) == _bits(want.tolist()), (eq, delta)
