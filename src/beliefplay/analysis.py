@@ -15,9 +15,9 @@ import numpy as np
 from .dynamics import UpdateRule, _map_replicas, replica_seed, run
 from .games import (
     EquilibriumSet,
-    best_response,
     br_profile,
     equilibrium_set,
+    tied_actions,
 )
 from .param_belief import (
     Belief,
@@ -144,7 +144,7 @@ def certify_fixed_point(game, belief, q, tol_eq=1e-8, *,
         # optimal actions; residual = mass on suboptimal actions
         residual = 0.0
         for i, sl in enumerate(game.slices):
-            tied = best_response(game, probs, i, q).tied_actions
+            tied = tied_actions(game, probs, i, q)
             off = 0.0
             for a, x in enumerate(q[sl]):
                 if a not in tied:
@@ -194,12 +194,7 @@ def _grid_points(n_params, resolution):
         for i in range(g + 1):
             yield np.asarray([i / g, 1.0 - i / g])
         return
-    if n_params == 3:
-        for i in range(g + 1):
-            for j in range(g + 1 - i):
-                yield np.asarray([i / g, j / g, (g - i - j) / g])
-        return
-    # generic stars-and-bars walk for larger spaces
+    # stars-and-bars walk
     for combo in itertools.combinations(range(g + n_params - 1), n_params - 1):
         prev = -1
         parts = []
@@ -901,28 +896,26 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
     }
 
 
-def check_global_stability(game, clusters, n_random_starts=50, horizon=20000,
-                           seed=0):
-    """Globally stable iff every fixed point is complete-information; verified
-    empirically by random-start convergence when the enumerated clusters (from
-    enumerate_fixed_points) allow it: each start runs the sequential rule
-    until converged, and must end within 0.05 of theta*, 0.02 of EQ(theta*)."""
+def check_global_stability(game, clusters, counterexample, n_random_starts=50,
+                           horizon=20000, seed=0):
+    """Globally stable iff every fixed point is complete-information.  A
+    witness off theta* decides before any run: a member of the enumerated
+    clusters (from enumerate_fixed_points), else ``counterexample``, the
+    (belief, q) of `check_all_fixed_points_complete` or None.  Otherwise it
+    is verified empirically by random-start convergence: each start runs the
+    sequential rule until converged, and must end within 0.05 of theta*,
+    0.02 of EQ(theta*)."""
     rule = UpdateRule.sequential()
     # a single cluster may mix complete-info and other certificates (connected
     # fixed-point families), so scan every member for a witness
-    witness = None
-    for cl in clusters:
-        for cert in cl.members:
-            if not cert.is_complete_info:
-                witness = cert
-                break
-        if witness is not None:
-            break
+    off = next((cert for cl in clusters for cert in cl.members
+                if not cert.is_complete_info), None)
+    witness = counterexample if off is None else (off.belief, off.q)
     if witness is not None:
         return {
             "verdict": "not_globally_stable",
-            "witness": {"belief": witness.belief, "q": witness.q,
-                        "cluster": True},
+            "witness": {"belief": witness[0], "q": witness[1],
+                        "cluster": off is not None},
             "n_converged": None,
             "n_runs": 0,
         }

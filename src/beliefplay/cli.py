@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, games
-from .dynamics import (UpdateRule, _map_replicas, run, run_two_timescale,
-                       trajectory_to_csv)
-from .param_belief import Belief, UpdateSchedule, ols_solve
+from .dynamics import (RULE_KINDS, UpdateRule, _map_replicas, run,
+                       run_two_timescale, trajectory_to_csv)
+from .param_belief import SCHEDULE_KINDS, Belief, UpdateSchedule, ols_solve
 
-RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
-SCHEDULE_KINDS = ("every_stage", "fixed_batch", "geometric", "two_timescale")
 ESTIMATORS = ("bayes", "map", "ols")
 
 _BAD = object()  # what a field's reader returns for an invalid value
@@ -533,17 +531,10 @@ def cmd_fixed_points(cfg):
         )
         payload["all_fixed_points_complete"] = complete
         payload["counterexample"] = counterexample
-        glob = analysis.check_global_stability(
-            cfg.game, clusters, seed=cfg.master_seed,
+        payload["global_stability"] = analysis.check_global_stability(
+            cfg.game, clusters, counterexample, seed=cfg.master_seed,
             horizon=min(cfg.horizon, 20000),
         )
-        # a fixed point off theta* that no cluster holds is a witness too
-        if counterexample is not None \
-                and glob["verdict"] != "not_globally_stable":
-            belief, q = counterexample
-            glob["verdict"] = "not_globally_stable"
-            glob["witness"] = {"belief": belief, "q": q, "cluster": False}
-        payload["global_stability"] = glob
     _write_json(os.path.join(cfg.output_dir, "fixed_points.json"),
                 payload, cfg)
     return 0

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import best_response, sample_payoffs
+from .games import best_response, sample_payoffs, tied_actions
 from .param_belief import (
     Belief,
     ContractViolation,
@@ -38,22 +38,25 @@ from .param_belief import (
 
 CONV_WINDOW = 500
 CONV_TOL = 1e-5
+RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
 
 
 @dataclass(frozen=True)
 class UpdateRule:
-    """Strategy update rule: simultaneous, sequential, linear or
-    fictitious_play; linear carries a stepsize schedule t -> alpha^t."""
+    """Strategy update rule: one of RULE_KINDS; linear carries a stepsize
+    schedule, a callable t -> alpha^t (1/t by default)."""
 
     kind: str
     alpha_schedule: object = None
 
     def __post_init__(self):
-        if self.kind not in ("simultaneous", "sequential", "linear",
-                             "fictitious_play"):
+        if self.kind not in RULE_KINDS:
             raise ContractViolation("unknown update rule %r" % self.kind)
         if self.kind == "linear" and self.alpha_schedule is None:
             object.__setattr__(self, "alpha_schedule", lambda t: 1.0 / t)
+        if self.alpha_schedule is not None and not callable(self.alpha_schedule):
+            raise ContractViolation("alpha_schedule must be callable, got %r"
+                                    % (self.alpha_schedule,))
 
     @classmethod
     def simultaneous(cls):
@@ -98,7 +101,7 @@ def _realized_profile(game, slices, fictitious, probs, q, rng):
     actions = []
     for i, sl in enumerate(slices):
         if fictitious:
-            a = best_response(game, probs, i, q).tied_actions[0]
+            a = tied_actions(game, probs, i, q)[0]
         else:
             block = q[sl]
             top = max(block)
@@ -123,7 +126,7 @@ def _apply_rule(game, rule, slices, probs, q, t, profile):
         i = (t - 1) % game.n_players
         sl = slices[i]
         out = list(q)
-        out[sl] = best_response(game, probs, i, q, q[sl]).point
+        out[sl] = best_response(game, probs, i, q, q[sl])
         return out
     if kind == "linear":
         alpha = float(rule.alpha_schedule(t))
@@ -131,7 +134,7 @@ def _apply_rule(game, rule, slices, probs, q, t, profile):
             raise ContractViolation("linear stepsize must lie in [0, 1]")
     br = []
     for i, sl in enumerate(slices):
-        br += best_response(game, probs, i, q, q[sl]).point
+        br += best_response(game, probs, i, q, q[sl])
     if kind == "simultaneous":
         return br
     return [(1.0 - alpha) * x + alpha * b for x, b in zip(q, br)]
@@ -157,8 +160,8 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     if not game.feasible(q0):
         raise ContractViolation("initial strategy outside the strategy set")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    schedule = schedule.clone()
-    next_k = next_update_stage(schedule, rng)
+    n_updates = 0
+    next_k = next_update_stage(schedule, 1, n_updates, rng)
 
     n_s = len(game.space)
     thetas = np.empty((horizon, n_s))
@@ -198,7 +201,8 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
                 [lp + ll for lp, ll in zip(log_probs, scores)])
             probs = np.exp(log_probs).tolist()
             pending = []
-            next_k = next_update_stage(schedule, rng)
+            n_updates += 1
+            next_k = next_update_stage(schedule, next_k, n_updates, rng)
             upd[t - 1] = True
             eq_checkpoints.append(t + 1)
         # fictitious play responds to the pre-update belief via its realized

@@ -12,8 +12,9 @@ returns the channel means under all |S| parameters at once, one row of
 game is built; ``GameModel.sigmas`` is the matching (|S|, obs_dim) table of
 noise scales and ``log_sigmas`` their logs, computed once.  Best responses
 are closed forms: every continuous game supplies an ``analytic_br``, and a
-finite game without one uses the finite best response.  Both take lists of
-floats and return a `BRResult` whose ``point`` is a tuple of floats.
+finite game without one plays one of its `tied_actions`, the optimal
+actions under the belief.  Both take lists of floats, and `best_response`
+returns the player's block as a tuple of floats.
 
 Bit rule: every sum over the parameters or over a probability vector runs
 left to right in plain float arithmetic: each expectation under the belief
@@ -30,14 +31,13 @@ same expectation.  ``tests/test_bit_rule.py`` checks the rule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
-                           _expect, _floats, _prob_list)
+                           _expect, _floats, _is_count, _prob_list)
 
 FLAT_TOL = 1e-12
 
@@ -45,31 +45,6 @@ FLAT_TOL = 1e-12
 class SolverError(RuntimeError):
     """The numeric equilibrium search (`equilibrium_set` on a game without
     an ``analytic_eq``) found no equilibrium from any start."""
-
-
-class BRResult:
-    """One canonical maximizer plus a set descriptor.
-
-    ``point`` is a tuple of floats (the player's block).  ``interval`` is
-    (lo, hi) per coordinate when the argmax is flat within FLAT_TOL; for
-    finite games ``tied_actions`` lists the optimal actions.
-    """
-
-    __slots__ = ("point", "interval", "tied_actions")
-
-    def __init__(self, point, interval=None, tied_actions=None):
-        self.point = point
-        self.interval = interval
-        self.tied_actions = tied_actions
-
-    @property
-    def is_set_valued(self):
-        if self.tied_actions is not None:
-            return len(self.tied_actions) > 1
-        if self.interval is None:
-            return False
-        lo, hi = self.interval
-        return any(h - l > 0 for l, h in zip(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -204,8 +179,8 @@ class GameModel:
     noise scale of each (parameter, channel) pair (0 is a noiseless channel)
     and ``mean_payoff_fn(s, q, i)`` is player i's mean payoff under
     parameter s at a list of floats q.  ``analytic_br(probs, i, q, current)``
-    is player i's closed-form best response; a continuous game must supply
-    one, a finite game may.
+    is player i's closed-form best response, a tuple of floats; a continuous
+    game must supply one, a finite game may.
     """
 
     name: str
@@ -348,11 +323,12 @@ def best_response(game, belief, i, q, current=None):
 
     ``belief`` is a Belief or a probability vector, ``q`` and ``current``
     (player i's current block, by default read from q) are arrays,
-    sequences or lists of floats.  Returns a BRResult: a canonical maximizer
-    (the one nearest the player's current strategy when the argmax is
-    set-valued) plus a descriptor.  The game's ``analytic_br`` answers when
-    it has one, which every continuous game does; a finite game without one
-    uses `_finite_best_response`.  There is no numeric search.
+    sequences or lists of floats.  Returns a canonical maximizer as a tuple
+    of floats (the one nearest the player's current strategy when the
+    argmax is set-valued).  The game's ``analytic_br`` answers when it has
+    one, which every continuous game does; a finite game without one plays
+    the current pure action if it is among the `tied_actions`, else the
+    lowest of them.  There is no numeric search.
     """
     # the stage loop passes lists of floats, which need no conversion
     probs = _prob_list(belief)
@@ -365,14 +341,20 @@ def best_response(game, belief, i, q, current=None):
 
     if game.analytic_br is not None:
         return game.analytic_br(probs, i, q, current)
-    return _finite_best_response(game, probs, i, q, current)
+    tied = tied_actions(game, probs, i, q)
+    n_act = game.boxes[i]
+    cur_act = current.index(max(current)) if len(current) == n_act else -1
+    pick = cur_act if cur_act in tied and current[cur_act] > 1.0 - 1e-9 else tied[0]
+    return tuple(float(a == pick) for a in range(n_act))
 
 
-def _finite_best_response(game, probs, i, q, current):
-    """Pure best responses of player i in a finite game: each action's
-    expected payoff summed over the parameters left to right.  One trial
-    profile serves every action: the action's entry is set, read and
-    cleared."""
+def tied_actions(game, belief, i, q):
+    """The optimal pure actions of player i in a finite game, lowest first:
+    each action's expected payoff summed over the parameters left to right,
+    within FLAT_TOL of the best.  One trial profile serves every action: the
+    action's entry is set, read and cleared."""
+    probs = _prob_list(belief)
+    q = _floats(q)
     n_act = game.boxes[i]
     sl = game.slices[i]
     payoff = game.mean_payoff_fn
@@ -388,13 +370,7 @@ def _finite_best_response(game, probs, i, q, current):
         trial[pos] = 0.0
         values.append(value)
     best = max(values)
-    tied = tuple(a for a in range(n_act) if values[a] >= best - FLAT_TOL)
-    # canonical: keep the current action when it is tied, else lowest index
-    cur_act = current.index(max(current)) if len(current) == n_act else -1
-    pick = cur_act if cur_act in tied and current[cur_act] > 1.0 - 1e-9 else tied[0]
-    point = [0.0] * n_act
-    point[pick] = 1.0
-    return BRResult(tuple(point), tied_actions=tied)
+    return tuple(a for a in range(n_act) if values[a] >= best - FLAT_TOL)
 
 
 def br_profile(game, belief, q, current=None):
@@ -406,7 +382,7 @@ def br_profile(game, belief, q, current=None):
     current = flat if current is None else _floats(current)
     out = []
     for i, sl in enumerate(game.slices):
-        out += best_response(game, probs, i, flat, current=current[sl]).point
+        out += best_response(game, probs, i, flat, current=current[sl])
     return out
 
 
@@ -457,10 +433,9 @@ def _noise_scale(name, value):
 
 
 def _interval_br(lo, hi, current):
-    canonical = min(max(current[0], lo), hi)
     if hi - lo <= FLAT_TOL:
-        return BRResult((0.5 * (lo + hi),))
-    return BRResult((canonical,), interval=((lo,), (hi,)))
+        return (0.5 * (lo + hi),)
+    return (min(max(current[0], lo), hi),)
 
 
 def cournot(sigma=math.sqrt(0.5)):
@@ -488,7 +463,7 @@ def cournot(sigma=math.sqrt(0.5)):
             ea += p * a
             eb += p * b
         x = min(max(ea / (2.0 * eb) - q[1 - i] / 2.0, 0.0), 3.0)
-        return BRResult((x,))
+        return (x,)
 
     def analytic_eq(probs):
         r = _expect(probs, intercepts) / (2.0 * _expect(probs, slopes))
@@ -529,7 +504,7 @@ def zerosum_example(sigma=1.0):
 
     def analytic_br(probs, i, q, current):
         if i == 0:
-            return BRResult((0.0,))
+            return (0.0,)
         m = min(sv for sv, p in zip(svals, probs) if p > 0)
         lo = max(q[0] - m, 0.0)
         hi = min(q[0] + m, 6.0)
@@ -570,7 +545,7 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
     def analytic_br(probs, i, q, current):
         es = _expect(probs, svals)
         x = min(max((es + q[1 - i]) / 4.0, 0.0), 1.0)
-        return BRResult((x,))
+        return (x,)
 
     def analytic_eq(probs):
         es = _expect(probs, svals)
@@ -618,7 +593,7 @@ def coordination_penalty(sigma=1.0):
             x = min(max(q[1] - 0.5, 0.0), 2.0)
         else:
             x = min(max(q[0] + 0.5, 1.0), 4.0)
-        return BRResult((x,))
+        return (x,)
 
     def analytic_eq(probs):
         # q2 - q1 = 1/2 clipped to Q1 x Q2
@@ -641,8 +616,7 @@ def two_route_congestion(n_players=2, sigma=1.0):
     edge; each player's payoff is minus their own realized route cost.
     ``n_players`` must be an integer >= 1 (bools are rejected).
     """
-    if (isinstance(n_players, bool) or not isinstance(n_players, numbers.Integral)
-            or n_players < 1):
+    if not _is_count(n_players):
         raise ContractViolation("n_players must be an integer >= 1, got %r"
                                 % (n_players,))
     sigma = _noise_scale("sigma", sigma)
@@ -767,7 +741,7 @@ def affine_game(alpha, beta, sigma, grid=None, true_grid_index=0):
         m = _expect(probs, own_slopes[i])
         if abs(m) * (hi - lo) <= FLAT_TOL:
             return _interval_br(lo, hi, current)
-        return BRResult((hi if m > 0.0 else lo,))
+        return (hi if m > 0.0 else lo,)
 
     return GameModel(
         name="affine", n_players=n, space=space, kind="continuous",

@@ -10,6 +10,7 @@ probability floor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,27 +250,40 @@ def map_update(prior, batch, game):
 # Update schedules
 
 
+SCHEDULE_KINDS = ("every_stage", "fixed_batch", "geometric", "two_timescale")
+
+
+def _is_count(x):
+    """An integer >= 1 that is not a bool."""
+    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            and x >= 1)
+
+
+@dataclass(frozen=True)
 class UpdateSchedule:
-    """Generator of strictly increasing belief-update stages k_1 < k_2 < ...
+    """The belief-update stages k_1 < k_2 < ..., as `next_update_stage`
+    reads them: a frozen value with no clock, so one schedule may drive any
+    number of runs.  ``batch_size`` is an integer >= 1, ``p`` a real number
+    in (0, 1] and ``gap_fn`` a callable."""
 
-    Holds a mutable counter; each run should own a fresh clone.
-    """
+    kind: str
+    batch_size: int | None = None
+    p: float | None = None
+    gap_fn: object = None
 
-    def __init__(self, kind, batch_size=None, p=None, gap_fn=None):
-        if kind not in ("every_stage", "fixed_batch", "geometric", "two_timescale"):
-            raise ContractViolation("unknown schedule kind %r" % kind)
-        if kind == "fixed_batch" and (batch_size is None or batch_size < 1):
-            raise ContractViolation("fixed_batch needs a positive batch size")
-        if kind == "geometric" and not (p is not None and 0.0 < p <= 1.0):
-            raise ContractViolation("geometric needs a success probability in (0,1]")
-        if kind == "two_timescale" and gap_fn is None:
+    def __post_init__(self):
+        if self.kind not in SCHEDULE_KINDS:
+            raise ContractViolation("unknown schedule kind %r" % (self.kind,))
+        if self.kind == "fixed_batch" and not _is_count(self.batch_size):
+            raise ContractViolation("fixed_batch needs an integer batch size "
+                                    ">= 1, got %r" % (self.batch_size,))
+        if self.kind == "geometric" and not (
+                isinstance(self.p, numbers.Real)
+                and not isinstance(self.p, bool) and 0.0 < self.p <= 1.0):
+            raise ContractViolation("geometric needs a success probability in "
+                                    "(0,1], got %r" % (self.p,))
+        if self.kind == "two_timescale" and not callable(self.gap_fn):
             raise ContractViolation("two_timescale needs a gap function")
-        self.kind = kind
-        self.batch_size = batch_size
-        self.p = p
-        self.gap_fn = gap_fn
-        self.last_k = 1
-        self.t_index = 0  # number of updates generated so far
 
     @classmethod
     def every_stage(cls):
@@ -277,40 +291,36 @@ class UpdateSchedule:
 
     @classmethod
     def fixed_batch(cls, batch_size):
-        return cls("fixed_batch", batch_size=int(batch_size))
+        return cls("fixed_batch", batch_size=batch_size)
 
     @classmethod
     def geometric(cls, p):
-        return cls("geometric", p=float(p))
+        return cls("geometric", p=p)
 
     @classmethod
     def two_timescale(cls, gap_fn):
         return cls("two_timescale", gap_fn=gap_fn)
 
-    def clone(self):
-        fresh = UpdateSchedule(
-            self.kind, batch_size=self.batch_size, p=self.p, gap_fn=self.gap_fn
-        )
-        return fresh
 
-
-def next_update_stage(schedule, rng=None):
-    """Advance the schedule and return the next update stage k_{t+1}."""
-    schedule.t_index += 1
-    if schedule.kind == "every_stage":
-        gap = 1
-    elif schedule.kind == "fixed_batch":
-        gap = schedule.batch_size
-    elif schedule.kind == "geometric":
+def next_update_stage(schedule, k, n, rng=None):
+    """The stage of update n + 1, given that update n came at stage k; before
+    the first update, k = 1 and n = 0.  A geometric gap is one draw from
+    ``rng``; a two_timescale gap is ``gap_fn(n + 1)``, which must be an
+    integer >= 1."""
+    kind = schedule.kind
+    if kind == "every_stage":
+        return k + 1
+    if kind == "fixed_batch":
+        return k + schedule.batch_size
+    if kind == "geometric":
         if rng is None:
             raise ContractViolation("geometric schedule needs an RNG")
-        gap = int(rng.geometric(schedule.p))
-    else:  # two_timescale
-        gap = int(schedule.gap_fn(schedule.t_index))
-        if gap < 1:
-            raise ContractViolation("two_timescale gap must be >= 1")
-    schedule.last_k += gap
-    return schedule.last_k
+        return k + int(rng.geometric(schedule.p))
+    gap = schedule.gap_fn(n + 1)
+    if not _is_count(gap):
+        raise ContractViolation("two_timescale gap must be an integer >= 1, "
+                                "got %r" % (gap,))
+    return k + int(gap)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@
 payoff over their strategy interval, plus a 201-point grid scan for a flat
 argmax.  It reads only ``mean_payoff_fn`` and the strategy box, never the
 game's ``analytic_br``, so it checks that closed form independently.
+`analytic_interval` reads the closed form's best-response set through
+`best_response`, for comparison with the search's interval.
 """
 
 import math
 
 import numpy as np
 
-from beliefplay.games import FLAT_TOL, BRResult, SolverError, expected_payoff
+from beliefplay.games import (FLAT_TOL, SolverError, best_response,
+                             expected_payoff)
 from beliefplay.param_belief import _floats, _prob_list
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,9 +66,11 @@ def _flat_interval(f, x_star, lo, hi, n_grid=201):
 
 def numeric_best_response(game, probs, i, q, current=None):
     """Best response of player i in a continuous game by golden-section
-    search, with the arguments and result of `games.best_response`: a
-    canonical maximizer (``current`` clipped to the flat interval when the
-    argmax is set-valued) plus the interval."""
+    search, with the arguments of `games.best_response`: the pair (point,
+    interval).  ``point`` is a canonical maximizer as a tuple (``current``
+    clipped to the flat interval when the argmax is set-valued), and
+    ``interval`` is ((lo,), (hi,)) when the argmax is set-valued, else
+    None."""
     probs = _prob_list(probs)
     if type(q) is not list:
         q = _floats(q)
@@ -85,6 +90,17 @@ def numeric_best_response(game, probs, i, q, current=None):
     x_star = _golden_max(value, lo, hi)
     f_lo, f_hi = _flat_interval(value, x_star, lo, hi)
     if f_hi - f_lo <= FLAT_TOL:
-        return BRResult((x_star,))
+        return (x_star,), None
     canonical = min(max(float(current[0]), f_lo), f_hi)
-    return BRResult((canonical,), interval=((f_lo,), (f_hi,)))
+    return (canonical,), ((f_lo,), (f_hi,))
+
+
+def analytic_interval(game, probs, i, q):
+    """The ends (lo, hi) of player i's analytic best-response set in a
+    continuous game, read through `best_response` itself: with ``current``
+    at the box's lo and at its hi, the canonical point is each end of the
+    interval (``current`` clipped).  Equal ends mean a single-valued
+    response."""
+    box = game.boxes[i]
+    return (best_response(game, probs, i, q, current=[box[0]])[0],
+            best_response(game, probs, i, q, current=[box[1]])[0])

@@ -148,6 +148,16 @@ def test_belief_grid_counts_and_simplex():
         assert np.all(probs >= 0.0)
 
 
+def test_three_parameter_grid_is_the_nested_walk():
+    # the stars-and-bars walk gives (i/g, j/g, (g-i-j)/g) in nested order,
+    # bit for bit (== on floats >= 0 compares their bits)
+    for res in range(2, 80):
+        g = res - 1
+        nested = [[i / g, j / g, (g - i - j) / g]
+                  for i in range(g + 1) for j in range(g + 1 - i)]
+        assert [p.tolist() for p in belief_grid(3, res)] == nested
+
+
 def test_enumerate_fixed_points_cournot_small_grid(cournot_game):
     clusters = enumerate_fixed_points(cournot_game, belief_grid_resolution=21)
     ids = sorted(c.cluster_id for c in clusters)

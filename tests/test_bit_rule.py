@@ -21,7 +21,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beliefplay"
 # module -> functions and methods ("Class.method") under the rule
 RULED = {
     "dynamics": ("run", "_realized_profile", "_apply_rule"),
-    "games": ("best_response", "_finite_best_response", "_interval_br",
+    "games": ("best_response", "tied_actions", "_interval_br",
               "sample_payoffs", "expected_payoff", "equilibrium_set",
               "GameModel.channel_means"),
     "param_belief": ("_expect", "_total", "_prob_list", "log_likelihood",

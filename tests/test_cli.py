@@ -649,6 +649,28 @@ def test_completeness_counterexample_is_a_witness(tmp_path):
                                "cluster": False}
 
 
+def test_counterexample_witness_runs_no_random_start(tmp_path, monkeypatch):
+    # the completeness counterexample decides the verdict, so none of the 50
+    # random starts runs; the spy sees every run with one usable CPU
+    calls = []
+    real_run = analysis.run
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", spy)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    doc = dict(BASE, output_dir=str(tmp_path),
+               analysis={"fixed_points": {"belief_grid": 50}})
+    assert main(["fixed-points", "--config", write_config(tmp_path, doc)]) == 0
+    glob = json.loads((tmp_path / "fixed_points.json").read_text())[
+        "global_stability"]
+    assert glob["witness"]["cluster"] is False
+    assert (glob["n_converged"], glob["n_runs"]) == (None, 0)
+    assert calls == []
+
+
 def test_rate_subcommand(tmp_path):
     doc = {"game": "investment", "horizon": 800,
            "seeds": {"start": 0, "count": 2},

@@ -20,7 +20,7 @@ from beliefplay.dynamics import (
     run_two_timescale,
     trajectory_to_csv,
 )
-from beliefplay.games import best_response, sample_payoffs
+from beliefplay.games import best_response, sample_payoffs, tied_actions
 from beliefplay.param_belief import (
     Belief,
     ContractViolation,
@@ -234,11 +234,37 @@ def test_run_validates_inputs(investment_game):
         UpdateRule("bogus")
 
 
-def test_run_does_not_mutate_the_schedule(investment_game):
-    sched = UpdateSchedule.fixed_batch(7)
+@pytest.mark.parametrize("alpha", [0.5, "1/t", 1])
+def test_linear_stepsize_schedule_must_be_callable(alpha):
+    # a number fails when the rule is built, not at the first stage
+    with pytest.raises(ContractViolation, match="alpha_schedule must be "
+                                                "callable"):
+        UpdateRule("linear", alpha_schedule=alpha)
+    with pytest.raises(ContractViolation, match="callable"):
+        UpdateRule.linear(alpha)
+
+
+@pytest.mark.parametrize("gap", [2.5, 2.0, True, 0, "2"])
+def test_two_timescale_gap_must_be_an_integer(investment_game, gap):
+    # a gap of 2.5 is not truncated to 2, nor True read as 1
+    with pytest.raises(ContractViolation, match="gap must be an integer"):
+        run_two_timescale(investment_game, UpdateRule.simultaneous(),
+                          lambda t: gap,
+                          (Belief.uniform(3), np.asarray([0.5, 0.5])), 20,
+                          seed=0)
+
+
+@pytest.mark.parametrize("sched", [
+    UpdateSchedule.fixed_batch(7), UpdateSchedule.geometric(0.3),
+    UpdateSchedule.two_timescale(lambda t: 2 * t)],
+    ids=["fixed_batch", "geometric", "two_timescale"])
+def test_one_schedule_drives_two_runs_alike(investment_game, sched):
     init = (Belief.uniform(3), np.asarray([0.5, 0.5]))
-    run(investment_game, UpdateRule.simultaneous(), sched, init, 30, seed=0)
-    assert sched.last_k == 1 and sched.t_index == 0
+    a, b = (run(investment_game, UpdateRule.simultaneous(), sched, init, 30,
+                seed=0) for _ in range(2))
+    assert a.summary == b.summary
+    for name in ("thetas", "qs", "cs", "updated"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_replica_seed_is_deterministic_and_spread():
@@ -344,7 +370,7 @@ def _ref_realized_profile(game, rule_kind, log_probs, q, rng):
     actions = []
     for i, sl in enumerate(game.slices):
         if rule_kind == "fictitious_play":
-            a = best_response(game, probs, i, q).tied_actions[0]
+            a = tied_actions(game, probs, i, q)[0]
         else:
             block = q[sl]
             if np.max(block) > 1.0 - 1e-12:
@@ -363,20 +389,20 @@ def _ref_apply_rule(game, rule, log_probs, q, t, actions):
         out = q.copy()
         for i in range(n):
             out[game.slices[i]] = best_response(
-                game, probs, i, q, current=q[game.slices[i]]).point
+                game, probs, i, q, current=q[game.slices[i]])
         return out
     if rule.kind == "sequential":
         i = (t - 1) % n
         out = q.copy()
         out[game.slices[i]] = best_response(
-            game, probs, i, q, current=q[game.slices[i]]).point
+            game, probs, i, q, current=q[game.slices[i]])
         return out
     if rule.kind == "linear":
         alpha = float(rule.alpha_schedule(t))
         out = q.copy()
         for i in range(n):
             br = np.asarray(best_response(game, probs, i, q,
-                                          current=q[game.slices[i]]).point)
+                                          current=q[game.slices[i]]))
             out[game.slices[i]] = (1.0 - alpha) * q[game.slices[i]] + alpha * br
         return out
     out = q.copy()
@@ -392,8 +418,8 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
                    conv_tol=CONV_TOL, respond_to="posterior"):
     belief, q0 = init
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    schedule = schedule.clone()
-    next_k = next_update_stage(schedule, rng)
+    n_updates = 0
+    next_k = next_update_stage(schedule, 1, n_updates, rng)
     thetas = np.empty((horizon, len(game.space)))
     qs = np.empty((horizon, game.q_dim))
     cs = np.empty((horizon, game.obs_dim))
@@ -419,7 +445,8 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
             scores = batch_log_likelihoods(None, pending, game)
             log_probs = np.asarray(_log_normalize((log_probs + scores).tolist()))
             pending = []
-            next_k = next_update_stage(schedule, rng)
+            n_updates += 1
+            next_k = next_update_stage(schedule, next_k, n_updates, rng)
             updated = True
         if respond_to == "map":
             lp_respond = np.full_like(log_probs, -np.inf)

@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 from beliefplay import games
 from beliefplay.cli import GAMES
 from beliefplay.games import (
-    BRResult,
     EquilibriumSet,
     best_response,
     br_profile,
     equilibrium_set,
     expected_payoff,
     sample_payoffs,
+    tied_actions,
 )
 from beliefplay.param_belief import Belief, ContractViolation
-from oracles import numeric_best_response
+from oracles import analytic_interval, numeric_best_response
 
 
 # ---------------------------------------------------------------------------
@@ -81,47 +81,47 @@ def test_routing_mean_payoff(routing_game):
 
 def test_cournot_analytic_br(cournot_game):
     # point mass on s1: BR = 2/(2*1)/... = 1 - q_j/2
-    br = best_response(cournot_game, Belief.point_mass(2, 0), 0,
-                       [0.0, 2.0 / 3.0])
-    assert math.isclose(br.point[0], 2.0 / 3.0, abs_tol=1e-14)
-    assert not br.is_set_valued
+    belief, q = Belief.point_mass(2, 0), [0.0, 2.0 / 3.0]
+    br = best_response(cournot_game, belief, 0, q)
+    assert math.isclose(br[0], 2.0 / 3.0, abs_tol=1e-14)
+    lo, hi = analytic_interval(cournot_game, belief, 0, q)
+    assert lo == hi
 
 
 def test_investment_analytic_br(investment_game):
     br = best_response(investment_game, Belief.point_mass(3, 1), 0, [0.0, 1.0])
-    assert math.isclose(br.point[0], 0.5, abs_tol=1e-14)
+    assert math.isclose(br[0], 0.5, abs_tol=1e-14)
 
 
 def test_zerosum_br_interval_and_canonical(zerosum_game):
     full = Belief.uniform(3)
     # player 1 always best responds with 0
     br1 = best_response(zerosum_game, full, 0, [3.0, 3.0])
-    assert br1.point[0] == 0.0
+    assert br1[0] == 0.0
     # player 2's best response is the interval [q1 - 1, q1 + 1] (m = 1 under
     # full support); the canonical point keeps the current strategy when it
     # already lies inside
     br2 = best_response(zerosum_game, full, 1, [3.0, 3.5])
-    assert br2.is_set_valued
-    lo, hi = br2.interval
-    assert math.isclose(lo[0], 2.0, abs_tol=1e-14)
-    assert math.isclose(hi[0], 4.0, abs_tol=1e-14)
-    assert br2.point[0] == 3.5
+    lo, hi = analytic_interval(zerosum_game, full, 1, [3.0, 3.5])
+    assert lo < hi
+    assert math.isclose(lo, 2.0, abs_tol=1e-14)
+    assert math.isclose(hi, 4.0, abs_tol=1e-14)
+    assert br2[0] == 3.5
     # ... and projects into the interval when outside
     br2 = best_response(zerosum_game, full, 1, [3.0, 5.5])
-    assert br2.point[0] == 4.0
+    assert br2[0] == 4.0
 
 
 def test_finite_game_br_ties(routing_game):
     # opponent mixing 50/50 makes both routes equally costly
     q = np.asarray([1.0, 0.0, 0.5, 0.5])
     br = best_response(routing_game, Belief.point_mass(2, 0), 0, q)
-    assert br.tied_actions == (0, 1)
-    assert br.is_set_valued
+    assert tied_actions(routing_game, Belief.point_mass(2, 0), 0, q) == (0, 1)
     # canonical keeps the current pure action when tied
-    assert np.array_equal(br.point, [1.0, 0.0])
+    assert br == (1.0, 0.0)
     q2 = np.asarray([0.0, 1.0, 0.5, 0.5])
     br = best_response(routing_game, Belief.point_mass(2, 0), 0, q2)
-    assert np.array_equal(br.point, [0.0, 1.0])
+    assert br == (0.0, 1.0)
 
 
 def test_cournot_br_contraction(cournot_game, rng):
@@ -129,8 +129,8 @@ def test_cournot_br_contraction(cournot_game, rng):
     b = Belief.from_probs([0.7, 0.3])
     for _ in range(30):
         qa, qb = 3.0 * rng.random(2)
-        ba = best_response(cournot_game, b, 0, [0.0, qa]).point[0]
-        bb = best_response(cournot_game, b, 0, [0.0, qb]).point[0]
+        ba = best_response(cournot_game, b, 0, [0.0, qa])[0]
+        bb = best_response(cournot_game, b, 0, [0.0, qb])[0]
         assert abs(ba - bb) <= 0.5 * abs(qa - qb) + 1e-12
 
 
@@ -165,13 +165,13 @@ def test_numeric_br_matches_analytic(maker, rng):
         q = game.box_lo() + (game.box_hi() - game.box_lo()) * rng.random(2)
         for i in range(2):
             ana = best_response(game, probs, i, q)
-            num = numeric_best_response(game, probs, i, q)
-            if ana.is_set_valued:
-                lo, hi = ana.interval
-                gap = max(lo[0] - num.point[0], num.point[0] - hi[0], 0.0)
+            num, _ = numeric_best_response(game, probs, i, q)
+            lo, hi = analytic_interval(game, probs, i, q)
+            if lo != hi:
+                gap = max(lo - num[0], num[0] - hi, 0.0)
                 assert gap <= 1e-6
             else:
-                assert abs(num.point[0] - ana.point[0]) <= 1e-6
+                assert abs(num[0] - ana[0]) <= 1e-6
 
 
 def test_affine_br_exact_flat_returns_clipped_current():
@@ -185,13 +185,12 @@ def test_affine_br_exact_flat_returns_clipped_current():
     for game, probs in ((flat, [1.0]), (mixed, [0.5, 0.5])):
         for current, expected in ((0.4, 0.4), (1.7, 1.0), (-0.3, 0.0)):
             br = best_response(game, probs, 0, [0.2, 0.9], current=[current])
-            assert br.is_set_valued
-            assert br.interval == ((0.0,), (1.0,))
-            assert br.point[0] == expected
+            assert analytic_interval(game, probs, 0, [0.2, 0.9]) == (0.0, 1.0)
+            assert br[0] == expected
         # player 2's slope is -2: the lower box edge, exactly
         br = best_response(game, probs, 1, [0.2, 0.9])
-        assert not br.is_set_valued
-        assert br.point[0] == 0.0
+        assert analytic_interval(game, probs, 1, [0.2, 0.9]) == (0.0, 0.0)
+        assert br[0] == 0.0
 
 
 def _own_slope(grid, n, probs, i):
@@ -229,11 +228,13 @@ def test_affine_closed_form_br_matches_numeric_oracle(case):
         if 1e-13 < abs(m) < 1e-6:
             continue
         ana = best_response(game, probs, i, q, current=[current])
-        num = numeric_best_response(game, probs, i, q, current=[current])
-        assert ana.is_set_valued == num.is_set_valued
-        assert abs(ana.point[0] - num.point[0]) <= 1e-6
+        num, interval = numeric_best_response(game, probs, i, q,
+                                              current=[current])
+        lo, hi = analytic_interval(game, probs, i, q)
+        assert (lo != hi) == (interval is not None)
+        assert abs(ana[0] - num[0]) <= 1e-6
         if abs(m) > 1e-6:
-            assert ana.point[0] == (1.0 if m > 0 else 0.0)
+            assert ana[0] == (1.0 if m > 0 else 0.0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -571,7 +572,7 @@ def test_cournot_br_is_a_maximizer(q1, q2, p):
     game = games.cournot()
     probs = np.asarray([p, 1.0 - p])
     br = best_response(game, probs, 0, np.asarray([q1, q2]))
-    star = br.point[0]
+    star = br[0]
     base = expected_payoff(game, probs, [star, q2], 0)
     for x in np.linspace(0.0, 3.0, 31):
         assert expected_payoff(game, probs, [x, q2], 0) <= base + 1e-9

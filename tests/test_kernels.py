@@ -55,6 +55,7 @@ from beliefplay.games import (
     br_profile,
     equilibrium_set,
     sample_payoffs,
+    tied_actions,
 )
 from beliefplay.param_belief import (
     NEG_INF,
@@ -64,6 +65,7 @@ from beliefplay.param_belief import (
     batch_log_likelihoods,
     log_likelihood,
 )
+from oracles import analytic_interval
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -316,17 +318,23 @@ def test_kernels_match_the_array_oracles(case):
     for i, sl in enumerate(game.slices):
         br = best_response(game, probs, i, q, current=current[sl])
         point, interval, tied = _br_oracle(game, probs, i, q, current[sl])
-        assert isinstance(br.point, tuple)
-        assert br.interval == interval
-        assert br.tied_actions == tied
-        if name in CONTRACTED:
-            assert all(_close(a, b) for a, b in zip(br.point, point))
+        assert isinstance(br, tuple)
+        got, want = list(br), list(point)
+        if game.kind == "finite":
+            assert tied_actions(game, probs, i, q) == tied
         else:
-            assert _bits(br.point) == _bits(point)
+            # the interval's ends; a single-valued response is both ends
+            got += analytic_interval(game, probs, i, q)
+            want += point * 2 if interval is None else \
+                [interval[0][0], interval[1][0]]
+        if name in CONTRACTED:
+            assert all(_close(a, b) for a, b in zip(got, want))
+        else:
+            assert _bits(got) == _bits(want)
         # the array call and the list call agree exactly
         again = best_response(game, np.asarray(probs), i, np.asarray(q),
                               current=np.asarray(current[sl]))
-        assert _bits(again.point) == _bits(br.point)
+        assert _bits(again) == _bits(br)
 
 
 def test_noiseless_channel_is_an_atom_in_every_game():
@@ -407,7 +415,7 @@ def _br_profile_oracle(game, belief, q, current=None):
     out = q.copy()
     for i, sl in enumerate(game.slices):
         cur = flat[sl] if current is None else current[sl]
-        out[sl] = best_response(game, probs, i, flat, current=cur).point
+        out[sl] = best_response(game, probs, i, flat, current=cur)
     return out
 
 
@@ -423,7 +431,7 @@ def _certify_oracle(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
     if game.kind == "finite":
         residual = 0.0
         for i, sl in enumerate(game.slices):
-            tied = best_response(game, probs, i, q).tied_actions
+            tied = tied_actions(game, probs, i, q)
             block = q[sl]
             off = sum(block[a] for a in range(block.size) if a not in tied)
             residual = max(residual, float(off))
@@ -803,11 +811,11 @@ def test_finite_best_response_matches_the_fresh_profile_oracle(case):
     game, probs, q, current = case
     before = list(q)
     for i, sl in enumerate(game.slices):
-        br = games._finite_best_response(game, probs, i, q, current[sl])
+        br = best_response(game, probs, i, q, current=current[sl])
         point, tied = _finite_best_response_oracle(game, probs, i, q,
                                                    current[sl])
-        assert _bits(br.point) == _bits(point)
-        assert br.tied_actions == tied
+        assert _bits(br) == _bits(point)
+        assert tied_actions(game, probs, i, q) == tied
     assert q == before  # the profile is read, never written
 
 

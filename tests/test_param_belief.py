@@ -1,6 +1,7 @@
 """Unit tests for beliefs, likelihoods, the Bayesian/MAP/OLS estimators and
 the update schedules.  Numeric oracles are hand-computed closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -271,37 +272,45 @@ def test_ols_dimension_mismatch(design, responses):
 # Schedules
 
 
+def _stages(sched, count, rng=None):
+    """The first ``count`` update stages of a schedule, each from the one
+    before it."""
+    k, out = 1, []
+    for n in range(count):
+        k = next_update_stage(sched, k, n, rng)
+        out.append(k)
+    return out
+
+
 def test_schedule_every_stage():
     sched = UpdateSchedule.every_stage()
-    assert [next_update_stage(sched) for _ in range(5)] == [2, 3, 4, 5, 6]
+    assert _stages(sched, 5) == [2, 3, 4, 5, 6]
 
 
 def test_schedule_fixed_batch():
     sched = UpdateSchedule.fixed_batch(10)
-    assert [next_update_stage(sched) for _ in range(3)] == [11, 21, 31]
+    assert _stages(sched, 3) == [11, 21, 31]
 
 
 def test_schedule_geometric_gaps_positive(rng):
     sched = UpdateSchedule.geometric(0.3)
-    stages = [next_update_stage(sched, rng) for _ in range(200)]
+    stages = _stages(sched, 200, rng)
     gaps = np.diff([1] + stages)
     assert np.all(gaps >= 1)
     with pytest.raises(ContractViolation):
-        next_update_stage(UpdateSchedule.geometric(0.5))  # needs an RNG
+        next_update_stage(UpdateSchedule.geometric(0.5), 1, 0)  # needs an RNG
 
 
 def test_schedule_two_timescale_growing_gaps():
     sched = UpdateSchedule.two_timescale(lambda t: 10 * t)
-    assert [next_update_stage(sched) for _ in range(4)] == [11, 31, 61, 101]
+    assert _stages(sched, 4) == [11, 31, 61, 101]
 
 
-def test_schedule_clone_resets_counter(rng):
+def test_schedule_is_frozen():
     sched = UpdateSchedule.fixed_batch(5)
-    next_update_stage(sched)
-    next_update_stage(sched)
-    fresh = sched.clone()
-    assert fresh.last_k == 1 and fresh.t_index == 0
-    assert next_update_stage(fresh) == 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.batch_size = 6
+    assert _stages(sched, 2) == _stages(sched, 2) == [6, 11]
 
 
 def test_schedule_validation():
@@ -314,7 +323,27 @@ def test_schedule_validation():
     with pytest.raises(ContractViolation):
         UpdateSchedule("two_timescale")
     with pytest.raises(ContractViolation):
-        next_update_stage(UpdateSchedule.two_timescale(lambda t: 0))
+        next_update_stage(UpdateSchedule.two_timescale(lambda t: 0), 1, 0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 2.5}, {"batch_size": 2.0}, {"batch_size": True},
+    {"batch_size": "3"}], ids=["fraction", "float", "bool", "string"])
+def test_fixed_batch_needs_an_integer_batch_size(kwargs):
+    with pytest.raises(ContractViolation, match="integer batch size"):
+        UpdateSchedule("fixed_batch", **kwargs)
+
+
+def test_fixed_batch_does_not_truncate():
+    with pytest.raises(ContractViolation, match="integer batch size"):
+        UpdateSchedule.fixed_batch(2.7)
+    assert UpdateSchedule.fixed_batch(np.int64(3)).batch_size == 3
+
+
+@pytest.mark.parametrize("p", [True, "0.5", math.nan, 1.5, -0.1])
+def test_geometric_needs_a_real_probability(p):
+    with pytest.raises(ContractViolation, match="success probability"):
+        UpdateSchedule.geometric(p)
 
 
 # ---------------------------------------------------------------------------

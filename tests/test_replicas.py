@@ -12,7 +12,7 @@ import pytest
 import beliefplay
 from beliefplay import analysis, cli, dynamics, games
 from beliefplay.cli import main
-from beliefplay.param_belief import ContractViolation
+from beliefplay.param_belief import ContractViolation, UpdateSchedule
 
 CPUS = (1, 2, 3)
 
@@ -107,9 +107,25 @@ def test_global_stability_starts_do_not_depend_on_cpus(pin_cpus):
     for n_cpus in CPUS:
         pin_cpus(n_cpus)
         outs.append(analysis.check_global_stability(
-            game, clusters, n_random_starts=12, horizon=40, seed=3))
+            game, clusters, None, n_random_starts=12, horizon=40, seed=3))
     assert 0 < outs[0]["n_converged"] < 12
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_one_schedule_serves_every_monte_carlo_replica(pin_cpus):
+    # a geometric schedule draws from each replica's own stream; with no
+    # clock in the schedule, sharing it across replicas changes nothing
+    game = games.cournot()
+    cert = analysis.certify_fixed_point(game, [1.0, 0.0], [2.0 / 3.0] * 2)
+    schedule = UpdateSchedule.geometric(0.4)
+    outs = []
+    for n_cpus in (1, 2):
+        pin_cpus(n_cpus)
+        report = analysis.monte_carlo_local_stability(
+            game, cert, eps1=0.05, delta1=0.05, eps_bar=0.1, eps_x=0.1,
+            n_runs=6, horizon=300, seed=11, schedule=schedule)
+        outs.append(json.dumps(analysis.to_jsonable(report), sort_keys=True))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("command", ["run", "rate"])
