@@ -566,7 +566,14 @@ def estimate_convergence_rate(traj, s, burn_in=0):
     zero = np.nonzero(ys <= 0.0)[0]
     if zero.size:
         if zero[0] == 0:
-            raise ContractViolation("belief hits zero at the start of the range")
+            first = int(np.nonzero(theta_s <= 0.0)[0][0]) + 1
+            hint = ("a burn_in of at most %d fits the stages before it"
+                    % (first - 3) if first >= 3 else
+                    "no burn_in leaves 2 stages to fit before it")
+            raise ContractViolation(
+                "belief theta(%d) is exactly 0 at the start of the fitted "
+                "range: it first reaches 0 at stage %d and burn_in is %d; %s"
+                % (s, first, burn_in, hint))
         warnings.warn("belief hits exact zero; truncating the fitted range")
         ts = ts[: zero[0]]
         ys = ys[: zero[0]]

@@ -579,7 +579,6 @@ def cmd_stability(cfg):
 
 
 def cmd_rate(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
     s, burn_in = cfg.analysis["rate"]["param"], cfg.analysis["rate"]["burn_in"]
 
     def fit_seed(k):
@@ -607,6 +606,7 @@ def cmd_rate(cfg):
         payload["relative_error"] = None
     else:
         payload["relative_error"] = abs(pooled + predicted) / predicted
+    os.makedirs(cfg.output_dir, exist_ok=True)
     _write_json(os.path.join(cfg.output_dir, "rate.json"), payload, cfg)
     return 0
 

@@ -6,13 +6,16 @@ fictitious-play variant.
 payoffs, updates the belief when the schedule says so and applies the
 strategy rule.  The loop is float-native: it carries the profile q, the
 belief probabilities and the payoffs c between stages as lists of Python
-floats; numpy appears only in the normaliser's `np.exp`, the finite games'
-action draws and the trajectory rows.  It computes exp(log_probs) once per
-belief update and reads the game's geometry once per run.  Every kernel it
-calls follows the bit rule stated in `games`, and none takes an `np.log`, so
-one replica's arithmetic is the same as it would be inside a batch of
-replicas.  `run` reproduces the plain per-stage loop it replaced bit for bit
-(pinned by an exact-equality test).
+floats; numpy appears only in the normaliser's `np.exp` and the finite
+games' action draws.  The trajectory rows live in arrays allocated once per
+run and are written value by value through flat views of them.  A belief
+update takes one `np.exp` once the posterior is concentrated (the shifted
+exps then sum to exactly 1.0 and are the probabilities, see `_normalize`)
+and two otherwise.  The loop reads the game's geometry once per run.
+Every kernel it calls follows the bit rule stated in `games`, and none takes
+an `np.log`, so one replica's arithmetic is the same as it would be inside a
+batch of replicas.  `run` reproduces the plain per-stage loop it replaced
+bit for bit (pinned by an exact-equality test).
 
 `_map_replicas` is the one way to run many independent replicas: it
 spreads them over the CPUs this process may use, in forked workers, and
@@ -30,7 +33,7 @@ from .games import best_response, sample_payoffs, tied_actions
 from .param_belief import (
     Belief,
     ContractViolation,
-    _log_normalize,
+    _normalize,
     _total,
     batch_log_likelihoods,
     next_update_stage,
@@ -163,13 +166,18 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     n_updates = 0
     next_k = next_update_stage(schedule, 1, n_updates, rng)
 
-    n_s = len(game.space)
+    n_s, n_q, n_c = len(game.space), game.q_dim, game.obs_dim
     thetas = np.empty((horizon, n_s))
-    qs = np.empty((horizon, game.q_dim))
-    cs = np.empty((horizon, game.obs_dim))
+    qs = np.empty((horizon, n_q))
+    cs = np.empty((horizon, n_c))
     upd = np.zeros(horizon, dtype=bool)
     acts = np.empty((horizon, game.n_players), dtype=np.int64) \
         if game.kind == "finite" else None
+    # flat float views of the rows: one item assignment per value costs
+    # less than converting a list for a numpy row assignment
+    theta_flat = memoryview(thetas).cast("B").cast("d")
+    q_flat = memoryview(qs).cast("B").cast("d")
+    c_flat = memoryview(cs).cast("B").cast("d")
 
     slices = game.slices
     true_index = game.space.true_index
@@ -185,21 +193,35 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     eq_checkpoints = []
 
     for t in range(1, horizon + 1):
-        thetas[t - 1] = probs
-        qs[t - 1] = q
+        if len(q) != n_q:
+            raise ContractViolation("strategy profile has %d entries, "
+                                    "expected %d" % (len(q), n_q))
+        k = (t - 1) * n_s
+        for x in probs:
+            theta_flat[k] = x
+            k += 1
+        k = (t - 1) * n_q
+        for x in q:
+            q_flat[k] = x
+            k += 1
         if acts is not None:
             profile, acts[t - 1] = _realized_profile(game, slices, fictitious,
                                                      probs, q, rng)
         else:
             profile = q
         c = sample_payoffs(game, true_index, profile, rng)
-        cs[t - 1] = c
+        if len(c) != n_c:
+            raise ContractViolation("observation has %d channels, expected "
+                                    "%d" % (len(c), n_c))
+        k = (t - 1) * n_c
+        for x in c:
+            c_flat[k] = x
+            k += 1
         pending.append((profile, c))
         if t + 1 == next_k:
             scores = batch_log_likelihoods(None, pending, game)
-            log_probs = _log_normalize(
+            log_probs, probs = _normalize(
                 [lp + ll for lp, ll in zip(log_probs, scores)])
-            probs = np.exp(log_probs).tolist()
             pending = []
             n_updates += 1
             next_k = next_update_stage(schedule, next_k, n_updates, rng)

@@ -331,7 +331,7 @@ def best_response(game, belief, i, q, current=None):
     lowest of them.  There is no numeric search.
     """
     # the stage loop passes lists of floats, which need no conversion
-    probs = _prob_list(belief)
+    probs = belief if type(belief) is list else _prob_list(belief)
     if type(q) is not list:
         q = _floats(q)
     if current is None:
@@ -339,8 +339,9 @@ def best_response(game, belief, i, q, current=None):
     elif type(current) is not list:
         current = _floats(current)
 
-    if game.analytic_br is not None:
-        return game.analytic_br(probs, i, q, current)
+    analytic_br = game.analytic_br
+    if analytic_br is not None:
+        return analytic_br(probs, i, q, current)
     tied = tied_actions(game, probs, i, q)
     n_act = game.boxes[i]
     cur_act = current.index(max(current)) if len(current) == n_act else -1

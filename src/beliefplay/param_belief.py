@@ -159,19 +159,41 @@ def _expect(probs, values):
     return total
 
 
-def _log_normalize(lp):
-    """Log-probabilities (a list of floats) shifted so that their exps sum
-    to one.  The sum runs left to right and its log is `math.log`, so the
-    result does not depend on how many beliefs are normalised at once."""
+def _shift_exp(lp):
+    """The scores ``lp`` (a list of floats) shifted by their max, the exps of
+    the shifted scores and the log of the exps' sum.  The sum runs left to
+    right and its log is `math.log`, so the result does not depend on how
+    many beliefs are normalised at once."""
     m = max(lp)
     if m == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero probability")
     shifted = [x - m for x in lp]
+    exps = np.exp(shifted).tolist()
     total = 0.0
-    for e in np.exp(shifted).tolist():
+    for e in exps:
         total += e
-    log_total = math.log(total)
+    return shifted, exps, math.log(total)
+
+
+def _log_normalize(lp):
+    """Log-probabilities (a list of floats) shifted so that their exps sum
+    to one: the shifted scores of `_shift_exp` less the log of their exps'
+    sum."""
+    shifted, _, log_total = _shift_exp(lp)
     return [x - log_total for x in shifted]
+
+
+def _normalize(lp):
+    """``(_log_normalize(lp), np.exp(_log_normalize(lp)).tolist())``, bit
+    for bit.  When the exps of the shifted scores sum to exactly one, as
+    they do once the posterior is concentrated, the log of the sum is 0.0
+    and x - 0.0 == x, so those exps are already the probabilities and the
+    second `np.exp` is skipped."""
+    shifted, exps, log_total = _shift_exp(lp)
+    if log_total == 0.0:
+        return shifted, exps
+    log_probs = [x - log_total for x in shifted]
+    return log_probs, np.exp(log_probs).tolist()
 
 
 def log_likelihood(game, q, c):

@@ -25,8 +25,8 @@ RULED = {
               "sample_payoffs", "expected_payoff", "equilibrium_set",
               "GameModel.channel_means"),
     "param_belief": ("_expect", "_total", "_prob_list", "log_likelihood",
-                     "batch_log_likelihoods", "_log_normalize",
-                     "next_update_stage"),
+                     "batch_log_likelihoods", "_shift_exp", "_log_normalize",
+                     "_normalize", "next_update_stage"),
     "analysis": ("sample_belief_ball", "_near_eq_sampler", "_distance",
                  "_directed_hausdorff"),
 }

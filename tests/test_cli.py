@@ -470,6 +470,27 @@ def test_rate_fits_the_last_two_stages(tmp_path):
     assert (out / "rate.json").exists()
 
 
+def test_rate_on_a_belief_at_zero_names_the_stage(tmp_path, capsys):
+    # on Cournot theta(1) underflows to 0 at stage 1673 of seed 0, before
+    # a burn_in of 2000: a run error, and no output directory
+    doc = {"game": "cournot", "horizon": 3000, "seed": 0,
+           "analysis": {"rate": {"param": 1, "burn_in": 2000}}}
+    out = tmp_path / "out"
+    assert main(["rate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: belief theta(1) is exactly 0 at the start of the fitted "
+        "range: it first reaches 0 at stage 1673 and burn_in is 2000; a "
+        "burn_in of at most 1670 fits the stages before it"]
+    assert not out.exists()
+    # the burn_in the message names leaves two stages to fit
+    doc["analysis"]["rate"]["burn_in"] = 1670
+    with pytest.warns(UserWarning, match="truncating the fitted range"):
+        assert main(["rate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    assert (out / "rate.json").exists()
+
+
 def test_python_m_top_level_list_has_no_traceback(tmp_path):
     src = os.path.dirname(os.path.dirname(beliefplay.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,13 +1,14 @@
 """Unit tests for the coupled learning loop: update rules, schedules inside
 the loop, convergence/cycle detection, determinism and CSV export."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from beliefplay import games
+from beliefplay import dynamics, games
 from beliefplay.cli import GAMES
 from beliefplay.dynamics import (
     CONV_TOL,
@@ -26,6 +27,8 @@ from beliefplay.param_belief import (
     ContractViolation,
     UpdateSchedule,
     _log_normalize,
+    _normalize,
+    _shift_exp,
     batch_log_likelihoods,
     bayes_update,
     next_update_stage,
@@ -538,3 +541,48 @@ def test_run_matches_reference_loop_exactly(game_id, rule_kind, schedule,
                               seed=17, stop_when_converged=stop,
                               respond_to=respond_to, **kw)
         _assert_same_trajectory(got, want)
+
+
+@pytest.mark.parametrize("stop, kw", [(False, {}),
+                                      (True, {"conv_window": 200,
+                                              "conv_tol": 1e-3})],
+                         ids=["full", "early-stop"])
+def test_run_matches_reference_loop_on_a_concentrated_posterior(
+        stop, kw, monkeypatch):
+    # from theta = (1 - 1e-12, 1e-12) on Cournot the shifted exps of most
+    # updates sum to exactly 1.0, and `run` takes them as the probabilities
+    game = _builtin_game("cournot")
+    init = (Belief.from_probs([1.0 - 1e-12, 1e-12]), game.box_center())
+    reused = []
+
+    def spy(lp):
+        reused.append(_shift_exp(lp)[2] == 0.0)
+        return _normalize(lp)
+
+    monkeypatch.setattr(dynamics, "_normalize", spy)
+    got = run(game, UpdateRule.linear(), UpdateSchedule.every_stage(), init,
+              2000, seed=5, stop_when_converged=stop, **kw)
+    want = _reference_run(game, UpdateRule.linear(),
+                          UpdateSchedule.every_stage(), init, 2000, seed=5,
+                          stop_when_converged=stop, **kw)
+    _assert_same_trajectory(got, want)
+    assert (got.horizon < 2000) == stop
+    assert 2 * sum(reused) > len(reused) == got.horizon
+
+
+def test_run_rejects_rows_of_the_wrong_length(cournot_game):
+    # the rows are written value by value, so a best response or a payoff
+    # draw of the wrong length must fail rather than leave a row half set
+    init = (Belief.uniform(2), cournot_game.box_center())
+    means = cournot_game.channel_mean_fn
+    for bad, message in (
+            (dataclasses.replace(cournot_game,
+                                 analytic_br=lambda p, i, q, c: (0.5, 0.5)),
+             "strategy profile has 4 entries, expected 2"),
+            (dataclasses.replace(cournot_game,
+                                 channel_mean_fn=lambda q: [[] for _ in
+                                                            means(q)]),
+             "observation has 0 channels, expected 1")):
+        with pytest.raises(ContractViolation, match=message):
+            run(bad, UpdateRule.simultaneous(), UpdateSchedule.every_stage(),
+                init, 10, seed=0)

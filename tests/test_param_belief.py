@@ -18,6 +18,9 @@ from beliefplay.param_belief import (
     ParameterSpace,
     Unidentifiable,
     UpdateSchedule,
+    _log_normalize,
+    _normalize,
+    _shift_exp,
     batch_log_likelihoods,
     bayes_update,
     log_likelihood,
@@ -74,6 +77,48 @@ def test_belief_rejects_bad_input():
 def test_belief_probs_sum_to_one(weights):
     b = Belief.from_probs(weights)
     assert math.isclose(float(b.probs.sum()), 1.0, abs_tol=1e-12)
+
+
+@st.composite
+def score_lists(draw):
+    """1-6 unnormalised log scores: a top score and offsets below it, some
+    with log-odds under -40 (whose exps vanish beside 1.0), some near -37
+    (where the exps' sum leaves 1.0 by a few ulps), some -inf, and sometimes
+    every entry -inf."""
+    n = draw(st.integers(1, 6))
+    top = draw(st.floats(-1e3, 1e3))
+    offsets = draw(st.lists(
+        st.one_of(st.floats(-40.0, 0.0), st.floats(-38.0, -33.0),
+                  st.floats(-800.0, -40.0), st.just(NEG_INF)),
+        min_size=n, max_size=n))
+    if draw(st.integers(0, 19)) == 0:
+        return [NEG_INF] * n
+    return [top + x for x in offsets]
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+def test_normalize_matches_log_normalize_then_exp():
+    reused = set()  # whether the exps summed to exactly 1.0, per example
+
+    @settings(max_examples=400, deadline=None)
+    @given(score_lists())
+    def check(lp):
+        try:
+            want = _log_normalize(lp)
+        except ImpossibleObservation:
+            with pytest.raises(ImpossibleObservation):
+                _normalize(lp)
+            return
+        log_probs, probs = _normalize(lp)
+        assert _bits(log_probs) == _bits(want)
+        assert _bits(probs) == _bits(np.exp(want).tolist())
+        reused.add(_shift_exp(lp)[2] == 0.0)
+
+    check()
+    assert reused == {True, False}
 
 
 # ---------------------------------------------------------------------------
