@@ -24,6 +24,7 @@ from .param_belief import (
     ContractViolation,
     UpdateSchedule,
     _floats,
+    _is_count,
     _prob_list,
     _total,
     log_likelihood,
@@ -39,6 +40,22 @@ SUPPORT_TOL = 1e-12
 _LINK_FLUSH = 1 << 13
 
 REPORT_SCHEMA = "beliefplay/report-v1"
+
+
+def _check_count(name, value, least):
+    """Raise ContractViolation unless ``value`` is an integer >= least (a
+    bool is not one)."""
+    if not (_is_count(value) and value >= least):
+        raise ContractViolation("%s must be an integer >= %d, got %r"
+                                % (name, least, value))
+
+
+def _theta_star(game):
+    """The complete-information belief: all mass on the truth, as a list
+    of floats."""
+    theta = [0.0] * len(game.space)
+    theta[game.space.true_index] = 1.0
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +197,17 @@ class FixedPointCluster:
 
 
 def belief_grid(n_params, resolution):
-    """Deterministic grid on the simplex (resolution points per edge)."""
+    """Deterministic grid on the simplex (resolution points per edge, an
+    integer >= 2)."""
     return list(_grid_points(n_params, resolution))
 
 
 def _grid_points(n_params, resolution):
     """The points of `belief_grid`, one at a time, so that a scan holds one
     grid belief at a time."""
-    if resolution < 2:
-        raise ContractViolation("grid needs at least 2 points per axis")
+    if not (_is_count(resolution) and resolution >= 2):
+        raise ContractViolation("grid needs at least 2 points per axis: an "
+                                "integer >= 2, got %r" % (resolution,))
     g = resolution - 1
     if n_params == 2:
         for i in range(g + 1):
@@ -301,8 +320,11 @@ def enumerate_fixed_points(game, belief_grid_resolution=51):
     belief-grid step and d_q the strategy-grid step.  Clusters are the
     connected components of these links.
 
-    Cost: one `Belief.from_probs` (float-native: one `np.log` and one
-    `np.exp`) and one equilibrium set per grid belief.  The members of each
+    ``belief_grid_resolution`` is an integer >= 2.  Each grid belief is a
+    list of floats: its equilibrium set is taken there, and its
+    certificates carry the grid values as they are.
+
+    Cost: one equilibrium set per grid belief.  The members of each
     distinct equilibrium set and their S*(q) are worked out once per scan
     (`_members_with_equivalence`): zerosum's 1,326 grid beliefs share 3
     distinct sets and investment's 257; Cournot's 51 are all distinct.  A
@@ -319,14 +341,11 @@ def enumerate_fixed_points(game, belief_grid_resolution=51):
     this takes about 0.14 s on a 2-core x86_64 machine, 0.04 s of it
     linking; certifying only candidates took about 30% off the investment
     scan there."""
-    if belief_grid_resolution < 2:
-        raise ContractViolation("grid needs at least 2 points per axis")
     n_members = 5
     valid = []
     cache = {}
     for probs in _grid_points(len(game.space), belief_grid_resolution):
-        # the certificate carries exp(normalised log p), not the grid value
-        theta = Belief.from_probs(probs).probs.tolist()
+        theta = probs.tolist()
         eq = equilibrium_set(game, theta)
         support = {s for s, x in enumerate(theta) if x > 0.0}
         for q, equiv in _members_with_equivalence(
@@ -410,8 +429,7 @@ def check_all_fixed_points_complete(game, seed=0):
         probs = probs.tolist()
         if probs[s_star] >= 1.0 - 1e-12:
             continue
-        belief = Belief.from_probs(probs)
-        eq = equilibrium_set(game, belief)
+        eq = equilibrium_set(game, probs)
         support = {s for s, p in enumerate(probs) if p > 0.0}
         for q, equiv in _members_with_equivalence(game, eq, 7, KL_TOL, cache):
             if support.issubset(equiv):
@@ -468,10 +486,8 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
             if np.any(second > 1e-9):
                 cond_ii = False
 
-    eq_bar = equilibrium_set(game, Belief.from_probs(certificate.belief))
-    eq_star = equilibrium_set(
-        game, Belief.point_mass(len(game.space), game.space.true_index)
-    )
+    eq_bar = equilibrium_set(game, list(certificate.belief))
+    eq_star = equilibrium_set(game, _theta_star(game))
     d1 = _directed_hausdorff(eq_bar, eq_star, rng)
     d2 = _directed_hausdorff(eq_star, eq_bar, rng)
     eq_equal = bool(max(d1, d2) <= 1e-6)
@@ -593,7 +609,9 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
 
     Returns per-parameter empirical means/standard errors of the posterior
     ratio theta'(s)/theta'(s*), plus the mean of log theta'(s*) (submartingale
-    side).  Normalization cancels inside the ratio."""
+    side).  Normalization cancels inside the ratio.  ``n_samples`` is an
+    integer >= 2, since a standard error needs two samples."""
+    _check_count("n_samples", n_samples, 2)
     probs = np.asarray(_prob_list(belief), dtype=float)
     if np.any(probs <= 0.0):
         raise ContractViolation("diagnostic needs a full-support belief")
@@ -761,19 +779,18 @@ def _directed_hausdorff(eq_from, eq_to, rng, n=256):
 
 def _final_states(game, starts, rule, schedule, horizon, respond_to,
                   stop_when_converged):
-    """The final belief and profile (arrays) of one `run` from each
-    (seed_k, theta1, q1) in ``starts``, in start order, spread over the CPUs
-    by `_map_replicas`.  A start whose belief lacks full support stays
-    where it is."""
+    """The final belief and profile (lists of floats) of one `run` from
+    each (seed_k, theta1, q1) in ``starts``, whose theta1 and q1 are lists
+    of floats, in start order, spread over the CPUs by `_map_replicas`.  A
+    start whose belief lacks full support stays where it is."""
     def replica(k):
         seed_k, theta1, q1 = starts[k]
         if not all(p > 0.0 for p in theta1):  # frozen degenerate start
-            return np.asarray(theta1, dtype=float), np.asarray(q1, dtype=float)
+            return theta1, q1
         summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
                       horizon, seed_k, stop_when_converged=stop_when_converged,
                       respond_to=respond_to).summary
-        return (np.asarray(summary["final_theta"]),
-                np.asarray(summary["final_q"]))
+        return summary["final_theta"], summary["final_q"]
 
     return _map_replicas(replica, len(starts))
 
@@ -785,11 +802,13 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
     """Estimate Pr(theta^T near theta_bar and q^T near EQ(theta_bar)) from
     runs started in the (eps1, delta1) neighborhoods, with a Wilson 95% CI.
     Strategies respond to ``respond_to``, as in ``run``.  Verdict: stable
-    when the CI lies in [0.9, 1], unstable when it lies in [0, 0.5]."""
+    when the CI lies in [0.9, 1], unstable when it lies in [0, 0.5].
+    ``n_runs`` is an integer >= 1."""
+    _check_count("n_runs", n_runs, 1)
     rule = rule or UpdateRule.simultaneous()
     schedule = schedule or UpdateSchedule.every_stage()
-    theta_bar = np.asarray(certificate.belief, dtype=float)
-    eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
+    theta_bar = list(certificate.belief)
+    eq_bar = equilibrium_set(game, theta_bar)
     near_eq = _near_eq_sampler(game, eq_bar, delta1)
     starts = []
     for k in range(n_runs):
@@ -803,10 +822,10 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
     for final_theta, final_q in _final_states(
             game, starts, rule, schedule, horizon, respond_to, False):
         stayed += (
-            float(np.max(np.abs(final_theta - theta_bar))) <= eps_bar
+            max(abs(x - t) for x, t in zip(final_theta, theta_bar)) <= eps_bar
             and eq_bar.distance(final_q) <= eps_x
         )
-    p = stayed / n_runs if n_runs else 0.0
+    p = stayed / n_runs
     lo, hi = wilson_ci(stayed, n_runs)
     if lo >= 0.9:
         verdict = "locally_stable_evidence"
@@ -845,12 +864,10 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
     at eps 1/3 and delta 1 with 1,000 probes, the check takes 0.04-0.06 s
     on a 2-core x86_64 machine (0.10-0.18 s when the probes ran on numpy
     arrays); the kernels it calls take about half of that."""
-    if n_probe < 8:
-        raise ContractViolation("n_probe must be an integer >= 8, got %r"
-                                % (n_probe,))
+    _check_count("n_probe", n_probe, 8)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     theta_bar = list(certificate.belief)
-    eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
+    eq_bar = equilibrium_set(game, theta_bar)
     support = set(certificate.support)
     near_eq = _near_eq_sampler(game, eq_bar, delta)
 
@@ -858,7 +875,7 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
     radii, dists = [], []
     for _ in range(n_probe):
         theta = sample_belief_ball(theta_bar, eps, rng)
-        eq = equilibrium_set(game, Belief.from_probs(theta))
+        eq = equilibrium_set(game, theta)
         radii.append(max(abs(x - t) for x, t in zip(theta, theta_bar)))
         dists.append(_directed_hausdorff(eq, eq_bar, rng, n=64))
     radii = np.asarray(radii)
@@ -911,7 +928,9 @@ def check_global_stability(game, clusters, counterexample, n_random_starts=50,
     (belief, q) of `check_all_fixed_points_complete` or None.  Otherwise it
     is verified empirically by random-start convergence: each start runs the
     sequential rule until converged, and must end within 0.05 of theta*,
-    0.02 of EQ(theta*)."""
+    0.02 of EQ(theta*).  ``n_random_starts`` is an integer >= 1, checked
+    before any witness is looked for."""
+    _check_count("n_random_starts", n_random_starts, 1)
     rule = UpdateRule.sequential()
     # a single cluster may mix complete-info and other certificates (connected
     # fixed-point families), so scan every member for a witness
@@ -926,23 +945,20 @@ def check_global_stability(game, clusters, counterexample, n_random_starts=50,
             "n_converged": None,
             "n_runs": 0,
         }
-    n = len(game.space)
-    s_star = game.space.true_index
-    eq_star = equilibrium_set(game, Belief.point_mass(n, s_star))
-    theta_star = np.zeros(n)
-    theta_star[s_star] = 1.0
+    theta_star = _theta_star(game)
+    eq_star = equilibrium_set(game, theta_star)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     schedule = UpdateSchedule.every_stage()
     starts = []
     for k in range(n_random_starts):
-        theta1 = rng.dirichlet(np.ones(n))
-        q1 = game.random_profile(rng)
+        theta1 = rng.dirichlet(np.ones(len(theta_star))).tolist()
+        q1 = game.random_profile(rng).tolist()
         starts.append((replica_seed(seed, k), theta1, q1))
     n_converged = 0
     for final_theta, final_q in _final_states(
             game, starts, rule, schedule, horizon, "posterior", True):
         if (
-            float(np.max(np.abs(final_theta - theta_star))) <= 0.05
+            max(abs(x - t) for x, t in zip(final_theta, theta_star)) <= 0.05
             and eq_star.distance(final_q) <= 0.02
         ):
             n_converged += 1
@@ -965,33 +981,32 @@ def nearest_fixed_point(game, theta, q, clusters=None):
 
     Candidates: each enumerated cluster representative, plus the terminal
     belief with its entries below 0.05 zeroed (the supported-limit candidate).
-    Returns (cluster_id or 'self', theta-distance, certificate) or None."""
-    theta = np.asarray(theta, dtype=float)
-    q = np.asarray(q, dtype=float)
+    Returns (cluster_id or 'self', theta-distance, certificate) or None.
+    Each candidate's equilibrium set and certificate are taken at the same
+    belief, a list of floats."""
+    theta = _floats(theta)
     best = None
 
     def consider(tag, theta_bar):
         nonlocal best
-        theta_bar = np.asarray(theta_bar, dtype=float)
-        eq = equilibrium_set(game, Belief.from_probs(theta_bar))
-        q_bar = eq.project(q)
-        cert = certify_fixed_point(game, theta_bar, q_bar)
+        eq = equilibrium_set(game, theta_bar)
+        cert = certify_fixed_point(game, theta_bar, eq.project(q))
         if not cert.valid:
             return
-        d = float(np.max(np.abs(theta - theta_bar)))
+        d = max(abs(x - t) for x, t in zip(theta, theta_bar))
         if best is None or d < best[1]:
             best = (tag, d, cert)
 
     if clusters:
         for cl in clusters:
-            consider(cl.cluster_id, cl.representative.belief)
-    trimmed = np.where(theta < 0.05, 0.0, theta)
-    total = _total(trimmed.tolist())
+            consider(cl.cluster_id, list(cl.representative.belief))
+    trimmed = [0.0 if x < 0.05 else x for x in theta]
+    total = _total(trimmed)
     if total > 0:
-        trimmed = trimmed / total
+        trimmed = [x / total for x in trimmed]
         consider("self", trimmed)
         # an equal candidate has an equal distance, so it could never win
-        if np.array_equal(trimmed, theta):
+        if trimmed == theta:
             return best
     consider("self", theta)
     return best

@@ -449,9 +449,8 @@ def _configured_run(cfg, seed):
 def _run_one_seed(cfg, seed, clusters):
     traj = _configured_run(cfg, seed)
     near = analysis.nearest_fixed_point(
-        cfg.game, np.asarray(traj.summary["final_theta"]),
-        np.asarray(traj.summary["final_q"]), clusters,
-    )
+        cfg.game, traj.summary["final_theta"], traj.summary["final_q"],
+        clusters)
     if near is not None:
         tag, dist, cert = near
         traj.summary["nearest_fixed_point"] = tag

@@ -29,10 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import best_response, sample_payoffs, tied_actions
+from .games import (
+    best_response,
+    equilibrium_set,
+    sample_payoffs,
+    tied_actions,
+)
 from .param_belief import (
-    Belief,
     ContractViolation,
+    UpdateSchedule,
     _normalize,
     _total,
     batch_log_likelihoods,
@@ -281,9 +286,6 @@ def run_two_timescale(game, rule, gap_fn, init, horizon, seed,
                       respond_to="posterior"):
     """Run the full horizon with a growing-gap schedule; also records, at
     each belief update, the distance of the current strategy to EQ(theta)."""
-    from .games import equilibrium_set
-    from .param_belief import UpdateSchedule
-
     schedule = UpdateSchedule.two_timescale(gap_fn)
     traj = run(game, rule, schedule, init, horizon, seed,
                respond_to=respond_to)
@@ -292,8 +294,7 @@ def run_two_timescale(game, rule, gap_fn, init, horizon, seed,
         idx = k - 1
         if idx >= traj.horizon:
             continue
-        belief = Belief.from_probs(traj.thetas[idx])
-        eq = equilibrium_set(game, belief)
+        eq = equilibrium_set(game, traj.thetas[idx].tolist())
         distances.append((int(k), float(eq.distance(traj.qs[idx]))))
     traj.summary["eq_distance_at_updates"] = distances
     return traj

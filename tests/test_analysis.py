@@ -21,6 +21,7 @@ from beliefplay.analysis import (
     certify_fixed_point,
     check_assumption2,
     check_complete_info_equilibrium_conditions,
+    check_global_stability,
     enumerate_fixed_points,
     estimate_convergence_rate,
     kl_divergence,
@@ -293,9 +294,8 @@ def test_enumerated_clusters_match_bruteforce_linking(factory, res,
     # the valid certificates of the grid, certified on array inputs
     valid = []
     for probs in belief_grid(len(game.space), res):
-        belief = Belief.from_probs(probs)
-        for q in equilibrium_set(game, belief).representatives(5):
-            cert = certify_fixed_point(game, belief, q)
+        for q in equilibrium_set(game, probs).representatives(5):
+            cert = certify_fixed_point(game, probs, q)
             if cert.valid:
                 valid.append(cert)
     (thetas, qs, link_theta, link_q), = calls
@@ -548,6 +548,61 @@ def test_assumption2_needs_eight_probes(cournot_game):
     assert out["A2a"]["envelope"][-1] > 0.0
 
 
+def _cournot_star():
+    game = games.cournot()
+    return game, certify_fixed_point(game, [1.0, 0.0], [2.0 / 3.0, 2.0 / 3.0])
+
+
+def _mc(n_runs):
+    game, cert = _cournot_star()
+    return monte_carlo_local_stability(game, cert, eps1=0.0, delta1=0.0,
+                                       eps_bar=0.1, eps_x=0.1, n_runs=n_runs,
+                                       horizon=1, seed=0)
+
+
+def _martingale(n_samples):
+    return martingale_diagnostic(games.investment(), [0.2, 0.5, 0.3],
+                                 [1.0 / 3.0, 1.0 / 3.0], n_samples, seed=0)
+
+
+def _probes(n_probe):
+    game, cert = _cournot_star()
+    return check_assumption2(game, cert, eps=1.0 / 3.0, delta=1.0,
+                             n_probe=n_probe, seed=0)
+
+
+# a count of zero evidence, or one that is not an integer, is refused with
+# the argument's name; none of these may return a verdict, NaN statistics
+# or a TypeError from range()
+BAD_COUNTS = {
+    "global_no_starts": (
+        lambda: check_global_stability(games.cournot(), [], None,
+                                       n_random_starts=0, horizon=10),
+        "n_random_starts must be an integer >= 1"),
+    "mc_no_runs": (lambda: _mc(0), "n_runs must be an integer >= 1"),
+    "mc_fractional_runs": (lambda: _mc(1.5),
+                           "n_runs must be an integer >= 1"),
+    "martingale_one_sample": (lambda: _martingale(1),
+                              "n_samples must be an integer >= 2"),
+    "martingale_no_samples": (lambda: _martingale(0),
+                              "n_samples must be an integer >= 2"),
+    "fractional_probes": (lambda: _probes(8.5),
+                          "n_probe must be an integer >= 8"),
+    "fractional_scan_grid": (
+        lambda: enumerate_fixed_points(games.cournot(), 2.5),
+        "grid needs at least 2 points per axis"),
+    "fractional_grid": (lambda: belief_grid(2, 3.0),
+                        "grid needs at least 2 points per axis"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_counts_must_be_integers_with_evidence(case):
+    call, message = BAD_COUNTS[case]
+    with pytest.raises(ContractViolation, match=message):
+        call()
+
+
 def test_complete_info_conditions_cournot(cournot_game):
     cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
                                [2.0 / 3.0, 2.0 / 3.0])
@@ -582,7 +637,7 @@ def test_nearest_fixed_point_solves_each_distinct_candidate_once(
     real = analysis.equilibrium_set
 
     def spy(game, belief, *args, **kwargs):
-        seen.append(belief.probs.tolist())
+        seen.append(list(belief))
         return real(game, belief, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "equilibrium_set", spy)

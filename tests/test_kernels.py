@@ -613,7 +613,7 @@ def _check_all_oracle(game, n_dirichlet=500, grid_resolution=51, seed=0,
         probs = probs.tolist()
         if probs[s_star] >= 1.0 - 1e-12:
             continue
-        eq = equilibrium_set(game, Belief.from_probs(probs))
+        eq = equilibrium_set(game, probs)
         support = {s for s, p in enumerate(probs) if p > 0.0}
         for q in eq.representatives(strategy_samples).tolist():
             if support <= set(payoff_equivalent_set(game, q, tol_kl)):
@@ -621,22 +621,31 @@ def _check_all_oracle(game, n_dirichlet=500, grid_resolution=51, seed=0,
     return True, None
 
 
-def _clusters_repr(clusters):
-    return repr([(cl.cluster_id, cl.representative, cl.members, cl.eq_set)
-                 for cl in clusters])
+def _assert_same_clusters(got, want):
+    """The reprs of two scans' clusters are equal: id, representative and
+    equilibrium set cluster by cluster, then the members one by one, so a
+    failure names the first difference instead of diffing two strings of
+    some 6,600 certificates."""
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert repr((a.cluster_id, a.representative, a.eq_set)) == \
+            repr((b.cluster_id, b.representative, b.eq_set)), k
+        assert len(a.members) == len(b.members), k
+        for j, (x, y) in enumerate(zip(a.members, b.members)):
+            assert repr(x) == repr(y), (k, j)
 
 
 @pytest.mark.parametrize("factory", BUILT_IN, ids=BUILT_IN_IDS)
 def test_scans_match_the_uncached_scans(factory, monkeypatch):
     game = factory()
-    got = _clusters_repr(enumerate_fixed_points(game))
+    got = enumerate_fixed_points(game)
     complete = None
     if game.analytic_eq is not None:
         complete = repr(check_all_fixed_points_complete(game))
         assert complete == repr(_check_all_oracle(game))
     monkeypatch.setattr(analysis, "_members_with_equivalence",
                         _uncached_members)
-    assert got == _clusters_repr(enumerate_fixed_points(game))
+    _assert_same_clusters(got, enumerate_fixed_points(game))
 
 
 def test_minus_zero_bound_gets_its_own_cache_entry():
@@ -662,9 +671,8 @@ def _certify_every_member(game, res=51, n_members=5):
     grid belief's equilibrium set, each with its own S*(q)."""
     valid = []
     for probs in belief_grid(len(game.space), res):
-        belief = Belief.from_probs(probs)
-        eq = equilibrium_set(game, belief)
-        theta = belief.probs.tolist()
+        theta = probs.tolist()
+        eq = equilibrium_set(game, theta)
         for q in eq.representatives(n_members).tolist():
             cert = certify_fixed_point(game, theta, q)
             if cert.valid:
@@ -691,9 +699,8 @@ def test_scan_matches_a_scan_that_certifies_every_member(factory,
     game = factory()
     oracle = _certify_every_member(game)
     calls = _spy_certify(monkeypatch)
-    got = _clusters_repr(enumerate_fixed_points(game))
-    assert got == _clusters_repr(
-        analysis._cluster_certificates(game, oracle, 51, 5))
+    _assert_same_clusters(enumerate_fixed_points(game),
+                          analysis._cluster_certificates(game, oracle, 51, 5))
     # every valid certificate was a candidate, so it was certified
     assert len(oracle) <= len(calls)
 
@@ -864,15 +871,16 @@ def _hausdorff_oracle(eq_from, eq_to, rng, n=256):
 
 def _assumption2_oracle(game, certificate, eps, delta, n_probe, seed):
     """`check_assumption2` on numpy arrays, as it was before the probes
-    moved to lists of floats."""
+    moved to lists of floats, with each equilibrium set taken at the drawn
+    probabilities as they are."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     theta_bar = np.asarray(certificate.belief, dtype=float)
-    eq_bar = equilibrium_set(game, Belief.from_probs(theta_bar))
+    eq_bar = equilibrium_set(game, theta_bar)
     support = certificate.support
     radii, dists = [], []
     for _ in range(n_probe):
         theta = _ball_oracle(theta_bar, eps, rng)
-        eq = equilibrium_set(game, Belief.from_probs(theta))
+        eq = equilibrium_set(game, theta)
         radii.append(float(np.max(np.abs(theta - theta_bar))))
         dists.append(_hausdorff_oracle(eq, eq_bar, rng, n=64))
     radii = np.asarray(radii)
