@@ -19,10 +19,10 @@ from .games import (
     zerosum_example,
 )
 from .param_belief import (
-    Belief,
     ParameterSpace,
     UpdateSchedule,
     bayes_update,
+    log_belief,
     log_likelihood,
     map_update,
     next_update_stage,

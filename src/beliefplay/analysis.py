@@ -20,12 +20,11 @@ from .games import (
     tied_actions,
 )
 from .param_belief import (
-    Belief,
     ContractViolation,
     UpdateSchedule,
+    _check_length,
     _floats,
     _is_count,
-    _prob_list,
     _total,
     log_likelihood,
 )
@@ -146,11 +145,12 @@ def certify_fixed_point(game, belief, q, tol_eq=1e-8, *,
     """Certificate for ([theta] subset of S*(q), q in EQ(theta)); S*(q) is
     at tolerance KL_TOL.
 
-    The belief (a Belief or a probability vector) and the profile become
-    lists of floats once, here; a list is taken to hold floats already.
+    The belief (a probability vector) and the profile become lists of
+    floats once, here; a list is taken to hold floats already.
     ``equivalence_set``, when given, is taken as S*(q) instead of working it
     out again."""
-    probs = _prob_list(belief)
+    probs = _floats(belief)
+    _check_length(probs, game)
     q = _floats(q)
     equiv = (payoff_equivalent_set(game, q)
              if equivalence_set is None else equivalence_set)
@@ -521,7 +521,7 @@ def stability_thresholds(theta_bar, eps_hat, gamma):
     |S| the length of theta_bar.  With E parameters outside the belief's
     support, eps_hat may be at most |S|(E+1)/E; a larger one raises
     `ContractViolation`, since rho3 would be negative."""
-    probs = _prob_list(theta_bar)
+    probs = _floats(theta_bar)
     n = len(probs)
     if not (0.0 < gamma < 1.0):
         raise ContractViolation("gamma must lie in (0,1)")
@@ -612,7 +612,7 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
     side).  Normalization cancels inside the ratio.  ``n_samples`` is an
     integer >= 2, since a standard error needs two samples."""
     _check_count("n_samples", n_samples, 2)
-    probs = np.asarray(_prob_list(belief), dtype=float)
+    probs = np.asarray(_floats(belief), dtype=float)
     if np.any(probs <= 0.0):
         raise ContractViolation("diagnostic needs a full-support belief")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -780,15 +780,15 @@ def _directed_hausdorff(eq_from, eq_to, rng, n=256):
 def _final_states(game, starts, rule, schedule, horizon, respond_to,
                   stop_when_converged):
     """The final belief and profile (lists of floats) of one `run` from
-    each (seed_k, theta1, q1) in ``starts``, whose theta1 and q1 are lists
-    of floats, in start order, spread over the CPUs by `_map_replicas`.  A
-    start whose belief lacks full support stays where it is."""
+    each (seed_k, theta1, q1) in ``starts``, whose theta1 (a probability
+    vector) and q1 are lists of floats, in start order, spread over the CPUs
+    by `_map_replicas`.  A degenerate start belief stays where it is."""
     def replica(k):
         seed_k, theta1, q1 = starts[k]
         if not all(p > 0.0 for p in theta1):  # frozen degenerate start
             return theta1, q1
-        summary = run(game, rule, schedule, (Belief.from_probs(theta1), q1),
-                      horizon, seed_k, stop_when_converged=stop_when_converged,
+        summary = run(game, rule, schedule, (theta1, q1), horizon, seed_k,
+                      stop_when_converged=stop_when_converged,
                       respond_to=respond_to).summary
         return summary["final_theta"], summary["final_q"]
 
@@ -1035,8 +1035,6 @@ def to_jsonable(obj):
     if isinstance(obj, EquilibriumSet):
         return {k: to_jsonable(v) for k, v in _field_items(obj)
                 if v is not None}
-    if isinstance(obj, Belief):
-        return obj.probs.tolist()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

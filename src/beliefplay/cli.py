@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, games
 from .dynamics import (RULE_KINDS, UpdateRule, _map_replicas, run,
                        run_two_timescale, trajectory_to_csv)
-from .param_belief import SCHEDULE_KINDS, Belief, UpdateSchedule, ols_solve
+from .param_belief import SCHEDULE_KINDS, UpdateSchedule, ols_solve
 
 ESTIMATORS = ("bayes", "map", "ols")
 
@@ -438,7 +438,7 @@ def _clusters(cfg):
 def _configured_run(cfg, seed):
     """One run of the configured dynamics: rule, schedule and the estimator
     the strategies respond to."""
-    init = (Belief.from_probs(cfg.theta1), cfg.q1)
+    init = (cfg.theta1, cfg.q1)
     if cfg.schedule.kind == "two_timescale":
         return run_two_timescale(cfg.game, cfg.rule, cfg.schedule.gap_fn, init,
                                  cfg.horizon, seed, respond_to=cfg.respond_to)

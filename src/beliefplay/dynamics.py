@@ -12,10 +12,10 @@ run and are written value by value through flat views of them.  A belief
 update takes one `np.exp` once the posterior is concentrated (the shifted
 exps then sum to exactly 1.0 and are the probabilities, see `_normalize`)
 and two otherwise.  The loop reads the game's geometry once per run.
-Every kernel it calls follows the bit rule stated in `games`, and none takes
-an `np.log`, so one replica's arithmetic is the same as it would be inside a
-batch of replicas.  `run` reproduces the plain per-stage loop it replaced
-bit for bit (pinned by an exact-equality test).
+Every kernel a stage calls follows the bit rule stated in `games`, and none
+takes an `np.log`, so one replica's arithmetic is the same as it would be
+inside a batch of replicas.  `run` reproduces the plain per-stage loop it
+replaced bit for bit (pinned by an exact-equality test).
 
 `_map_replicas` is the one way to run many independent replicas: it
 spreads them over the CPUs this process may use, in forked workers, and
@@ -36,11 +36,14 @@ from .games import (
     tied_actions,
 )
 from .param_belief import (
+    NEG_INF,
     ContractViolation,
     UpdateSchedule,
+    _check_length,
     _normalize,
     _total,
     batch_log_likelihoods,
+    log_belief,
     next_update_stage,
 )
 
@@ -152,17 +155,21 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
         conv_window=CONV_WINDOW, conv_tol=CONV_TOL, respond_to="posterior"):
     """Run the learning dynamics; deterministic given the seed.
 
-    Convergence is declared when over the last `conv_window` stages every
-    strategy step is below `conv_tol` (max norm) and the belief moved less
-    than `conv_tol` across the window.  Strategies respond to the posterior
-    or, with ``respond_to="map"``, to its mode.
+    ``init`` is (theta1, q1): a full-support probability vector, one entry
+    per parameter, and a profile.  Convergence is declared when over the
+    last `conv_window` stages every strategy step is below `conv_tol` (max
+    norm) and the belief moved less than `conv_tol` across the window.
+    Strategies respond to the posterior or, with ``respond_to="map"``, to
+    its mode.
     """
-    belief, q0 = init
+    theta1, q0 = init
     if horizon < 1:
         raise ContractViolation("horizon must be >= 1")
     if respond_to not in ("posterior", "map"):
         raise ContractViolation("unknown respond_to %r" % (respond_to,))
-    if not belief.full_support():
+    log_probs = log_belief(theta1)
+    _check_length(log_probs, game)
+    if NEG_INF in log_probs:
         raise ContractViolation("initial belief must have full support")
     q0 = np.asarray(q0, dtype=float)
     if not game.feasible(q0):
@@ -188,7 +195,6 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     true_index = game.space.true_index
     fictitious = rule.kind == "fictitious_play"
     respond_map = respond_to == "map"
-    log_probs = list(belief.log_probs)
     probs = np.exp(log_probs).tolist()
     q = q0.tolist()
     pending = []

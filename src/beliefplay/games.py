@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
-                           _expect, _floats, _is_count, _prob_list)
+                           _check_length, _expect, _floats, _is_count)
 
 FLAT_TOL = 1e-12
 
@@ -283,7 +283,7 @@ class GameModel:
 def expected_payoff(game, belief, q, i):
     """E_theta[u_i^s(q)], summed over the parameters with positive
     probability, left to right."""
-    probs = _prob_list(belief)
+    probs = _floats(belief)
     total = 0.0
     for s, p in enumerate(probs):
         if p > 0.0:
@@ -321,17 +321,17 @@ def sample_payoffs(game, s_idx, q, rng):
 def best_response(game, belief, i, q, current=None):
     """Best response of player i to the opponents in the profile q.
 
-    ``belief`` is a Belief or a probability vector, ``q`` and ``current``
-    (player i's current block, by default read from q) are arrays,
-    sequences or lists of floats.  Returns a canonical maximizer as a tuple
-    of floats (the one nearest the player's current strategy when the
-    argmax is set-valued).  The game's ``analytic_br`` answers when it has
-    one, which every continuous game does; a finite game without one plays
-    the current pure action if it is among the `tied_actions`, else the
-    lowest of them.  There is no numeric search.
+    ``belief`` (a probability vector), ``q`` and ``current`` (player i's
+    current block, by default read from q) are arrays, sequences or lists of
+    floats.  Returns a canonical maximizer as a tuple of floats (the one
+    nearest the player's current strategy when the argmax is set-valued).
+    The game's ``analytic_br`` answers when it has one, which every
+    continuous game does; a finite game without one plays the current pure
+    action if it is among the `tied_actions`, else the lowest of them.
+    There is no numeric search.
     """
     # the stage loop passes lists of floats, which need no conversion
-    probs = belief if type(belief) is list else _prob_list(belief)
+    probs = belief if type(belief) is list else _floats(belief)
     if type(q) is not list:
         q = _floats(q)
     if current is None:
@@ -354,7 +354,7 @@ def tied_actions(game, belief, i, q):
     each action's expected payoff summed over the parameters left to right,
     within FLAT_TOL of the best.  One trial profile serves every action: the
     action's entry is set, read and cleared."""
-    probs = _prob_list(belief)
+    probs = _floats(belief)
     q = _floats(q)
     n_act = game.boxes[i]
     sl = game.slices[i]
@@ -378,7 +378,7 @@ def br_profile(game, belief, q, current=None):
     """Stack each player's canonical best response into one flat profile, a
     list of floats.  The belief and the profiles become lists of floats once,
     here; a list is taken to hold floats already."""
-    probs = _prob_list(belief)
+    probs = _floats(belief)
     flat = _floats(q)
     current = flat if current is None else _floats(current)
     out = []
@@ -392,7 +392,8 @@ def equilibrium_set(game, belief):
     from 20 random starts (seed 0), each run for at most 2,000 steps until a
     step moves less than 1e-10; limit points within 1e-6 of an earlier one
     join its cluster."""
-    probs = _prob_list(belief)
+    probs = _floats(belief)
+    _check_length(probs, game)
     if game.analytic_eq is not None:
         return game.analytic_eq(probs)
     rng = np.random.default_rng(0)

@@ -1,10 +1,11 @@
-"""Parameter spaces, simplex beliefs, Bayesian/MAP/OLS estimators and
+"""Parameter spaces, beliefs, Bayesian/MAP/OLS estimators and
 belief-update schedules.
 
-Beliefs are stored in log-space (normalized with log-sum-exp) because
-posterior mass on distinguishable parameters decays exponentially over long
-horizons.  Exact zeros are represented by a -inf sentinel; there is no
-probability floor.
+A belief is a probability vector, one entry per parameter.  `run` and the
+estimators carry it as log probabilities (`log_belief`, normalized with
+log-sum-exp) because posterior mass on distinguishable parameters decays
+exponentially over long horizons.  Exact zeros are represented by a -inf
+sentinel; there is no probability floor.
 """
 
 from __future__ import annotations
@@ -70,62 +71,6 @@ class ParameterSpace:
         return np.asarray(self.params, dtype=float)
 
 
-@dataclass(frozen=True)
-class Belief:
-    """Probability vector on a ParameterSpace, canonical storage in log-space."""
-
-    log_probs: tuple
-
-    def __post_init__(self):
-        lp = _floats(self.log_probs)
-        if not lp:
-            raise ContractViolation("belief must have at least one entry")
-        if not all(x < math.inf for x in lp):  # false for NaN and +inf
-            raise ContractViolation("log-probabilities must be finite or -inf")
-        # normalize so exp sums to 1
-        object.__setattr__(self, "log_probs", tuple(_log_normalize(lp)))
-
-    @classmethod
-    def from_probs(cls, probs):
-        """The belief proportional to ``probs``: log(p / total), with the
-        total summed left to right (`_total`) and the logs taken by
-        `np.log`."""
-        p = _floats(probs)
-        if any(x < 0.0 for x in p):
-            raise ContractViolation("probabilities must be non-negative")
-        total = _total(p)
-        if not total > 0:
-            raise ContractViolation("probabilities must have positive mass")
-        ratios = [x / total for x in p]
-        # log(0) is -inf; np.log of a zero would warn
-        logs = iter(np.log([r for r in ratios if r != 0.0]).tolist())
-        return cls([NEG_INF if r == 0.0 else next(logs) for r in ratios])
-
-    @classmethod
-    def uniform(cls, n):
-        return cls.from_probs(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, n, idx):
-        p = np.zeros(n)
-        p[idx] = 1.0
-        return cls.from_probs(p)
-
-    @property
-    def probs(self):
-        return np.exp(np.asarray(self.log_probs, dtype=float))
-
-    @property
-    def support(self):
-        return tuple(i for i, lp in enumerate(self.log_probs) if lp != NEG_INF)
-
-    def full_support(self):
-        return all(lp != NEG_INF for lp in self.log_probs)
-
-    def __len__(self):
-        return len(self.log_probs)
-
-
 def _floats(x):
     """A flat list of floats; a list is taken to hold floats already."""
     if type(x) is list:
@@ -133,14 +78,30 @@ def _floats(x):
     return np.asarray(x, dtype=float).ravel().tolist()
 
 
-def _prob_list(belief):
-    """The probabilities of a Belief, or of a probability vector, as a list
-    of floats; a list is taken to hold floats already."""
-    if type(belief) is list:
-        return belief
-    if isinstance(belief, Belief):
-        return belief.probs.tolist()
-    return _floats(belief)
+def _check_length(probs, game):
+    """Raise ContractViolation unless ``probs`` has one entry per parameter."""
+    if len(probs) != len(game.space):
+        raise ContractViolation("belief has %d entries, expected %d (one per "
+                                "parameter)" % (len(probs), len(game.space)))
+
+
+def log_belief(probs):
+    """The log probabilities (a list) of the belief proportional to
+    ``probs``: log(p / total) by `np.log`, with the total summed left to
+    right and -inf for a zero, then normalised by `_log_normalize`."""
+    p = _floats(probs)
+    if any(x < 0.0 for x in p):
+        raise ContractViolation("probabilities must be non-negative")
+    total = _total(p)
+    if not total > 0:
+        raise ContractViolation("probabilities must have positive mass")
+    ratios = [x / total for x in p]
+    # log(0) is -inf; np.log of a zero would warn
+    logs = iter(np.log([r for r in ratios if r != 0.0]).tolist())
+    lp = [NEG_INF if r == 0.0 else next(logs) for r in ratios]
+    if not all(x < math.inf for x in lp):  # false for NaN and +inf
+        raise ContractViolation("log-probabilities must be finite or -inf")
+    return _log_normalize(lp)
 
 
 def _total(xs):
@@ -248,22 +209,25 @@ def _posterior_scores(prior, batch, game):
     phi^s(c^t|q^t), a list of floats."""
     if len(batch) == 0:
         raise ContractViolation("batch must be non-empty")
+    _check_length(prior, game)
     scores = [lp + ll for lp, ll in zip(
-        prior.log_probs, batch_log_likelihoods(prior, batch, game))]
+        _floats(prior), batch_log_likelihoods(prior, batch, game))]
+    if not all(x < math.inf for x in scores):  # false for NaN and +inf
+        raise ContractViolation("log-probabilities must be finite or -inf")
     if max(scores) == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero likelihood")
     return scores
 
 
 def bayes_update(belief, batch, game):
-    """Posterior over parameters given a batch, a list of (q, c) records:
-    theta(s) prop. to theta_prev(s) * prod_t phi^s(c^t|q^t), in log-space."""
-    # Belief normalizes as `run` does; normalizing here too would round twice
-    return Belief(_posterior_scores(belief, batch, game))
+    """Posterior log probabilities given prior ones and a batch, a list of
+    (q, c) records: theta(s) prop. to theta_prev(s) * prod_t phi^s(c^t|q^t),
+    normalised as `run` normalises it."""
+    return _log_normalize(_posterior_scores(belief, batch, game))
 
 
 def map_update(prior, batch, game):
-    """argmax_s prior(s) * prod phi^s(c|q), lowest index on ties."""
+    """argmax_s log prior(s) + sum log phi^s(c|q), lowest index on ties."""
     scores = _posterior_scores(prior, batch, game)
     return scores.index(max(scores))
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from beliefplay.games import (FLAT_TOL, SolverError, best_response,
                              expected_payoff)
-from beliefplay.param_belief import _floats, _prob_list
+from beliefplay.param_belief import _floats
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,7 +71,7 @@ def numeric_best_response(game, probs, i, q, current=None):
     clipped to the flat interval when the argmax is set-valued), and
     ``interval`` is ((lo,), (hi,)) when the argmax is set-valued, else
     None."""
-    probs = _prob_list(probs)
+    probs = _floats(probs)
     if type(q) is not list:
         q = _floats(q)
     if current is None:

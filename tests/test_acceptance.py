@@ -40,8 +40,8 @@ from beliefplay.dynamics import (
 )
 from beliefplay.games import best_response, equilibrium_set
 from beliefplay.param_belief import (
-    Belief,
     UpdateSchedule,
+    log_belief,
     map_update,
 )
 from oracles import analytic_interval, numeric_best_response
@@ -138,14 +138,13 @@ def test_criterion_2_convergence_statistics(criterion):
                 theta1 = rng.dirichlet(np.ones(n))
                 q1 = lo + (hi - lo) * rng.random(lo.size)
                 traj = run(game, make_rule(), UpdateSchedule.every_stage(),
-                           (Belief.from_probs(theta1), q1), 50000, seed=sk,
+                           (theta1, q1), 50000, seed=sk,
                            stop_when_converged=True)
                 theta_t = np.asarray(traj.summary["final_theta"])
                 q_t = np.asarray(traj.summary["final_q"])
                 d_theta = float(np.min(np.max(np.abs(beliefs - theta_t),
                                               axis=1)))
-                d_q = equilibrium_set(game,
-                                      Belief.from_probs(theta_t)).distance(q_t)
+                d_q = equilibrium_set(game, theta_t).distance(q_t)
                 ok += d_theta <= 0.05 and d_q <= 0.02
             combos["%s/%s" % (gname, rname)] = ok
     elapsed = time.monotonic() - t_start
@@ -184,7 +183,7 @@ def test_criterion_3_rate_law(criterion):
     for k in range(20):
         traj = run(game, UpdateRule.simultaneous(),
                    UpdateSchedule.every_stage(),
-                   (Belief.uniform(3), np.asarray([0.5, 0.5])), 2500,
+                   ([1 / 3] * 3, np.asarray([0.5, 0.5])), 2500,
                    seed=replica_seed(300, k))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -211,10 +210,10 @@ def test_criterion_3_rate_law(criterion):
 
 def test_criterion_4_martingale_diagnostics(criterion):
     probes = [
-        (games.cournot(), Belief.uniform(2), [1.0, 1.0]),
-        (games.cournot(), Belief.uniform(2), [0.6, 0.8]),
-        (games.investment(), Belief.uniform(3), [1.0 / 3.0, 1.0 / 3.0]),
-        (games.investment(), Belief.uniform(3), [0.8, 0.2]),
+        (games.cournot(), [0.5, 0.5], [1.0, 1.0]),
+        (games.cournot(), [0.5, 0.5], [0.6, 0.8]),
+        (games.investment(), [1 / 3] * 3, [1.0 / 3.0, 1.0 / 3.0]),
+        (games.investment(), [1 / 3] * 3, [0.8, 0.2]),
     ]
     fails = []
     t0 = time.monotonic()
@@ -279,7 +278,7 @@ def test_criterion_5_stability_thresholds(criterion):
 def test_criterion_6_assumption_certification(criterion):
     fails = []
     cournot = games.cournot()
-    star = certify_fixed_point(cournot, Belief.point_mass(2, 0),
+    star = certify_fixed_point(cournot, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     out = check_assumption2(cournot, star, eps=1.0 / 3.0, delta=1.0,
                             n_probe=1000, seed=0)
@@ -288,14 +287,14 @@ def test_criterion_6_assumption_certification(criterion):
     if out["A2b"]["violations"] or out["A2c"]["violations"]:
         fails.append("cournot complete-info point has counterexamples")
 
-    dagger = certify_fixed_point(cournot, Belief.uniform(2), [0.5, 0.5])
+    dagger = certify_fixed_point(cournot, [0.5, 0.5], [0.5, 0.5])
     out = check_assumption2(cournot, dagger, eps=1.0 / 3.0, delta=0.1,
                             n_probe=1000, seed=0)
     if out["A2c"]["pass"] or out["A2c"]["counterexample"] is None:
         fails.append("belief-frozen point not caught by the consistency check")
 
     zerosum = games.zerosum_example()
-    zcert = certify_fixed_point(zerosum, Belief.point_mass(3, 1), [0.0, 1.5])
+    zcert = certify_fixed_point(zerosum, [0.0, 1.0, 0.0], [0.0, 1.5])
     out = check_assumption2(zerosum, zcert, eps=0.5, delta=6.0, n_probe=1000,
                             seed=0)
     if not (out["A2a"]["pass"] and out["A2b"]["pass"] and out["A2c"]["pass"]):
@@ -321,7 +320,7 @@ def test_criterion_7_local_stability_monte_carlo(criterion):
     game = games.cournot()
     fails = []
     t0 = time.monotonic()
-    star = certify_fixed_point(game, Belief.point_mass(2, 0),
+    star = certify_fixed_point(game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     rep = monte_carlo_local_stability(game, star, eps1=0.02, delta1=0.02,
                                       eps_bar=0.1, eps_x=0.1, n_runs=200,
@@ -331,7 +330,7 @@ def test_criterion_7_local_stability_monte_carlo(criterion):
     if stay < 0.9:
         fails.append("complete-info stay %.3f < 0.9" % stay)
 
-    dagger = certify_fixed_point(game, Belief.uniform(2), [0.5, 0.5])
+    dagger = certify_fixed_point(game, [0.5, 0.5], [0.5, 0.5])
     rep = monte_carlo_local_stability(game, dagger, eps1=0.02, delta1=0.02,
                                       eps_bar=0.1, eps_x=0.1, n_runs=200,
                                       horizon=20000, seed=2026,
@@ -380,7 +379,7 @@ def test_criterion_8_global_stability(criterion):
 def test_criterion_9_period_two_cycle(criterion):
     game = games.two_route_congestion(sigma=0.0)
     traj = run(game, UpdateRule.simultaneous(), UpdateSchedule.every_stage(),
-               (Belief.uniform(2), np.asarray([0.5, 0.5, 0.5, 0.5])), 10000,
+               ([0.5, 0.5], np.asarray([0.5, 0.5, 0.5, 0.5])), 10000,
                seed=0)
     fails = []
     if traj.summary["converged"]:
@@ -426,13 +425,13 @@ def test_criterion_10_estimator_variants(criterion, tmp_path):
                                                                         k)))
         batch = [(q, games.sample_payoffs(game, 0, q, rng))
                  for _ in range(1000)]
-        hits += map_update(Belief.uniform(3), batch, game) == 0
+        hits += map_update(log_belief([1 / 3] * 3), batch, game) == 0
     if hits < 95:
         fails.append("map hit %d/100 < 95" % hits)
 
     traj = run_two_timescale(games.investment(), UpdateRule.simultaneous(),
                              lambda t: 10 * t,
-                             (Belief.uniform(3), np.asarray([0.9, 0.9])),
+                             ([1 / 3] * 3, np.asarray([0.9, 0.9])),
                              1500, seed=4)
     dists = traj.summary["eq_distance_at_updates"]
     if len(dists) < 5:

@@ -38,7 +38,7 @@ from beliefplay.analysis import (
 )
 from beliefplay.dynamics import Trajectory
 from beliefplay.games import EquilibriumSet, equilibrium_set
-from beliefplay.param_belief import Belief, ContractViolation
+from beliefplay.param_belief import ContractViolation
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_equivalence_set_ignores_below_support_tolerance(routing_game):
 
 
 def test_certificate_complete_info_cournot(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     assert cert.valid and cert.is_complete_info
     assert cert.equivalence_set == (0,)
@@ -112,13 +112,13 @@ def test_certificate_complete_info_cournot(cournot_game):
 
 
 def test_certificate_belief_frozen_cournot(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.uniform(2), [0.5, 0.5])
+    cert = certify_fixed_point(cournot_game, [0.5, 0.5], [0.5, 0.5])
     assert cert.valid and not cert.is_complete_info
     assert cert.equivalence_set == (0, 1)
 
 
 def test_certificate_rejects_non_equilibrium(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [0.6, 0.6])
     assert not cert.valid
     assert cert.support_subset  # belief is fine, the strategy is not
@@ -126,13 +126,13 @@ def test_certificate_rejects_non_equilibrium(cournot_game):
 
 
 def test_certificate_rejects_bad_support(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.uniform(2),
+    cert = certify_fixed_point(cournot_game, [0.5, 0.5],
                                [2.0 / 3.0, 2.0 / 3.0])
     assert not cert.valid and not cert.support_subset
 
 
 def test_certificate_finite_game_mixed(routing_game):
-    b = Belief.point_mass(2, 0)
+    b = [1.0, 0.0]
     cert = certify_fixed_point(routing_game, b, [0.5, 0.5, 0.5, 0.5])
     assert cert.valid
     # mass on a strictly suboptimal action invalidates
@@ -413,7 +413,7 @@ def test_rate_burn_in_and_zero_truncation():
 
 
 def test_martingale_ratio_mean_matches_prior(investment_game):
-    diag = martingale_diagnostic(investment_game, Belief.uniform(3),
+    diag = martingale_diagnostic(investment_game, [1 / 3] * 3,
                                  np.asarray([1.0 / 3.0, 1.0 / 3.0]),
                                  n_samples=20000, seed=0)
     for s in range(3):
@@ -427,15 +427,16 @@ def test_martingale_ratio_mean_matches_prior(investment_game):
 def test_martingale_frozen_at_equivalent_strategy(zerosum_game):
     # at q = (0,1) every parameter is payoff-equivalent: the posterior ratio
     # is constant, so the empirical mean equals the prior with zero spread
-    diag = martingale_diagnostic(zerosum_game, Belief.from_probs([0.2, 0.5, 0.3]),
-                                 np.asarray([0.0, 1.0]), n_samples=200, seed=1)
+    diag = martingale_diagnostic(zerosum_game, [0.2, 0.5, 0.3],
+                                 np.asarray([0.0, 1.0]), n_samples=200,
+                                 seed=1)
     assert np.allclose(diag["ratio_mean"], diag["prior_ratio"], atol=1e-12)
     assert np.all(diag["ratio_se"] <= 1e-12)
 
 
 def test_martingale_requires_full_support(cournot_game):
     with pytest.raises(ContractViolation):
-        martingale_diagnostic(cournot_game, Belief.point_mass(2, 0),
+        martingale_diagnostic(cournot_game, [1.0, 0.0],
                               np.asarray([1.0, 1.0]), 100, 0)
 
 
@@ -511,7 +512,7 @@ def test_sample_belief_ball_rejects_bad_radius(rng, eps):
 
 
 def test_stability_stays_with_zero_radii(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     # n = 80 keeps the Wilson lower bound above the 0.9 stable level when
     # every replica stays
@@ -524,7 +525,7 @@ def test_stability_stays_with_zero_radii(cournot_game):
 
 
 def test_assumption2_zerosum_quick(zerosum_game):
-    cert = certify_fixed_point(zerosum_game, Belief.point_mass(3, 1),
+    cert = certify_fixed_point(zerosum_game, [0.0, 1.0, 0.0],
                                [0.0, 1.5])
     out = check_assumption2(zerosum_game, cert, eps=0.5, delta=6.0,
                             n_probe=100, seed=0)
@@ -536,7 +537,7 @@ def test_assumption2_zerosum_quick(zerosum_game):
 def test_assumption2_needs_eight_probes(cournot_game):
     # below 8 probes the last A2a radius bin was empty, read 0.0 and passed
     # A2a without testing it
-    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     for n_probe in (0, 5, 7):
         with pytest.raises(ContractViolation, match="integer >= 8"):
@@ -604,7 +605,7 @@ def test_counts_must_be_integers_with_evidence(case):
 
 
 def test_complete_info_conditions_cournot(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     out = check_complete_info_equilibrium_conditions(cournot_game, cert,
                                                      xi=0.1, n_probe=50)
@@ -612,7 +613,7 @@ def test_complete_info_conditions_cournot(cournot_game):
 
 
 def test_complete_info_conditions_reject_finite_games(routing_game):
-    cert = certify_fixed_point(routing_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(routing_game, [1.0, 0.0],
                                [1.0, 0.0, 0.0, 1.0])
     with pytest.raises(ContractViolation, match="no strategy box"):
         check_complete_info_equilibrium_conditions(routing_game, cert)
@@ -655,7 +656,7 @@ def test_nearest_fixed_point_solves_each_distinct_candidate_once(
 
 
 def test_report_document_is_json_serializable(cournot_game):
-    cert = certify_fixed_point(cournot_game, Belief.point_mass(2, 0),
+    cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])
     th = stability_thresholds([1.0, 0.0], 0.3, 0.9)
     doc = report_document({"certificate": cert, "thresholds": th,
@@ -690,8 +691,6 @@ def _jsonable_oracle(obj):
     if isinstance(obj, EquilibriumSet):
         return {k: _jsonable_oracle(v) for k, v in obj.__dict__.items()
                 if v is not None}
-    if isinstance(obj, Belief):
-        return obj.probs.tolist()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

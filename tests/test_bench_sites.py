@@ -85,3 +85,37 @@ def test_hook_names_a_public_layer_function(hook):
     layer, name = hook.split(".")
     assert layer in LAYERS
     _layer_function(layer, name)
+
+
+def _positional_reads(hook_fn):
+    """(position, name) of each ``_arg(args, kwargs, pos, "name")`` call in
+    a hook function of the tracer."""
+    return [(call.args[2].value, call.args[3].value)
+            for call in ast.walk(hook_fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "_arg"]
+
+
+_TRACER_TREE = ast.parse((BENCH / "tracer.py").read_text(),
+                         filename="tracer.py")
+_HOOK_FNS = {node.name: node for node in _TRACER_TREE.body
+             if isinstance(node, ast.FunctionDef)}
+READS = [(key.value, pos, name)
+         for key, value in zip(_TRACER["HOOKS"].keys, _TRACER["HOOKS"].values)
+         for pos, name in _positional_reads(_HOOK_FNS[value.id])]
+
+
+def test_the_positional_reads_were_read():
+    assert ("dynamics.run", 4, "horizon") in READS
+    assert ("param_belief.batch_log_likelihoods", 1, "batch") in READS
+    assert len(READS) >= 5
+
+
+@pytest.mark.parametrize("hook, pos, name", READS,
+                         ids=["%s-%d-%s" % read for read in READS])
+def test_tracer_reads_the_named_parameter(hook, pos, name):
+    # a hook reads an argument by keyword or, when passed by position, at
+    # ``pos``: both must name the same parameter of the hooked function
+    layer, attr = hook.split(".")
+    params = list(inspect.signature(_layer_function(layer, attr)).parameters)
+    assert params[pos:pos + 1] == [name], params

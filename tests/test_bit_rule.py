@@ -24,7 +24,7 @@ RULED = {
     "games": ("best_response", "tied_actions", "_interval_br",
               "sample_payoffs", "expected_payoff", "equilibrium_set",
               "GameModel.channel_means"),
-    "param_belief": ("_expect", "_total", "_prob_list", "log_likelihood",
+    "param_belief": ("_expect", "_total", "log_likelihood",
                      "batch_log_likelihoods", "_shift_exp", "_log_normalize",
                      "_normalize", "next_update_stage"),
     "analysis": ("sample_belief_ball", "_near_eq_sampler", "_distance",

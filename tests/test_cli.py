@@ -18,7 +18,7 @@ import beliefplay
 from beliefplay import analysis, dynamics, games
 from beliefplay.cli import FIELDS, ConfigError, main, parse_config
 from beliefplay.dynamics import UpdateRule, run, run_two_timescale
-from beliefplay.param_belief import Belief, UpdateSchedule
+from beliefplay.param_belief import UpdateSchedule
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -600,7 +600,7 @@ def test_run_matches_library(tmp_path):
     assert main(["run", "--config", cfg_path]) == 0
     lib = run(parse_config(json.dumps(BASE)).game, UpdateRule.simultaneous(),
               UpdateSchedule.every_stage(),
-              (Belief.from_probs([0.8, 0.2]), np.asarray([1.0, 1.0])),
+              ([0.8, 0.2], np.asarray([1.0, 1.0])),
               BASE["horizon"], seed=3)
     rows = (tmp_path / "trajectory.csv").read_text().strip().split("\n")[2:]
     assert len(rows) == lib.horizon
@@ -716,8 +716,7 @@ def test_run_map_two_timescale_matches_library(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
     lib = run_two_timescale(parse_config(json.dumps(BASE)).game,
                             UpdateRule.simultaneous(), lambda t: 2 * t,
-                            (Belief.from_probs([0.8, 0.2]),
-                             np.asarray([1.0, 1.0])),
+                            ([0.8, 0.2], np.asarray([1.0, 1.0])),
                             BASE["horizon"], seed=3, respond_to="map")
     rows = read_csv_rows(tmp_path / "trajectory.csv")
     assert np.array_equal(rows[:, 1:3], lib.thetas)
@@ -738,7 +737,7 @@ def test_rate_map_matches_library(tmp_path):
     for seed, entry in zip((0, 1), out["per_seed"]):
         lib = run(games.cournot(), UpdateRule.simultaneous(),
                   UpdateSchedule.every_stage(),
-                  (Belief.from_probs([0.6, 0.4]), np.asarray([1.0, 1.0])),
+                  ([0.6, 0.4], np.asarray([1.0, 1.0])),
                   300, seed, respond_to="map")
         slope, r2 = analysis.estimate_convergence_rate(lib, 1, 30)
         assert (entry["slope"], entry["r2"]) == (slope, r2)

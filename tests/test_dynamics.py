@@ -23,7 +23,6 @@ from beliefplay.dynamics import (
 )
 from beliefplay.games import best_response, sample_payoffs, tied_actions
 from beliefplay.param_belief import (
-    Belief,
     ContractViolation,
     UpdateSchedule,
     _log_normalize,
@@ -31,12 +30,13 @@ from beliefplay.param_belief import (
     _shift_exp,
     batch_log_likelihoods,
     bayes_update,
+    log_belief,
     next_update_stage,
 )
 
 
 def test_run_is_deterministic_given_seed(investment_game):
-    init = (Belief.uniform(3), np.asarray([0.5, 0.5]))
+    init = ([1 / 3] * 3, np.asarray([0.5, 0.5]))
     a = run(investment_game, UpdateRule.simultaneous(),
             UpdateSchedule.every_stage(), init, 300, seed=42)
     b = run(investment_game, UpdateRule.simultaneous(),
@@ -55,7 +55,7 @@ def test_run_fixed_point_invariance(zerosum_game):
     # response keeps the current strategy: the state is invariant
     traj = run(zerosum_game, UpdateRule.simultaneous(),
                UpdateSchedule.every_stage(),
-               (Belief.uniform(3), np.asarray([0.0, 1.0])), 25, seed=0)
+               ([1 / 3] * 3, np.asarray([0.0, 1.0])), 25, seed=0)
     assert traj.horizon == 25 and traj.updated.all()
     for t in range(traj.horizon):
         assert np.array_equal(traj.qs[t], [0.0, 1.0])
@@ -72,22 +72,22 @@ def test_run_fixed_point_invariance(zerosum_game):
 ], ids=["cournot", "investment", "zerosum"])
 def test_bayes_update_chain_matches_run_exactly(maker, theta1, q1, schedule):
     game = maker()
-    belief = Belief.from_probs(theta1)
     traj = run(game, UpdateRule.simultaneous(), schedule,
-               (belief, np.asarray(q1)), 200, seed=11)
+               (theta1, np.asarray(q1)), 200, seed=11)
+    log_probs = log_belief(theta1)
     batch = []
     for t in range(traj.horizon - 1):
         batch.append((traj.qs[t], traj.cs[t]))
         if traj.updated[t]:
-            belief = bayes_update(belief, batch, game)
+            log_probs = bayes_update(log_probs, batch, game)
             batch = []
-        assert np.array_equal(belief.probs, traj.thetas[t + 1])
+        assert np.array_equal(np.exp(log_probs), traj.thetas[t + 1])
 
 
 def test_sequential_rule_moves_one_player_per_stage(investment_game):
     traj = run(investment_game, UpdateRule.sequential(),
                UpdateSchedule.every_stage(),
-               (Belief.uniform(3), np.asarray([0.9, 0.1])), 12, seed=0)
+               ([1 / 3] * 3, np.asarray([0.9, 0.1])), 12, seed=0)
     for t in range(traj.horizon - 1):
         mover = t % 2  # stage t+1 updates player ((t+1)-1) mod 2
         frozen = 1 - mover
@@ -95,7 +95,7 @@ def test_sequential_rule_moves_one_player_per_stage(investment_game):
 
 
 def test_linear_rule_with_unit_step_matches_simultaneous(cournot_game):
-    init = (Belief.uniform(2), np.asarray([1.5, 1.5]))
+    init = ([0.5, 0.5], np.asarray([1.5, 1.5]))
     sim = run(cournot_game, UpdateRule.simultaneous(),
               UpdateSchedule.every_stage(), init, 100, seed=3)
     lin = run(cournot_game, UpdateRule.linear(lambda t: 1.0),
@@ -107,7 +107,7 @@ def test_linear_rule_with_unit_step_matches_simultaneous(cournot_game):
 def test_linear_rule_default_stepsize_interpolates(investment_game):
     traj = run(investment_game, UpdateRule.linear(),
                UpdateSchedule.every_stage(),
-               (Belief.uniform(3), np.asarray([0.0, 0.0])), 5, seed=1)
+               ([1 / 3] * 3, np.asarray([0.0, 0.0])), 5, seed=1)
     # stage 1 has alpha = 1/1 = 1: the strategy jumps straight to the best
     # response under the stage-2 belief; later stages move fractionally
     for t in range(1, traj.horizon - 1):
@@ -119,14 +119,14 @@ def test_linear_rule_rejects_bad_stepsize(investment_game):
     with pytest.raises(ContractViolation):
         run(investment_game, UpdateRule.linear(lambda t: 1.5),
             UpdateSchedule.every_stage(),
-            (Belief.uniform(3), np.asarray([0.0, 0.0])), 3, seed=0)
+            ([1 / 3] * 3, np.asarray([0.0, 0.0])), 3, seed=0)
 
 
 def test_fictitious_play_tracks_action_frequencies(routing_game):
     horizon = 60
     q0 = np.asarray([0.5, 0.5, 0.5, 0.5])
     traj = run(routing_game, UpdateRule.fictitious_play(),
-               UpdateSchedule.every_stage(), (Belief.uniform(2), q0), horizon,
+               UpdateSchedule.every_stage(), ([0.5, 0.5], q0), horizon,
                seed=11)
     # exact rational bookkeeping: q^{t+1} = (q^1 + sum of one-hots) / (t + 1)
     counts = [[Fraction(1, 2), Fraction(1, 2)] for _ in range(2)]
@@ -144,7 +144,7 @@ def test_fictitious_play_tracks_action_frequencies(routing_game):
 def test_fictitious_play_reaches_mixed_equilibrium(routing_game):
     traj = run(routing_game, UpdateRule.fictitious_play(),
                UpdateSchedule.every_stage(),
-               (Belief.uniform(2), np.asarray([0.5, 0.5, 0.5, 0.5])),
+               ([0.5, 0.5], np.asarray([0.5, 0.5, 0.5, 0.5])),
                3000, seed=5)
     assert np.max(np.abs(np.asarray(traj.summary["final_q"]) - 0.5)) < 0.02
 
@@ -152,7 +152,7 @@ def test_fictitious_play_reaches_mixed_equilibrium(routing_game):
 def test_update_schedule_controls_update_stages(investment_game):
     traj = run(investment_game, UpdateRule.simultaneous(),
                UpdateSchedule.fixed_batch(10),
-               (Belief.uniform(3), np.asarray([0.5, 0.5])), 55, seed=2)
+               ([1 / 3] * 3, np.asarray([0.5, 0.5])), 55, seed=2)
     stages = np.nonzero(traj.updated)[0] + 1  # 1-based stage numbers
     assert stages.tolist() == [10, 20, 30, 40, 50]
     # belief is constant between updates
@@ -162,7 +162,7 @@ def test_update_schedule_controls_update_stages(investment_game):
 
 
 def test_two_timescale_gap_one_matches_every_stage(investment_game):
-    init = (Belief.uniform(3), np.asarray([0.2, 0.8]))
+    init = ([1 / 3] * 3, np.asarray([0.2, 0.8]))
     a = run(investment_game, UpdateRule.simultaneous(),
             UpdateSchedule.every_stage(), init, 80, seed=9)
     b = run(investment_game, UpdateRule.simultaneous(),
@@ -174,7 +174,7 @@ def test_two_timescale_gap_one_matches_every_stage(investment_game):
 def test_run_two_timescale_records_eq_distances(investment_game):
     traj = run_two_timescale(investment_game, UpdateRule.simultaneous(),
                              lambda t: 10 * t,
-                             (Belief.uniform(3), np.asarray([0.9, 0.9])),
+                             ([1 / 3] * 3, np.asarray([0.9, 0.9])),
                              1200, seed=4)
     dists = traj.summary["eq_distance_at_updates"]
     assert len(dists) >= 5
@@ -186,7 +186,7 @@ def test_run_two_timescale_records_eq_distances(investment_game):
 
 
 def test_convergence_flag_and_early_stop(investment_game):
-    init = (Belief.uniform(3), np.asarray([0.5, 0.5]))
+    init = ([1 / 3] * 3, np.asarray([0.5, 0.5]))
     full = run(investment_game, UpdateRule.simultaneous(),
                UpdateSchedule.every_stage(), init, 5000, seed=6)
     assert full.summary["converged"]
@@ -206,7 +206,7 @@ def test_convergence_flag_and_early_stop(investment_game):
 def test_cycle_detection_on_routing(rng):
     game = games.two_route_congestion(sigma=0.0)
     traj = run(game, UpdateRule.simultaneous(), UpdateSchedule.every_stage(),
-               (Belief.uniform(2), np.asarray([0.5, 0.5, 0.5, 0.5])),
+               ([0.5, 0.5], np.asarray([0.5, 0.5, 0.5, 0.5])),
                400, seed=0)
     assert not traj.summary["converged"]
     assert traj.summary.get("cycle_detected")
@@ -220,21 +220,39 @@ def test_run_validates_inputs(investment_game):
     with pytest.raises(ContractViolation):
         run(investment_game, UpdateRule.simultaneous(),
             UpdateSchedule.every_stage(),
-            (Belief.from_probs([0.0, 0.5, 0.5]), good_q), 10, seed=0)
+            ([0.0, 0.5, 0.5], good_q), 10, seed=0)
     with pytest.raises(ContractViolation):
         run(investment_game, UpdateRule.simultaneous(),
             UpdateSchedule.every_stage(),
-            (Belief.uniform(3), np.asarray([1.5, 0.5])), 10, seed=0)
+            ([1 / 3] * 3, np.asarray([1.5, 0.5])), 10, seed=0)
     with pytest.raises(ContractViolation):
         run(investment_game, UpdateRule.simultaneous(),
-            UpdateSchedule.every_stage(), (Belief.uniform(3), good_q), 0,
+            UpdateSchedule.every_stage(), ([1 / 3] * 3, good_q), 0,
             seed=0)
     with pytest.raises(ContractViolation, match="respond_to"):
         run(investment_game, UpdateRule.simultaneous(),
-            UpdateSchedule.every_stage(), (Belief.uniform(3), good_q), 10,
+            UpdateSchedule.every_stage(), ([1 / 3] * 3, good_q), 10,
             seed=0, respond_to="mpa")
     with pytest.raises(ContractViolation):
         UpdateRule("bogus")
+
+
+@pytest.mark.parametrize("schedule", [UpdateSchedule.every_stage(),
+                                      UpdateSchedule.fixed_batch(10)],
+                         ids=["every_stage", "fixed_batch"])
+@pytest.mark.parametrize("theta1", [[1.0], [0.2, 0.3, 0.5]],
+                         ids=["short", "long"])
+def test_run_rejects_a_start_belief_of_the_wrong_length(cournot_game, theta1,
+                                                         schedule,
+                                                         monkeypatch):
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(dynamics, "sample_payoffs", no_stage)
+    with pytest.raises(ContractViolation, match="belief has %d entries, "
+                       "expected 2" % len(theta1)):
+        run(cournot_game, UpdateRule.simultaneous(), schedule,
+            (theta1, [1.0, 1.0]), 5, seed=0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, "1/t", 1])
@@ -253,7 +271,7 @@ def test_two_timescale_gap_must_be_an_integer(investment_game, gap):
     with pytest.raises(ContractViolation, match="gap must be an integer"):
         run_two_timescale(investment_game, UpdateRule.simultaneous(),
                           lambda t: gap,
-                          (Belief.uniform(3), np.asarray([0.5, 0.5])), 20,
+                          ([1 / 3] * 3, np.asarray([0.5, 0.5])), 20,
                           seed=0)
 
 
@@ -262,7 +280,7 @@ def test_two_timescale_gap_must_be_an_integer(investment_game, gap):
     UpdateSchedule.two_timescale(lambda t: 2 * t)],
     ids=["fixed_batch", "geometric", "two_timescale"])
 def test_one_schedule_drives_two_runs_alike(investment_game, sched):
-    init = (Belief.uniform(3), np.asarray([0.5, 0.5]))
+    init = ([1 / 3] * 3, np.asarray([0.5, 0.5]))
     a, b = (run(investment_game, UpdateRule.simultaneous(), sched, init, 30,
                 seed=0) for _ in range(2))
     assert a.summary == b.summary
@@ -280,7 +298,7 @@ def test_replica_seed_is_deterministic_and_spread():
 def test_trajectory_csv_roundtrip(tmp_path, investment_game):
     traj = run(investment_game, UpdateRule.simultaneous(),
                UpdateSchedule.every_stage(),
-               (Belief.uniform(3), np.asarray([0.5, 0.5])), 25, seed=8)
+               ([1 / 3] * 3, np.asarray([0.5, 0.5])), 25, seed=8)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path, config_hash="abc123", master_seed=8)
     raw = path.read_bytes().decode()
@@ -344,7 +362,7 @@ def test_trajectory_csv_matches_the_per_value_writer(tmp_path, meta,
     hash_, seed = meta
     real = run(investment_game, UpdateRule.simultaneous(),
                UpdateSchedule.every_stage(),
-               (Belief.uniform(3), np.asarray([0.5, 0.5])), 300, seed=3)
+               ([1 / 3] * 3, np.asarray([0.5, 0.5])), 300, seed=3)
     # 600 rows cross two of the writer's 256-row blocks
     for traj in (_edge_trajectory(600), real, _edge_trajectory(1),
                  _edge_trajectory(0)):
@@ -419,7 +437,7 @@ def _ref_apply_rule(game, rule, log_probs, q, t, actions):
 def _reference_run(game, rule, schedule, init, horizon, seed,
                    stop_when_converged=False, conv_window=CONV_WINDOW,
                    conv_tol=CONV_TOL, respond_to="posterior"):
-    belief, q0 = init
+    theta1, q0 = init
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_updates = 0
     next_k = next_update_stage(schedule, 1, n_updates, rng)
@@ -429,7 +447,7 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
     upd = np.zeros(horizon, dtype=bool)
     acts = (np.empty((horizon, game.n_players), dtype=np.int64)
             if game.kind == "finite" else None)
-    log_probs = np.asarray(belief.log_probs, dtype=float)
+    log_probs = np.asarray(log_belief(theta1), dtype=float)
     q = np.asarray(q0, dtype=float).copy()
     pending = []
     last_big_move = 0
@@ -530,8 +548,7 @@ def test_run_matches_reference_loop_exactly(game_id, rule_kind, schedule,
                                             respond_to):
     game = _builtin_game(game_id)
     n = len(game.space)
-    belief = Belief.from_probs(np.arange(1.0, n + 1.0))
-    init = (belief, game.box_center())
+    init = (np.arange(1.0, n + 1.0), game.box_center())
     rule = UpdateRule(rule_kind)
     for stop, kw in ((False, {}),
                      (True, {"conv_window": 20, "conv_tol": 1e-2})):
@@ -552,7 +569,7 @@ def test_run_matches_reference_loop_on_a_concentrated_posterior(
     # from theta = (1 - 1e-12, 1e-12) on Cournot the shifted exps of most
     # updates sum to exactly 1.0, and `run` takes them as the probabilities
     game = _builtin_game("cournot")
-    init = (Belief.from_probs([1.0 - 1e-12, 1e-12]), game.box_center())
+    init = ([1.0 - 1e-12, 1e-12], game.box_center())
     reused = []
 
     def spy(lp):
@@ -573,7 +590,7 @@ def test_run_matches_reference_loop_on_a_concentrated_posterior(
 def test_run_rejects_rows_of_the_wrong_length(cournot_game):
     # the rows are written value by value, so a best response or a payoff
     # draw of the wrong length must fail rather than leave a row half set
-    init = (Belief.uniform(2), cournot_game.box_center())
+    init = ([0.5, 0.5], cournot_game.box_center())
     means = cournot_game.channel_mean_fn
     for bad, message in (
             (dataclasses.replace(cournot_game,

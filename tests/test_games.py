@@ -20,7 +20,7 @@ from beliefplay.games import (
     sample_payoffs,
     tied_actions,
 )
-from beliefplay.param_belief import Belief, ContractViolation
+from beliefplay.param_belief import ContractViolation
 from oracles import analytic_interval, numeric_best_response
 
 
@@ -31,13 +31,13 @@ from oracles import analytic_interval, numeric_best_response
 def test_cournot_expected_payoff_hand_value(cournot_game):
     # theta = (1/2, 1/2), q = (1/2, 1/2): E[alpha] = 3, E[beta] = 2,
     # u_1 = 0.5 * (3 - 2 * 1) = 0.5
-    val = expected_payoff(cournot_game, Belief.uniform(2), [0.5, 0.5], 0)
+    val = expected_payoff(cournot_game, [0.5, 0.5], [0.5, 0.5], 0)
     assert math.isclose(val, 0.5, abs_tol=1e-14)
 
 
 def test_investment_expected_payoff_hand_value(investment_game):
     # point mass on s = 1, q = (1/3, 1/3): u_1 = (1/3)(1 - 2/3 + 1/3) = 2/9
-    val = expected_payoff(investment_game, Belief.point_mass(3, 1),
+    val = expected_payoff(investment_game, [0.0, 1.0, 0.0],
                           [1.0 / 3.0, 1.0 / 3.0], 0)
     assert math.isclose(val, 2.0 / 9.0, abs_tol=1e-14)
 
@@ -81,7 +81,7 @@ def test_routing_mean_payoff(routing_game):
 
 def test_cournot_analytic_br(cournot_game):
     # point mass on s1: BR = 2/(2*1)/... = 1 - q_j/2
-    belief, q = Belief.point_mass(2, 0), [0.0, 2.0 / 3.0]
+    belief, q = [1.0, 0.0], [0.0, 2.0 / 3.0]
     br = best_response(cournot_game, belief, 0, q)
     assert math.isclose(br[0], 2.0 / 3.0, abs_tol=1e-14)
     lo, hi = analytic_interval(cournot_game, belief, 0, q)
@@ -89,12 +89,12 @@ def test_cournot_analytic_br(cournot_game):
 
 
 def test_investment_analytic_br(investment_game):
-    br = best_response(investment_game, Belief.point_mass(3, 1), 0, [0.0, 1.0])
+    br = best_response(investment_game, [0.0, 1.0, 0.0], 0, [0.0, 1.0])
     assert math.isclose(br[0], 0.5, abs_tol=1e-14)
 
 
 def test_zerosum_br_interval_and_canonical(zerosum_game):
-    full = Belief.uniform(3)
+    full = [1 / 3] * 3
     # player 1 always best responds with 0
     br1 = best_response(zerosum_game, full, 0, [3.0, 3.0])
     assert br1[0] == 0.0
@@ -115,18 +115,18 @@ def test_zerosum_br_interval_and_canonical(zerosum_game):
 def test_finite_game_br_ties(routing_game):
     # opponent mixing 50/50 makes both routes equally costly
     q = np.asarray([1.0, 0.0, 0.5, 0.5])
-    br = best_response(routing_game, Belief.point_mass(2, 0), 0, q)
-    assert tied_actions(routing_game, Belief.point_mass(2, 0), 0, q) == (0, 1)
+    br = best_response(routing_game, [1.0, 0.0], 0, q)
+    assert tied_actions(routing_game, [1.0, 0.0], 0, q) == (0, 1)
     # canonical keeps the current pure action when tied
     assert br == (1.0, 0.0)
     q2 = np.asarray([0.0, 1.0, 0.5, 0.5])
-    br = best_response(routing_game, Belief.point_mass(2, 0), 0, q2)
+    br = best_response(routing_game, [1.0, 0.0], 0, q2)
     assert br == (0.0, 1.0)
 
 
 def test_cournot_br_contraction(cournot_game, rng):
     # |BR(q) - BR(q')| <= 0.5 |q - q'| in the opponent coordinate
-    b = Belief.from_probs([0.7, 0.3])
+    b = [0.7, 0.3]
     for _ in range(30):
         qa, qb = 3.0 * rng.random(2)
         ba = best_response(cournot_game, b, 0, [0.0, qa])[0]
@@ -294,7 +294,7 @@ def test_continuous_game_needs_an_analytic_br(game_id):
 
 
 def test_br_profile_stacks_players(investment_game):
-    b = Belief.point_mass(3, 1)
+    b = [0.0, 1.0, 0.0]
     out = br_profile(investment_game, b, np.asarray([0.2, 0.6]))
     assert math.isclose(out[0], (1.0 + 0.6) / 4.0, abs_tol=1e-14)
     assert math.isclose(out[1], (1.0 + 0.2) / 4.0, abs_tol=1e-14)
@@ -305,42 +305,42 @@ def test_br_profile_stacks_players(investment_game):
 
 
 def test_cournot_equilibrium_points(cournot_game):
-    eq = equilibrium_set(cournot_game, Belief.point_mass(2, 0))
+    eq = equilibrium_set(cournot_game, [1.0, 0.0])
     assert np.allclose(eq.point, [2.0 / 3.0, 2.0 / 3.0], atol=1e-14)
-    eq = equilibrium_set(cournot_game, Belief.uniform(2))
+    eq = equilibrium_set(cournot_game, [0.5, 0.5])
     # E[alpha] = 3, E[beta] = 2, r = 3/4, q = 1/2
     assert np.allclose(eq.point, [0.5, 0.5], atol=1e-14)
 
 
 def test_investment_equilibrium_point(investment_game):
-    eq = equilibrium_set(investment_game, Belief.point_mass(3, 1))
+    eq = equilibrium_set(investment_game, [0.0, 1.0, 0.0])
     assert np.allclose(eq.point, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
 
 def test_zerosum_equilibrium_box(zerosum_game):
-    eq = equilibrium_set(zerosum_game, Belief.point_mass(3, 1))
+    eq = equilibrium_set(zerosum_game, [0.0, 1.0, 0.0])
     assert eq.kind == "box"
     assert eq.lo == (0.0, 0.0) and eq.hi == (0.0, 3.0)
-    eq = equilibrium_set(zerosum_game, Belief.uniform(3))
+    eq = equilibrium_set(zerosum_game, [1 / 3] * 3)
     assert eq.hi == (0.0, 1.0)
 
 
 def test_coordination_equilibrium_line(coordination_game):
-    eq = equilibrium_set(coordination_game, Belief.uniform(2))
+    eq = equilibrium_set(coordination_game, [0.5, 0.5])
     assert eq.kind == "line"
     # every point on the line satisfies q2 - q1 = 1/2 and both BRs fix it
     for q in eq.representatives(7):
         assert math.isclose(q[1] - q[0], 0.5, abs_tol=1e-12)
-        out = br_profile(coordination_game, Belief.uniform(2), q)
+        out = br_profile(coordination_game, [0.5, 0.5], q)
         assert np.allclose(out, q, atol=1e-12)
 
 
 def test_routing_equilibrium_list(routing_game):
-    eq = equilibrium_set(routing_game, Belief.point_mass(2, 0))
+    eq = equilibrium_set(routing_game, [1.0, 0.0])
     assert eq.kind == "finite_list"
     assert (0.5, 0.5, 0.5, 0.5) in eq.members
     for m in eq.members:
-        out = br_profile(routing_game, Belief.point_mass(2, 0),
+        out = br_profile(routing_game, [1.0, 0.0],
                          np.asarray(m))
         # pure equilibria are fixed; at the mixed one every action ties
         if max(m) == 1.0:
@@ -505,10 +505,10 @@ def test_iterated_br_fallback_equilibrium():
     # affine game has no analytic equilibrium description; payoffs are linear
     # so each best response sits at a box corner
     game = games.affine_game([[-2.0, 1.0], [1.0, -2.0]], [1.0, 1.0], 0.5)
-    eq = equilibrium_set(game, Belief.point_mass(1, 0))
+    eq = equilibrium_set(game, [1.0])
     assert eq.kind == "finite_list"
     for m in eq.members:
-        out = br_profile(game, Belief.point_mass(1, 0), np.asarray(m))
+        out = br_profile(game, [1.0], np.asarray(m))
         assert np.max(np.abs(out - np.asarray(m))) < 1e-8
 
 

@@ -14,11 +14,12 @@ must equal the oracle's, the residual bit for bit.
 `_finite_best_response_oracle` is the finite best response that built a
 fresh trial profile for each action, and `_payoff_equivalent_oracle` works
 out S*(q) with one `channel_means` call per parameter.
-`_from_probs_oracle` and `_belief_oracle` are the array `Belief.from_probs`
-(with its total summed left to right) and `Belief.__post_init__` that the
-float-native ones replaced: the log probabilities must be equal bit for bit,
-and a bad input must raise the same error.  The fixed-point scans are
-checked against scans that work out every equilibrium set's members and
+`_from_probs_oracle` is the array start belief (with its total summed left
+to right) that `log_belief` replaced, and `_belief_oracle` the array
+normalisation of log probabilities that `bayes_update` applies to the prior
+plus the batch's log-likelihoods: the log probabilities must be equal bit
+for bit, and a bad input must raise the same error.  The fixed-point scans
+are checked against scans that work out every equilibrium set's members and
 S*(q) afresh for each grid belief, and against a scan that certifies every
 member, candidate or not.  `_assumption2_oracle`, `_ball_oracle`,
 `_near_eq_oracle` and `_hausdorff_oracle` are the Assumption-2 probes on
@@ -59,10 +60,12 @@ from beliefplay.games import (
 )
 from beliefplay.param_belief import (
     NEG_INF,
-    Belief,
     ContractViolation,
+    ImpossibleObservation,
     _log_normalize,
     batch_log_likelihoods,
+    bayes_update,
+    log_belief,
     log_likelihood,
 )
 from oracles import analytic_interval
@@ -400,16 +403,8 @@ def _payoff_equivalent_oracle(game, q, tol=KL_TOL):
     return tuple(result)
 
 
-def _probs_oracle(belief):
-    """The probabilities of a Belief, or a probability vector, as an
-    array."""
-    if isinstance(belief, Belief):
-        return belief.probs
-    return np.asarray(belief, dtype=float)
-
-
 def _br_profile_oracle(game, belief, q, current=None):
-    probs = _probs_oracle(belief).tolist()
+    probs = np.asarray(belief, dtype=float).tolist()
     q = np.asarray(q, dtype=float)
     flat = q.tolist()
     out = q.copy()
@@ -423,7 +418,7 @@ def _certify_oracle(game, belief, q, tol_kl=KL_TOL, tol_eq=1e-8):
     """The array certificate `certify_fixed_point` replaced: numpy belief and
     profile, numpy pure profiles in payoff_equivalent_set, an array
     br_profile and an np.max residual."""
-    probs = _probs_oracle(belief)
+    probs = np.asarray(belief, dtype=float)
     q = np.asarray(q, dtype=float)
     equiv = _payoff_equivalent_oracle(game, q, tol_kl)
     support = tuple(int(s) for s in np.nonzero(probs > 0.0)[0])
@@ -465,13 +460,13 @@ def certificate_cases(draw):
         probs[game.space.true_index] = 1.0
     if game.analytic_eq is not None and draw(st.booleans()):
         # an equilibrium member, as enumerate_fixed_points certifies
-        eq = equilibrium_set(game, Belief.from_probs(probs))
+        eq = equilibrium_set(game, probs)
         reps = eq.representatives(draw(st.integers(2, 7))).tolist()
         q = reps[draw(st.integers(0, len(reps) - 1))]
     else:
         q = _draw_profile(draw, game)
-    form = draw(st.sampled_from(["belief", "array", "list"]))
-    belief = {"belief": Belief.from_probs(probs), "array": np.asarray(probs),
+    form = draw(st.sampled_from(["tuple", "array", "list"]))
+    belief = {"tuple": tuple(probs), "array": np.asarray(probs),
               "list": probs}[form]
     tol_eq = draw(st.sampled_from([1e-8, 0.0, 0.5]))
     return name, game, belief, q, tol_eq
@@ -506,18 +501,16 @@ def test_certificates_match_the_array_oracle(case, q_as_array):
 
 
 def _belief_oracle(log_probs):
-    """The array `Belief.__post_init__`: the normalised log probabilities."""
+    """The normalised log probabilities, on arrays."""
     lp = np.asarray(log_probs, dtype=float)
-    if lp.size == 0:
-        raise ContractViolation("belief must have at least one entry")
     if np.any(np.isnan(lp)) or np.any(lp == np.inf):
         raise ContractViolation("log-probabilities must be finite or -inf")
-    return tuple(_log_normalize(lp.tolist()))
+    return _log_normalize(lp.tolist())
 
 
 def _from_probs_oracle(probs):
-    """The array `Belief.from_probs`, with the total summed left to right:
-    the normalised log probabilities."""
+    """The array start belief, with the total summed left to right: the
+    normalised log probabilities."""
     p = np.asarray(probs, dtype=float)
     if np.any(p < 0):
         raise ContractViolation("probabilities must be non-negative")
@@ -562,23 +555,53 @@ def prob_vectors(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(prob_vectors(), st.sampled_from(["list", "array", "tuple"]))
-def test_from_probs_matches_the_array_oracle(probs, form):
+def test_log_belief_matches_the_array_oracle(probs, form):
     given_probs = {"list": list, "array": np.asarray, "tuple": tuple}[form](
         probs)
     want = _outcome(_from_probs_oracle, probs)
-    got = _outcome(lambda p: Belief.from_probs(p).log_probs, given_probs)
-    assert got == want
-    if isinstance(got, str):
-        assert type(Belief.from_probs(given_probs).probs) is np.ndarray
+    assert _outcome(log_belief, given_probs) == want
+    if isinstance(want, str):
+        assert type(log_belief(given_probs)) is list
+
+
+@st.composite
+def bayes_cases(draw):
+    """A game, a prior of log probabilities (finite, -inf, +inf or NaN
+    entries, of |S| entries or one more or fewer) and a one-record batch at
+    a drawn profile."""
+    _, game = _draw_game(draw)
+    n_s = len(game.space)
+    size = draw(st.sampled_from([n_s] * 6 + [n_s - 1, n_s + 1]))
+    log_prior = draw(st.lists(
+        st.one_of(st.floats(-50.0, 50.0),
+                  st.sampled_from([-math.inf, math.inf, math.nan])),
+        min_size=size, max_size=size))
+    q = _draw_profile(draw, game)
+    c = list(game.channel_means(q)[draw(st.integers(0, n_s - 1))])
+    for k in range(game.obs_dim):
+        c[k] = draw(st.one_of(st.just(c[k]), st.floats(-30.0, 30.0)))
+    return game, log_prior, [(q, c)]
+
+
+def _bayes_oracle(game, log_prior, batch):
+    """`_belief_oracle` of the prior plus the batch's log-likelihoods."""
+    if len(log_prior) != len(game.space):
+        raise ContractViolation("belief has %d entries, expected %d (one per "
+                                "parameter)" % (len(log_prior),
+                                                len(game.space)))
+    scores = np.asarray(log_prior) + batch_log_likelihoods(None, batch, game)
+    if not np.any(np.isnan(scores)) and np.all(scores == -np.inf):
+        raise ImpossibleObservation("all parameters carry zero likelihood")
+    return _belief_oracle(scores)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.floats(-50.0, 50.0),
-                          st.sampled_from([-math.inf, math.inf, math.nan])),
-                max_size=12), st.sampled_from([list, tuple, np.asarray]))
-def test_belief_matches_the_array_oracle(log_probs, form):
-    assert _outcome(lambda lp: Belief(lp).log_probs, form(log_probs)) == \
-        _outcome(_belief_oracle, tuple(log_probs))
+@given(bayes_cases(), st.sampled_from([list, tuple, np.asarray]))
+def test_bayes_update_matches_the_array_oracle(case, form):
+    game, log_prior, batch = case
+    assert _outcome(lambda lp: bayes_update(lp, batch, game),
+                    form(log_prior)) == \
+        _outcome(lambda lp: _bayes_oracle(game, lp, batch), log_prior)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +752,7 @@ def test_only_candidates_are_certified(monkeypatch):
 def equivalence_cases(draw):
     name, game = _draw_game(draw)
     if game.analytic_eq is not None and draw(st.booleans()):
-        eq = equilibrium_set(game, Belief.from_probs(_draw_probs(draw, game)))
+        eq = equilibrium_set(game, _draw_probs(draw, game))
         reps = eq.representatives(draw(st.integers(2, 7))).tolist()
         q = reps[draw(st.integers(0, len(reps) - 1))]
     else:

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefplay import games
+from beliefplay.analysis import certify_fixed_point
 from beliefplay.param_belief import (
     NEG_INF,
-    Belief,
     ContractViolation,
     ImpossibleObservation,
     ParameterSpace,
@@ -23,6 +23,7 @@ from beliefplay.param_belief import (
     _shift_exp,
     batch_log_likelihoods,
     bayes_update,
+    log_belief,
     log_likelihood,
     map_update,
     next_update_stage,
@@ -31,7 +32,7 @@ from beliefplay.param_belief import (
 
 
 # ---------------------------------------------------------------------------
-# ParameterSpace / Belief basics
+# ParameterSpace / log_belief basics
 
 
 def test_parameter_space_validation():
@@ -49,34 +50,28 @@ def test_parameter_space_validation():
 
 
 def test_belief_normalization_and_support():
-    b = Belief.from_probs([2.0, 2.0])
-    assert np.allclose(b.probs, [0.5, 0.5])
-    b = Belief.from_probs([0.0, 1.0, 3.0])
-    assert b.log_probs[0] == NEG_INF
-    assert b.support == (1, 2)
-    assert not b.full_support()
-    assert Belief.uniform(4).full_support()
-    pm = Belief.point_mass(3, 1)
-    assert np.array_equal(pm.probs, [0.0, 1.0, 0.0])
+    assert np.allclose(np.exp(log_belief([2.0, 2.0])), [0.5, 0.5])
+    lp = log_belief([0.0, 1.0, 3.0])
+    assert type(lp) is list and lp[0] == NEG_INF
+    assert [s for s, x in enumerate(lp) if x != NEG_INF] == [1, 2]
+    assert NEG_INF not in log_belief([0.25] * 4)
+    assert np.array_equal(np.exp(log_belief([0.0, 1.0, 0.0])),
+                          [0.0, 1.0, 0.0])
 
 
-def test_belief_rejects_bad_input():
+@pytest.mark.parametrize("probs", [
+    [-0.1, 1.1], [0.0, 0.0], [], [0.0, float("nan")], [0.0, float("inf")]])
+def test_belief_rejects_bad_input(probs):
     with pytest.raises(ContractViolation):
-        Belief.from_probs([-0.1, 1.1])
-    with pytest.raises(ContractViolation):
-        Belief.from_probs([0.0, 0.0])
-    with pytest.raises(ContractViolation):
-        Belief((0.0, float("nan")))
-    with pytest.raises(ContractViolation):
-        Belief((0.0, float("inf")))
+        log_belief(probs)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1,
                 max_size=6))
 def test_belief_probs_sum_to_one(weights):
-    b = Belief.from_probs(weights)
-    assert math.isclose(float(b.probs.sum()), 1.0, abs_tol=1e-12)
+    assert math.isclose(float(np.exp(log_belief(weights)).sum()), 1.0,
+                        abs_tol=1e-12)
 
 
 @st.composite
@@ -165,14 +160,14 @@ def test_bayes_hand_posterior(cournot_game):
     # prior (1/2, 1/2), q = (2/3, 2/3), observed price c = 2/3 (the mean under
     # s1).  Log-likelihood gap is 4/9, so theta'(s1) = 1 / (1 + e^{-4/9}).
     batch = [([2.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0])]
-    post = bayes_update(Belief.uniform(2), batch, cournot_game)
+    post = bayes_update(log_belief([0.5, 0.5]), batch, cournot_game)
     expected = 1.0 / (1.0 + math.exp(-4.0 / 9.0))
-    assert math.isclose(post.probs[0], expected, abs_tol=1e-13)
+    assert math.isclose(math.exp(post[0]), expected, abs_tol=1e-13)
 
 
 def test_bayes_batch_equals_sequential(investment_game, rng):
     q = np.asarray([0.4, 0.7])
-    prior = Belief.from_probs([0.2, 0.5, 0.3])
+    prior = log_belief([0.2, 0.5, 0.3])
     obs = [games.sample_payoffs(investment_game, 1, q, rng) for _ in range(5)]
     batch = []
     for c in obs:
@@ -182,16 +177,16 @@ def test_bayes_batch_equals_sequential(investment_game, rng):
     for c in obs:
         one = [(q, c)]
         b = bayes_update(b, one, investment_game)
-    assert np.allclose(joint.probs, b.probs, atol=1e-12)
+    assert np.allclose(np.exp(joint), np.exp(b), atol=1e-12)
 
 
 def test_bayes_zero_forcing_is_permanent(investment_game, rng):
-    prior = Belief.from_probs([0.0, 0.7, 0.3])
+    prior = log_belief([0.0, 0.7, 0.3])
     q = np.asarray([0.4, 0.7])
     batch = [(q, games.sample_payoffs(investment_game, 1, q, rng))]
     post = bayes_update(prior, batch, investment_game)
-    assert post.log_probs[0] == NEG_INF
-    assert post.probs[0] == 0.0
+    assert post[0] == NEG_INF
+    assert np.exp(post)[0] == 0.0
 
 
 def test_bayes_impossible_observation():
@@ -200,12 +195,12 @@ def test_bayes_impossible_observation():
     # matches no parameter
     batch = [(q, np.asarray(game.channel_means(q)[0]) + 0.5)]
     with pytest.raises(ImpossibleObservation):
-        bayes_update(Belief.uniform(2), batch, game)
+        bayes_update(log_belief([0.5, 0.5]), batch, game)
 
 
 def test_bayes_empty_batch_rejected(cournot_game):
     with pytest.raises(ContractViolation):
-        bayes_update(Belief.uniform(2), [], cournot_game)
+        bayes_update(log_belief([0.5, 0.5]), [], cournot_game)
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,13 +209,13 @@ def test_bayes_empty_batch_rejected(cournot_game):
        st.floats(min_value=-3.0, max_value=3.0))
 def test_bayes_preserves_simplex(weights, noise):
     game = games.investment()
-    prior = Belief.from_probs(weights)
+    prior = log_belief(weights)
     q = np.asarray([0.3, 0.6])
     c = np.asarray(game.channel_means(q)[1]) + noise
     batch = [(q, c)]
-    post = bayes_update(prior, batch, game)
-    assert math.isclose(float(post.probs.sum()), 1.0, abs_tol=1e-12)
-    assert np.all(post.probs >= 0.0)
+    post = np.exp(bayes_update(prior, batch, game))
+    assert math.isclose(float(post.sum()), 1.0, abs_tol=1e-12)
+    assert np.all(post >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +230,7 @@ def test_map_picks_likelihood_winner(investment_game):
     batch = []
     for _ in range(10):
         batch.append((q, np.asarray([4.0])))
-    assert map_update(Belief.uniform(3), batch, investment_game) == 2
+    assert map_update(log_belief([1 / 3] * 3), batch, investment_game) == 2
 
 
 def test_map_tie_breaks_to_lowest_index():
@@ -243,14 +238,39 @@ def test_map_tie_breaks_to_lowest_index():
     # posterior scores tie under a uniform prior
     game = games.zerosum_example()
     batch = [([0.0, 1.0], [0.3, -0.3])]
-    assert map_update(Belief.uniform(3), batch, game) == 0
+    assert map_update(log_belief([1 / 3] * 3), batch, game) == 0
 
 
 def test_map_respects_prior_on_ties():
     game = games.zerosum_example()
     batch = [([0.0, 1.0], [0.3, -0.3])]
-    prior = Belief.from_probs([0.2, 0.5, 0.3])
+    prior = log_belief([0.2, 0.5, 0.3])
     assert map_update(prior, batch, game) == 1
+
+
+# ---------------------------------------------------------------------------
+# Belief length
+
+
+_BELIEF_TAKERS = {
+    "bayes_update": lambda game, probs: bayes_update(
+        log_belief(probs), [([0.5, 0.5], [0.5])], game),
+    "map_update": lambda game, probs: map_update(
+        log_belief(probs), [([0.5, 0.5], [0.5])], game),
+    "equilibrium_set": games.equilibrium_set,
+    "certify_fixed_point": lambda game, probs: certify_fixed_point(
+        game, probs, (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("probs", [[1.0], [0.2, 0.3, 0.5]],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("entry", list(_BELIEF_TAKERS))
+def test_a_belief_of_the_wrong_length_is_rejected(cournot_game, entry,
+                                                  probs):
+    with pytest.raises(ContractViolation, match="belief has %d entries, "
+                       "expected 2" % len(probs)):
+        _BELIEF_TAKERS[entry](cournot_game, probs)
 
 
 # ---------------------------------------------------------------------------
