@@ -612,7 +612,9 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
     side).  Normalization cancels inside the ratio.  ``n_samples`` is an
     integer >= 2, since a standard error needs two samples."""
     _check_count("n_samples", n_samples, 2)
-    probs = np.asarray(_floats(belief), dtype=float)
+    probs = _floats(belief)
+    _check_length(probs, game)
+    probs = np.asarray(probs, dtype=float)
     if np.any(probs <= 0.0):
         raise ContractViolation("diagnostic needs a full-support belief")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

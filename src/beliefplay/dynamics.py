@@ -2,16 +2,21 @@
 best-response strategy updates, trajectory recording, and the finite-game
 fictitious-play variant.
 
-`run` is the one stage loop.  Each stage realizes the profile, samples the
-payoffs, updates the belief when the schedule says so and applies the
-strategy rule.  The loop is float-native: it carries the profile q, the
-belief probabilities and the payoffs c between stages as lists of Python
-floats; numpy appears only in the normaliser's `np.exp` and the finite
-games' action draws.  The trajectory rows live in arrays allocated once per
-run and are written value by value through flat views of them.  A belief
-update takes one `np.exp` once the posterior is concentrated (the shifted
-exps then sum to exactly 1.0 and are the probabilities, see `_normalize`)
-and two otherwise.  The loop reads the game's geometry once per run.
+`run` is the one stage loop.  Each stage realizes the profile, works out
+the channel means at it once (`GameModel.channel_means`), samples the
+payoffs from them, updates the belief when the schedule says so and applies
+the strategy rule; the pending records keep the means, so the likelihood
+reads them instead of working them out again.  The loop is float-native: it
+carries the profile q, the belief probabilities and the payoffs c between
+stages as lists of Python floats; numpy appears only in the normaliser's
+`np.exp` and the finite games' action draws.  The trajectory rows live in
+arrays allocated once per run, are written value by value through flat
+views of them, and the convergence window compares two rows on those views.
+A belief update takes no `np.exp` once every losing score lies below the
+exp's underflow point (the exps are then exactly 1.0 and 0.0, see
+`_shift_exp`), one once the posterior is concentrated (the shifted exps sum
+to exactly 1.0 and are the probabilities, see `_normalize`) and two
+otherwise.  The loop reads the game's geometry once per run.
 Every kernel a stage calls follows the bit rule stated in `games`, and none
 takes an `np.log`, so one replica's arithmetic is the same as it would be
 inside a batch of replicas.  `run` reproduces the plain per-stage loop it
@@ -151,6 +156,14 @@ def _apply_rule(game, rule, slices, probs, q, t, profile):
     return [(1.0 - alpha) * x + alpha * b for x, b in zip(q, br)]
 
 
+def _within(flat, a, b, n, tol):
+    """Whether |flat[a + j] - flat[b + j]| < tol for j < n; a NaN is not."""
+    for j in range(n):
+        if not abs(flat[a + j] - flat[b + j]) < tol:
+            return False
+    return True
+
+
 def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
         conv_window=CONV_WINDOW, conv_tol=CONV_TOL, respond_to="posterior"):
     """Run the learning dynamics; deterministic given the seed.
@@ -220,7 +233,8 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
                                                      probs, q, rng)
         else:
             profile = q
-        c = sample_payoffs(game, true_index, profile, rng)
+        means = game.channel_means(profile)
+        c = sample_payoffs(game, true_index, profile, rng, means=means)
         if len(c) != n_c:
             raise ContractViolation("observation has %d channels, expected "
                                     "%d" % (len(c), n_c))
@@ -228,7 +242,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
         for x in c:
             c_flat[k] = x
             k += 1
-        pending.append((profile, c))
+        pending.append((profile, c, means))
         if t + 1 == next_k:
             scores = batch_log_likelihoods(None, pending, game)
             log_probs, probs = _normalize(
@@ -255,8 +269,8 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
             not converged
             and t >= conv_window + 1
             and t - last_big_move >= conv_window
-            and abs(thetas[t - 1] - thetas[t - 1 - conv_window]).max()
-            < conv_tol
+            and _within(theta_flat, (t - 1) * n_s, (t - 1 - conv_window) * n_s,
+                        n_s, conv_tol)
         ):
             converged = True
             t_stop = t

@@ -284,6 +284,7 @@ def expected_payoff(game, belief, q, i):
     """E_theta[u_i^s(q)], summed over the parameters with positive
     probability, left to right."""
     probs = _floats(belief)
+    _check_length(probs, game)
     total = 0.0
     for s, p in enumerate(probs):
         if p > 0.0:
@@ -291,10 +292,13 @@ def expected_payoff(game, belief, q, i):
     return total
 
 
-def sample_payoffs(game, s_idx, q, rng):
+def sample_payoffs(game, s_idx, q, rng, *, means=None):
     """Observed channel vector (a list of floats): the channel means under
-    parameter s_idx plus Gaussian noise."""
-    mu = game.channel_means(q)[s_idx]
+    parameter s_idx plus Gaussian noise.  ``means``, when given, is taken as
+    ``game.channel_means(q)`` instead of working it out again."""
+    if means is None:
+        means = game.channel_means(q)
+    mu = means[s_idx]
     loadings = game.noise_loadings
     if loadings is not None:
         z = rng.standard_normal(len(loadings[0])).tolist()
@@ -328,10 +332,13 @@ def best_response(game, belief, i, q, current=None):
     The game's ``analytic_br`` answers when it has one, which every
     continuous game does; a finite game without one plays the current pure
     action if it is among the `tied_actions`, else the lowest of them.
-    There is no numeric search.
+    There is no numeric search.  A belief whose length is not |S| raises
+    ContractViolation.
     """
     # the stage loop passes lists of floats, which need no conversion
     probs = belief if type(belief) is list else _floats(belief)
+    if len(probs) != len(game.space.params):  # one comparison per call
+        _check_length(probs, game)
     if type(q) is not list:
         q = _floats(q)
     if current is None:
@@ -355,6 +362,8 @@ def tied_actions(game, belief, i, q):
     within FLAT_TOL of the best.  One trial profile serves every action: the
     action's entry is set, read and cleared."""
     probs = _floats(belief)
+    if len(probs) != len(game.space.params):
+        _check_length(probs, game)
     q = _floats(q)
     n_act = game.boxes[i]
     sl = game.slices[i]

@@ -120,15 +120,31 @@ def _expect(probs, values):
     return total
 
 
+# np.exp is exactly 0.0 below this bound; the last input with a subnormal
+# exp is -745.1332191019411
+_EXP_UNDERFLOW = -746.0
+
+
 def _shift_exp(lp):
     """The scores ``lp`` (a list of floats) shifted by their max, the exps of
     the shifted scores and the log of the exps' sum.  The sum runs left to
     right and its log is `math.log`, so the result does not depend on how
-    many beliefs are normalised at once."""
+    many beliefs are normalised at once.
+
+    When the max is finite and every other shifted score lies below
+    _EXP_UNDERFLOW, as it does once the posterior has all but converged to a
+    point mass, the exps are exactly 1.0 at the max and 0.0 elsewhere and
+    the log of their sum is 0.0; they are returned without an `np.exp`."""
     m = max(lp)
     if m == NEG_INF:
         raise ImpossibleObservation("all parameters carry zero probability")
     shifted = [x - m for x in lp]
+    live = 0  # shifted scores at or above the bound, NaN included
+    for x in shifted:
+        if not x < _EXP_UNDERFLOW:
+            live += 1
+    if live == 1 and m < math.inf:
+        return shifted, [1.0 if x == 0.0 else 0.0 for x in shifted], 0.0
     exps = np.exp(shifted).tolist()
     total = 0.0
     for e in exps:
@@ -149,7 +165,8 @@ def _normalize(lp):
     for bit.  When the exps of the shifted scores sum to exactly one, as
     they do once the posterior is concentrated, the log of the sum is 0.0
     and x - 0.0 == x, so those exps are already the probabilities and the
-    second `np.exp` is skipped."""
+    second `np.exp` is skipped.  A posterior whose losing scores all lie
+    below `_EXP_UNDERFLOW` takes no `np.exp` at all (see `_shift_exp`)."""
     shifted, exps, log_total = _shift_exp(lp)
     if log_total == 0.0:
         return shifted, exps
@@ -157,7 +174,7 @@ def _normalize(lp):
     return log_probs, np.exp(log_probs).tolist()
 
 
-def log_likelihood(game, q, c):
+def log_likelihood(game, q, c, *, means=None):
     """log phi^s(c|q) under every parameter s: a list of |S| values.
 
     The one Gaussian kernel.  It reads the channel means at q under all
@@ -166,7 +183,8 @@ def log_likelihood(game, q, c):
     (sigma 0) is an atom at its mean: it adds 0 when c hits it and makes the
     value -inf otherwise.  ``c`` holds one value per channel, or one array of
     samples per likelihood channel; the values are then arrays of the same
-    shape.
+    shape.  ``means``, when given, is taken as ``game.channel_means(q)``
+    instead of working it out again.
     """
     if len(c) != game.obs_dim:
         raise ContractViolation(
@@ -174,10 +192,11 @@ def log_likelihood(game, q, c):
         )
     if isinstance(c, np.ndarray) and c.ndim == 1:
         c = c.tolist()  # Python floats: the same arithmetic, less overhead
+    if means is None:
+        means = game.channel_means(q)
     channels = game.likelihood_channels
     out = []
-    for mu, sig, log_sig in zip(game.channel_means(q), game.sigmas,
-                                game.log_sigmas):
+    for mu, sig, log_sig in zip(means, game.sigmas, game.log_sigmas):
         total = 0.0
         for k in channels:
             s = sig[k]
@@ -195,11 +214,14 @@ def log_likelihood(game, q, c):
 
 
 def batch_log_likelihoods(belief_or_space, batch, game):
-    """Accumulated log-likelihood of a batch of (q, c) records under every
-    parameter: a list of |S| floats.  The first argument is unused."""
+    """Accumulated log-likelihood of a batch of records under every
+    parameter: a list of |S| floats.  A record is (q, c), or (q, c, means)
+    with ``means`` equal to ``game.channel_means(q)``, which `run` has
+    already worked out to sample c.  The first argument is unused."""
     acc = None
-    for q, c in batch:
-        ll = log_likelihood(game, q, c)
+    for record in batch:
+        ll = log_likelihood(game, record[0], record[1],
+                            means=record[2] if len(record) > 2 else None)
         acc = ll if acc is None else [a + x for a, x in zip(acc, ll)]
     return [0.0] * len(game.space) if acc is None else acc
 

@@ -6,8 +6,10 @@ and its tracer only wraps public functions of the package's layers.  This
 test reads those tables, and the tracer's ``HOOKS``, from the source with
 `ast` (it imports nothing from ``bench/`` and writes no bytecode there) and
 checks that every site and hook names a function the tracer can wrap.  A
-renamed or deleted function fails here; a call site that moved out of a
-workload's path is still seen only by a traced run.
+renamed or deleted function fails here.  The stage loop's sites
+(``_LOOP_SITES``) are also wrapped and counted over two short runs, so a
+loop site that the loop stopped calling fails here too; a site that moved
+out of another path of a workload is still seen only by a traced run.
 """
 
 import ast
@@ -119,3 +121,48 @@ def test_tracer_reads_the_named_parameter(hook, pos, name):
     layer, attr = hook.split(".")
     params = list(inspect.signature(_layer_function(layer, attr)).parameters)
     assert params[pos:pos + 1] == [name], params
+
+
+
+LOOP_SITES = _strings(_WORKLOADS["_LOOP_SITES"])
+
+
+def _loop_run(which):
+    """(game, rule, schedule, theta1, q1) of a short run: Cournot with the
+    linear rule, or the CLI's default affine game with the geometric
+    schedule (the benchmark's affine op)."""
+    from beliefplay import games
+    from beliefplay.cli import GAMES
+    from beliefplay.dynamics import UpdateRule
+    from beliefplay.param_belief import UpdateSchedule
+
+    if which == "cournot":
+        return (games.cournot(), UpdateRule.linear(),
+                UpdateSchedule.every_stage(), [0.5, 0.5], [1.0, 1.0])
+    factory, _, defaults = GAMES["affine"]
+    return (factory(**defaults), UpdateRule.simultaneous(),
+            UpdateSchedule.geometric(0.5), [1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("which", ["cournot", "affine_geometric"])
+def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
+    from beliefplay.analysis import _final_states
+
+    assert "dynamics:sample_payoffs" in LOOP_SITES and len(LOOP_SITES) >= 6
+    calls = dict.fromkeys(LOOP_SITES, 0)
+    for site in LOOP_SITES:
+        module, attr = site.split(":")
+        owner = importlib.import_module("beliefplay." + module)
+        fn = getattr(owner, attr)
+
+        def counted(*args, _site=site, _fn=fn, **kwargs):
+            calls[_site] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    game, rule, schedule, theta1, q1 = _loop_run(which)
+    # one start: `_final_states` runs it in this process, through the `run`
+    # that `analysis` calls
+    _final_states(game, [(3, theta1, q1)], rule, schedule, 40, "posterior",
+                  False)
+    assert [site for site, n in calls.items() if n == 0] == []

@@ -587,6 +587,19 @@ def test_run_matches_reference_loop_on_a_concentrated_posterior(
     assert 2 * sum(reused) > len(reused) == got.horizon
 
 
+@pytest.mark.parametrize("delta", [0.0, 5e-6, 2e-5, -2e-5, math.nan,
+                                   math.inf])
+def test_window_test_matches_the_array_test(delta):
+    # `run` compares the window's two belief rows in floats on a flat view;
+    # a NaN is not within the tolerance, as in the array test
+    rows = np.asarray([[0.25, 0.75, 0.5], [0.25, 0.75, 0.5]])
+    rows[1, 1] += delta
+    flat = memoryview(rows).cast("B").cast("d")
+    want = bool(abs(rows[1] - rows[0]).max() < CONV_TOL)
+    assert dynamics._within(flat, 3, 0, 3, CONV_TOL) is want
+    assert want == (delta in (0.0, 5e-6))
+
+
 def test_run_rejects_rows_of_the_wrong_length(cournot_game):
     # the rows are written value by value, so a best response or a payoff
     # draw of the wrong length must fail rather than leave a row half set

@@ -3,6 +3,9 @@
 `_loglik_oracle` is the per-parameter, per-channel likelihood loop that
 `log_likelihood(game, q, c)` replaced, on per-parameter channel means
 computed the way the games computed them before (`_ref_channel_mean`).
+The likelihood, the batch and the payoff draw given the channel means that
+`run` works out once per stage (``means=``) must equal the calls that work
+them out themselves, bit for bit.
 `_br_oracle` holds the array best responses: `probs @ column` contractions
 for Cournot, investment and affine, and the finite best response on numpy
 profiles.  The new likelihood must equal the oracle bit for bit, -inf
@@ -50,6 +53,7 @@ from beliefplay.analysis import (
     kl_divergence,
     payoff_equivalent_set,
 )
+from beliefplay.dynamics import UpdateRule, run
 from beliefplay.games import (
     EquilibriumSet,
     best_response,
@@ -62,6 +66,7 @@ from beliefplay.param_belief import (
     NEG_INF,
     ContractViolation,
     ImpossibleObservation,
+    UpdateSchedule,
     _log_normalize,
     batch_log_likelihoods,
     bayes_update,
@@ -317,6 +322,17 @@ def test_kernels_match_the_array_oracles(case):
             mu.size)
     assert _bits(got) == _bits(want)
 
+    # the channel means `run` works out once per stage and shares: the same
+    # bits as the calls that work them out themselves
+    assert _bits(log_likelihood(game, q, c, means=means)) == _bits(oracle)
+    records = [(q, c, game.channel_means(q)),
+               (current, means[0], game.channel_means(current))]
+    assert _bits(batch_log_likelihoods(None, records, game)) == \
+        _bits(batch_log_likelihoods(None, batch, game))
+    shared = sample_payoffs(game, s_star, q, np.random.default_rng(seed),
+                            means=game.channel_means(q))
+    assert _bits(shared) == _bits(got)
+
     # best responses
     for i, sl in enumerate(game.slices):
         br = best_response(game, probs, i, q, current=current[sl])
@@ -338,6 +354,23 @@ def test_kernels_match_the_array_oracles(case):
         again = best_response(game, np.asarray(probs), i, np.asarray(q),
                               current=np.asarray(current[sl]))
         assert _bits(again) == _bits(br)
+
+
+@pytest.mark.parametrize("schedule", [
+    UpdateSchedule.every_stage(), UpdateSchedule.fixed_batch(7),
+    UpdateSchedule.geometric(0.3)], ids=lambda s: s.kind)
+def test_run_works_out_the_channel_means_once_per_stage(monkeypatch,
+                                                        schedule):
+    calls = []
+    channel_means = games.GameModel.channel_means
+    monkeypatch.setattr(games.GameModel, "channel_means",
+                        lambda self, q: calls.append(None)
+                        or channel_means(self, q))
+    game = games.cournot()
+    traj = run(game, UpdateRule.linear(), schedule, ([0.5, 0.5], [1.0, 1.0]),
+               60, 0)
+    assert traj.updated.any()
+    assert len(calls) == 60
 
 
 def test_noiseless_channel_is_an_atom_in_every_game():

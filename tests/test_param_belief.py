@@ -3,15 +3,26 @@ the update schedules.  Numeric oracles are hand-computed closed forms."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefplay import games
-from beliefplay.analysis import certify_fixed_point
+from beliefplay import games, param_belief
+from beliefplay.analysis import certify_fixed_point, martingale_diagnostic
+from beliefplay.games import (
+    best_response,
+    br_profile,
+    expected_payoff,
+    tied_actions,
+)
 from beliefplay.param_belief import (
+    _EXP_UNDERFLOW,
     NEG_INF,
     ContractViolation,
     ImpossibleObservation,
@@ -114,6 +125,81 @@ def test_normalize_matches_log_normalize_then_exp():
 
     check()
     assert reused == {True, False}
+
+
+# the last input whose exp is subnormal, the bound, and the floats around them
+_EDGES = [-745.1332191019411, math.nextafter(-745.1332191019411, -math.inf),
+          math.nextafter(_EXP_UNDERFLOW, 0.0), _EXP_UNDERFLOW,
+          math.nextafter(_EXP_UNDERFLOW, -math.inf), -1e308, NEG_INF]
+
+
+def _shift_exp_cases(n_random=100_000, seed=0):
+    """Score lists of 2 and 3 entries: each edge below a top score of 0 or
+    of a random size, ties for the max, then random lists whose offsets
+    straddle the bound."""
+    for top in (0.0, 1.0, -3.5e3, 7.25e5):
+        for x in _EDGES:
+            yield [top, top + x]
+            yield [top + x, top, top + x]
+            yield [top + x, top + x, top]
+            yield [top, top, top + x]  # a tie for the max
+            yield [top + x, top, top - 1.0]
+    # a NaN or +inf score takes the np.exp path and gives NaN
+    yield from ([math.inf, 0.0], [math.nan, 0.0], [0.0, math.nan, -1e3])
+    rng = np.random.default_rng(seed)
+    tops = rng.uniform(-1e3, 1e3, n_random).tolist()
+    sizes = rng.integers(2, 4, n_random).tolist()
+    offsets = rng.uniform(-760.0, -730.0, (n_random, 3)).tolist()
+    for top, n, off in zip(tops, sizes, offsets):
+        lp = [top + x for x in off[:n]]
+        lp[n - 1] = top  # the max
+        yield lp
+
+
+def _shift_exp_sweep():
+    """Check `_shift_exp` on `_shift_exp_cases` against np.exp of the
+    shifted scores, bit for bit; returns the number of lists that took the
+    exp-free path (a finite max and no other score at or above the bound)."""
+    shortcuts = 0
+    for lp in _shift_exp_cases():
+        m = max(lp)
+        shifted = [x - m for x in lp]
+        exps = np.exp(shifted).tolist()
+        total = 0.0
+        for e in exps:
+            total += e
+        got = _shift_exp(lp)
+        assert _bits(got[0]) == _bits(shifted), lp
+        assert _bits(got[1]) == _bits(exps), lp
+        assert got[2].hex() == math.log(total).hex(), lp
+        shortcuts += (sum(not x < _EXP_UNDERFLOW for x in shifted) == 1
+                      and m < math.inf)
+    return shortcuts
+
+
+def test_shift_exp_without_exp_matches_np_exp(monkeypatch):
+    calls = []
+    monkeypatch.setattr(param_belief, "np", types.SimpleNamespace(
+        exp=lambda x: calls.append(None) or np.exp(x)))
+    shortcuts = _shift_exp_sweep()
+    n_cases = sum(1 for _ in _shift_exp_cases())
+    # the lists with one live score skipped np.exp, and only those
+    assert 0 < shortcuts < n_cases
+    assert len(calls) == n_cases - shortcuts
+
+
+def test_shift_exp_sweep_holds_on_the_avx2_exp_kernel():
+    # numpy picks its exp kernel by CPU feature at import; without the
+    # AVX-512 targets it runs the AVX2 one
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import test_param_belief as t; n = t._shift_exp_sweep(); "
+            "assert n > 0, n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=os.path.dirname(__file__), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +346,19 @@ _BELIEF_TAKERS = {
     "equilibrium_set": games.equilibrium_set,
     "certify_fixed_point": lambda game, probs: certify_fixed_point(
         game, probs, (0.5, 0.5)),
+    "best_response": lambda game, probs: best_response(
+        game, probs, 0, [0.5, 0.5]),
+    "br_profile": lambda game, probs: br_profile(game, probs, [0.5, 0.5]),
+    "expected_payoff": lambda game, probs: expected_payoff(
+        game, probs, [0.5, 0.5], 0),
+    "martingale_diagnostic": lambda game, probs: martingale_diagnostic(
+        game, probs, [0.5, 0.5], 8, 0),
+    # a finite game with |S| = 2 as well: the finite best response reads
+    # the belief through tied_actions
+    "best_response_finite": lambda game, probs: best_response(
+        games.two_route_congestion(), probs, 0, [1.0, 0.0, 0.0, 1.0]),
+    "tied_actions": lambda game, probs: tied_actions(
+        games.two_route_congestion(), probs, 0, [1.0, 0.0, 0.0, 1.0]),
 }
 
 
