@@ -454,28 +454,28 @@ def _members_with_equivalence(game, eq, n, tol_kl, cache):
 def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
                                                n_probe=200, seed=0):
     """Conditions under which a fixed point is a complete-information
-    equilibrium: (i) the support stays payoff-equivalent (at KL_TOL) in a
-    xi-ball around q_bar; (ii) own-payoffs are concave for supported
-    parameters; also verifies EQ(theta_bar) = EQ(theta*), up to a sampled
-    Hausdorff distance of 1e-6."""
+    equilibrium: (i) the support stays payoff-equivalent (at KL_TOL) at
+    `_near_eq_sampler` draws around q_bar at radius xi (q_bar if xi <= 0);
+    (ii) own-payoffs are concave for supported parameters; also verifies
+    EQ(theta_bar) = EQ(theta*), up to an exact Hausdorff distance of 1e-6."""
     rng = np.random.default_rng(seed)
     q_bar = np.asarray(certificate.q)
     support = certificate.support
-    lo, hi = game.box_lo(), game.box_hi()
+    near = _near_eq_sampler(game, EquilibriumSet.of_point(q_bar), xi)
 
     cond_i = True
     counterexample = None
     for _ in range(n_probe):
-        q = np.clip(q_bar + (2.0 * rng.random(q_bar.size) - 1.0) * xi, lo, hi)
+        q = near(rng)
         if not set(support) <= set(payoff_equivalent_set(game, q)):
             cond_i = False
-            counterexample = tuple(q.tolist())
+            counterexample = tuple(q)
             break
 
     cond_ii = True
     for s in support:
         for i in range(game.n_players):
-            xs = np.linspace(lo[i], hi[i], 21)
+            xs = np.linspace(*game.boxes[i], 21)
             vals = []
             for x in xs:
                 trial = q_bar.copy()
@@ -488,8 +488,8 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
 
     eq_bar = equilibrium_set(game, list(certificate.belief))
     eq_star = equilibrium_set(game, _theta_star(game))
-    d1 = _directed_hausdorff(eq_bar, eq_star, rng)
-    d2 = _directed_hausdorff(eq_star, eq_bar, rng)
+    d1 = _directed_hausdorff(eq_bar, eq_star)
+    d2 = _directed_hausdorff(eq_star, eq_bar)
     eq_equal = bool(max(d1, d2) <= 1e-6)
     return {
         "condition_i": cond_i,
@@ -738,11 +738,11 @@ def sample_belief_ball(theta_bar, eps, rng):
 def _near_eq_sampler(game, eq, delta):
     """A draw near ``eq`` as a function of the rng, with the box and the set
     read once: a member of ``eq`` moved by up to delta in each coordinate,
-    uniformly, and clipped to the strategy box, as a list of floats.  A
+    uniformly, and projected onto the strategy box, as a list of floats.  A
     point set draws no member: the draw is ``rng.random(q_dim)`` when
     delta > 0 and nothing otherwise.  Every other kind draws its member by
     ``eq.sample(1, rng)`` first."""
-    box = list(zip(game.box_lo().tolist(), game.box_hi().tolist()))
+    clip = EquilibriumSet.of_box(game.box_lo(), game.box_hi()).project
     point = list(eq.point) if eq.kind == "point" else None
 
     def draw(rng):
@@ -750,33 +750,38 @@ def _near_eq_sampler(game, eq, delta):
         if delta > 0.0:
             base = [b + (2.0 * u - 1.0) * delta
                     for b, u in zip(base, rng.random(len(base)).tolist())]
-        # np.clip's order: the bound is kept when it equals the coordinate,
-        # so a signed zero comes out as the bound's
-        out = []
-        for x, (lo, hi) in zip(base, box):
-            x = x if x > lo else lo
-            out.append(x if x < hi else hi)
-        return out
+        return clip(base)
 
     return draw
 
 
-def _distance(eq, q):
-    """``eq.distance(q)`` for one profile; a point set's is worked out on
-    floats."""
-    if eq.kind != "point":
-        return eq.distance(q)
-    return max(abs(x - p) for x, p in zip(q, eq.point))
+def _extreme_points(eq):
+    """A point set's point, a box's corners, a line's two ends or a finite
+    list's members, as tuples of floats."""
+    if eq.kind == "point":
+        return (eq.point,)
+    if eq.kind == "box":
+        return tuple(itertools.product(*zip(eq.lo, eq.hi)))
+    if eq.kind == "line":
+        return tuple(tuple(b + t * d for b, d in zip(eq.base, eq.direction))
+                     for t in eq.t_range)
+    return eq.members
 
 
-def _directed_hausdorff(eq_from, eq_to, rng, n=256):
-    """The largest distance to eq_to over 16 representatives and n samples
-    of eq_from.  A point set's representatives and samples are all its one
-    point, so it draws nothing."""
-    if eq_from.kind == "point":
-        return _distance(eq_to, eq_from.point)
-    pts = np.vstack([eq_from.representatives(16), eq_from.sample(n, rng)])
-    return float(eq_to.distance(pts).max())
+def _directed_hausdorff(eq_from, eq_to):
+    """sup over q in eq_from of ``eq_to.distance(q)``, exactly: under
+    L-infinity the distance to a convex set is convex, so the supremum is
+    reached at one of eq_from's `_extreme_points`, as it is on a finite
+    list.  A box or a line to a finite list raises ContractViolation."""
+    if eq_to.kind == "finite_list" and eq_from.kind in ("box", "line"):
+        raise ContractViolation("no exact directed Hausdorff distance from a "
+                                "%s to a finite list" % eq_from.kind)
+    gap = 0.0
+    for v in _extreme_points(eq_from):
+        d = eq_to.distance(v)
+        if d > gap:
+            gap = d
+    return gap
 
 
 def _final_states(game, starts, rule, schedule, horizon, respond_to,
@@ -857,15 +862,15 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
     untested.  The probes run on lists of floats and draw from one stream
     seeded by ``seed``, condition by condition:
     - A2a: a belief-ball draw (`sample_belief_ball`), then `equilibrium_set`
-      at it, then 64 samples of that set (a point set draws none);
+      at it (the exact `_directed_hausdorff` to EQ(theta_bar) draws none);
     - A2b: a belief-ball draw, a draw near EQ(theta_bar) (`_near_eq_sampler`:
       a member by ``eq.sample`` unless the set is a point, then
       ``rng.random(q_dim)`` when delta > 0), then one `br_profile` call;
     - A2c: a draw near EQ(theta_bar), then one `payoff_equivalent_set` call.
-    Distances to a point set are taken on floats.  On Cournot's two clusters
-    at eps 1/3 and delta 1 with 1,000 probes, the check takes 0.04-0.06 s
-    on a 2-core x86_64 machine (0.10-0.18 s when the probes ran on numpy
-    arrays); the kernels it calls take about half of that."""
+    With 1,000 probes on a 2-core x86_64 machine, the check takes about
+    0.02 s on each of Cournot's two clusters (eps 1/3, delta 1), 0.04 s on
+    zerosum and 0.06 s on coordination (eps 0.5, delta 1); the kernels it
+    calls take about half of that."""
     _check_count("n_probe", n_probe, 8)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     theta_bar = list(certificate.belief)
@@ -879,7 +884,7 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
         theta = sample_belief_ball(theta_bar, eps, rng)
         eq = equilibrium_set(game, theta)
         radii.append(max(abs(x - t) for x, t in zip(theta, theta_bar)))
-        dists.append(_directed_hausdorff(eq, eq_bar, rng, n=64))
+        dists.append(_directed_hausdorff(eq, eq_bar))
     radii = np.asarray(radii)
     dists = np.asarray(dists)
     order = np.argsort(radii)
@@ -898,7 +903,7 @@ def check_assumption2(game, certificate, eps, delta, n_probe=1000, seed=0):
         theta = sample_belief_ball(theta_bar, eps, rng)
         q = near_eq(rng)
         br = br_profile(game, theta, q, current=q)
-        if _distance(eq_bar, br) > delta + 1e-12:
+        if eq_bar.distance(br) > delta + 1e-12:
             a2b_violations += 1
             if a2b_counterexample is None:
                 a2b_counterexample = (tuple(theta), tuple(q))

@@ -165,15 +165,15 @@ def _within(flat, a, b, n, tol):
 
 
 def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
-        conv_window=CONV_WINDOW, conv_tol=CONV_TOL, respond_to="posterior"):
+        respond_to="posterior"):
     """Run the learning dynamics; deterministic given the seed.
 
     ``init`` is (theta1, q1): a full-support probability vector, one entry
     per parameter, and a profile.  Convergence is declared when over the
-    last `conv_window` stages every strategy step is below `conv_tol` (max
-    norm) and the belief moved less than `conv_tol` across the window.
-    Strategies respond to the posterior or, with ``respond_to="map"``, to
-    its mode.
+    last `CONV_WINDOW` stages every strategy step is below `CONV_TOL` (max
+    norm) and the belief moved less than `CONV_TOL` across the window, both
+    read at call time.  Strategies respond to the posterior or, with
+    ``respond_to="map"``, to its mode.
     """
     theta1, q0 = init
     if horizon < 1:
@@ -211,7 +211,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     probs = np.exp(log_probs).tolist()
     q = q0.tolist()
     pending = []
-    last_big_move = 0  # last stage with a strategy step >= conv_tol
+    last_big_move = 0  # last stage with a strategy step >= CONV_TOL
     converged = False
     t_stop = horizon
     eq_checkpoints = []
@@ -261,16 +261,16 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
             respond = probs
         q_next = _apply_rule(game, rule, slices, respond, q, t, profile)
         for a, b in zip(q_next, q):
-            if abs(a - b) >= conv_tol:
+            if abs(a - b) >= CONV_TOL:
                 last_big_move = t
                 break
         q = q_next
         if (
             not converged
-            and t >= conv_window + 1
-            and t - last_big_move >= conv_window
-            and _within(theta_flat, (t - 1) * n_s, (t - 1 - conv_window) * n_s,
-                        n_s, conv_tol)
+            and t >= CONV_WINDOW + 1
+            and t - last_big_move >= CONV_WINDOW
+            and _within(theta_flat, (t - 1) * n_s, (t - 1 - CONV_WINDOW) * n_s,
+                        n_s, CONV_TOL)
         ):
             converged = True
             t_stop = t

@@ -14,7 +14,8 @@ noise scales and ``log_sigmas`` their logs, computed once.  Best responses
 are closed forms: every continuous game supplies an ``analytic_br``, and a
 finite game without one plays one of its `tied_actions`, the optimal
 actions under the belief.  Both take lists of floats, and `best_response`
-returns the player's block as a tuple of floats.
+returns the player's block as a tuple of floats.  `EquilibriumSet.project`
+is the one projection onto an equilibrium set, or a strategy box.
 
 Bit rule: every sum over the parameters or over a probability vector runs
 left to right in plain float arithmetic: each expectation under the belief
@@ -66,78 +67,71 @@ class EquilibriumSet:
 
     @classmethod
     def of_point(cls, q):
-        return cls(kind="point", point=tuple(np.asarray(q, float).tolist()))
+        return cls(kind="point", point=tuple(map(float, q)))
 
     @classmethod
     def of_box(cls, lo, hi):
-        return cls(
-            kind="box",
-            lo=tuple(np.asarray(lo, float).tolist()),
-            hi=tuple(np.asarray(hi, float).tolist()),
-        )
+        return cls(kind="box", lo=tuple(map(float, lo)),
+                   hi=tuple(map(float, hi)))
 
     @classmethod
     def of_line(cls, base, direction, t_range):
-        return cls(
-            kind="line",
-            base=tuple(np.asarray(base, float).tolist()),
-            direction=tuple(np.asarray(direction, float).tolist()),
-            t_range=(float(t_range[0]), float(t_range[1])),
-        )
+        return cls(kind="line", base=tuple(map(float, base)),
+                   direction=tuple(map(float, direction)),
+                   t_range=(float(t_range[0]), float(t_range[1])))
 
     @classmethod
     def of_finite_list(cls, members):
-        return cls(
-            kind="finite_list",
-            members=tuple(tuple(np.asarray(m, float).tolist()) for m in members),
-        )
+        return cls(kind="finite_list",
+                   members=tuple(tuple(map(float, m)) for m in members))
 
     def project(self, q):
-        """L-infinity nearest member to a flat profile: on a line the one with
-        the smallest t, in a finite list the first one.
-
-        ``q`` may also be a stack of profiles, shape (m, q_dim); the result is
-        then (m, q_dim), and each row equals the single-profile call on that
-        row exactly.
-        """
-        q = np.asarray(q, dtype=float)
-        if self.kind == "point":
-            point = np.asarray(self.point)
-            return point if q.ndim == 1 else np.tile(point, (len(q), 1))
+        """The L-infinity nearest member to one flat profile (a sequence of
+        floats), as a list of floats: a box clips in np.clip's order, so a
+        coordinate equal to a bound comes out as the bound, signed zero
+        included; a line takes the smallest nearest t, a finite list its
+        first nearest member.  On a line, max_k |r_k - t d_k| (r = q - base)
+        is convex and piecewise linear in t, so it is least at an end of
+        t_range or at a kink, where r_j - t d_j = +-(r_k - t d_k)."""
+        if type(q) is not list and type(q) is not tuple:
+            q = _floats(q)
         if self.kind == "box":
-            return np.clip(q, np.asarray(self.lo), np.asarray(self.hi))
-        rows = np.atleast_2d(q)
+            out = []
+            for x, lo, hi in zip(q, self.lo, self.hi):
+                x = x if x > lo else lo
+                out.append(x if x < hi else hi)
+            return out
+        if self.kind == "point":
+            return list(self.point)
         if self.kind == "line":
-            base = np.asarray(self.base)
-            d = np.asarray(self.direction)
-            r = rows - base
-            # max_k |r_k - t d_k| is convex and piecewise linear in t, so it is
-            # least at an endpoint or a kink; every kink solves
-            # r_j - t d_j = +-(r_k - t d_k) for some j, k (j = k included)
-            num = np.concatenate([r[:, :, None] + r[:, None, :],
-                                  r[:, :, None] - r[:, None, :]], axis=1)
-            den = np.concatenate([np.add.outer(d, d),
-                                  np.subtract.outer(d, d)]).ravel()
-            live = den != 0.0
-            kinks = num.reshape(len(r), -1)[:, live] / den[live]
-            ts = np.concatenate([np.broadcast_to(self.t_range, (len(r), 2)),
-                                 np.clip(kinks, *self.t_range)], axis=1)
-            dist = abs(r[:, None, :] - ts[:, :, None] * d).max(axis=2)
-            nearest = dist == dist.min(axis=1, keepdims=True)
-            out = base + np.where(nearest, ts, np.inf).min(axis=1)[:, None] * d
-        else:
-            members = np.asarray(self.members)
-            gaps = abs(rows[:, None, :] - members).max(axis=2)
-            out = members[gaps.argmin(axis=1)]
-        return out if q.ndim == 2 else out[0]
+            (a, b), d = self.t_range, self.direction
+            r = [x - c for x, c in zip(q, self.base)]
+            ts = [a, b]  # then the kinks, sums before differences
+            for sign in (1.0, -1.0):  # x + -1.0 * y is x - y exactly
+                for rj, dj in zip(r, d):
+                    for rk, dk in zip(r, d):
+                        if dj + sign * dk != 0.0:
+                            t = (rj + sign * rk) / (dj + sign * dk)
+                            t = t if t > a else a
+                            ts.append(t if t < b else b)
+            gaps = [max(abs(rk - t * dk) for rk, dk in zip(r, d)) for t in ts]
+            least = min(gaps)
+            t = min(t for t, gap in zip(ts, gaps) if gap == least)
+            return [c + t * dk for c, dk in zip(self.base, d)]
+        gaps = [max(abs(x - y) for x, y in zip(q, m)) for m in self.members]
+        return list(self.members[gaps.index(min(gaps))])
 
     def distance(self, q):
-        """L-infinity distance from a flat profile to the set; for a stack of
-        profiles (m, q_dim), an array of the m row distances, each equal to
-        the single-profile call."""
-        q = np.asarray(q, dtype=float)
-        gap = abs(q - self.project(q)).max(axis=-1)
-        return gap if q.ndim == 2 else float(gap)
+        """The L-infinity distance from one flat profile to the set, a float:
+        max_k |q_k - p_k| at p = `project(q)`, or at a point set's point."""
+        if type(q) is not list and type(q) is not tuple:
+            q = _floats(q)
+        p = self.point if self.kind == "point" else self.project(q)
+        gap = 0.0
+        for x, y in zip(q, p):
+            if abs(x - y) > gap:
+                gap = abs(x - y)
+        return gap
 
     def sample(self, n, rng):
         """n member profiles (uniform over the set's parametrization)."""

@@ -6,6 +6,8 @@ argmax.  It reads only ``mean_payoff_fn`` and the strategy box, never the
 game's ``analytic_br``, so it checks that closed form independently.
 `analytic_interval` reads the closed form's best-response set through
 `best_response`, for comparison with the search's interval.
+`reference_project` is the projection onto an equilibrium set on numpy
+arrays, which the float `EquilibriumSet.project` must equal bit for bit.
 """
 
 import math
@@ -104,3 +106,27 @@ def analytic_interval(game, probs, i, q):
     box = game.boxes[i]
     return (best_response(game, probs, i, q, current=[box[0]])[0],
             best_response(game, probs, i, q, current=[box[1]])[0])
+
+
+def reference_project(eq, q):
+    """The L-infinity projection of one profile (an array) onto ``eq`` on
+    numpy arrays: np.clip for a box; for a line the smallest t of least
+    distance among t_range's ends and the kinks clipped to it; the first
+    nearest member of a finite list."""
+    if eq.kind == "point":
+        return np.asarray(eq.point)
+    if eq.kind == "box":
+        return np.clip(q, np.asarray(eq.lo), np.asarray(eq.hi))
+    if eq.kind == "line":
+        base, d = np.asarray(eq.base), np.asarray(eq.direction)
+        r = q - base
+        num = np.concatenate([np.add.outer(r, r),
+                              np.subtract.outer(r, r)]).ravel()
+        den = np.concatenate([np.add.outer(d, d),
+                              np.subtract.outer(d, d)]).ravel()
+        kinks = num[den != 0.0] / den[den != 0.0]
+        ts = np.concatenate([eq.t_range, np.clip(kinks, *eq.t_range)])
+        dist = np.max(np.abs(r - ts[:, None] * d), axis=1)
+        return base + np.min(ts[dist == np.min(dist)]) * d
+    return np.asarray(min(eq.members,
+                          key=lambda m: float(np.max(np.abs(q - np.asarray(m))))))

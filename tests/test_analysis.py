@@ -604,6 +604,27 @@ def test_counts_must_be_integers_with_evidence(case):
         call()
 
 
+def test_directed_hausdorff_is_exact_at_the_corners():
+    # the corners (1, 0) and (0, 1) of the unit box lie 0.5 from its
+    # diagonal; a sampled maximum reads less unless it draws a corner
+    box = EquilibriumSet.of_box((0.0, 0.0), (1.0, 1.0))
+    diagonal = EquilibriumSet.of_line((0.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    assert analysis._directed_hausdorff(box, diagonal) == 0.5
+    assert analysis._directed_hausdorff(diagonal, box) == 0.0
+
+
+@pytest.mark.parametrize("eq_from", [
+    EquilibriumSet.of_box((0.0, 0.0), (1.0, 1.0)),
+    EquilibriumSet.of_line((0.0, 0.0), (1.0, 1.0), (0.0, 1.0))],
+    ids=["box", "line"])
+def test_directed_hausdorff_from_a_continuum_to_a_finite_list_raises(eq_from):
+    # the distance to a finite list is not convex, so the corners bound
+    # nothing
+    members = EquilibriumSet.of_finite_list([(0.0, 0.0), (1.0, 1.0)])
+    with pytest.raises(ContractViolation, match="to a finite list"):
+        analysis._directed_hausdorff(eq_from, members)
+
+
 def test_complete_info_conditions_cournot(cournot_game):
     cert = certify_fixed_point(cournot_game, [1.0, 0.0],
                                [2.0 / 3.0, 2.0 / 3.0])

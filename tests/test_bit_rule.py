@@ -23,11 +23,12 @@ RULED = {
     "dynamics": ("run", "_realized_profile", "_apply_rule"),
     "games": ("best_response", "tied_actions", "_interval_br",
               "sample_payoffs", "expected_payoff", "equilibrium_set",
-              "GameModel.channel_means"),
+              "GameModel.channel_means", "EquilibriumSet.project",
+              "EquilibriumSet.distance"),
     "param_belief": ("_expect", "_total", "log_likelihood",
                      "batch_log_likelihoods", "_shift_exp", "_log_normalize",
                      "_normalize", "next_update_stage"),
-    "analysis": ("sample_belief_ball", "_near_eq_sampler", "_distance",
+    "analysis": ("sample_belief_ball", "_near_eq_sampler", "_extreme_points",
                  "_directed_hausdorff"),
 }
 

@@ -545,27 +545,31 @@ def _assert_same_trajectory(got, want):
 @pytest.mark.parametrize("game_id, rule_kind", _GAME_RULES,
                          ids=["%s-%s" % gr for gr in _GAME_RULES])
 def test_run_matches_reference_loop_exactly(game_id, rule_kind, schedule,
-                                            respond_to):
+                                            respond_to, monkeypatch):
     game = _builtin_game(game_id)
     n = len(game.space)
     init = (np.arange(1.0, n + 1.0), game.box_center())
     rule = UpdateRule(rule_kind)
-    for stop, kw in ((False, {}),
-                     (True, {"conv_window": 20, "conv_tol": 1e-2})):
+    for stop, window, tol in ((False, CONV_WINDOW, CONV_TOL),
+                              (True, 20, 1e-2)):
+        monkeypatch.setattr(dynamics, "CONV_WINDOW", window)
+        monkeypatch.setattr(dynamics, "CONV_TOL", tol)
         got = run(game, rule, _SCHEDULES[schedule](), init, 150, seed=17,
-                  stop_when_converged=stop, respond_to=respond_to, **kw)
+                  stop_when_converged=stop, respond_to=respond_to)
         want = _reference_run(game, rule, _SCHEDULES[schedule](), init, 150,
                               seed=17, stop_when_converged=stop,
-                              respond_to=respond_to, **kw)
+                              conv_window=window, conv_tol=tol,
+                              respond_to=respond_to)
         _assert_same_trajectory(got, want)
 
 
-@pytest.mark.parametrize("stop, kw", [(False, {}),
-                                      (True, {"conv_window": 200,
-                                              "conv_tol": 1e-3})],
+@pytest.mark.parametrize("stop, window, tol",
+                         [(False, CONV_WINDOW, CONV_TOL), (True, 200, 1e-3)],
                          ids=["full", "early-stop"])
 def test_run_matches_reference_loop_on_a_concentrated_posterior(
-        stop, kw, monkeypatch):
+        stop, window, tol, monkeypatch):
+    monkeypatch.setattr(dynamics, "CONV_WINDOW", window)
+    monkeypatch.setattr(dynamics, "CONV_TOL", tol)
     # from theta = (1 - 1e-12, 1e-12) on Cournot the shifted exps of most
     # updates sum to exactly 1.0, and `run` takes them as the probabilities
     game = _builtin_game("cournot")
@@ -578,10 +582,11 @@ def test_run_matches_reference_loop_on_a_concentrated_posterior(
 
     monkeypatch.setattr(dynamics, "_normalize", spy)
     got = run(game, UpdateRule.linear(), UpdateSchedule.every_stage(), init,
-              2000, seed=5, stop_when_converged=stop, **kw)
+              2000, seed=5, stop_when_converged=stop)
     want = _reference_run(game, UpdateRule.linear(),
                           UpdateSchedule.every_stage(), init, 2000, seed=5,
-                          stop_when_converged=stop, **kw)
+                          stop_when_converged=stop, conv_window=window,
+                          conv_tol=tol)
     _assert_same_trajectory(got, want)
     assert (got.horizon < 2000) == stop
     assert 2 * sum(reused) > len(reused) == got.horizon

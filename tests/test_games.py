@@ -21,7 +21,8 @@ from beliefplay.games import (
     tied_actions,
 )
 from beliefplay.param_belief import ContractViolation
-from oracles import analytic_interval, numeric_best_response
+from oracles import (analytic_interval, numeric_best_response,
+                     reference_project)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +410,7 @@ def _is_member(eq, p, tol=1e-9):
         return bool(np.all(np.asarray(eq.lo) <= p)
                     and np.all(p <= np.asarray(eq.hi)))
     if eq.kind == "finite_list":
-        return tuple(p.tolist()) in eq.members
+        return tuple(p) in eq.members
     base, d = np.asarray(eq.base), np.asarray(eq.direction)
     k = int(np.argmax(np.abs(d)))
     if d[k] == 0.0:
@@ -421,7 +422,7 @@ def _is_member(eq, p, tol=1e-9):
 
 
 @st.composite
-def _eq_set_and_stack(draw):
+def _eq_set_and_rows(draw):
     eq, q = draw(_eq_set_and_query())
     dim = q.size
     vec = st.lists(_coord, min_size=dim, max_size=dim)
@@ -436,41 +437,21 @@ def _eq_set_and_stack(draw):
     return eq, np.asarray(rows, dtype=float)
 
 
-def _reference_project(eq, q):
-    """The one-profile projection, scalar code: the reference for the
-    vectorised one."""
-    if eq.kind == "point":
-        return np.asarray(eq.point)
-    if eq.kind == "box":
-        return np.clip(q, np.asarray(eq.lo), np.asarray(eq.hi))
-    if eq.kind == "line":
-        base, d = np.asarray(eq.base), np.asarray(eq.direction)
-        r = q - base
-        num = np.concatenate([np.add.outer(r, r),
-                              np.subtract.outer(r, r)]).ravel()
-        den = np.concatenate([np.add.outer(d, d),
-                              np.subtract.outer(d, d)]).ravel()
-        kinks = num[den != 0.0] / den[den != 0.0]
-        ts = np.concatenate([eq.t_range, np.clip(kinks, *eq.t_range)])
-        dist = np.max(np.abs(r - ts[:, None] * d), axis=1)
-        return base + np.min(ts[dist == np.min(dist)]) * d
-    return np.asarray(min(eq.members,
-                          key=lambda m: float(np.max(np.abs(q - np.asarray(m))))))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_eq_set_and_stack())
-def test_stacked_projection_equals_row_by_row(case):
-    eq, stack = case
-    proj = eq.project(stack)
-    dist = eq.distance(stack)
-    assert proj.shape == stack.shape and dist.shape == (len(stack),)
-    for k, row in enumerate(stack):
-        want = _reference_project(eq, row)
-        assert proj[k].tobytes() == eq.project(row).tobytes() == want.tobytes()
+@given(_eq_set_and_rows())
+def test_projection_equals_the_reference_row_by_row(case):
+    # the float projection of each row, given as a list, a tuple or an
+    # array, equals the numpy reference bit for bit, and so does its distance
+    eq, rows = case
+    for row in rows:
+        want = reference_project(eq, row)
         want_dist = np.max(np.abs(row - want))
-        assert (dist[k].tobytes() == np.float64(eq.distance(row)).tobytes()
-                == want_dist.tobytes())
+        for q in (row.tolist(), tuple(row.tolist()), row):
+            proj = eq.project(q)
+            dist = eq.distance(q)
+            assert type(proj) is list and type(dist) is float
+            assert np.asarray(proj).tobytes() == want.tobytes()
+            assert np.float64(dist).tobytes() == want_dist.tobytes()
 
 
 @pytest.mark.parametrize("n_players", [0, -1, True, 2.0, "2"])

@@ -28,6 +28,8 @@ member, candidate or not.  `_assumption2_oracle`, `_ball_oracle`,
 `_near_eq_oracle` and `_hausdorff_oracle` are the Assumption-2 probes on
 numpy arrays that the float-native ones replaced: the reports, the draws
 and the random stream after them must be equal bit for bit.
+`_hausdorff_oracle` is the largest distance over the extreme points of a
+set, each taken through `oracles.reference_project`, as is the A2b distance.
 """
 
 import dataclasses
@@ -73,7 +75,7 @@ from beliefplay.param_belief import (
     log_belief,
     log_likelihood,
 )
-from oracles import analytic_interval
+from oracles import analytic_interval, reference_project
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -920,9 +922,23 @@ def _near_eq_oracle(game, eq, delta, rng):
     return np.clip(base, game.box_lo(), game.box_hi())
 
 
-def _hausdorff_oracle(eq_from, eq_to, rng, n=256):
-    pts = np.vstack([eq_from.representatives(16), eq_from.sample(n, rng)])
-    return float(eq_to.distance(pts).max())
+def _hausdorff_oracle(eq_from, eq_to):
+    """The directed Hausdorff distance on numpy arrays: the largest
+    `reference_project` distance to eq_to over eq_from's extreme points (a
+    point set's point, a box's corners, a line's ends, a finite list's
+    members)."""
+    if eq_from.kind == "point":
+        pts = np.asarray([eq_from.point])
+    elif eq_from.kind == "box":
+        pts = np.asarray(list(itertools.product(*zip(eq_from.lo, eq_from.hi))))
+    elif eq_from.kind == "line":
+        pts = (np.asarray(eq_from.base)
+               + np.asarray(eq_from.t_range)[:, None]
+               * np.asarray(eq_from.direction))
+    else:
+        pts = np.asarray(eq_from.members)
+    return max(float(np.max(np.abs(v - reference_project(eq_to, v))))
+               for v in pts)
 
 
 def _assumption2_oracle(game, certificate, eps, delta, n_probe, seed):
@@ -938,7 +954,7 @@ def _assumption2_oracle(game, certificate, eps, delta, n_probe, seed):
         theta = _ball_oracle(theta_bar, eps, rng)
         eq = equilibrium_set(game, theta)
         radii.append(float(np.max(np.abs(theta - theta_bar))))
-        dists.append(_hausdorff_oracle(eq, eq_bar, rng, n=64))
+        dists.append(_hausdorff_oracle(eq, eq_bar))
     radii = np.asarray(radii)
     dists = np.asarray(dists)
     bins = np.array_split(np.argsort(radii), 8)
@@ -950,8 +966,9 @@ def _assumption2_oracle(game, certificate, eps, delta, n_probe, seed):
     for _ in range(n_probe):
         theta = _ball_oracle(theta_bar, eps, rng)
         q = _near_eq_oracle(game, eq_bar, delta, rng)
-        br = br_profile(game, theta, q, current=q)
-        if eq_bar.distance(br) > delta + 1e-12:
+        br = np.asarray(br_profile(game, theta, q, current=q))
+        if float(np.max(np.abs(br - reference_project(eq_bar, br)))) \
+                > delta + 1e-12:
             a2b_violations += 1
             if a2b_counterexample is None:
                 a2b_counterexample = (tuple(theta.tolist()), tuple(q.tolist()))
@@ -1110,9 +1127,10 @@ def test_probe_helpers_match_the_array_oracles(a2_certificates):
                 assert _bits(got) == _bits(want.tolist()), (eq, delta)
             assert got_rng.random() == want_rng.random()
         for _, eq_to in cases:
-            got_rng = np.random.default_rng(seed)
-            want_rng = np.random.default_rng(seed)
-            got = analysis._directed_hausdorff(eq, eq_to, got_rng, n=64)
-            want = _hausdorff_oracle(eq, eq_to, want_rng, n=64)
+            if eq.kind in ("box", "line") and eq_to.kind == "finite_list":
+                with pytest.raises(ContractViolation, match="finite list"):
+                    analysis._directed_hausdorff(eq, eq_to)
+                continue
+            got = analysis._directed_hausdorff(eq, eq_to)
+            want = _hausdorff_oracle(eq, eq_to)
             assert got.hex() == want.hex(), (eq, eq_to)
-            assert got_rng.random() == want_rng.random()
