@@ -573,29 +573,21 @@ def stability_thresholds(theta_bar, eps_hat, gamma):
 
 
 def estimate_convergence_rate(traj, s, burn_in=0):
-    """OLS slope of log theta^t(s) against t for t > burn_in, with fit r^2."""
-    theta_s = traj.thetas[:, s]
+    """OLS slope of log theta^t(s) (the rows of ``traj.log_thetas``) against
+    t for t > burn_in, with fit r^2.  A -inf in the fitted range, where an
+    observation off a noiseless channel's atom ruled s out, has no rate."""
     ts = np.arange(1, traj.horizon + 1)
     mask = ts > burn_in
     ts = ts[mask]
-    ys = theta_s[mask]
-    zero = np.nonzero(ys <= 0.0)[0]
-    if zero.size:
-        if zero[0] == 0:
-            first = int(np.nonzero(theta_s <= 0.0)[0][0]) + 1
-            hint = ("a burn_in of at most %d fits the stages before it"
-                    % (first - 3) if first >= 3 else
-                    "no burn_in leaves 2 stages to fit before it")
-            raise ContractViolation(
-                "belief theta(%d) is exactly 0 at the start of the fitted "
-                "range: it first reaches 0 at stage %d and burn_in is %d; %s"
-                % (s, first, burn_in, hint))
-        warnings.warn("belief hits exact zero; truncating the fitted range")
-        ts = ts[: zero[0]]
-        ys = ys[: zero[0]]
+    logy = traj.log_thetas[mask, s]
     if ts.size < 2:
-        raise ContractViolation("not enough positive samples to fit a rate")
-    logy = np.log(ys)
+        raise ContractViolation("not enough samples to fit a rate")
+    excluded = logy == -INF
+    if excluded.any():
+        raise ContractViolation(
+            "log theta(%d) is -inf at stage %d of the fitted range: an "
+            "observation ruled the parameter out, so its belief has no "
+            "decay rate to fit" % (s, ts[np.argmax(excluded)]))
     slope, intercept = np.polyfit(ts, logy, 1)
     fit = slope * ts + intercept
     ss_res = float(np.sum((logy - fit) ** 2))

@@ -577,21 +577,40 @@ def cmd_stability(cfg):
     return 0
 
 
+def _path_mean_kl(game, traj, s, burn_in):
+    """The mean of KL(s* || s) over the stages t > burn_in, each at its
+    profile: the row q^t on a continuous game, the realized one-hot action
+    profile on a finite one."""
+    if traj.actions is None:
+        profiles = traj.qs[burn_in:].tolist()
+    else:
+        profiles = []
+        for actions in traj.actions[burn_in:].tolist():
+            profile = [0.0] * game.q_dim
+            for sl, a in zip(game.slices, actions):
+                profile[sl.start + a] = 1.0
+            profiles.append(profile)
+    s_star = game.space.true_index
+    return math.fsum(analysis.kl_divergence(game, s_star, s, profile)
+                     for profile in profiles) / len(profiles)
+
+
 def cmd_rate(cfg):
     s, burn_in = cfg.analysis["rate"]["param"], cfg.analysis["rate"]["burn_in"]
 
     def fit_seed(k):
         traj = _configured_run(cfg, cfg.seeds[k])
         slope, r2 = analysis.estimate_convergence_rate(traj, s, burn_in)
-        return slope, r2, traj.summary["final_q"]
+        return (slope, r2, traj.summary["final_q"],
+                _path_mean_kl(cfg.game, traj, s, burn_in))
 
     fits = _map_replicas(fit_seed, len(cfg.seeds))
     slopes = [{"seed": seed, "slope": slope, "r2": r2}
-              for seed, (slope, r2, _) in zip(cfg.seeds, fits)]
-    q_limit = np.mean(np.asarray([final_q for _, _, final_q in fits]), axis=0)
-    predicted = analysis.kl_divergence(
-        cfg.game, cfg.game.space.true_index, s, q_limit
-    )
+              for seed, (slope, r2, _, _) in zip(cfg.seeds, fits)]
+    q_limit = np.mean(np.asarray([fit[2] for fit in fits]), axis=0)
+    # every seed runs the whole horizon, so the mean of the per-seed means
+    # is the mean over all fitted stages
+    predicted = float(np.mean([fit[3] for fit in fits]))
     pooled = float(np.mean([x["slope"] for x in slopes]))
     payload = {
         "param": s,

@@ -96,6 +96,7 @@ class Trajectory:
     """Per-stage record of the learning dynamics plus a terminal summary."""
 
     thetas: np.ndarray  # (T, |S|)
+    log_thetas: np.ndarray  # (T, |S|); np.exp(log_thetas) is thetas
     qs: np.ndarray  # (T, q_dim)
     cs: np.ndarray  # (T, obs_dim)
     updated: np.ndarray  # (T,) bool
@@ -193,6 +194,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
 
     n_s, n_q, n_c = len(game.space), game.q_dim, game.obs_dim
     thetas = np.empty((horizon, n_s))
+    log_thetas = np.empty((horizon, n_s))
     qs = np.empty((horizon, n_q))
     cs = np.empty((horizon, n_c))
     upd = np.zeros(horizon, dtype=bool)
@@ -201,6 +203,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     # flat float views of the rows: one item assignment per value costs
     # less than converting a list for a numpy row assignment
     theta_flat = memoryview(thetas).cast("B").cast("d")
+    log_flat = memoryview(log_thetas).cast("B").cast("d")
     q_flat = memoryview(qs).cast("B").cast("d")
     c_flat = memoryview(cs).cast("B").cast("d")
 
@@ -214,15 +217,15 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     last_big_move = 0  # last stage with a strategy step >= CONV_TOL
     converged = False
     t_stop = horizon
-    eq_checkpoints = []
 
     for t in range(1, horizon + 1):
         if len(q) != n_q:
             raise ContractViolation("strategy profile has %d entries, "
                                     "expected %d" % (len(q), n_q))
         k = (t - 1) * n_s
-        for x in probs:
+        for x, lx in zip(probs, log_probs):
             theta_flat[k] = x
+            log_flat[k] = lx
             k += 1
         k = (t - 1) * n_q
         for x in q:
@@ -251,7 +254,6 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
             n_updates += 1
             next_k = next_update_stage(schedule, next_k, n_updates, rng)
             upd[t - 1] = True
-            eq_checkpoints.append(t + 1)
         # fictitious play responds to the pre-update belief via its realized
         # actions; the other rules respond to the freshest belief
         if respond_map:
@@ -276,6 +278,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
             t_stop = t
             if stop_when_converged:
                 thetas = thetas[:t]
+                log_thetas = log_thetas[:t]
                 qs = qs[:t]
                 cs = cs[:t]
                 upd = upd[:t]
@@ -297,9 +300,10 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     if cycle is not None:
         summary["cycle_detected"] = True
         summary["cycle_period"] = int(cycle)
-    summary["update_stages"] = eq_checkpoints
-    return Trajectory(thetas=thetas, qs=qs, cs=cs, updated=upd, actions=acts,
-                      summary=summary)
+    # an update marked at row i takes effect at stage i + 2
+    summary["update_stages"] = (np.flatnonzero(upd) + 2).tolist()
+    return Trajectory(thetas=thetas, log_thetas=log_thetas, qs=qs, cs=cs,
+                      updated=upd, actions=acts, summary=summary)
 
 
 def run_two_timescale(game, rule, gap_fn, init, horizon, seed,

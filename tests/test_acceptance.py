@@ -12,7 +12,6 @@ module is budgeted to finish in well under fifteen minutes.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from beliefplay.analysis import (
 )
 from beliefplay.cli import main
 from beliefplay.dynamics import (
-    Trajectory,
     UpdateRule,
     replica_seed,
     run,
@@ -162,21 +160,9 @@ def test_criterion_2_convergence_statistics(criterion):
 # 3. Exponential decay rate of excluded-parameter beliefs
 
 
-def _synthetic_exponential(rate, horizon=400):
-    ts = np.arange(1, horizon + 1)
-    theta_s = np.exp(rate * ts)
-    return Trajectory(thetas=np.column_stack([theta_s, 1.0 - theta_s]),
-                      qs=np.zeros((horizon, 2)), cs=np.zeros((horizon, 1)),
-                      updated=np.ones(horizon, dtype=bool), actions=None)
-
-
 def test_criterion_3_rate_law(criterion):
     fails = []
     t0 = time.monotonic()
-    slope, _ = estimate_convergence_rate(_synthetic_exponential(-0.1), s=0)
-    if abs(slope + 0.1) > 1e-12:
-        fails.append("synthetic slope %.3e off" % (slope + 0.1))
-
     game = games.investment()
     q_limit = np.asarray([1.0 / 3.0, 1.0 / 3.0])
     slopes = {0: [], 2: []}
@@ -185,11 +171,9 @@ def test_criterion_3_rate_law(criterion):
                    UpdateSchedule.every_stage(),
                    ([1 / 3] * 3, np.asarray([0.5, 0.5])), 2500,
                    seed=replica_seed(300, k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for s in (0, 2):
-                sl, _ = estimate_convergence_rate(traj, s=s, burn_in=500)
-                slopes[s].append(sl)
+        for s in (0, 2):
+            sl, _ = estimate_convergence_rate(traj, s=s, burn_in=500)
+            slopes[s].append(sl)
     rels = {}
     for s in (0, 2):
         kl = kl_divergence(game, game.space.true_index, s, q_limit)

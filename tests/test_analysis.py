@@ -4,6 +4,7 @@ upcrossing diagnostics."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -383,11 +384,12 @@ def test_threshold_orderings_hold(n, support_size_raw, eps_hat, gamma, seed):
 
 
 def _synthetic_traj(rate, horizon=400):
-    ts = np.arange(1, horizon + 1)
-    theta_s = np.exp(rate * ts)
-    thetas = np.column_stack([theta_s, 1.0 - theta_s])
-    return Trajectory(thetas=thetas, qs=np.zeros((horizon, 2)),
-                      cs=np.zeros((horizon, 1)),
+    """log theta(0) = rate * t; theta itself underflows to 0 past t ~ 745 /
+    |rate|, which the fit never reads."""
+    log_s = rate * np.arange(1.0, horizon + 1.0)
+    log_thetas = np.column_stack([log_s, np.log1p(-np.exp(log_s))])
+    return Trajectory(thetas=np.exp(log_thetas), log_thetas=log_thetas,
+                      qs=np.zeros((horizon, 2)), cs=np.zeros((horizon, 1)),
                       updated=np.ones(horizon, dtype=bool), actions=None)
 
 
@@ -397,15 +399,20 @@ def test_rate_recovers_synthetic_exponential():
     assert r2 > 1.0 - 1e-12
 
 
-def test_rate_burn_in_and_zero_truncation():
-    traj = _synthetic_traj(-0.05, horizon=300)
-    traj.thetas[250:, 0] = 0.0  # exact zeros once the posterior collapses
-    with pytest.warns(UserWarning):
-        slope, _ = estimate_convergence_rate(traj, s=0, burn_in=50)
-    assert math.isclose(slope, -0.05, abs_tol=1e-12)
-    traj.thetas[:, 0] = 0.0
-    with pytest.raises(ContractViolation):
-        estimate_convergence_rate(traj, s=0)
+def test_rate_burn_in_and_excluded_parameter():
+    # at rate -5, theta(0) is exactly 0.0 from stage 150 on; its log is not
+    traj = _synthetic_traj(-5.0, horizon=300)
+    assert traj.thetas[149:, 0].max() == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, _ = estimate_convergence_rate(traj, s=0, burn_in=200)
+    assert math.isclose(slope, -5.0, rel_tol=1e-12)
+    # a -inf in the fitted range (s ruled out by an atom) has no rate
+    traj.log_thetas[250, 0] = -math.inf
+    with pytest.raises(ContractViolation, match="-inf at stage 251 of"):
+        estimate_convergence_rate(traj, s=0, burn_in=200)
+    slope, _ = estimate_convergence_rate(traj, s=0, burn_in=251)
+    assert math.isclose(slope, -5.0, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

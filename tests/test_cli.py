@@ -4,10 +4,12 @@ defaults, reproducible outputs, exit codes, and agreement with the library."""
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -470,25 +472,58 @@ def test_rate_fits_the_last_two_stages(tmp_path):
     assert (out / "rate.json").exists()
 
 
-def test_rate_on_a_belief_at_zero_names_the_stage(tmp_path, capsys):
+def test_rate_fits_a_belief_that_underflows_before_burn_in(tmp_path):
     # on Cournot theta(1) underflows to 0 at stage 1673 of seed 0, before
-    # a burn_in of 2000: a run error, and no output directory
+    # a burn_in of 2000; its log does not, and the fit reads the log
     doc = {"game": "cournot", "horizon": 3000, "seed": 0,
            "analysis": {"rate": {"param": 1, "burn_in": 2000}}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    slope = json.loads((out / "rate.json").read_text())["per_seed"][0]["slope"]
+    assert math.isfinite(slope) and slope < 0.0
+
+
+def test_rate_on_a_noiseless_channel_is_a_run_error(tmp_path, capsys):
+    # with sigma 0 one observation rules parameter 1 out: log theta(1) is
+    # -inf, which has no rate
+    doc = {"game": {"id": "cournot", "sigma": 0}, "horizon": 200, "seed": 0,
+           "analysis": {"rate": {"param": 1}}}
     out = tmp_path / "out"
     assert main(["rate", "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: belief theta(1) is exactly 0 at the start of the fitted "
-        "range: it first reaches 0 at stage 1673 and burn_in is 2000; a "
-        "burn_in of at most 1670 fits the stages before it"]
+        "error: log theta(1) is -inf at stage 21 of the fitted range: an "
+        "observation ruled the parameter out, so its belief has no decay "
+        "rate to fit"]
     assert not out.exists()
-    # the burn_in the message names leaves two stages to fit
-    doc["analysis"]["rate"]["burn_in"] = 1670
-    with pytest.warns(UserWarning, match="truncating the fitted range"):
+
+
+@pytest.mark.parametrize("game, param, horizon, seeds, max_error", [
+    ("cournot", 1, 20000, 3, 0.05),
+    ("coordination_penalty", 1, 2000, 1, 0.05),
+    ("coordination_penalty", 1, 20000, 1, None),
+    ("investment", 0, 20000, 1, None),
+], ids=["cournot", "coordination-2000", "coordination-20000", "investment"])
+def test_rate_fits_past_underflow_and_predicts_along_the_path(
+        tmp_path, game, param, horizon, seeds, max_error):
+    # the default burn_in (horizon // 10) lies past the stage at which
+    # theta(param) underflows to 0 on each of these; coordination_penalty
+    # cycles with period 2, so only the path mean of KL predicts its slope
+    doc = {"game": game, "horizon": horizon,
+           "seeds": {"start": 0, "count": seeds},
+           "analysis": {"rate": {"param": param}}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["rate", "--config", write_config(tmp_path, doc),
                      "--out", str(out)]) == 0
-    assert (out / "rate.json").exists()
+    report = json.loads((out / "rate.json").read_text())
+    assert report["relative_error"] is not None
+    if max_error is not None:
+        assert report["relative_error"] <= max_error
 
 
 def test_python_m_top_level_list_has_no_traceback(tmp_path):
@@ -724,6 +759,36 @@ def test_run_map_two_timescale_matches_library(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["eq_distance_at_updates"] == [
         list(x) for x in lib.summary["eq_distance_at_updates"]]
+
+
+@pytest.mark.parametrize("game_id", ["coordination_penalty",
+                                     "two_route_congestion"])
+def test_rate_predicts_the_path_mean_of_kl(tmp_path, game_id):
+    # the prediction is -KL(s* || s) averaged over the fitted stages and
+    # the seeds, at q^t on a continuous game and at the realized one-hot
+    # action profile on a finite one
+    doc = {"game": game_id, "horizon": 300, "seeds": {"start": 4, "count": 2},
+           "analysis": {"rate": {"param": 1, "burn_in": 30}},
+           "output_dir": str(tmp_path)}
+    assert main(["rate", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads((tmp_path / "rate.json").read_text())
+    game = getattr(games, game_id)()
+    kls = []
+    for seed in (4, 5):
+        traj = run(game, UpdateRule.simultaneous(),
+                   UpdateSchedule.every_stage(),
+                   ([1.0 / len(game.space)] * len(game.space),
+                    game.box_center()), 300, seed)
+        for t in range(31, 301):
+            profile = traj.qs[t - 1]
+            if traj.actions is not None:
+                profile = np.zeros(game.q_dim)
+                for sl, a in zip(game.slices, traj.actions[t - 1]):
+                    profile[sl.start + a] = 1.0
+            kls.append(analysis.kl_divergence(
+                game, game.space.true_index, 1, profile.tolist()))
+    assert math.isclose(out["predicted_minus_kl"], -float(np.mean(kls)),
+                        rel_tol=1e-12)
 
 
 def test_rate_map_matches_library(tmp_path):

@@ -350,8 +350,10 @@ def _edge_trajectory(n_rows):
     """Rows that cycle through EDGE_VALUES in every column."""
     vals = np.asarray(EDGE_VALUES * (n_rows * 6 // len(EDGE_VALUES) + 1))
     block = vals[:n_rows * 6].reshape(n_rows, 6)
-    return Trajectory(thetas=block[:, :3].copy(), qs=block[:, 3:5].copy(),
-                      cs=block[:, 5:].copy(),
+    # the writer does not read log_thetas
+    return Trajectory(thetas=block[:, :3].copy(),
+                      log_thetas=np.zeros((n_rows, 3)),
+                      qs=block[:, 3:5].copy(), cs=block[:, 5:].copy(),
                       updated=np.arange(n_rows) % 3 == 0, actions=None)
 
 
@@ -442,6 +444,7 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
     n_updates = 0
     next_k = next_update_stage(schedule, 1, n_updates, rng)
     thetas = np.empty((horizon, len(game.space)))
+    log_thetas = np.empty((horizon, len(game.space)))
     qs = np.empty((horizon, game.q_dim))
     cs = np.empty((horizon, game.obs_dim))
     upd = np.zeros(horizon, dtype=bool)
@@ -456,6 +459,7 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
     eq_checkpoints = []
     for t in range(1, horizon + 1):
         thetas[t - 1] = np.exp(log_probs)
+        log_thetas[t - 1] = log_probs
         qs[t - 1] = q
         profile, actions = _ref_realized_profile(game, rule.kind, log_probs,
                                                  q, rng)
@@ -492,6 +496,7 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
             t_stop = t
             if stop_when_converged:
                 thetas, qs, cs, upd = thetas[:t], qs[:t], cs[:t], upd[:t]
+                log_thetas = log_thetas[:t]
                 if acts is not None:
                     acts = acts[:t]
                 break
@@ -510,8 +515,8 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
         summary["cycle_detected"] = True
         summary["cycle_period"] = int(cycle)
     summary["update_stages"] = eq_checkpoints
-    return Trajectory(thetas=thetas, qs=qs, cs=cs, updated=upd, actions=acts,
-                      summary=summary)
+    return Trajectory(thetas=thetas, log_thetas=log_thetas, qs=qs, cs=cs,
+                      updated=upd, actions=acts, summary=summary)
 
 
 def _builtin_game(game_id):
@@ -528,7 +533,7 @@ _SCHEDULES = {"every_stage": UpdateSchedule.every_stage,
 
 
 def _assert_same_trajectory(got, want):
-    for name in ("thetas", "qs", "cs", "updated"):
+    for name in ("thetas", "log_thetas", "qs", "cs", "updated"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -561,6 +566,41 @@ def test_run_matches_reference_loop_exactly(game_id, rule_kind, schedule,
                               conv_window=window, conv_tol=tol,
                               respond_to=respond_to)
         _assert_same_trajectory(got, want)
+
+
+def _assert_log_record(traj):
+    """The log rows are the log-probabilities the update works on: their
+    exps are the probability rows bit for bit."""
+    assert traj.log_thetas.shape == traj.thetas.shape
+    assert np.exp(traj.log_thetas).tobytes() == traj.thetas.tobytes()
+
+
+@pytest.mark.parametrize("schedule", list(_SCHEDULES))
+@pytest.mark.parametrize("game_id, rule_kind", _GAME_RULES,
+                         ids=["%s-%s" % gr for gr in _GAME_RULES])
+def test_log_thetas_are_the_logs_of_thetas(game_id, rule_kind, schedule):
+    game = _builtin_game(game_id)
+    init = (np.arange(1.0, len(game.space) + 1.0), game.box_center())
+    for seed in (0, 7):
+        _assert_log_record(run(game, UpdateRule(rule_kind),
+                               _SCHEDULES[schedule](), init, 300, seed=seed))
+
+
+def test_log_thetas_on_an_early_stop_and_a_map_run(monkeypatch):
+    game = _builtin_game("cournot")
+    init = ([1.0 - 1e-12, 1e-12], game.box_center())
+    monkeypatch.setattr(dynamics, "CONV_WINDOW", 200)
+    monkeypatch.setattr(dynamics, "CONV_TOL", 1e-3)
+    stopped = run(game, UpdateRule.linear(), UpdateSchedule.every_stage(),
+                  init, 2000, seed=5, stop_when_converged=True)
+    assert stopped.horizon < 2000
+    _assert_log_record(stopped)
+    # theta(1) underflows to 0.0 within 2000 stages; its log stays finite
+    mapped = run(game, UpdateRule.simultaneous(), UpdateSchedule.every_stage(),
+                 ([0.5, 0.5], game.box_center()), 2000, seed=0,
+                 respond_to="map")
+    assert mapped.thetas[-1, 1] == 0.0 and mapped.log_thetas[-1, 1] > -np.inf
+    _assert_log_record(mapped)
 
 
 @pytest.mark.parametrize("stop, window, tol",
