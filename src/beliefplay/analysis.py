@@ -198,7 +198,7 @@ class FixedPointCluster:
 
 def belief_grid(n_params, resolution):
     """Deterministic grid on the simplex (resolution points per edge, an
-    integer >= 2)."""
+    integer >= 2): a list of probability vectors, each a list of floats."""
     return list(_grid_points(n_params, resolution))
 
 
@@ -211,7 +211,7 @@ def _grid_points(n_params, resolution):
     g = resolution - 1
     if n_params == 2:
         for i in range(g + 1):
-            yield np.asarray([i / g, 1.0 - i / g])
+            yield [i / g, 1.0 - i / g]
         return
     # stars-and-bars walk
     for combo in itertools.combinations(range(g + n_params - 1), n_params - 1):
@@ -221,7 +221,7 @@ def _grid_points(n_params, resolution):
             parts.append(c - prev - 1)
             prev = c
         parts.append(g + n_params - 2 - prev)
-        yield np.asarray(parts, dtype=float) / g
+        yield [p / g for p in parts]
 
 
 def _link_groups(thetas, qs, link_theta, link_q):
@@ -344,8 +344,7 @@ def enumerate_fixed_points(game, belief_grid_resolution=51):
     n_members = 5
     valid = []
     cache = {}
-    for probs in _grid_points(len(game.space), belief_grid_resolution):
-        theta = probs.tolist()
+    for theta in _grid_points(len(game.space), belief_grid_resolution):
         eq = equilibrium_set(game, theta)
         support = {s for s, x in enumerate(theta) if x > 0.0}
         for q, equiv in _members_with_equivalence(
@@ -367,7 +366,7 @@ def _cluster_certificates(game, valid, belief_grid_resolution,
     if not valid:
         return []
     if game.kind == "continuous":
-        diam = float(np.max(game.box_hi() - game.box_lo()))
+        diam = max(hi - lo for lo, hi in zip(game.box_lo(), game.box_hi()))
     else:
         diam = 1.0
     d_theta = 1.0 / (belief_grid_resolution - 1)
@@ -424,9 +423,8 @@ def check_all_fixed_points_complete(game, seed=0):
     # Dirichlet draw repeats none, so its set is not kept
     members = {}
     grid = ((probs, members) for probs in _grid_points(n, 51))
-    draws = ((rng.dirichlet(np.ones(n)), {}) for _ in range(500))
+    draws = ((rng.dirichlet(np.ones(n)).tolist(), {}) for _ in range(500))
     for probs, cache in itertools.chain(grid, draws):
-        probs = probs.tolist()
         if probs[s_star] >= 1.0 - 1e-12:
             continue
         eq = equilibrium_set(game, probs)
@@ -447,7 +445,7 @@ def _members_with_equivalence(game, eq, n, tol_kl, cache):
     found = cache.get(key)
     if found is None:
         found = cache[key] = [(q, payoff_equivalent_set(game, q, tol_kl))
-                              for q in eq.representatives(n).tolist()]
+                              for q in eq.representatives(n)]
     return found
 
 
@@ -459,9 +457,8 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
     (ii) own-payoffs are concave for supported parameters; also verifies
     EQ(theta_bar) = EQ(theta*), up to an exact Hausdorff distance of 1e-6."""
     rng = np.random.default_rng(seed)
-    q_bar = np.asarray(certificate.q)
     support = certificate.support
-    near = _near_eq_sampler(game, EquilibriumSet.of_point(q_bar), xi)
+    near = _near_eq_sampler(game, EquilibriumSet.of_point(certificate.q), xi)
 
     cond_i = True
     counterexample = None
@@ -475,15 +472,13 @@ def check_complete_info_equilibrium_conditions(game, certificate, xi=0.1,
     cond_ii = True
     for s in support:
         for i in range(game.n_players):
-            xs = np.linspace(*game.boxes[i], 21)
             vals = []
-            for x in xs:
-                trial = q_bar.copy()
-                trial[game.slices[i]] = x
+            for x in np.linspace(*game.boxes[i], 21).tolist():
+                trial = list(certificate.q)
+                trial[i] = x  # a continuous game: player i's one coordinate
                 vals.append(game.mean_payoff(s, trial, i))
-            vals = np.asarray(vals)
-            second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-            if np.any(second > 1e-9):
+            if any(c - 2.0 * b + a > 1e-9
+                   for a, b, c in zip(vals, vals[1:], vals[2:])):
                 cond_ii = False
 
     eq_bar = equilibrium_set(game, list(certificate.belief))
@@ -738,7 +733,7 @@ def _near_eq_sampler(game, eq, delta):
     point = list(eq.point) if eq.kind == "point" else None
 
     def draw(rng):
-        base = point if point is not None else eq.sample(1, rng)[0].tolist()
+        base = point if point is not None else eq.sample(1, rng)[0]
         if delta > 0.0:
             base = [b + (2.0 * u - 1.0) * delta
                     for b, u in zip(base, rng.random(len(base)).tolist())]
@@ -951,7 +946,7 @@ def check_global_stability(game, clusters, counterexample, n_random_starts=50,
     starts = []
     for k in range(n_random_starts):
         theta1 = rng.dirichlet(np.ones(len(theta_star))).tolist()
-        q1 = game.random_profile(rng).tolist()
+        q1 = game.random_profile(rng)
         starts.append((replica_seed(seed, k), theta1, q1))
     n_converged = 0
     for final_theta, final_q in _final_states(

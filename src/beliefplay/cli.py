@@ -145,7 +145,7 @@ class ExperimentConfig:
     schedule: UpdateSchedule
     estimator: str
     theta1: np.ndarray
-    q1: np.ndarray
+    q1: list  # init.q, or the box center, as floats
     horizon: int
     seeds: object  # [seed], or the range a seeds block gives
     analysis: dict  # the fixed_points, stability and rate blocks, resolved
@@ -375,6 +375,8 @@ def parse_config(text):
                 errors.append("initial strategy entries must be finite")
             elif not game.feasible(q1):
                 errors.append("initial strategy outside the strategy set")
+            else:
+                q1 = q1.tolist()
         else:
             q1 = game.box_center()
 
@@ -468,11 +470,8 @@ def _ols_experiment(cfg, seed):
     lo, hi = game.box_lo(), game.box_hi()
     # probes must span the strategy space affinely, else the design is
     # rank deficient (all-equal coordinates collapse the slope columns)
-    probes = [lo, hi, 0.5 * (lo + hi)]
-    for i in range(lo.size):
-        corner = lo.copy()
-        corner[i] = hi[i]
-        probes.append(corner)
+    probes = [lo, hi, game.box_center()] + [
+        lo[:i] + hi[i:i + 1] + lo[i + 1:] for i in range(len(lo))]
     s_star = game.space.true_index
     design = np.ones((cfg.horizon, game.q_dim + 1))
     responses = np.empty((cfg.horizon, game.n_players))

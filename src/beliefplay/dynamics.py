@@ -12,10 +12,11 @@ stages as lists of Python floats; numpy appears only in the normaliser's
 `np.exp` and the finite games' action draws.  The trajectory rows live in
 arrays allocated once per run, are written value by value through flat
 views of them, and the convergence window compares two rows on those views.
-A belief update takes no `np.exp` once every losing score lies below the
-exp's underflow point (the exps are then exactly 1.0 and 0.0, see
-`_shift_exp`), one once the posterior is concentrated (the shifted exps sum
-to exactly 1.0 and are the probabilities, see `_normalize`) and two
+A belief update normalises the log probabilities plus the batch's
+log-likelihoods with `_normalize`, as `bayes_update` does, so a NaN score
+raises ContractViolation at once.  It takes no `np.exp` once every losing
+score lies below the exp's underflow point (see `_shift_exp`), one once the
+posterior is concentrated (the shifted exps sum to exactly 1.0) and two
 otherwise.  The loop reads the game's geometry once per run.
 Every kernel a stage calls follows the bit rule stated in `games`, and none
 takes an `np.log`, so one replica's arithmetic is the same as it would be
@@ -185,8 +186,11 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     _check_length(log_probs, game)
     if NEG_INF in log_probs:
         raise ContractViolation("initial belief must have full support")
-    q0 = np.asarray(q0, dtype=float)
-    if not game.feasible(q0):
+    q = np.asarray(q0, dtype=float).tolist()
+    if len(q) != game.q_dim:
+        raise ContractViolation("initial strategy has %d entries, expected %d"
+                                % (len(q), game.q_dim))
+    if not game.feasible(q):
         raise ContractViolation("initial strategy outside the strategy set")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_updates = 0
@@ -212,7 +216,6 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     fictitious = rule.kind == "fictitious_play"
     respond_map = respond_to == "map"
     probs = np.exp(log_probs).tolist()
-    q = q0.tolist()
     pending = []
     last_big_move = 0  # last stage with a strategy step >= CONV_TOL
     converged = False

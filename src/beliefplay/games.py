@@ -15,7 +15,9 @@ are closed forms: every continuous game supplies an ``analytic_br``, and a
 finite game without one plays one of its `tied_actions`, the optimal
 actions under the belief.  Both take lists of floats, and `best_response`
 returns the player's block as a tuple of floats.  `EquilibriumSet.project`
-is the one projection onto an equilibrium set, or a strategy box.
+is the one projection onto an equilibrium set, or a strategy box.  The
+geometry helpers (``box_lo``/``box_hi``/``box_center``/``random_profile``,
+`EquilibriumSet.sample`/``representatives``) return lists of floats.
 
 Bit rule: every sum over the parameters or over a probability vector runs
 left to right in plain float arithmetic: each expectation under the belief
@@ -38,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
-                           _check_length, _expect, _floats, _is_count)
+                           _check_length, _expect, _floats, _is_count, _total)
 
 FLAT_TOL = 1e-12
 
@@ -134,34 +136,33 @@ class EquilibriumSet:
         return gap
 
     def sample(self, n, rng):
-        """n member profiles (uniform over the set's parametrization)."""
+        """n member profiles (uniform over the set's parametrization), a list
+        of n lists of floats."""
         if self.kind == "point":
-            return np.tile(np.asarray(self.point), (n, 1))
+            return [list(self.point) for _ in range(n)]
         if self.kind == "box":
-            lo = np.asarray(self.lo)
-            hi = np.asarray(self.hi)
-            return lo + (hi - lo) * rng.random((n, lo.size))
+            return [[lo + (hi - lo) * u for lo, hi, u in zip(self.lo, self.hi,
+                                                             row)]
+                    for row in rng.random((n, len(self.lo))).tolist()]
         if self.kind == "line":
             a, b = self.t_range
-            ts = a + (b - a) * rng.random(n)
-            return np.asarray(self.base) + ts[:, None] * np.asarray(self.direction)
-        idx = rng.integers(0, len(self.members), size=n)
-        return np.asarray([self.members[i] for i in idx], dtype=float)
+            return [[c + t * d for c, d in zip(self.base, self.direction)]
+                    for t in [a + (b - a) * u for u in rng.random(n).tolist()]]
+        return [list(self.members[i])
+                for i in rng.integers(0, len(self.members), size=n).tolist()]
 
     def representatives(self, n=5):
-        """Deterministic spread of member profiles (endpoints included)."""
+        """Deterministic spread of member profiles (endpoints included), a
+        list of lists of floats."""
         if self.kind == "point":
-            return np.asarray([self.point], dtype=float)
+            return [list(self.point)]
         if self.kind == "box":
-            lo = np.asarray(self.lo)
-            hi = np.asarray(self.hi)
-            ts = np.linspace(0.0, 1.0, n)
-            return lo + ts[:, None] * (hi - lo)
+            return [[lo + t * (hi - lo) for lo, hi in zip(self.lo, self.hi)]
+                    for t in np.linspace(0.0, 1.0, n).tolist()]
         if self.kind == "line":
-            a, b = self.t_range
-            ts = np.linspace(a, b, n)
-            return np.asarray(self.base) + ts[:, None] * np.asarray(self.direction)
-        return np.asarray(self.members, dtype=float)
+            return [[c + t * d for c, d in zip(self.base, self.direction)]
+                    for t in np.linspace(*self.t_range, n).tolist()]
+        return [list(m) for m in self.members]
 
 
 @dataclass
@@ -226,7 +227,7 @@ class GameModel:
     def _box(self, end):
         if self.kind == "finite":
             raise ContractViolation("finite games have no strategy box")
-        return np.asarray([b[end] for b in self.boxes], dtype=float)
+        return [float(b[end]) for b in self.boxes]
 
     def box_lo(self):
         return self._box(0)
@@ -235,34 +236,31 @@ class GameModel:
         return self._box(1)
 
     def feasible(self, q):
-        q = np.asarray(q, dtype=float)
-        tol = 1e-9  # per entry; 1e-6 on each finite block's sum
-        if self.kind == "continuous":
-            return bool(
-                np.all(q >= self.box_lo() - tol) and np.all(q <= self.box_hi() + tol)
-            )
-        if np.any(q < -tol):
+        """Whether q has q_dim entries and lies in the strategy set: to 1e-9
+        per entry, and 1e-6 on each finite block's left-to-right sum."""
+        q = _floats(q)
+        if len(q) != self.q_dim:
             return False
-        return all(
-            abs(float(np.sum(q[sl])) - 1.0) <= 1e-6 for sl in self.slices
-        )
+        if self.kind == "continuous":
+            return all(lo - 1e-9 <= x <= hi + 1e-9 for x, lo, hi in
+                       zip(q, self.box_lo(), self.box_hi()))
+        return (all(x >= -1e-9 for x in q)
+                and all(abs(_total(q[sl]) - 1.0) <= 1e-6 for sl in self.slices))
 
     def box_center(self):
         if self.kind == "continuous":
-            return 0.5 * (self.box_lo() + self.box_hi())
-        out = np.zeros(self.q_dim)
-        for sl, n_act in zip(self.slices, self.boxes):
-            out[sl] = 1.0 / n_act
-        return out
+            return [0.5 * (lo + hi) for lo, hi in zip(self.box_lo(),
+                                                      self.box_hi())]
+        return [1.0 / n_act for n_act in self.boxes for _ in range(n_act)]
 
     def random_profile(self, rng):
-        """A random start: uniform on the strategy box, or one Dirichlet mixed
-        strategy per player in a finite game."""
+        """A random start, a list of floats: uniform on the strategy box, or
+        one Dirichlet mixed strategy per player in a finite game."""
         if self.kind == "finite":
-            return np.concatenate([rng.dirichlet(np.ones(n_act))
-                                   for n_act in self.boxes])
-        lo, hi = self.box_lo(), self.box_hi()
-        return lo + (hi - lo) * rng.random(self.n_players)
+            return [x for n_act in self.boxes
+                    for x in rng.dirichlet(np.ones(n_act)).tolist()]
+        return [lo + (hi - lo) * u for lo, hi, u in zip(
+            self.box_lo(), self.box_hi(), rng.random(self.n_players).tolist())]
 
     # -- channels -----------------------------------------------------------
     def channel_means(self, q):
@@ -402,7 +400,7 @@ def equilibrium_set(game, belief):
     rng = np.random.default_rng(0)
     limits = []
     for _ in range(20):
-        q = game.random_profile(rng)
+        q = np.asarray(game.random_profile(rng))
         for it in range(2000):
             nxt = 0.5 * q + 0.5 * np.asarray(br_profile(game, probs, q))
             if np.max(np.abs(nxt - q)) < 1e-10:

@@ -2,10 +2,14 @@
 belief-update schedules.
 
 A belief is a probability vector, one entry per parameter.  `run` and the
-estimators carry it as log probabilities (`log_belief`, normalized with
-log-sum-exp) because posterior mass on distinguishable parameters decays
-exponentially over long horizons.  Exact zeros are represented by a -inf
-sentinel; there is no probability floor.
+estimators carry it as log probabilities (`log_belief`) because posterior
+mass on distinguishable parameters decays exponentially over long horizons.
+Exact zeros are represented by a -inf sentinel; there is no probability
+floor.  One normaliser, `_normalize`, turns summed log scores into the
+log probabilities and the probabilities: `log_belief`, `bayes_update`,
+`map_update` and `run`'s update all go through it, so all of them raise
+ContractViolation on a NaN or +inf score and ImpossibleObservation when
+every score is -inf.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def _check_length(probs, game):
 def log_belief(probs):
     """The log probabilities (a list) of the belief proportional to
     ``probs``: log(p / total) by `np.log`, with the total summed left to
-    right and -inf for a zero, then normalised by `_log_normalize`."""
+    right and -inf for a zero, then normalised by `_normalize`."""
     p = _floats(probs)
     if any(x < 0.0 for x in p):
         raise ContractViolation("probabilities must be non-negative")
@@ -98,10 +102,8 @@ def log_belief(probs):
     ratios = [x / total for x in p]
     # log(0) is -inf; np.log of a zero would warn
     logs = iter(np.log([r for r in ratios if r != 0.0]).tolist())
-    lp = [NEG_INF if r == 0.0 else next(logs) for r in ratios]
-    if not all(x < math.inf for x in lp):  # false for NaN and +inf
-        raise ContractViolation("log-probabilities must be finite or -inf")
-    return _log_normalize(lp)
+    return _normalize([NEG_INF if r == 0.0 else next(logs)
+                       for r in ratios])[0]
 
 
 def _total(xs):
@@ -129,21 +131,27 @@ def _shift_exp(lp):
     """The scores ``lp`` (a list of floats) shifted by their max, the exps of
     the shifted scores and the log of the exps' sum.  The sum runs left to
     right and its log is `math.log`, so the result does not depend on how
-    many beliefs are normalised at once.
+    many beliefs are normalised at once.  A NaN or +inf score raises
+    ContractViolation; failing that, scores that are all -inf raise
+    ImpossibleObservation.
 
-    When the max is finite and every other shifted score lies below
-    _EXP_UNDERFLOW, as it does once the posterior has all but converged to a
-    point mass, the exps are exactly 1.0 at the max and 0.0 elsewhere and
-    the log of their sum is 0.0; they are returned without an `np.exp`."""
+    When every shifted score but the max lies below _EXP_UNDERFLOW, as it
+    does once the posterior has all but converged to a point mass, the exps
+    are exactly 1.0 at the max and 0.0 elsewhere and the log of their sum is
+    0.0; they are returned without an `np.exp`."""
     m = max(lp)
-    if m == NEG_INF:
+    if m == NEG_INF and all(x == NEG_INF for x in lp):
         raise ImpossibleObservation("all parameters carry zero probability")
     shifted = [x - m for x in lp]
     live = 0  # shifted scores at or above the bound, NaN included
     for x in shifted:
         if not x < _EXP_UNDERFLOW:
+            # a NaN score, or a max of +inf or -inf, leaves a NaN here
+            if not x <= 0.0:
+                raise ContractViolation("log-probabilities must be finite or "
+                                        "-inf")
             live += 1
-    if live == 1 and m < math.inf:
+    if live == 1:
         return shifted, [1.0 if x == 0.0 else 0.0 for x in shifted], 0.0
     exps = np.exp(shifted).tolist()
     total = 0.0
@@ -152,21 +160,15 @@ def _shift_exp(lp):
     return shifted, exps, math.log(total)
 
 
-def _log_normalize(lp):
-    """Log-probabilities (a list of floats) shifted so that their exps sum
-    to one: the shifted scores of `_shift_exp` less the log of their exps'
-    sum."""
-    shifted, _, log_total = _shift_exp(lp)
-    return [x - log_total for x in shifted]
-
-
 def _normalize(lp):
-    """``(_log_normalize(lp), np.exp(_log_normalize(lp)).tolist())``, bit
-    for bit.  When the exps of the shifted scores sum to exactly one, as
-    they do once the posterior is concentrated, the log of the sum is 0.0
-    and x - 0.0 == x, so those exps are already the probabilities and the
-    second `np.exp` is skipped.  A posterior whose losing scores all lie
-    below `_EXP_UNDERFLOW` takes no `np.exp` at all (see `_shift_exp`)."""
+    """The log-probabilities and the probabilities (two lists of floats) of
+    the scores ``lp``: the shifted scores of `_shift_exp` less the log of
+    their exps' sum, and the `np.exp` of those.  When the exps of the
+    shifted scores sum to exactly one, as they do once the posterior is
+    concentrated, the log of the sum is 0.0 and x - 0.0 == x, so those exps
+    are already the probabilities and the second `np.exp` is skipped.  A
+    posterior whose losing scores all lie below `_EXP_UNDERFLOW` takes no
+    `np.exp` at all (see `_shift_exp`)."""
     shifted, exps, log_total = _shift_exp(lp)
     if log_total == 0.0:
         return shifted, exps
@@ -226,32 +228,23 @@ def batch_log_likelihoods(belief_or_space, batch, game):
     return [0.0] * len(game.space) if acc is None else acc
 
 
-def _posterior_scores(prior, batch, game):
-    """Unnormalized log-posterior as `run` sums it: log prior(s) + sum_t log
-    phi^s(c^t|q^t), a list of floats."""
-    if len(batch) == 0:
-        raise ContractViolation("batch must be non-empty")
-    _check_length(prior, game)
-    scores = [lp + ll for lp, ll in zip(
-        _floats(prior), batch_log_likelihoods(prior, batch, game))]
-    if not all(x < math.inf for x in scores):  # false for NaN and +inf
-        raise ContractViolation("log-probabilities must be finite or -inf")
-    if max(scores) == NEG_INF:
-        raise ImpossibleObservation("all parameters carry zero likelihood")
-    return scores
-
-
 def bayes_update(belief, batch, game):
     """Posterior log probabilities given prior ones and a batch, a list of
     (q, c) records: theta(s) prop. to theta_prev(s) * prod_t phi^s(c^t|q^t),
-    normalised as `run` normalises it."""
-    return _log_normalize(_posterior_scores(belief, batch, game))
+    summed and normalised as `run` sums and normalises it."""
+    if len(batch) == 0:
+        raise ContractViolation("batch must be non-empty")
+    prior = _floats(belief)
+    _check_length(prior, game)
+    return _normalize([lp + ll for lp, ll in zip(
+        prior, batch_log_likelihoods(prior, batch, game))])[0]
 
 
 def map_update(prior, batch, game):
-    """argmax_s log prior(s) + sum log phi^s(c|q), lowest index on ties."""
-    scores = _posterior_scores(prior, batch, game)
-    return scores.index(max(scores))
+    """The mode of `bayes_update`'s posterior, lowest index on ties: the
+    parameter that `run` responds to with ``respond_to="map"``."""
+    log_probs = bayes_update(prior, batch, game)
+    return log_probs.index(max(log_probs))
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_criterion_2_convergence_statistics(criterion):
         clusters = enumerate_fixed_points(game)
         beliefs = np.vstack([np.asarray(m.belief)
                              for c in clusters for m in c.members])
-        lo, hi = game.box_lo(), game.box_hi()
+        lo, hi = np.asarray(game.box_lo()), np.asarray(game.box_hi())
         n = len(game.space)
         for rname, make_rule in (("simultaneous", UpdateRule.simultaneous),
                                  ("sequential", UpdateRule.sequential),
@@ -464,10 +464,10 @@ def test_criterion_11_oracle_equivalences(criterion):
         game = make()
         n = len(game.space)
         worst = 0.0
+        box_lo, box_hi = np.asarray(game.box_lo()), np.asarray(game.box_hi())
         for _ in range(100):
             probs = rng.dirichlet(np.ones(n))
-            q = game.box_lo() + (game.box_hi()
-                                 - game.box_lo()) * rng.random(2)
+            q = box_lo + (box_hi - box_lo) * rng.random(2)
             for i in range(2):
                 ana = best_response(game, probs, i, q)
                 num, _ = numeric_best_response(game, probs, i, q)

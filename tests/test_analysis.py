@@ -40,6 +40,7 @@ from beliefplay.analysis import (
 from beliefplay.dynamics import Trajectory
 from beliefplay.games import EquilibriumSet, equilibrium_set
 from beliefplay.param_belief import ContractViolation
+from oracles import reference_grid_points
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +147,19 @@ def test_belief_grid_counts_and_simplex():
     assert len(belief_grid(3, 4)) == 10
     assert len(belief_grid(4, 4)) == 20  # C(6, 3)
     for probs in belief_grid(4, 4):
-        assert math.isclose(float(np.sum(probs)), 1.0, abs_tol=1e-12)
-        assert np.all(probs >= 0.0)
+        assert type(probs) is list and len(probs) == 4
+        assert math.isclose(math.fsum(probs), 1.0, abs_tol=1e-12)
+        assert all(p >= 0.0 for p in probs)
+
+
+@pytest.mark.parametrize("n_params", [2, 3, 4])
+def test_belief_grid_equals_the_numpy_reference(n_params):
+    # lists of floats, bit for bit the rows of the array grid
+    for res in range(2, 10):
+        want = [p.tolist() for p in reference_grid_points(n_params, res)]
+        got = belief_grid(n_params, res)
+        assert [[x.hex() for x in p] for p in got] == \
+            [[x.hex() for x in p] for p in want]
 
 
 def test_three_parameter_grid_is_the_nested_walk():
@@ -157,7 +169,7 @@ def test_three_parameter_grid_is_the_nested_walk():
         g = res - 1
         nested = [[i / g, j / g, (g - i - j) / g]
                   for i in range(g + 1) for j in range(g + 1 - i)]
-        assert [p.tolist() for p in belief_grid(3, res)] == nested
+        assert belief_grid(3, res) == nested
 
 
 def test_enumerate_fixed_points_cournot_small_grid(cournot_game):

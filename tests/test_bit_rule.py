@@ -23,13 +23,15 @@ RULED = {
     "dynamics": ("run", "_realized_profile", "_apply_rule"),
     "games": ("best_response", "tied_actions", "_interval_br",
               "sample_payoffs", "expected_payoff", "equilibrium_set",
-              "GameModel.channel_means", "EquilibriumSet.project",
-              "EquilibriumSet.distance"),
+              "GameModel.channel_means", "GameModel.feasible",
+              "GameModel.box_center", "GameModel.random_profile",
+              "EquilibriumSet.project", "EquilibriumSet.distance",
+              "EquilibriumSet.sample", "EquilibriumSet.representatives"),
     "param_belief": ("_expect", "_total", "log_likelihood",
-                     "batch_log_likelihoods", "_shift_exp", "_log_normalize",
-                     "_normalize", "next_update_stage"),
-    "analysis": ("sample_belief_ball", "_near_eq_sampler", "_extreme_points",
-                 "_directed_hausdorff"),
+                     "batch_log_likelihoods", "_shift_exp", "_normalize",
+                     "bayes_update", "next_update_stage"),
+    "analysis": ("sample_belief_ball", "_grid_points", "_near_eq_sampler",
+                 "_extreme_points", "_directed_hausdorff"),
 }
 
 

@@ -25,7 +25,6 @@ from beliefplay.games import best_response, sample_payoffs, tied_actions
 from beliefplay.param_belief import (
     ContractViolation,
     UpdateSchedule,
-    _log_normalize,
     _normalize,
     _shift_exp,
     batch_log_likelihoods,
@@ -33,6 +32,7 @@ from beliefplay.param_belief import (
     log_belief,
     next_update_stage,
 )
+from oracles import log_normalize
 
 
 def test_run_is_deterministic_given_seed(investment_game):
@@ -468,7 +468,7 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
         updated = False
         if t + 1 == next_k:
             scores = batch_log_likelihoods(None, pending, game)
-            log_probs = np.asarray(_log_normalize((log_probs + scores).tolist()))
+            log_probs = np.asarray(log_normalize(log_probs + scores))
             pending = []
             n_updates += 1
             next_k = next_update_stage(schedule, next_k, n_updates, rng)
@@ -661,3 +661,43 @@ def test_run_rejects_rows_of_the_wrong_length(cournot_game):
         with pytest.raises(ContractViolation, match=message):
             run(bad, UpdateRule.simultaneous(), UpdateSchedule.every_stage(),
                 init, 10, seed=0)
+
+
+def test_run_rejects_a_nan_posterior_at_the_first_update(cournot_game,
+                                                         monkeypatch):
+    # the second parameter's channel means are NaN, so its score is NaN at
+    # the first update, which must fail instead of writing NaN beliefs
+    means = cournot_game.channel_mean_fn
+    bad = dataclasses.replace(
+        cournot_game,
+        channel_mean_fn=lambda q: [means(q)[0], [math.nan]])
+    calls = []
+
+    def spy(lp):
+        calls.append(lp)
+        return _normalize(lp)
+
+    monkeypatch.setattr(dynamics, "_normalize", spy)
+    with pytest.raises(ContractViolation, match="finite or -inf"):
+        run(bad, UpdateRule.simultaneous(), UpdateSchedule.every_stage(),
+            ([0.5, 0.5], cournot_game.box_center()), 20, seed=0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q0, n", [([0.5], 1), ([0.5, 0.5, 0.5], 3),
+                                   (np.ones(3), 3)])
+def test_run_names_the_entry_count_of_a_start_of_the_wrong_length(
+        cournot_game, q0, n):
+    with pytest.raises(ContractViolation,
+                       match="initial strategy has %d entries, expected 2"
+                       % n):
+        run(cournot_game, UpdateRule.simultaneous(),
+            UpdateSchedule.every_stage(), ([0.5, 0.5], q0), 10, seed=0)
+
+
+def test_run_takes_a_start_of_integers_as_floats(routing_game):
+    # the sequential rule keeps the other player's block for a stage
+    traj = run(routing_game, UpdateRule.sequential(),
+               UpdateSchedule.every_stage(), ([0.5, 0.5], [1, 0, 0, 1]), 1,
+               seed=0)
+    assert all(type(x) is float for x in traj.summary["final_q"])

@@ -22,7 +22,9 @@ from beliefplay.games import (
 )
 from beliefplay.param_belief import ContractViolation
 from oracles import (analytic_interval, numeric_best_response,
-                     reference_project)
+                     reference_box_center, reference_project,
+                     reference_random_profile, reference_representatives,
+                     reference_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,8 @@ def test_numeric_br_matches_analytic(maker, rng):
     n = len(game.space)
     for _ in range(25):
         probs = rng.dirichlet(np.ones(n))
-        q = game.box_lo() + (game.box_hi() - game.box_lo()) * rng.random(2)
+        lo, hi = np.asarray(game.box_lo()), np.asarray(game.box_hi())
+        q = lo + (hi - lo) * rng.random(2)
         for i in range(2):
             ana = best_response(game, probs, i, q)
             num, _ = numeric_best_response(game, probs, i, q)
@@ -429,12 +432,72 @@ def _eq_set_and_rows(draw):
     rows = draw(st.lists(vec, min_size=1, max_size=6))
     # members, and midpoints of two members (ties), exercise the kinks and
     # the first-nearest rule
-    rows += [eq.sample(1, np.random.default_rng(len(rows)))[0].tolist(),
-             q.tolist()]
+    rows += [eq.sample(1, np.random.default_rng(len(rows)))[0], q.tolist()]
     if eq.kind == "finite_list":
         rows += [((np.asarray(a) + np.asarray(b)) / 2.0).tolist()
                  for a, b in zip(eq.members, eq.members[1:])]
     return eq, np.asarray(rows, dtype=float)
+
+
+def _hex_rows(rows):
+    """The bits of each entry of a list of lists of Python floats; any other
+    type fails."""
+    assert type(rows) is list and all(
+        type(row) is list and all(type(x) is float for x in row)
+        for row in rows)
+    return [[x.hex() for x in row] for row in rows]
+
+
+_signed_coord = st.one_of(_coord, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _eq_sets(draw):
+    """An equilibrium set of each kind, in 1 to 4 dimensions, whose
+    coordinates include 0.0 and -0.0."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(_signed_coord, min_size=dim, max_size=dim)
+    kind = draw(st.sampled_from(["point", "box", "line", "finite_list"]))
+    if kind == "point":
+        return EquilibriumSet.of_point(draw(vec))
+    if kind == "box":
+        return EquilibriumSet.of_box(draw(vec), draw(vec))
+    if kind == "line":
+        return EquilibriumSet.of_line(draw(vec), draw(vec), sorted(draw(
+            st.lists(_signed_coord, min_size=2, max_size=2))))
+    return EquilibriumSet.of_finite_list(
+        draw(st.lists(vec, min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eq_sets(), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_sample_and_representatives_equal_the_numpy_reference(eq, n, seed):
+    # lists of floats, bit for bit the rows of the numpy bodies, signed
+    # zeros included, with the same draws
+    assert _hex_rows(eq.representatives(n)) == _hex_rows(
+        reference_representatives(eq, n).tolist())
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _hex_rows(eq.sample(n, a)) == _hex_rows(
+        reference_sample(eq, n, b).tolist())
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("game_id", list(GAMES) + ["routing_3"])
+def test_box_center_and_random_profile_equal_the_numpy_reference(game_id):
+    if game_id == "routing_3":
+        game = games.two_route_congestion(n_players=3)
+    else:
+        factory, _, defaults = GAMES[game_id]
+        game = factory(**defaults)
+    assert _hex_rows([game.box_center()]) == _hex_rows(
+        [reference_box_center(game).tolist()])
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        q = game.random_profile(a)
+        assert _hex_rows([q]) == _hex_rows(
+            [reference_random_profile(game, b).tolist()])
+        assert a.bit_generator.state == b.bit_generator.state
+        assert game.feasible(q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -514,14 +577,25 @@ def test_sample_payoffs_mean_and_scale(cournot_game):
     assert abs(draws.std() - math.sqrt(0.5)) < 0.05
 
 
-def test_feasibility_and_box_center(zerosum_game, routing_game):
+def test_feasibility_and_box_center(zerosum_game, routing_game,
+                                    cournot_game):
     assert zerosum_game.feasible([0.0, 6.0])
+    assert zerosum_game.feasible(np.asarray([0.0, 6.0]))
     assert not zerosum_game.feasible([-0.1, 1.0])
     assert not zerosum_game.feasible([1.0, 6.1])
-    assert np.array_equal(zerosum_game.box_center(), [3.0, 3.0])
+    assert not zerosum_game.feasible([math.nan, 1.0])
+    assert zerosum_game.box_center() == [3.0, 3.0]
     assert routing_game.feasible([0.5, 0.5, 1.0, 0.0])
     assert not routing_game.feasible([0.7, 0.7, 1.0, 0.0])
-    assert np.array_equal(routing_game.box_center(), [0.5, 0.5, 0.5, 0.5])
+    assert not routing_game.feasible([0.5, 0.5, 1.0, -0.1])
+    assert routing_game.box_center() == [0.5, 0.5, 0.5, 0.5]
+    assert zerosum_game.box_lo() == [0.0, 0.0]
+    assert zerosum_game.box_hi() == [6.0, 6.0]
+    # a profile of the wrong length is infeasible
+    for q in ([0.5], [0.5, 0.5, 0.5], []):
+        assert not cournot_game.feasible(q)
+    assert not routing_game.feasible([0.5, 0.5, 1.0, 0.0, 0.0])
+    assert not routing_game.feasible([0.5, 0.5])
 
 
 def test_finite_games_have_no_strategy_box(routing_game):
@@ -535,13 +609,12 @@ def test_random_profile_draws(zerosum_game, routing_game):
     # continuous: uniform on the box, one draw per player from the stream
     a, b = np.random.default_rng(7), np.random.default_rng(7)
     q = zerosum_game.random_profile(a)
-    lo, hi = zerosum_game.box_lo(), zerosum_game.box_hi()
-    assert np.array_equal(q, lo + (hi - lo) * b.random(2))
+    assert q == [0.0 + 6.0 * u for u in b.random(2).tolist()]
     # finite: one Dirichlet mixed strategy per player
     a, b = np.random.default_rng(7), np.random.default_rng(7)
     q = routing_game.random_profile(a)
-    assert np.array_equal(q, np.concatenate([b.dirichlet(np.ones(2)),
-                                             b.dirichlet(np.ones(2))]))
+    assert q == (b.dirichlet(np.ones(2)).tolist()
+                 + b.dirichlet(np.ones(2)).tolist())
     assert routing_game.feasible(q)
 
 

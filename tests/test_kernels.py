@@ -18,10 +18,11 @@ must equal the oracle's, the residual bit for bit.
 fresh trial profile for each action, and `_payoff_equivalent_oracle` works
 out S*(q) with one `channel_means` call per parameter.
 `_from_probs_oracle` is the array start belief (with its total summed left
-to right) that `log_belief` replaced, and `_belief_oracle` the array
-normalisation of log probabilities that `bayes_update` applies to the prior
+to right) that `log_belief` replaced, and `_bayes_oracle` the array
+normalisation of log probabilities (`oracles.log_normalize`) of the prior
 plus the batch's log-likelihoods: the log probabilities must be equal bit
-for bit, and a bad input must raise the same error.  The fixed-point scans
+for bit, and a bad input must raise the same error.  `map_update` is the
+mode of `bayes_update`'s posterior.  The fixed-point scans
 are checked against scans that work out every equilibrium set's members and
 S*(q) afresh for each grid belief, and against a scan that certifies every
 member, candidate or not.  `_assumption2_oracle`, `_ball_oracle`,
@@ -35,11 +36,12 @@ set, each taken through `oracles.reference_project`, as is the A2b distance.
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefplay import analysis, games
@@ -69,13 +71,14 @@ from beliefplay.param_belief import (
     ContractViolation,
     ImpossibleObservation,
     UpdateSchedule,
-    _log_normalize,
     batch_log_likelihoods,
     bayes_update,
     log_belief,
     log_likelihood,
+    map_update,
 )
-from oracles import analytic_interval, reference_project
+from oracles import (analytic_interval, log_normalize, reference_project,
+                     reference_sample)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -496,7 +499,7 @@ def certificate_cases(draw):
     if game.analytic_eq is not None and draw(st.booleans()):
         # an equilibrium member, as enumerate_fixed_points certifies
         eq = equilibrium_set(game, probs)
-        reps = eq.representatives(draw(st.integers(2, 7))).tolist()
+        reps = eq.representatives(draw(st.integers(2, 7)))
         q = reps[draw(st.integers(0, len(reps) - 1))]
     else:
         q = _draw_profile(draw, game)
@@ -535,14 +538,6 @@ def test_certificates_match_the_array_oracle(case, q_as_array):
 # Beliefs
 
 
-def _belief_oracle(log_probs):
-    """The normalised log probabilities, on arrays."""
-    lp = np.asarray(log_probs, dtype=float)
-    if np.any(np.isnan(lp)) or np.any(lp == np.inf):
-        raise ContractViolation("log-probabilities must be finite or -inf")
-    return _log_normalize(lp.tolist())
-
-
 def _from_probs_oracle(probs):
     """The array start belief, with the total summed left to right: the
     normalised log probabilities."""
@@ -555,7 +550,7 @@ def _from_probs_oracle(probs):
     if not total > 0:
         raise ContractViolation("probabilities must have positive mass")
     with np.errstate(divide="ignore"):
-        return _belief_oracle(tuple(np.log(p / total).tolist()))
+        return log_normalize(np.log(p / total))
 
 
 def _outcome(fn, arg):
@@ -619,15 +614,15 @@ def bayes_cases(draw):
 
 
 def _bayes_oracle(game, log_prior, batch):
-    """`_belief_oracle` of the prior plus the batch's log-likelihoods."""
+    """`oracles.log_normalize` of the prior plus the batch's
+    log-likelihoods: a NaN or +inf score raises before scores that are all
+    -inf do."""
     if len(log_prior) != len(game.space):
         raise ContractViolation("belief has %d entries, expected %d (one per "
                                 "parameter)" % (len(log_prior),
                                                 len(game.space)))
-    scores = np.asarray(log_prior) + batch_log_likelihoods(None, batch, game)
-    if not np.any(np.isnan(scores)) and np.all(scores == -np.inf):
-        raise ImpossibleObservation("all parameters carry zero likelihood")
-    return _belief_oracle(scores)
+    return log_normalize(np.asarray(log_prior)
+                         + batch_log_likelihoods(None, batch, game))
 
 
 @settings(max_examples=300, deadline=None)
@@ -637,6 +632,36 @@ def test_bayes_update_matches_the_array_oracle(case, form):
     assert _outcome(lambda lp: bayes_update(lp, batch, game),
                     form(log_prior)) == \
         _outcome(lambda lp: _bayes_oracle(game, lp, batch), log_prior)
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Noiseless Cournot at q = (1/2, 1/2), where both parameters put the
+    price at 1.0, so a price of 1.0 adds 0.0 to each score and the
+    posterior scores are the prior's: scores within a few ulps of each
+    other, which tie or not once normalised."""
+    game = games.cournot(sigma=0.0)
+    log_prior = draw(st.lists(st.sampled_from(
+        [0.0, -0.0, -1e-17, 1e-17, -3e-17, -1e-16, -2e-16, 5e-324]),
+        min_size=2, max_size=2))
+    return game, log_prior, [([0.5, 0.5], [1.0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bayes_cases(), near_tie_cases()))
+# the scores -1e-17 and 0.0 normalise to log-probabilities that tie at
+# -log 2, so the mode is parameter 0, as `run`'s MAP mode picks it
+@example((games.cournot(sigma=0.0), [-1e-17, 0.0], [([0.5, 0.5], [1.0])]))
+def test_map_update_is_the_mode_of_bayes_update(case):
+    game, log_prior, batch = case
+    try:
+        log_probs = bayes_update(log_prior, batch, game)
+    except (ContractViolation, ImpossibleObservation) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            map_update(log_prior, batch, game)
+        return
+    # np.argmax takes the lowest index on ties
+    assert map_update(log_prior, batch, game) == int(np.argmax(log_probs))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +680,7 @@ def _uncached_members(game, eq, n, tol_kl, cache):
     """Every grid belief's members and their S*(q) afresh, as before the
     scans shared them."""
     return [(q, payoff_equivalent_set(game, q, tol_kl))
-            for q in eq.representatives(n).tolist()]
+            for q in eq.representatives(n)]
 
 
 def _check_all_oracle(game, n_dirichlet=500, grid_resolution=51, seed=0,
@@ -666,14 +691,14 @@ def _check_all_oracle(game, n_dirichlet=500, grid_resolution=51, seed=0,
     s_star = game.space.true_index
     rng = np.random.default_rng(seed)
     candidates = belief_grid(n, grid_resolution)
-    candidates += [rng.dirichlet(np.ones(n)) for _ in range(n_dirichlet)]
+    candidates += [rng.dirichlet(np.ones(n)).tolist()
+                   for _ in range(n_dirichlet)]
     for probs in candidates:
-        probs = probs.tolist()
         if probs[s_star] >= 1.0 - 1e-12:
             continue
         eq = equilibrium_set(game, probs)
         support = {s for s, p in enumerate(probs) if p > 0.0}
-        for q in eq.representatives(strategy_samples).tolist():
+        for q in eq.representatives(strategy_samples):
             if support <= set(payoff_equivalent_set(game, q, tol_kl)):
                 return False, (tuple(probs), tuple(q))
     return True, None
@@ -728,10 +753,9 @@ def _certify_every_member(game, res=51, n_members=5):
     """The valid certificates of a scan that certifies every member of every
     grid belief's equilibrium set, each with its own S*(q)."""
     valid = []
-    for probs in belief_grid(len(game.space), res):
-        theta = probs.tolist()
+    for theta in belief_grid(len(game.space), res):
         eq = equilibrium_set(game, theta)
-        for q in eq.representatives(n_members).tolist():
+        for q in eq.representatives(n_members):
             cert = certify_fixed_point(game, theta, q)
             if cert.valid:
                 valid.append((cert, eq))
@@ -788,7 +812,7 @@ def equivalence_cases(draw):
     name, game = _draw_game(draw)
     if game.analytic_eq is not None and draw(st.booleans()):
         eq = equilibrium_set(game, _draw_probs(draw, game))
-        reps = eq.representatives(draw(st.integers(2, 7))).tolist()
+        reps = eq.representatives(draw(st.integers(2, 7)))
         q = reps[draw(st.integers(0, len(reps) - 1))]
     else:
         q = _draw_profile(draw, game)
@@ -916,7 +940,7 @@ def _ball_oracle(theta_bar, eps, rng):
 
 
 def _near_eq_oracle(game, eq, delta, rng):
-    base = eq.sample(1, rng)[0]
+    base = reference_sample(eq, 1, rng)[0]
     if delta > 0.0:
         base = base + (2.0 * rng.random(base.size) - 1.0) * delta
     return np.clip(base, game.box_lo(), game.box_hi())
@@ -1005,7 +1029,7 @@ def _two_member_cournot():
     """Cournot whose EQ(theta) is a finite list: its equilibrium point and
     that point moved up by 0.25 (clipped to the box)."""
     base = games.cournot()
-    hi = base.box_hi().tolist()
+    hi = base.box_hi()
 
     def analytic_eq(probs):
         point = base.analytic_eq(probs).point

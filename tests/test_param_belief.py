@@ -29,7 +29,6 @@ from beliefplay.param_belief import (
     ParameterSpace,
     Unidentifiable,
     UpdateSchedule,
-    _log_normalize,
     _normalize,
     _shift_exp,
     batch_log_likelihoods,
@@ -40,6 +39,7 @@ from beliefplay.param_belief import (
     next_update_stage,
     ols_solve,
 )
+from oracles import log_normalize
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +106,14 @@ def _bits(xs):
     return [x.hex() for x in xs]
 
 
-def test_normalize_matches_log_normalize_then_exp():
+def test_normalize_matches_the_array_normaliser_then_exp():
     reused = set()  # whether the exps summed to exactly 1.0, per example
 
     @settings(max_examples=400, deadline=None)
     @given(score_lists())
     def check(lp):
         try:
-            want = _log_normalize(lp)
+            want = log_normalize(lp)
         except ImpossibleObservation:
             with pytest.raises(ImpossibleObservation):
                 _normalize(lp)
@@ -125,6 +125,17 @@ def test_normalize_matches_log_normalize_then_exp():
 
     check()
     assert reused == {True, False}
+
+
+@pytest.mark.parametrize("lp", [
+    [math.inf, 0.0], [0.0, math.inf], [math.inf, math.inf], [math.nan],
+    [math.nan, 0.0], [0.0, math.nan, -1e3], [0.0, -1e3, math.nan],
+    [NEG_INF, math.nan], [math.nan, NEG_INF], [NEG_INF, math.inf]])
+def test_a_nan_or_plus_inf_score_is_rejected(lp):
+    # checked before an all -inf list; [0.0, -1e3, NaN] would take the
+    # exp-free path but for its NaN
+    with pytest.raises(ContractViolation, match="must be finite or -inf"):
+        _normalize(lp)
 
 
 # the last input whose exp is subnormal, the bound, and the floats around them
@@ -144,8 +155,6 @@ def _shift_exp_cases(n_random=100_000, seed=0):
             yield [top + x, top + x, top]
             yield [top, top, top + x]  # a tie for the max
             yield [top + x, top, top - 1.0]
-    # a NaN or +inf score takes the np.exp path and gives NaN
-    yield from ([math.inf, 0.0], [math.nan, 0.0], [0.0, math.nan, -1e3])
     rng = np.random.default_rng(seed)
     tops = rng.uniform(-1e3, 1e3, n_random).tolist()
     sizes = rng.integers(2, 4, n_random).tolist()
@@ -280,7 +289,8 @@ def test_bayes_impossible_observation():
     q = np.asarray([1.0, 0.0, 0.0, 1.0])
     # matches no parameter
     batch = [(q, np.asarray(game.channel_means(q)[0]) + 0.5)]
-    with pytest.raises(ImpossibleObservation):
+    with pytest.raises(ImpossibleObservation,
+                       match="all parameters carry zero probability"):
         bayes_update(log_belief([0.5, 0.5]), batch, game)
 
 
