@@ -3,7 +3,7 @@ payoff-relevant parameter: belief estimators, best-response strategy updates,
 fixed-point certification and stability analysis."""
 
 from . import analysis, cli, dynamics, games, param_belief
-from .dynamics import Trajectory, UpdateRule, run, run_two_timescale
+from .dynamics import Trajectory, UpdateRule, run
 from .games import (
     EquilibriumSet,
     GameModel,

@@ -1,5 +1,6 @@
 """Analysis toolkit: KL divergence and payoff-equivalence sets,
-fixed-point certification/enumeration, convergence-rate estimation, stability
+fixed-point certification/enumeration, what reads a finished run (the
+convergence rate, the distances to EQ(theta) at its updates), stability
 thresholds, martingale/upcrossing diagnostics and Monte Carlo stability
 experiments."""
 
@@ -23,6 +24,7 @@ from .param_belief import (
     ContractViolation,
     UpdateSchedule,
     _check_length,
+    _check_profile,
     _floats,
     _is_count,
     _total,
@@ -94,6 +96,7 @@ def payoff_equivalent_set(game, q, tol=KL_TOL):
     ``q`` is converted to a list of floats once; a list is taken as is.  The
     channel means are worked out once per profile."""
     q = _floats(q)
+    _check_profile(q, game)
     s_star = game.space.true_index
     if game.kind == "finite":
         profiles = _pure_profiles_in_support(game, q)
@@ -152,6 +155,7 @@ def certify_fixed_point(game, belief, q, tol_eq=1e-8, *,
     probs = _floats(belief)
     _check_length(probs, game)
     q = _floats(q)
+    _check_profile(q, game)
     equiv = (payoff_equivalent_set(game, q)
              if equivalence_set is None else equivalence_set)
     support = tuple(s for s, p in enumerate(probs) if p > 0.0)
@@ -591,6 +595,15 @@ def estimate_convergence_rate(traj, s, burn_in=0):
     return float(slope), float(r2)
 
 
+def eq_distances_at_updates(game, traj):
+    """(k, EQ(theta^k).distance(q^k)) for each belief update of a finished
+    run, in stage order: k is the stage at which the update takes effect
+    (``traj.summary["update_stages"]``), up to the run's last stage."""
+    return [(k, equilibrium_set(game, traj.thetas[k - 1].tolist())
+             .distance(traj.qs[k - 1]))
+            for k in traj.summary["update_stages"] if k <= traj.horizon]
+
+
 def martingale_diagnostic(game, belief, q, n_samples, seed):
     """Monte Carlo one-step update at fixed q under the true parameter.
 
@@ -601,6 +614,8 @@ def martingale_diagnostic(game, belief, q, n_samples, seed):
     _check_count("n_samples", n_samples, 2)
     probs = _floats(belief)
     _check_length(probs, game)
+    q = _floats(q)
+    _check_profile(q, game)
     probs = np.asarray(probs, dtype=float)
     if np.any(probs <= 0.0):
         raise ContractViolation("diagnostic needs a full-support belief")
@@ -771,22 +786,24 @@ def _directed_hausdorff(eq_from, eq_to):
     return gap
 
 
-def _final_states(game, starts, rule, schedule, horizon, respond_to,
-                  stop_when_converged):
-    """The final belief and profile (lists of floats) of one `run` from
-    each (seed_k, theta1, q1) in ``starts``, whose theta1 (a probability
-    vector) and q1 are lists of floats, in start order, spread over the CPUs
-    by `_map_replicas`.  A degenerate start belief stays where it is."""
-    def replica(k):
+def _count_near(game, starts, rule, schedule, horizon, respond_to,
+                stop_when_converged, theta, eq, eps_theta, eps_q):
+    """How many `run`s, one from each (seed_k, theta1, q1) in ``starts``,
+    end with a belief within eps_theta of ``theta`` (max norm) and a profile
+    within eps_q of ``eq``.  theta1 (a probability vector) and q1 are lists
+    of floats; a degenerate start belief stays where it is.  The runs are
+    spread over the CPUs by `_map_replicas`."""
+    def near(k):
         seed_k, theta1, q1 = starts[k]
-        if not all(p > 0.0 for p in theta1):  # frozen degenerate start
-            return theta1, q1
-        summary = run(game, rule, schedule, (theta1, q1), horizon, seed_k,
-                      stop_when_converged=stop_when_converged,
-                      respond_to=respond_to).summary
-        return summary["final_theta"], summary["final_q"]
+        if all(p > 0.0 for p in theta1):  # else a frozen degenerate start
+            summary = run(game, rule, schedule, (theta1, q1), horizon, seed_k,
+                          stop_when_converged=stop_when_converged,
+                          respond_to=respond_to).summary
+            theta1, q1 = summary["final_theta"], summary["final_q"]
+        return (max(abs(x - t) for x, t in zip(theta1, theta)) <= eps_theta
+                and eq.distance(q1) <= eps_q)
 
-    return _map_replicas(replica, len(starts))
+    return sum(_map_replicas(near, len(starts)))
 
 
 def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
@@ -812,13 +829,8 @@ def monte_carlo_local_stability(game, certificate, eps1, delta1, eps_bar,
         q1 = near_eq(rng)
         starts.append((seed_k, theta1, q1))
 
-    stayed = 0
-    for final_theta, final_q in _final_states(
-            game, starts, rule, schedule, horizon, respond_to, False):
-        stayed += (
-            max(abs(x - t) for x, t in zip(final_theta, theta_bar)) <= eps_bar
-            and eq_bar.distance(final_q) <= eps_x
-        )
+    stayed = _count_near(game, starts, rule, schedule, horizon, respond_to,
+                         False, theta_bar, eq_bar, eps_bar, eps_x)
     p = stayed / n_runs
     lo, hi = wilson_ci(stayed, n_runs)
     if lo >= 0.9:
@@ -948,14 +960,9 @@ def check_global_stability(game, clusters, counterexample, n_random_starts=50,
         theta1 = rng.dirichlet(np.ones(len(theta_star))).tolist()
         q1 = game.random_profile(rng)
         starts.append((replica_seed(seed, k), theta1, q1))
-    n_converged = 0
-    for final_theta, final_q in _final_states(
-            game, starts, rule, schedule, horizon, "posterior", True):
-        if (
-            max(abs(x - t) for x, t in zip(final_theta, theta_star)) <= 0.05
-            and eq_star.distance(final_q) <= 0.02
-        ):
-            n_converged += 1
+    n_converged = _count_near(game, starts, rule, schedule, horizon,
+                              "posterior", True, theta_star, eq_star, 0.05,
+                              0.02)
     verdict = ("globally_stable" if n_converged == n_random_starts
                else "inconclusive")
     return {
@@ -979,6 +986,8 @@ def nearest_fixed_point(game, theta, q, clusters=None):
     Each candidate's equilibrium set and certificate are taken at the same
     belief, a list of floats."""
     theta = _floats(theta)
+    q = _floats(q)
+    _check_profile(q, game)
     best = None
 
     def consider(tag, theta_bar):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, games
 from .dynamics import (RULE_KINDS, UpdateRule, _map_replicas, run,
-                       run_two_timescale, trajectory_to_csv)
+                       trajectory_to_csv)
 from .param_belief import SCHEDULE_KINDS, UpdateSchedule, ols_solve
 
 ESTIMATORS = ("bayes", "map", "ols")
@@ -440,26 +440,8 @@ def _clusters(cfg):
 def _configured_run(cfg, seed):
     """One run of the configured dynamics: rule, schedule and the estimator
     the strategies respond to."""
-    init = (cfg.theta1, cfg.q1)
-    if cfg.schedule.kind == "two_timescale":
-        return run_two_timescale(cfg.game, cfg.rule, cfg.schedule.gap_fn, init,
-                                 cfg.horizon, seed, respond_to=cfg.respond_to)
-    return run(cfg.game, cfg.rule, cfg.schedule, init, cfg.horizon, seed,
-               respond_to=cfg.respond_to)
-
-
-def _run_one_seed(cfg, seed, clusters):
-    traj = _configured_run(cfg, seed)
-    near = analysis.nearest_fixed_point(
-        cfg.game, traj.summary["final_theta"], traj.summary["final_q"],
-        clusters)
-    if near is not None:
-        tag, dist, cert = near
-        traj.summary["nearest_fixed_point"] = tag
-        traj.summary["nearest_fixed_point_distance"] = dist
-        if cert.is_complete_info:
-            traj.summary["nearest_fixed_point"] = "complete_info"
-    return traj
+    return run(cfg.game, cfg.rule, cfg.schedule, (cfg.theta1, cfg.q1),
+               cfg.horizon, seed, respond_to=cfg.respond_to)
 
 
 def _ols_experiment(cfg, seed):
@@ -506,14 +488,25 @@ def cmd_run(cfg):
 
     def write_seed(k):
         seed = cfg.seeds[k]
-        traj = _run_one_seed(cfg, seed, clusters)
+        traj = _configured_run(cfg, seed)
+        summary = traj.summary
+        if cfg.schedule.kind == "two_timescale":
+            summary["eq_distance_at_updates"] = (
+                analysis.eq_distances_at_updates(cfg.game, traj))
+        near = analysis.nearest_fixed_point(
+            cfg.game, summary["final_theta"], summary["final_q"], clusters)
+        if near is not None:
+            tag, dist, cert = near
+            summary["nearest_fixed_point"] = (
+                "complete_info" if cert.is_complete_info else tag)
+            summary["nearest_fixed_point_distance"] = dist
         suffix = "_%d" % seed if multi else ""
         trajectory_to_csv(
             traj, os.path.join(cfg.output_dir, "trajectory%s.csv" % suffix),
             config_hash=cfg.config_hash, master_seed=cfg.master_seed,
         )
         _write_json(os.path.join(cfg.output_dir, "summary%s.json" % suffix),
-                    traj.summary, cfg)
+                    summary, cfg)
 
     _map_replicas(write_seed, len(cfg.seeds))
     return 0

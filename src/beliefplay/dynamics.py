@@ -35,17 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import (
-    best_response,
-    equilibrium_set,
-    sample_payoffs,
-    tied_actions,
-)
+from .games import best_response, sample_payoffs, tied_actions
 from .param_belief import (
     NEG_INF,
     ContractViolation,
-    UpdateSchedule,
     _check_length,
+    _check_profile,
     _normalize,
     _total,
     batch_log_likelihoods,
@@ -223,8 +218,7 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
 
     for t in range(1, horizon + 1):
         if len(q) != n_q:
-            raise ContractViolation("strategy profile has %d entries, "
-                                    "expected %d" % (len(q), n_q))
+            _check_profile(q, game)
         k = (t - 1) * n_s
         for x, lx in zip(probs, log_probs):
             theta_flat[k] = x
@@ -307,24 +301,6 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     summary["update_stages"] = (np.flatnonzero(upd) + 2).tolist()
     return Trajectory(thetas=thetas, log_thetas=log_thetas, qs=qs, cs=cs,
                       updated=upd, actions=acts, summary=summary)
-
-
-def run_two_timescale(game, rule, gap_fn, init, horizon, seed,
-                      respond_to="posterior"):
-    """Run the full horizon with a growing-gap schedule; also records, at
-    each belief update, the distance of the current strategy to EQ(theta)."""
-    schedule = UpdateSchedule.two_timescale(gap_fn)
-    traj = run(game, rule, schedule, init, horizon, seed,
-               respond_to=respond_to)
-    distances = []
-    for k in traj.summary["update_stages"]:
-        idx = k - 1
-        if idx >= traj.horizon:
-            continue
-        eq = equilibrium_set(game, traj.thetas[idx].tolist())
-        distances.append((int(k), float(eq.distance(traj.qs[idx]))))
-    traj.summary["eq_distance_at_updates"] = distances
-    return traj
 
 
 def _detect_cycle(qs, max_period=8, min_repeats=4):

@@ -40,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
-                           _check_length, _expect, _floats, _is_count, _total)
+                           _check_length, _check_profile, _expect, _floats,
+                           _is_count, _total)
 
 FLAT_TOL = 1e-12
 
@@ -277,6 +278,8 @@ def expected_payoff(game, belief, q, i):
     probability, left to right."""
     probs = _floats(belief)
     _check_length(probs, game)
+    q = _floats(q)
+    _check_profile(q, game)
     total = 0.0
     for s, p in enumerate(probs):
         if p > 0.0:
@@ -381,6 +384,7 @@ def br_profile(game, belief, q, current=None):
     here; a list is taken to hold floats already."""
     probs = _floats(belief)
     flat = _floats(q)
+    _check_profile(flat, game)
     current = flat if current is None else _floats(current)
     out = []
     for i, sl in enumerate(game.slices):

@@ -89,14 +89,30 @@ def _check_length(probs, game):
                                 "parameter)" % (len(probs), len(game.space)))
 
 
+def _check_profile(q, game):
+    """Raise ContractViolation unless the profile ``q`` has q_dim entries."""
+    if len(q) != game.q_dim:
+        raise ContractViolation("strategy profile has %d entries, expected %d"
+                                % (len(q), game.q_dim))
+
+
 def log_belief(probs):
     """The log probabilities (a list) of the belief proportional to
     ``probs``: log(p / total) by `np.log`, with the total summed left to
-    right and -inf for a zero, then normalised by `_normalize`."""
+    right and -inf for a zero, then normalised by `_normalize`.  Finite
+    weights whose total overflows are first scaled by a power of two, so
+    that their largest lies in [0.5, 1); the scaling is exact unless a
+    weight falls below the normal range."""
     p = _floats(probs)
     if any(x < 0.0 for x in p):
         raise ContractViolation("probabilities must be non-negative")
+    if math.inf in p:
+        raise ContractViolation("probabilities must be finite")
     total = _total(p)
+    if total == math.inf:
+        shift = -math.frexp(max(p))[1]
+        p = [math.ldexp(x, shift) for x in p]
+        total = _total(p)
     if not total > 0:
         raise ContractViolation("probabilities must have positive mass")
     ratios = [x / total for x in p]

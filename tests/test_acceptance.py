@@ -22,6 +22,7 @@ from beliefplay.analysis import (
     check_assumption2,
     check_global_stability,
     enumerate_fixed_points,
+    eq_distances_at_updates,
     estimate_convergence_rate,
     kl_divergence,
     martingale_diagnostic,
@@ -34,7 +35,6 @@ from beliefplay.dynamics import (
     UpdateRule,
     replica_seed,
     run,
-    run_two_timescale,
 )
 from beliefplay.games import best_response, equilibrium_set
 from beliefplay.param_belief import (
@@ -413,11 +413,11 @@ def test_criterion_10_estimator_variants(criterion, tmp_path):
     if hits < 95:
         fails.append("map hit %d/100 < 95" % hits)
 
-    traj = run_two_timescale(games.investment(), UpdateRule.simultaneous(),
-                             lambda t: 10 * t,
-                             ([1 / 3] * 3, np.asarray([0.9, 0.9])),
-                             1500, seed=4)
-    dists = traj.summary["eq_distance_at_updates"]
+    game = games.investment()
+    traj = run(game, UpdateRule.simultaneous(),
+               UpdateSchedule.two_timescale(lambda t: 10 * t),
+               ([1 / 3] * 3, np.asarray([0.9, 0.9])), 1500, seed=4)
+    dists = eq_distances_at_updates(game, traj)
     if len(dists) < 5:
         fails.append("only %d belief updates recorded" % len(dists))
     elif any(d >= 1e-3 for _, d in dists[4:]):

@@ -146,7 +146,8 @@ def _loop_run(which):
 
 @pytest.mark.parametrize("which", ["cournot", "affine_geometric"])
 def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
-    from beliefplay.analysis import _final_states
+    from beliefplay.analysis import _count_near
+    from beliefplay.games import EquilibriumSet
 
     assert "dynamics:sample_payoffs" in LOOP_SITES and len(LOOP_SITES) >= 6
     calls = dict.fromkeys(LOOP_SITES, 0)
@@ -161,8 +162,8 @@ def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
 
         monkeypatch.setattr(owner, attr, counted)
     game, rule, schedule, theta1, q1 = _loop_run(which)
-    # one start: `_final_states` runs it in this process, through the `run`
+    # one start: `_count_near` runs it in this process, through the `run`
     # that `analysis` calls
-    _final_states(game, [(3, theta1, q1)], rule, schedule, 40, "posterior",
-                  False)
+    _count_near(game, [(3, theta1, q1)], rule, schedule, 40, "posterior",
+                False, theta1, EquilibriumSet.of_point(q1), 1.0, 1.0)
     assert [site for site, n in calls.items() if n == 0] == []

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import beliefplay
 from beliefplay import analysis, dynamics, games
 from beliefplay.cli import FIELDS, ConfigError, main, parse_config
-from beliefplay.dynamics import UpdateRule, run, run_two_timescale
+from beliefplay.dynamics import UpdateRule, run
 from beliefplay.param_belief import UpdateSchedule
 
 
@@ -601,6 +601,18 @@ def test_schema_doc_names_every_field():
     assert [path for path in FIELD_PATHS if "`%s`" % path not in doc] == []
 
 
+def test_schema_doc_names_every_summary_key(tmp_path):
+    doc = {"game": "investment", "horizon": 300, "output_dir": str(tmp_path),
+           "schedule": {"kind": "two_timescale", "gap": "3t"}}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert {"eq_distance_at_updates", "nearest_fixed_point"} <= set(summary)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "config_schema.md")) as fh:
+        text = fh.read()
+    assert [key for key in summary if "`%s`" % key not in text] == []
+
+
 def test_parse_invalid_json():
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")
@@ -749,16 +761,39 @@ def test_run_map_two_timescale_matches_library(tmp_path):
     doc = dict(BASE, estimator="map", output_dir=str(tmp_path),
                schedule={"kind": "two_timescale", "gap": "2t"})
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
-    lib = run_two_timescale(parse_config(json.dumps(BASE)).game,
-                            UpdateRule.simultaneous(), lambda t: 2 * t,
-                            ([0.8, 0.2], np.asarray([1.0, 1.0])),
-                            BASE["horizon"], seed=3, respond_to="map")
+    game = parse_config(json.dumps(BASE)).game
+    lib = run(game, UpdateRule.simultaneous(),
+              UpdateSchedule.two_timescale(lambda t: 2 * t),
+              ([0.8, 0.2], np.asarray([1.0, 1.0])), BASE["horizon"], seed=3,
+              respond_to="map")
     rows = read_csv_rows(tmp_path / "trajectory.csv")
     assert np.array_equal(rows[:, 1:3], lib.thetas)
     assert np.array_equal(rows[:, 3:5], lib.qs)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["eq_distance_at_updates"] == [
-        list(x) for x in lib.summary["eq_distance_at_updates"]]
+        list(x) for x in analysis.eq_distances_at_updates(game, lib)]
+
+
+def test_rate_computes_no_equilibrium_set(tmp_path, monkeypatch):
+    # the fit reads the beliefs alone, on a two-timescale schedule too; run
+    # records EQ(theta) distances at the updates, so the counter is live
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return games.equilibrium_set(*args)
+
+    for module in (dynamics, analysis):
+        monkeypatch.setattr(module, "equilibrium_set", counted, raising=False)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    doc = {"game": "cournot", "horizon": 200, "output_dir": str(tmp_path),
+           "seeds": {"start": 1, "count": 2},
+           "schedule": {"kind": "two_timescale", "gap": "2t"}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["rate", "--config", cfg]) == 0
+    assert calls == []
+    assert main(["run", "--config", cfg]) == 0
+    assert calls
 
 
 @pytest.mark.parametrize("game_id", ["coordination_penalty",

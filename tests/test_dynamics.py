@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beliefplay import dynamics, games
+from beliefplay import analysis, dynamics, games
 from beliefplay.cli import GAMES
 from beliefplay.dynamics import (
     CONV_TOL,
@@ -18,7 +18,6 @@ from beliefplay.dynamics import (
     _detect_cycle,
     replica_seed,
     run,
-    run_two_timescale,
     trajectory_to_csv,
 )
 from beliefplay.games import best_response, sample_payoffs, tied_actions
@@ -171,14 +170,14 @@ def test_two_timescale_gap_one_matches_every_stage(investment_game):
     assert np.array_equal(a.qs, b.qs)
 
 
-def test_run_two_timescale_records_eq_distances(investment_game):
-    traj = run_two_timescale(investment_game, UpdateRule.simultaneous(),
-                             lambda t: 10 * t,
-                             ([1 / 3] * 3, np.asarray([0.9, 0.9])),
-                             1200, seed=4)
-    dists = traj.summary["eq_distance_at_updates"]
+def test_eq_distances_at_two_timescale_updates(investment_game):
+    traj = run(investment_game, UpdateRule.simultaneous(),
+               UpdateSchedule.two_timescale(lambda t: 10 * t),
+               ([1 / 3] * 3, np.asarray([0.9, 0.9])), 1200, seed=4)
+    dists = analysis.eq_distances_at_updates(investment_game, traj)
     assert len(dists) >= 5
     ks = [k for k, _ in dists]
+    assert ks == [k for k in traj.summary["update_stages"] if k <= 1200]
     assert ks == sorted(ks)
     # after the first few updates the strategies have equilibrated
     for k, d in dists[4:]:
@@ -269,10 +268,9 @@ def test_linear_stepsize_schedule_must_be_callable(alpha):
 def test_two_timescale_gap_must_be_an_integer(investment_game, gap):
     # a gap of 2.5 is not truncated to 2, nor True read as 1
     with pytest.raises(ContractViolation, match="gap must be an integer"):
-        run_two_timescale(investment_game, UpdateRule.simultaneous(),
-                          lambda t: gap,
-                          ([1 / 3] * 3, np.asarray([0.5, 0.5])), 20,
-                          seed=0)
+        run(investment_game, UpdateRule.simultaneous(),
+            UpdateSchedule.two_timescale(lambda t: gap),
+            ([1 / 3] * 3, np.asarray([0.5, 0.5])), 20, seed=0)
 
 
 @pytest.mark.parametrize("sched", [

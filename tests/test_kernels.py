@@ -18,7 +18,8 @@ must equal the oracle's, the residual bit for bit.
 fresh trial profile for each action, and `_payoff_equivalent_oracle` works
 out S*(q) with one `channel_means` call per parameter.
 `_from_probs_oracle` is the array start belief (with its total summed left
-to right) that `log_belief` replaced, and `_bayes_oracle` the array
+to right, and scaled by a power of two when that total overflows) that
+`log_belief` replaced, and `_bayes_oracle` the array
 normalisation of log probabilities (`oracles.log_normalize`) of the prior
 plus the batch's log-likelihoods: the log probabilities must be equal bit
 for bit, and a bad input must raise the same error.  `map_update` is the
@@ -544,9 +545,16 @@ def _from_probs_oracle(probs):
     p = np.asarray(probs, dtype=float)
     if np.any(p < 0):
         raise ContractViolation("probabilities must be non-negative")
+    if np.any(p == np.inf):
+        raise ContractViolation("probabilities must be finite")
     total = 0.0
     for x in p.tolist():
         total += x
+    if total == math.inf:  # scaled so that the largest lies in [0.5, 1)
+        p = np.ldexp(p, -np.frexp(np.max(p))[1])
+        total = 0.0
+        for x in p.tolist():
+            total += x
     if not total > 0:
         raise ContractViolation("probabilities must have positive mass")
     with np.errstate(divide="ignore"):
@@ -585,6 +593,8 @@ def prob_vectors(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(prob_vectors(), st.sampled_from(["list", "array", "tuple"]))
+@example([1e308, 0.0, 1.5e308, 1e-300], "list")
+@example([math.inf, 1.0], "array")
 def test_log_belief_matches_the_array_oracle(probs, form):
     given_probs = {"list": list, "array": np.asarray, "tuple": tuple}[form](
         probs)

@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefplay import games, param_belief
-from beliefplay.analysis import certify_fixed_point, martingale_diagnostic
+from beliefplay.analysis import (
+    certify_fixed_point,
+    martingale_diagnostic,
+    nearest_fixed_point,
+    payoff_equivalent_set,
+)
 from beliefplay.games import (
     best_response,
     br_profile,
@@ -75,6 +80,15 @@ def test_belief_normalization_and_support():
 def test_belief_rejects_bad_input(probs):
     with pytest.raises(ContractViolation):
         log_belief(probs)
+
+
+@pytest.mark.parametrize("weights, scaled", [
+    ([1e308, 1e308], [1.0, 1.0]),
+    ([2.0 ** 1023, 2.0 ** 1022, 0.0, 2.0 ** 1023], [2.0, 1.0, 0.0, 2.0])])
+def test_belief_weights_whose_total_overflows(weights, scaled):
+    # finite weights, an infinite total: the same belief as the weights
+    # scaled down, to the bit
+    assert log_belief(weights) == log_belief(scaled)
 
 
 @settings(max_examples=50, deadline=None)
@@ -380,6 +394,29 @@ def test_a_belief_of_the_wrong_length_is_rejected(cournot_game, entry,
     with pytest.raises(ContractViolation, match="belief has %d entries, "
                        "expected 2" % len(probs)):
         _BELIEF_TAKERS[entry](cournot_game, probs)
+
+
+_PROFILE_TAKERS = {
+    "certify_fixed_point": lambda game, q: certify_fixed_point(
+        game, [0.5, 0.5], q),
+    "payoff_equivalent_set": payoff_equivalent_set,
+    "br_profile": lambda game, q: br_profile(game, [0.5, 0.5], q),
+    "expected_payoff": lambda game, q: expected_payoff(game, [0.5, 0.5], q,
+                                                       0),
+    "martingale_diagnostic": lambda game, q: martingale_diagnostic(
+        game, [0.5, 0.5], q, 8, 0),
+    "nearest_fixed_point": lambda game, q: nearest_fixed_point(
+        game, [0.5, 0.5], q),
+}
+
+
+@pytest.mark.parametrize("q", [[0.5], [0.5, 0.5, 0.5]],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("entry", list(_PROFILE_TAKERS))
+def test_a_profile_of_the_wrong_length_is_rejected(cournot_game, entry, q):
+    with pytest.raises(ContractViolation, match="strategy profile has %d "
+                       "entries, expected 2" % len(q)):
+        _PROFILE_TAKERS[entry](cournot_game, q)
 
 
 # ---------------------------------------------------------------------------

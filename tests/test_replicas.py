@@ -66,23 +66,30 @@ def test_lowest_failing_job_wins(pin_cpus, n_cpus, bad):
     assert multiprocessing.active_children() == []
 
 
-CASES = {
-    "stability": {"game": "cournot", "rule": "linear", "horizon": 300,
-                  "seed": 4,
-                  "analysis": {"stability": {"n_runs": 3, "n_probe": 10},
-                               "fixed_points": {"belief_grid": 11}}},
-    "fixed-points": {"game": "investment", "horizon": 20000, "seed": 2},
-    "run": {"game": "investment", "rule": "sequential",
-            "schedule": {"kind": "fixed_batch", "batch": 10},
-            "horizon": 300, "seeds": {"start": 5, "count": 3}},
-    "rate": {"game": "cournot", "horizon": 400,
-             "seeds": {"start": 1, "count": 3}},
+CASES = {  # id -> (command, config)
+    "stability": ("stability", {
+        "game": "cournot", "rule": "linear", "horizon": 300, "seed": 4,
+        "analysis": {"stability": {"n_runs": 3, "n_probe": 10},
+                     "fixed_points": {"belief_grid": 11}}}),
+    "fixed-points": ("fixed-points",
+                     {"game": "investment", "horizon": 20000, "seed": 2}),
+    "run": ("run", {"game": "investment", "rule": "sequential",
+                    "schedule": {"kind": "fixed_batch", "batch": 10},
+                    "horizon": 300, "seeds": {"start": 5, "count": 3}}),
+    # the summaries carry eq_distance_at_updates
+    "run-two_timescale": ("run", {
+        "game": "investment", "schedule": {"kind": "two_timescale",
+                                           "gap": "3t"},
+        "horizon": 300, "seeds": {"start": 5, "count": 3}}),
+    "rate": ("rate", {"game": "cournot", "horizon": 400,
+                      "seeds": {"start": 1, "count": 3}}),
 }
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_outputs_identical_at_any_cpu_count(tmp_path, pin_cpus, command):
-    cfg = write_config(tmp_path, CASES[command])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_identical_at_any_cpu_count(tmp_path, pin_cpus, case):
+    command, config = CASES[case]
+    cfg = write_config(tmp_path, config)
     outs = []
     for n_cpus in CPUS:
         pin_cpus(n_cpus)
@@ -96,6 +103,9 @@ def test_outputs_identical_at_any_cpu_count(tmp_path, pin_cpus, command):
         assert doc["global_stability"]["n_runs"] == 50
     if command == "run":
         assert len(outs[0]) == 6  # a CSV and a summary per seed
+    if case == "run-two_timescale":
+        doc = json.loads(outs[0]["summary_5.json"])
+        assert len(doc["eq_distance_at_updates"]) >= 5
 
 
 def test_global_stability_starts_do_not_depend_on_cpus(pin_cpus):
