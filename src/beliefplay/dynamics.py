@@ -14,10 +14,11 @@ arrays allocated once per run, are written value by value through flat
 views of them, and the convergence window compares two rows on those views.
 A belief update normalises the log probabilities plus the batch's
 log-likelihoods with `_normalize`, as `bayes_update` does, so a NaN score
-raises ContractViolation at once.  It takes no `np.exp` once every losing
-score lies below the exp's underflow point (see `_shift_exp`), one once the
-posterior is concentrated (the shifted exps sum to exactly 1.0) and two
-otherwise.  The loop reads the game's geometry once per run.
+raises ContractViolation at once.  It takes one scalar `np.exp` per
+losing score at or above the exp's underflow point (see `_shift_exp`), and
+as many again unless the shifted exps sum to exactly 1.0, as they do once
+the posterior is concentrated; once every losing score lies below that
+point it takes none.  The loop reads the game's geometry once per run.
 Every kernel a stage calls follows the bit rule stated in `games`, and none
 takes an `np.log`, so one replica's arithmetic is the same as it would be
 inside a batch of replicas.  `run` reproduces the plain per-stage loop it
@@ -141,16 +142,23 @@ def _apply_rule(game, rule, slices, probs, q, t, profile):
         out = list(q)
         out[sl] = best_response(game, probs, i, q, q[sl])
         return out
-    if kind == "linear":
-        alpha = float(rule.alpha_schedule(t))
-        if not 0.0 <= alpha <= 1.0:
-            raise ContractViolation("linear stepsize must lie in [0, 1]")
-    br = []
-    for i, sl in enumerate(slices):
-        br += best_response(game, probs, i, q, q[sl])
     if kind == "simultaneous":
+        br = []
+        for i, sl in enumerate(slices):
+            br += best_response(game, probs, i, q, q[sl])
         return br
-    return [(1.0 - alpha) * x + alpha * b for x, b in zip(q, br)]
+    alpha = rule.alpha_schedule(t)
+    if type(alpha) is not float:
+        alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ContractViolation("linear stepsize must lie in [0, 1]")
+    keep = 1.0 - alpha
+    out = []
+    for i, sl in enumerate(slices):
+        block = q[sl]
+        for x, b in zip(block, best_response(game, probs, i, q, block)):
+            out.append(keep * x + alpha * b)
+    return out
 
 
 def _within(flat, a, b, n, tol):
@@ -245,8 +253,10 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
         pending.append((profile, c, means))
         if t + 1 == next_k:
             scores = batch_log_likelihoods(None, pending, game)
-            log_probs, probs = _normalize(
-                [lp + ll for lp, ll in zip(log_probs, scores)])
+            summed = []
+            for lp, ll in zip(log_probs, scores):
+                summed.append(lp + ll)
+            log_probs, probs = _normalize(summed)
             pending = []
             n_updates += 1
             next_k = next_update_stage(schedule, next_k, n_updates, rng)

@@ -28,7 +28,10 @@ affine game's slope contraction in its channel means.  It is written as
 through ``np.sum`` or the builtin ``sum()``, which is a compensated sum from
 Python 3.12 on.  The same expression evaluated on one profile or inside a
 batch then gives the same bits, and a best response and EQ(theta) read the
-same expectation.  ``tests/test_bit_rule.py`` checks the rule.
+same expectation.  ``tests/test_bit_rule.py`` checks the rule.  A clip in a
+hot best response is written as two comparisons, ``if 0.0 > x: x = 0.0``
+then ``if hi < x: x = hi``, which keep the value ``min(max(x, 0.0), hi)``
+picks on -0.0 and NaN.
 """
 
 from __future__ import annotations
@@ -310,7 +313,10 @@ def sample_payoffs(game, s_idx, q, rng, *, means=None):
     # one scalar draw per channel, in channel order: the same stream and
     # values as one draw of obs_dim normals
     normal = rng.standard_normal
-    return [m + s * normal() for m, s in zip(mu, sig)]
+    out = []
+    for m, s in zip(mu, sig):
+        out.append(m + s * normal())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +472,14 @@ def cournot(sigma=math.sqrt(0.5)):
 
     def analytic_br(probs, i, q, current):
         ea = eb = 0.0
-        for p, (a, b) in zip(probs, space.params):
+        for p, a, b in zip(probs, intercepts, slopes):
             ea += p * a
             eb += p * b
-        x = min(max(ea / (2.0 * eb) - q[1 - i] / 2.0, 0.0), 3.0)
+        x = ea / (2.0 * eb) - q[1 - i] / 2.0
+        if 0.0 > x:
+            x = 0.0
+        if 3.0 < x:
+            x = 3.0
         return (x,)
 
     def analytic_eq(probs):
@@ -550,8 +560,14 @@ def investment(sigmas=(math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0))):
         return q[i] * (svals[s] - 2.0 * q[i] + q[1 - i])
 
     def analytic_br(probs, i, q, current):
-        es = _expect(probs, svals)
-        x = min(max((es + q[1 - i]) / 4.0, 0.0), 1.0)
+        es = 0.0
+        for p, sv in zip(probs, svals):
+            es += p * sv
+        x = (es + q[1 - i]) / 4.0
+        if 0.0 > x:
+            x = 0.0
+        if 1.0 < x:
+            x = 1.0
         return (x,)
 
     def analytic_eq(probs):

@@ -102,11 +102,12 @@ def log_belief(probs):
     right and -inf for a zero, then normalised by `_normalize`.  Finite
     weights whose total overflows are first scaled by a power of two, so
     that their largest lies in [0.5, 1); the scaling is exact unless a
-    weight falls below the normal range."""
+    weight falls below the normal range.  A negative weight, and failing
+    that a NaN or +inf one, raises ContractViolation."""
     p = _floats(probs)
     if any(x < 0.0 for x in p):
         raise ContractViolation("probabilities must be non-negative")
-    if math.inf in p:
+    if not all(map(math.isfinite, p)):  # +inf or NaN
         raise ContractViolation("probabilities must be finite")
     total = _total(p)
     if total == math.inf:
@@ -145,33 +146,36 @@ _EXP_UNDERFLOW = -746.0
 
 def _shift_exp(lp):
     """The scores ``lp`` (a list of floats) shifted by their max, the exps of
-    the shifted scores and the log of the exps' sum.  The sum runs left to
-    right and its log is `math.log`, so the result does not depend on how
-    many beliefs are normalised at once.  A NaN or +inf score raises
-    ContractViolation; failing that, scores that are all -inf raise
+    the shifted scores and the log of the exps' sum, built in one pass.  The
+    sum runs left to right and its log is `math.log`, so the result does not
+    depend on how many beliefs are normalised at once.  A NaN or +inf score
+    raises ContractViolation; failing that, scores that are all -inf raise
     ImpossibleObservation.
 
-    When every shifted score but the max lies below _EXP_UNDERFLOW, as it
-    does once the posterior has all but converged to a point mass, the exps
-    are exactly 1.0 at the max and 0.0 elsewhere and the log of their sum is
-    0.0; they are returned without an `np.exp`."""
+    Each exp has the bits of `np.exp` of the list of shifted scores, but
+    only a live score takes one, an `np.exp` of its Python float: the max
+    (a shifted score of 0.0) gets 1.0, and a score below `_EXP_UNDERFLOW`
+    gets 0.0.  Once the posterior has all but converged to a point mass, no
+    `np.exp` is taken at all."""
     m = max(lp)
     if m == NEG_INF and all(x == NEG_INF for x in lp):
         raise ImpossibleObservation("all parameters carry zero probability")
-    shifted = [x - m for x in lp]
-    live = 0  # shifted scores at or above the bound, NaN included
-    for x in shifted:
-        if not x < _EXP_UNDERFLOW:
-            # a NaN score, or a max of +inf or -inf, leaves a NaN here
-            if not x <= 0.0:
-                raise ContractViolation("log-probabilities must be finite or "
-                                        "-inf")
-            live += 1
-    if live == 1:
-        return shifted, [1.0 if x == 0.0 else 0.0 for x in shifted], 0.0
-    exps = np.exp(shifted).tolist()
+    shifted = []
+    exps = []
     total = 0.0
-    for e in exps:
+    for x in lp:
+        x -= m
+        if x < _EXP_UNDERFLOW:
+            e = 0.0
+        elif x == 0.0:
+            e = 1.0
+        elif x < 0.0:
+            e = float(np.exp(x))
+        else:
+            # a NaN score, or a max of +inf or -inf, leaves a NaN here
+            raise ContractViolation("log-probabilities must be finite or -inf")
+        shifted.append(x)
+        exps.append(e)
         total += e
     return shifted, exps, math.log(total)
 
@@ -179,17 +183,22 @@ def _shift_exp(lp):
 def _normalize(lp):
     """The log-probabilities and the probabilities (two lists of floats) of
     the scores ``lp``: the shifted scores of `_shift_exp` less the log of
-    their exps' sum, and the `np.exp` of those.  When the exps of the
-    shifted scores sum to exactly one, as they do once the posterior is
-    concentrated, the log of the sum is 0.0 and x - 0.0 == x, so those exps
-    are already the probabilities and the second `np.exp` is skipped.  A
-    posterior whose losing scores all lie below `_EXP_UNDERFLOW` takes no
-    `np.exp` at all (see `_shift_exp`)."""
+    their exps' sum, and the exps of those, with the bits of `np.exp` of the
+    list and an `np.exp` only for a score at or above `_EXP_UNDERFLOW`.
+    When the exps of the shifted scores sum to exactly one, as they do once
+    the posterior is concentrated, the log of the sum is 0.0 and x - 0.0 ==
+    x, so those exps are already the probabilities and the second pass is
+    skipped."""
     shifted, exps, log_total = _shift_exp(lp)
     if log_total == 0.0:
         return shifted, exps
-    log_probs = [x - log_total for x in shifted]
-    return log_probs, np.exp(log_probs).tolist()
+    log_probs = []
+    probs = []
+    for x in shifted:
+        x -= log_total
+        log_probs.append(x)
+        probs.append(0.0 if x < _EXP_UNDERFLOW else float(np.exp(x)))
+    return log_probs, probs
 
 
 def log_likelihood(game, q, c, *, means=None):
@@ -208,7 +217,7 @@ def log_likelihood(game, q, c, *, means=None):
         raise ContractViolation(
             "observation has %d channels, expected %d" % (len(c), game.obs_dim)
         )
-    if isinstance(c, np.ndarray) and c.ndim == 1:
+    if type(c) is not list and isinstance(c, np.ndarray) and c.ndim == 1:
         c = c.tolist()  # Python floats: the same arithmetic, less overhead
     if means is None:
         means = game.channel_means(q)

@@ -7,8 +7,9 @@ test reads those tables, and the tracer's ``HOOKS``, from the source with
 `ast` (it imports nothing from ``bench/`` and writes no bytecode there) and
 checks that every site and hook names a function the tracer can wrap.  A
 renamed or deleted function fails here.  The stage loop's sites
-(``_LOOP_SITES``) are also wrapped and counted over two short runs, so a
-loop site that the loop stopped calling fails here too; a site that moved
+(``_LOOP_SITES``) are also wrapped and counted over four short runs, one
+for each rule a workload's stage loop runs, so a loop site that one rule's
+branch stopped calling fails here too; a site that moved
 out of another path of a workload is still seen only by a traced run.
 """
 
@@ -129,8 +130,10 @@ LOOP_SITES = _strings(_WORKLOADS["_LOOP_SITES"])
 
 def _loop_run(which):
     """(game, rule, schedule, theta1, q1) of a short run: Cournot with the
-    linear rule, or the CLI's default affine game with the geometric
-    schedule (the benchmark's affine op)."""
+    linear rule, investment with the sequential rule and batches of 10
+    (the benchmark's global-stability runs), zerosum with the simultaneous
+    rule, or the CLI's default affine game with the geometric schedule (the
+    benchmark's affine op)."""
     from beliefplay import games
     from beliefplay.cli import GAMES
     from beliefplay.dynamics import UpdateRule
@@ -139,12 +142,19 @@ def _loop_run(which):
     if which == "cournot":
         return (games.cournot(), UpdateRule.linear(),
                 UpdateSchedule.every_stage(), [0.5, 0.5], [1.0, 1.0])
+    if which == "investment_sequential":
+        return (games.investment(), UpdateRule.sequential(),
+                UpdateSchedule.fixed_batch(10), [1.0, 1.0, 1.0], [0.2, 0.7])
+    if which == "zerosum_simultaneous":
+        return (games.zerosum_example(), UpdateRule.simultaneous(),
+                UpdateSchedule.every_stage(), [1.0, 1.0, 1.0], [1.0, 2.0])
     factory, _, defaults = GAMES["affine"]
     return (factory(**defaults), UpdateRule.simultaneous(),
             UpdateSchedule.geometric(0.5), [1.0], [0.5, 0.5])
 
 
-@pytest.mark.parametrize("which", ["cournot", "affine_geometric"])
+@pytest.mark.parametrize("which", ["cournot", "investment_sequential",
+                                   "zerosum_simultaneous", "affine_geometric"])
 def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
     from beliefplay.analysis import _count_near
     from beliefplay.games import EquilibriumSet

@@ -13,6 +13,10 @@ cluster's belief:
   member);
 - each profile of a 25 x 25 grid on the strategy box whose residual is 0
   lies within 1e-9 of EQ(theta) (no missing member).
+In the 2-player routing game, a finite game, player i's residual is the
+mass of their mixed strategy off `tied_actions`, the optimal pure actions:
+each member of EQ(theta) has residual 0, and each profile of a 21 x 21 grid
+of mixed profiles whose residual is 0 is a member.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ import pytest
 
 from beliefplay import games
 from beliefplay.analysis import belief_grid, enumerate_fixed_points
-from beliefplay.games import equilibrium_set, expected_payoff
+from beliefplay.games import equilibrium_set, expected_payoff, tied_actions
 from oracles import numeric_best_response
 
 TOL = 1e-9
@@ -76,3 +80,31 @@ def test_equilibrium_sets_hold_the_equilibria_and_nothing_else(game_id):
         for q, residual in residuals.items():
             if residual == 0.0:
                 assert eq.distance(q) <= TOL, (probs, q)
+
+
+def _off_tied_mass(game, probs, q):
+    """The largest mass a player puts on actions off `tied_actions`."""
+    worst = 0.0
+    for i, sl in enumerate(game.slices):
+        tied = tied_actions(game, probs, i, q)
+        mass = 0.0
+        for a, x in enumerate(q[sl]):
+            if a not in tied:
+                mass += x
+        worst = max(worst, mass)
+    return worst
+
+
+def test_routing_equilibrium_set_holds_the_equilibria_and_nothing_else():
+    game = games.two_route_congestion()
+    axis = np.linspace(0.0, 1.0, 21).tolist()
+    grid = [[x, 1.0 - x, y, 1.0 - y] for x in axis for y in axis]
+    for probs in _beliefs(game):
+        eq = equilibrium_set(game, probs)
+        members = eq.representatives()
+        assert len(members) == 3
+        for q in members:
+            assert _off_tied_mass(game, probs, q) == 0.0, (probs, q)
+        found = [q for q in grid if _off_tied_mass(game, probs, q) == 0.0]
+        # the members lie on the grid, so the grid finds them all
+        assert sorted(found) == sorted(members), (probs, found)

@@ -545,7 +545,7 @@ def _from_probs_oracle(probs):
     p = np.asarray(probs, dtype=float)
     if np.any(p < 0):
         raise ContractViolation("probabilities must be non-negative")
-    if np.any(p == np.inf):
+    if not np.all(np.isfinite(p)):
         raise ContractViolation("probabilities must be finite")
     total = 0.0
     for x in p.tolist():
@@ -595,6 +595,8 @@ def prob_vectors(draw):
 @given(prob_vectors(), st.sampled_from(["list", "array", "tuple"]))
 @example([1e308, 0.0, 1.5e308, 1e-300], "list")
 @example([math.inf, 1.0], "array")
+@example([math.nan, 1.0], "list")
+@example([1.0, 0.0, math.nan], "tuple")
 def test_log_belief_matches_the_array_oracle(probs, form):
     given_probs = {"list": list, "array": np.asarray, "tuple": tuple}[form](
         probs)

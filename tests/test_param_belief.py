@@ -82,6 +82,14 @@ def test_belief_rejects_bad_input(probs):
         log_belief(probs)
 
 
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, 0.0, math.nan],
+                                   [math.inf, 1.0]])
+def test_belief_names_a_non_finite_weight(probs):
+    with pytest.raises(ContractViolation, match="probabilities must be "
+                                                "finite"):
+        log_belief(probs)
+
+
 @pytest.mark.parametrize("weights, scaled", [
     ([1e308, 1e308], [1.0, 1.0]),
     ([2.0 ** 1023, 2.0 ** 1022, 0.0, 2.0 ** 1023], [2.0, 1.0, 0.0, 2.0])])
@@ -161,7 +169,8 @@ _EDGES = [-745.1332191019411, math.nextafter(-745.1332191019411, -math.inf),
 def _shift_exp_cases(n_random=100_000, seed=0):
     """Score lists of 2 and 3 entries: each edge below a top score of 0 or
     of a random size, ties for the max, then random lists whose offsets
-    straddle the bound."""
+    straddle the bound and random lists whose offsets span the live range
+    [_EXP_UNDERFLOW, 0], where each exp is one scalar np.exp."""
     for top in (0.0, 1.0, -3.5e3, 7.25e5):
         for x in _EDGES:
             yield [top, top + x]
@@ -172,11 +181,12 @@ def _shift_exp_cases(n_random=100_000, seed=0):
     rng = np.random.default_rng(seed)
     tops = rng.uniform(-1e3, 1e3, n_random).tolist()
     sizes = rng.integers(2, 4, n_random).tolist()
-    offsets = rng.uniform(-760.0, -730.0, (n_random, 3)).tolist()
-    for top, n, off in zip(tops, sizes, offsets):
-        lp = [top + x for x in off[:n]]
-        lp[n - 1] = top  # the max
-        yield lp
+    for lo, hi in ((-760.0, -730.0), (_EXP_UNDERFLOW, 0.0)):
+        offsets = rng.uniform(lo, hi, (n_random, 3)).tolist()
+        for top, n, off in zip(tops, sizes, offsets):
+            lp = [top + x for x in off[:n]]
+            lp[n - 1] = top  # the max
+            yield lp
 
 
 def _shift_exp_sweep():
@@ -203,12 +213,22 @@ def _shift_exp_sweep():
 def test_shift_exp_without_exp_matches_np_exp(monkeypatch):
     calls = []
     monkeypatch.setattr(param_belief, "np", types.SimpleNamespace(
-        exp=lambda x: calls.append(None) or np.exp(x)))
-    shortcuts = _shift_exp_sweep()
-    n_cases = sum(1 for _ in _shift_exp_cases())
-    # the lists with one live score skipped np.exp, and only those
-    assert 0 < shortcuts < n_cases
-    assert len(calls) == n_cases - shortcuts
+        exp=lambda x: calls.append(x) or np.exp(x)))
+    assert _shift_exp_sweep() > 0  # the bits, with every np.exp spied on
+    n_cases = exp_free = 0
+    for lp in _shift_exp_cases():
+        m = max(lp)
+        below_max = [x - m for x in lp
+                     if not (x - m < _EXP_UNDERFLOW or x == m)]
+        calls.clear()
+        _shift_exp(lp)
+        # one np.exp per live score other than the max, of its shifted
+        # Python float, in order; none when the max is the one live score
+        assert calls == below_max, lp
+        assert all(type(x) is float for x in calls), lp
+        n_cases += 1
+        exp_free += not below_max
+    assert 0 < exp_free < n_cases
 
 
 def test_shift_exp_sweep_holds_on_the_avx2_exp_kernel():
