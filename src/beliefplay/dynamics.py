@@ -8,21 +8,28 @@ payoffs from them, updates the belief when the schedule says so and applies
 the strategy rule; the pending records keep the means, so the likelihood
 reads them instead of working them out again.  The loop is float-native: it
 carries the profile q, the belief probabilities and the payoffs c between
-stages as lists of Python floats; numpy appears only in the normaliser's
-`np.exp` and the finite games' action draws.  The trajectory rows live in
-arrays allocated once per run, are written value by value through flat
-views of them, and the convergence window compares two rows on those views.
+stages as lists of Python floats.  What stays the same from stage to stage
+is worked out once per run: the geometry, the rule's step (`_rule_step`)
+and, when nothing else in a stage reads the rng (a continuous game, or
+fictitious play, under any schedule but the geometric one), the payoff
+noise, drawn `NOISE_BLOCK` stages at a time (`_noise_rows`) and handed to
+`sample_payoffs`.  numpy appears in the normaliser's `np.exp`, those block
+draws, the finite games' action draws and the trajectory rows: each
+stage's values go into flat lists, which are copied into arrays allocated
+once per run every `FLUSH_ROWS` stages (at most half of `CONV_WINDOW`), on
+an early stop and at the end, so the convergence window always compares
+the current belief with a copied row and the lists never outgrow a block.
 A belief update normalises the log probabilities plus the batch's
 log-likelihoods with `_normalize`, as `bayes_update` does, so a NaN score
 raises ContractViolation at once.  It takes one scalar `np.exp` per
 losing score at or above the exp's underflow point (see `_shift_exp`), and
 as many again unless the shifted exps sum to exactly 1.0, as they do once
 the posterior is concentrated; once every losing score lies below that
-point it takes none.  The loop reads the game's geometry once per run.
-Every kernel a stage calls follows the bit rule stated in `games`, and none
-takes an `np.log`, so one replica's arithmetic is the same as it would be
-inside a batch of replicas.  `run` reproduces the plain per-stage loop it
-replaced bit for bit (pinned by an exact-equality test).
+point it takes none.  Every kernel a stage calls follows the bit rule
+stated in `games`, and none takes an `np.log`, so one replica's arithmetic
+is the same as it would be inside a batch of replicas.  `run` reproduces
+the plain per-stage loop it replaced bit for bit (pinned by an
+exact-equality test).
 
 `_map_replicas` is the one way to run many independent replicas: it
 spreads them over the CPUs this process may use, in forked workers, and
@@ -31,8 +38,11 @@ returns their results in job order.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import os
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -42,6 +52,7 @@ from .param_belief import (
     ContractViolation,
     _check_length,
     _check_profile,
+    _is_count,
     _normalize,
     _total,
     batch_log_likelihoods,
@@ -52,6 +63,11 @@ from .param_belief import (
 CONV_WINDOW = 500
 CONV_TOL = 1e-5
 RULE_KINDS = ("simultaneous", "sequential", "linear", "fictitious_play")
+# stages of noise drawn by one rng call; a block draw releases the GIL, and
+# releases less than the switch interval (5 ms) apart keep a thread waiting
+# for the GIL from ever taking it, so a block spans several times that
+NOISE_BLOCK = 4096
+FLUSH_ROWS = 128  # most stages whose rows wait in lists for the arrays
 
 
 @dataclass(frozen=True)
@@ -129,44 +145,78 @@ def _realized_profile(game, slices, fictitious, probs, q, rng):
     return out, tuple(actions)
 
 
-def _apply_rule(game, rule, slices, probs, q, t, profile):
-    """Produce q^{t+1} from q^t under the (already updated) belief
-    probabilities; fictitious play averages in the realized profile."""
+def _rule_step(game, rule):
+    """The strategy update of ``rule`` on ``game``, resolved once per run: a
+    function (probs, q, t, profile) -> q^{t+1} of the (already updated)
+    belief probabilities, the profile q^t, the stage t and the realized
+    profile, all lists of floats; fictitious play averages in the realized
+    profile.  The best responses go through the module's `best_response`."""
+    slices = game.slices
     kind = rule.kind
     if kind == "fictitious_play":
-        # empirical frequency of realized actions
-        return [(t * x + p) / (t + 1.0) for x, p in zip(q, profile)]
-    if kind == "sequential":
-        i = (t - 1) % game.n_players
-        sl = slices[i]
-        out = list(q)
-        out[sl] = best_response(game, probs, i, q, q[sl])
-        return out
-    if kind == "simultaneous":
-        br = []
-        for i, sl in enumerate(slices):
-            br += best_response(game, probs, i, q, q[sl])
-        return br
-    alpha = rule.alpha_schedule(t)
-    if type(alpha) is not float:
-        alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractViolation("linear stepsize must lie in [0, 1]")
-    keep = 1.0 - alpha
-    out = []
-    for i, sl in enumerate(slices):
-        block = q[sl]
-        for x, b in zip(block, best_response(game, probs, i, q, block)):
-            out.append(keep * x + alpha * b)
-    return out
+        def step(probs, q, t, profile):
+            # empirical frequency of realized actions
+            return [(t * x + p) / (t + 1.0) for x, p in zip(q, profile)]
+    elif kind == "sequential":
+        n_players = game.n_players
+
+        def step(probs, q, t, profile):
+            i = (t - 1) % n_players
+            sl = slices[i]
+            out = list(q)
+            out[sl] = best_response(game, probs, i, q, q[sl])
+            return out
+    elif kind == "simultaneous":
+        def step(probs, q, t, profile):
+            br = []
+            for i, sl in enumerate(slices):
+                br += best_response(game, probs, i, q, q[sl])
+            return br
+    else:
+        alpha_at = rule.alpha_schedule
+
+        def step(probs, q, t, profile):
+            alpha = alpha_at(t)
+            if type(alpha) is not float:
+                alpha = float(alpha)
+            if not 0.0 <= alpha <= 1.0:
+                raise ContractViolation("linear stepsize must lie in [0, 1]")
+            keep = 1.0 - alpha
+            out = []
+            for i, sl in enumerate(slices):
+                block = q[sl]
+                for x, b in zip(block, best_response(game, probs, i, q, block)):
+                    out.append(keep * x + alpha * b)
+            return out
+    return step
 
 
-def _within(flat, a, b, n, tol):
-    """Whether |flat[a + j] - flat[b + j]| < tol for j < n; a NaN is not."""
-    for j in range(n):
-        if not abs(flat[a + j] - flat[b + j]) < tol:
+def _noise_rows(rng, width, horizon):
+    """The stage noise of a run whose stages read nothing else from ``rng``,
+    as an iterator: one row of ``width`` standard normals per stage, a tuple
+    of floats, drawn `NOISE_BLOCK` stages at a time when the iterator
+    reaches them.  The rows hold the values, in the order, that one draw per
+    channel per stage takes from the same stream."""
+    return itertools.chain.from_iterable(
+        zip(*[iter(rng.standard_normal(
+            min(NOISE_BLOCK, horizon - start) * width).tolist())] * width)
+        for start in range(0, horizon, NOISE_BLOCK))
+
+
+def _within(row, flat, b, tol):
+    """Whether |row[j] - flat[b + j]| < tol for every entry of ``row``; a NaN
+    is not."""
+    for x in row:
+        if not abs(x - flat[b]) < tol:
             return False
+        b += 1
     return True
+
+
+def _is_seed(x):
+    """An integer >= 0 that is not a bool."""
+    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            and x >= 0)
 
 
 def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
@@ -174,17 +224,22 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     """Run the learning dynamics; deterministic given the seed.
 
     ``init`` is (theta1, q1): a full-support probability vector, one entry
-    per parameter, and a profile.  Convergence is declared when over the
-    last `CONV_WINDOW` stages every strategy step is below `CONV_TOL` (max
-    norm) and the belief moved less than `CONV_TOL` across the window, both
-    read at call time.  Strategies respond to the posterior or, with
-    ``respond_to="map"``, to its mode.
+    per parameter, and a profile.  ``horizon`` is an integer >= 1 and
+    ``seed`` an integer >= 0 (bools are rejected).  Convergence is declared
+    when over the last `CONV_WINDOW` stages every strategy step is below
+    `CONV_TOL` (max norm) and the belief moved less than `CONV_TOL` across
+    the window, both read at call time.  Strategies respond to the posterior
+    or, with ``respond_to="map"``, to its mode.
     """
-    theta1, q0 = init
-    if horizon < 1:
-        raise ContractViolation("horizon must be >= 1")
+    if not _is_count(horizon):
+        raise ContractViolation("horizon must be an integer >= 1, got %r"
+                                % (horizon,))
+    if not _is_seed(seed):
+        raise ContractViolation("seed must be an integer >= 0, got %r"
+                                % (seed,))
     if respond_to not in ("posterior", "map"):
         raise ContractViolation("unknown respond_to %r" % (respond_to,))
+    theta1, q0 = init
     log_probs = log_belief(theta1)
     _check_length(log_probs, game)
     if NEG_INF in log_probs:
@@ -207,17 +262,28 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     upd = np.zeros(horizon, dtype=bool)
     acts = np.empty((horizon, game.n_players), dtype=np.int64) \
         if game.kind == "finite" else None
-    # flat float views of the rows: one item assignment per value costs
-    # less than converting a list for a numpy row assignment
+    # the rows of the last stages are kept in flat lists and copied into the
+    # arrays every `flush_every` stages; the window test reads a row
+    # `CONV_WINDOW` >= 2 * flush_every stages back, which is always copied
+    window, tol = CONV_WINDOW, CONV_TOL
+    flush_every = max(1, min(FLUSH_ROWS, window // 2))
+    theta_buf, log_buf, q_buf, c_buf = buffers = ([], [], [], [])
+    arrays = (thetas, log_thetas, qs, cs)
     theta_flat = memoryview(thetas).cast("B").cast("d")
-    log_flat = memoryview(log_thetas).cast("B").cast("d")
-    q_flat = memoryview(qs).cast("B").cast("d")
-    c_flat = memoryview(cs).cast("B").cast("d")
+    flushed = 0  # stages whose rows are in the arrays
 
     slices = game.slices
     true_index = game.space.true_index
     fictitious = rule.kind == "fictitious_play"
     respond_map = respond_to == "map"
+    step = _rule_step(game, rule)
+    # the noise is drawn in blocks when nothing else in a stage reads the
+    # rng: no action draws and no geometric gaps
+    noise = itertools.repeat(None)
+    if (acts is None or fictitious) and schedule.kind != "geometric":
+        loadings = game.noise_loadings
+        noise = _noise_rows(rng, n_c if loadings is None else len(loadings[0]),
+                            horizon)
     probs = np.exp(log_probs).tolist()
     pending = []
     last_big_move = 0  # last stage with a strategy step >= CONV_TOL
@@ -227,36 +293,26 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     for t in range(1, horizon + 1):
         if len(q) != n_q:
             _check_profile(q, game)
-        k = (t - 1) * n_s
-        for x, lx in zip(probs, log_probs):
-            theta_flat[k] = x
-            log_flat[k] = lx
-            k += 1
-        k = (t - 1) * n_q
-        for x in q:
-            q_flat[k] = x
-            k += 1
+        row = probs
+        theta_buf += probs
+        log_buf += log_probs
+        q_buf += q
         if acts is not None:
             profile, acts[t - 1] = _realized_profile(game, slices, fictitious,
                                                      probs, q, rng)
         else:
             profile = q
         means = game.channel_means(profile)
-        c = sample_payoffs(game, true_index, profile, rng, means=means)
+        c = sample_payoffs(game, true_index, profile, rng, means=means,
+                           noise=next(noise))
         if len(c) != n_c:
             raise ContractViolation("observation has %d channels, expected "
                                     "%d" % (len(c), n_c))
-        k = (t - 1) * n_c
-        for x in c:
-            c_flat[k] = x
-            k += 1
+        c_buf += c
         pending.append((profile, c, means))
         if t + 1 == next_k:
             scores = batch_log_likelihoods(None, pending, game)
-            summed = []
-            for lp, ll in zip(log_probs, scores):
-                summed.append(lp + ll)
-            log_probs, probs = _normalize(summed)
+            log_probs, probs = _normalize(list(map(add, log_probs, scores)))
             pending = []
             n_updates += 1
             next_k = next_update_stage(schedule, next_k, n_updates, rng)
@@ -268,30 +324,34 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
             respond[log_probs.index(max(log_probs))] = 1.0
         else:
             respond = probs
-        q_next = _apply_rule(game, rule, slices, respond, q, t, profile)
+        q_next = step(respond, q, t, profile)
         for a, b in zip(q_next, q):
-            if abs(a - b) >= CONV_TOL:
+            if abs(a - b) >= tol:
                 last_big_move = t
                 break
         q = q_next
+        if t - flushed == flush_every:
+            _flush(buffers, arrays, flushed, t)
+            flushed = t
         if (
             not converged
-            and t >= CONV_WINDOW + 1
-            and t - last_big_move >= CONV_WINDOW
-            and _within(theta_flat, (t - 1) * n_s, (t - 1 - CONV_WINDOW) * n_s,
-                        n_s, CONV_TOL)
+            and t >= window + 1
+            and t - last_big_move >= window
+            and _within(row, theta_flat, (t - 1 - window) * n_s, tol)
         ):
             converged = True
             t_stop = t
             if stop_when_converged:
-                thetas = thetas[:t]
-                log_thetas = log_thetas[:t]
-                qs = qs[:t]
-                cs = cs[:t]
-                upd = upd[:t]
-                if acts is not None:
-                    acts = acts[:t]
                 break
+    _flush(buffers, arrays, flushed, t)
+    if t < horizon:  # an early stop
+        thetas = thetas[:t]
+        log_thetas = log_thetas[:t]
+        qs = qs[:t]
+        cs = cs[:t]
+        upd = upd[:t]
+        if acts is not None:
+            acts = acts[:t]
 
     cycle = _detect_cycle(qs) if not converged else None
     summary = {
@@ -311,6 +371,15 @@ def run(game, rule, schedule, init, horizon, seed, stop_when_converged=False,
     summary["update_stages"] = (np.flatnonzero(upd) + 2).tolist()
     return Trajectory(thetas=thetas, log_thetas=log_thetas, qs=qs, cs=cs,
                       updated=upd, actions=acts, summary=summary)
+
+
+def _flush(buffers, arrays, start, end):
+    """Copy the rows of stages start + 1..end, held flat in ``buffers``, into
+    rows start..end - 1 of ``arrays``, and empty the buffers."""
+    for buf, arr in zip(buffers, arrays):
+        width = arr.shape[1]
+        arr.reshape(-1)[start * width:end * width] = buf
+        buf.clear()
 
 
 def _detect_cycle(qs, max_period=8, min_repeats=4):

@@ -196,6 +196,7 @@ class GameModel:
     analytic_br: object = None
     analytic_eq: object = None
     log_sigmas: tuple = field(init=False, repr=False)
+    likelihood_table: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "continuous" and self.analytic_br is None:
@@ -210,6 +211,15 @@ class GameModel:
         self.log_sigmas = tuple(
             tuple(math.log(x) if x > 0.0 else NEG_INF for x in row)
             for row in self.sigmas)
+        # per parameter, (k, sigma, log sigma) of each likelihood channel k,
+        # when every one of them is noisy: `log_likelihood` reads it in
+        # place of the atom test
+        channels = self.likelihood_channels
+        self.likelihood_table = None
+        if all(row[k] > 0.0 for row in self.sigmas for k in channels):
+            self.likelihood_table = tuple(
+                tuple((k, sig[k], log_sig[k]) for k in channels)
+                for sig, log_sig in zip(self.sigmas, self.log_sigmas))
 
     # -- geometry -----------------------------------------------------------
     # computed once: the stage loop reads them several times per stage
@@ -290,16 +300,25 @@ def expected_payoff(game, belief, q, i):
     return total
 
 
-def sample_payoffs(game, s_idx, q, rng, *, means=None):
+def sample_payoffs(game, s_idx, q, rng, *, means=None, noise=None):
     """Observed channel vector (a list of floats): the channel means under
-    parameter s_idx plus Gaussian noise.  ``means``, when given, is taken as
-    ``game.channel_means(q)`` instead of working it out again."""
+    parameter s_idx plus Gaussian noise, the sigma-scaled standard normals
+    of the channels or, with ``noise_loadings``, the loadings times the
+    standard normals of the noise sources.  ``means``, when given, is taken
+    as ``game.channel_means(q)`` instead of working it out again.  ``noise``,
+    when given, holds those standard normals (a sequence of floats, one per
+    channel or noise source) and ``rng`` is not touched; else they are drawn
+    from ``rng``, one scalar draw per channel in channel order or one draw
+    of the noise sources, and a parameter whose channels are all noiseless
+    draws none.  `run` draws them in blocks of stages, which gives the same
+    values from the same stream."""
     if means is None:
         means = game.channel_means(q)
     mu = means[s_idx]
     loadings = game.noise_loadings
     if loadings is not None:
-        z = rng.standard_normal(len(loadings[0])).tolist()
+        z = rng.standard_normal(len(loadings[0])).tolist() if noise is None \
+            else noise
         out = []
         for m, row in zip(mu, loadings):
             noise = 0.0
@@ -310,10 +329,14 @@ def sample_payoffs(game, s_idx, q, rng, *, means=None):
     sig = game.sigmas[s_idx]
     if not any(sig):
         return list(mu)
+    out = []
+    if noise is not None:
+        for m, s, z in zip(mu, sig, noise):
+            out.append(m + s * z)
+        return out
     # one scalar draw per channel, in channel order: the same stream and
     # values as one draw of obs_dim normals
     normal = rng.standard_normal
-    out = []
     for m, s in zip(mu, sig):
         out.append(m + s * normal())
     return out
@@ -336,7 +359,12 @@ def best_response(game, belief, i, q, current=None):
     There is no numeric search.  A belief whose length is not |S| raises
     ContractViolation.
     """
+    analytic_br = game.analytic_br
     # the stage loop passes lists of floats, which need no conversion
+    if (analytic_br is not None and type(belief) is list and type(q) is list
+            and type(current) is list
+            and len(belief) == len(game.space.params)):
+        return analytic_br(belief, i, q, current)
     probs = belief if type(belief) is list else _floats(belief)
     if len(probs) != len(game.space.params):  # one comparison per call
         _check_length(probs, game)
@@ -347,7 +375,6 @@ def best_response(game, belief, i, q, current=None):
     elif type(current) is not list:
         current = _floats(current)
 
-    analytic_br = game.analytic_br
     if analytic_br is not None:
         return analytic_br(probs, i, q, current)
     tied = tied_actions(game, probs, i, q)

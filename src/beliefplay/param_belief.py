@@ -211,7 +211,9 @@ def log_likelihood(game, q, c, *, means=None):
     value -inf otherwise.  ``c`` holds one value per channel, or one array of
     samples per likelihood channel; the values are then arrays of the same
     shape.  ``means``, when given, is taken as ``game.channel_means(q)``
-    instead of working it out again.
+    instead of working it out again.  When every likelihood channel is noisy
+    it reads the game's ``likelihood_table`` of (k, sigma, log sigma)
+    triples, with the same arithmetic in the same order.
     """
     if len(c) != game.obs_dim:
         raise ContractViolation(
@@ -221,8 +223,17 @@ def log_likelihood(game, q, c, *, means=None):
         c = c.tolist()  # Python floats: the same arithmetic, less overhead
     if means is None:
         means = game.channel_means(q)
-    channels = game.likelihood_channels
     out = []
+    table = game.likelihood_table
+    if table is not None:
+        for mu, terms in zip(means, table):
+            total = 0.0
+            for k, s, log_s in terms:
+                z = (c[k] - mu[k]) / s
+                total += -0.5 * z * z - log_s - _HALF_LOG_2PI
+            out.append(total)
+        return out
+    channels = game.likelihood_channels
     for mu, sig, log_sig in zip(means, game.sigmas, game.log_sigmas):
         total = 0.0
         for k in channels:

@@ -8,9 +8,14 @@ test reads those tables, and the tracer's ``HOOKS``, from the source with
 checks that every site and hook names a function the tracer can wrap.  A
 renamed or deleted function fails here.  The stage loop's sites
 (``_LOOP_SITES``) are also wrapped and counted over four short runs, one
-for each rule a workload's stage loop runs, so a loop site that one rule's
-branch stopped calling fails here too; a site that moved
-out of another path of a workload is still seen only by a traced run.
+for each rule a workload's stage loop runs: each count must be the one the
+run's stages, its ``updated`` column and its rule imply (the channel means
+and the payoff draw once per stage, a best response once per moving player
+per stage, the likelihood once per scored record, the batch once per update
+and the schedule once per update plus once at the start).  So a loop site
+that one rule's branch stopped calling, or calls on only some stages,
+fails here too; a site that moved out of another path of a workload is
+still seen only by a traced run.
 """
 
 import ast
@@ -153,14 +158,20 @@ def _loop_run(which):
             UpdateSchedule.geometric(0.5), [1.0], [0.5, 0.5])
 
 
+# calls per stage of each player's best response, by rule
+_MOVING = {"linear": "players", "simultaneous": "players", "sequential": 1}
+
+
 @pytest.mark.parametrize("which", ["cournot", "investment_sequential",
                                    "zerosum_simultaneous", "affine_geometric"])
 def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
     from beliefplay.analysis import _count_near
-    from beliefplay.games import EquilibriumSet
+    from beliefplay.games import EquilibriumSet, GameModel
 
     assert "dynamics:sample_payoffs" in LOOP_SITES and len(LOOP_SITES) >= 6
-    calls = dict.fromkeys(LOOP_SITES, 0)
+    channel_means = "games:GameModel.channel_means"
+    calls = dict.fromkeys(LOOP_SITES + [channel_means], 0)
+    runs = []
     for site in LOOP_SITES:
         module, attr = site.split(":")
         owner = importlib.import_module("beliefplay." + module)
@@ -168,12 +179,40 @@ def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
 
         def counted(*args, _site=site, _fn=fn, **kwargs):
             calls[_site] += 1
-            return _fn(*args, **kwargs)
+            result = _fn(*args, **kwargs)
+            if _site == "analysis:run":
+                runs.append(result)
+            return result
 
         monkeypatch.setattr(owner, attr, counted)
+    means_fn = GameModel.channel_means
+
+    def counted_means(self, q):
+        calls[channel_means] += 1
+        return means_fn(self, q)
+
+    monkeypatch.setattr(GameModel, "channel_means", counted_means)
     game, rule, schedule, theta1, q1 = _loop_run(which)
     # one start: `_count_near` runs it in this process, through the `run`
     # that `analysis` calls
     _count_near(game, [(3, theta1, q1)], rule, schedule, 40, "posterior",
                 False, theta1, EquilibriumSet.of_point(q1), 1.0, 1.0)
-    assert [site for site, n in calls.items() if n == 0] == []
+    (traj,) = runs
+    # every stage samples once from its channel means and moves its players;
+    # every update scores the records since the one before
+    stages = traj.horizon
+    updated = [t for t, flag in enumerate(traj.updated.tolist()) if flag]
+    moving = _MOVING[rule.kind]
+    if moving == "players":
+        moving = game.n_players
+    expected = {
+        "analysis:run": 1,
+        "dynamics:sample_payoffs": stages,
+        channel_means: stages,
+        "dynamics:best_response": moving * stages,
+        "dynamics:batch_log_likelihoods": len(updated),
+        "dynamics:next_update_stage": len(updated) + 1,
+        "param_belief:log_likelihood": updated[-1] + 1 if updated else 0,
+    }
+    assert sorted(expected) == sorted(calls), "a loop site without a count"
+    assert calls == expected

@@ -20,7 +20,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beliefplay"
 
 # module -> functions and methods ("Class.method") under the rule
 RULED = {
-    "dynamics": ("run", "_realized_profile", "_apply_rule"),
+    "dynamics": ("run", "_realized_profile", "_rule_step", "_noise_rows",
+                 "_within", "_flush"),
     "games": ("best_response", "tied_actions", "_interval_br",
               "sample_payoffs", "expected_payoff", "equilibrium_set",
               "GameModel.channel_means", "GameModel.feasible",

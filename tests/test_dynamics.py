@@ -3,6 +3,8 @@ the loop, convergence/cycle detection, determinism and CSV export."""
 
 import dataclasses
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,8 @@ from beliefplay.cli import GAMES
 from beliefplay.dynamics import (
     CONV_TOL,
     CONV_WINDOW,
+    FLUSH_ROWS,
+    NOISE_BLOCK,
     Trajectory,
     UpdateRule,
     _detect_cycle,
@@ -234,6 +238,37 @@ def test_run_validates_inputs(investment_game):
             seed=0, respond_to="mpa")
     with pytest.raises(ContractViolation):
         UpdateRule("bogus")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 2.5), ("horizon", True), ("horizon", "10"), ("horizon", -3),
+    ("horizon", None), ("horizon", np.float64(10.0)),
+    ("seed", None), ("seed", -1), ("seed", True), ("seed", 2.0),
+    ("seed", "3"), ("seed", np.int64(-2))])
+def test_run_checks_horizon_and_seed_before_any_work(investment_game,
+                                                     monkeypatch, field,
+                                                     value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run did work before checking %s" % field)
+
+    monkeypatch.setattr(dynamics, "log_belief", no_work)
+    monkeypatch.setattr(dynamics, "sample_payoffs", no_work)
+    args = {"horizon": 10, "seed": 0, field: value}
+    phrase = "an integer >= 1" if field == "horizon" else "an integer >= 0"
+    with pytest.raises(ContractViolation, match=re.escape(
+            "%s must be %s, got %r" % (field, phrase, value))):
+        run(investment_game, UpdateRule.simultaneous(),
+            UpdateSchedule.every_stage(), ([1 / 3] * 3, [0.5, 0.5]),
+            args["horizon"], args["seed"])
+
+
+def test_run_takes_numpy_integers_for_horizon_and_seed(investment_game):
+    init = ([1 / 3] * 3, [0.5, 0.5])
+    a, b = (run(investment_game, UpdateRule.simultaneous(),
+                UpdateSchedule.every_stage(), init, horizon, seed=seed)
+            for horizon, seed in ((np.int64(30), np.int64(3)), (30, 3)))
+    assert a.thetas.tobytes() == b.thetas.tobytes()
+    assert repr(a.summary) == repr(b.summary)
 
 
 @pytest.mark.parametrize("schedule", [UpdateSchedule.every_stage(),
@@ -527,7 +562,9 @@ _GAME_RULES = [(g, r) for g in GAMES for r in _CONTINUOUS_RULES] + [
     ("two_route_congestion", "fictitious_play")]
 _SCHEDULES = {"every_stage": UpdateSchedule.every_stage,
               "fixed_batch": lambda: UpdateSchedule.fixed_batch(4),
-              "geometric": lambda: UpdateSchedule.geometric(0.3)}
+              "geometric": lambda: UpdateSchedule.geometric(0.3),
+              "two_timescale": lambda: UpdateSchedule.two_timescale(
+                  lambda n: 1 + n % 3)}
 
 
 def _assert_same_trajectory(got, want):
@@ -564,6 +601,83 @@ def test_run_matches_reference_loop_exactly(game_id, rule_kind, schedule,
                               conv_window=window, conv_tol=tol,
                               respond_to=respond_to)
         _assert_same_trajectory(got, want)
+
+
+# `run` draws the noise of a continuous or fictitious-play run in blocks of
+# NOISE_BLOCK stages and copies its rows into the arrays every FLUSH_ROWS
+# stages: horizons just below, at and above a block edge, and past two,
+# with the block shortened to 64 stages (`run` reads it at call time)
+_BLOCK = 64
+_BLOCK_HORIZONS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+_BLOCK_RUNS = [("cournot", "linear"), ("zerosum", "simultaneous"),
+               ("investment", "sequential"),
+               ("two_route_congestion", "fictitious_play")]
+
+
+@pytest.mark.parametrize("schedule", ["every_stage", "fixed_batch",
+                                      "two_timescale"])
+@pytest.mark.parametrize("horizon", _BLOCK_HORIZONS)
+@pytest.mark.parametrize("game_id, rule_kind", _BLOCK_RUNS,
+                         ids=["%s-%s" % gr for gr in _BLOCK_RUNS])
+def test_run_matches_reference_loop_across_blocks(game_id, rule_kind,
+                                                   horizon, schedule,
+                                                   monkeypatch):
+    monkeypatch.setattr(dynamics, "NOISE_BLOCK", _BLOCK)
+    game = _builtin_game(game_id)
+    init = (np.arange(1.0, len(game.space) + 1.0), game.box_center())
+    rule = UpdateRule(rule_kind)
+    got = run(game, rule, _SCHEDULES[schedule](), init, horizon, seed=17)
+    want = _reference_run(game, rule, _SCHEDULES[schedule](), init, horizon,
+                          seed=17)
+    _assert_same_trajectory(got, want)
+
+
+@pytest.mark.parametrize("game_id, rule_kind", [
+    ("cournot", "linear"), ("two_route_congestion", "fictitious_play")])
+def test_run_matches_reference_loop_past_two_blocks(game_id, rule_kind):
+    game = _builtin_game(game_id)
+    init = (np.arange(1.0, len(game.space) + 1.0), game.box_center())
+    rule = UpdateRule(rule_kind)
+    horizon = 2 * NOISE_BLOCK + 3
+    got = run(game, rule, UpdateSchedule.every_stage(), init, horizon,
+              seed=17)
+    want = _reference_run(game, rule, UpdateSchedule.every_stage(), init,
+                          horizon, seed=17)
+    _assert_same_trajectory(got, want)
+
+
+def test_run_matches_reference_loop_on_a_stop_inside_a_block(monkeypatch):
+    # a window of 300 stages stops this run at stage 326: inside the second
+    # noise block of 256 stages and between two copies of the rows
+    monkeypatch.setattr(dynamics, "NOISE_BLOCK", 256)
+    monkeypatch.setattr(dynamics, "CONV_WINDOW", 300)
+    monkeypatch.setattr(dynamics, "CONV_TOL", 1e-4)
+    game = _builtin_game("cournot")
+    init = ([1.0, 2.0], game.box_center())
+    horizon = 2 * 256 + 3
+    got = run(game, UpdateRule.linear(), UpdateSchedule.every_stage(), init,
+              horizon, seed=17, stop_when_converged=True)
+    want = _reference_run(game, UpdateRule.linear(),
+                          UpdateSchedule.every_stage(), init, horizon,
+                          seed=17, stop_when_converged=True, conv_window=300,
+                          conv_tol=1e-4)
+    _assert_same_trajectory(got, want)
+    assert 256 < got.horizon < 2 * 256
+    assert got.horizon % 256 and got.horizon % FLUSH_ROWS
+
+
+def test_a_long_run_holds_its_rows_in_arrays(cournot_game):
+    # the rows of a 20,000-stage run take 1.14 MB as arrays and about 6.9 MB
+    # as lists of floats; the row buffers and the noise block stay small
+    # (the run peaks at about 2.8 MB)
+    tracemalloc.start()
+    try:
+        run(cournot_game, UpdateRule.linear(), UpdateSchedule.every_stage(),
+            ([0.5, 0.5], [1.0, 1.0]), 20000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20, peak
 
 
 def _assert_log_record(traj):
@@ -633,13 +747,14 @@ def test_run_matches_reference_loop_on_a_concentrated_posterior(
 @pytest.mark.parametrize("delta", [0.0, 5e-6, 2e-5, -2e-5, math.nan,
                                    math.inf])
 def test_window_test_matches_the_array_test(delta):
-    # `run` compares the window's two belief rows in floats on a flat view;
-    # a NaN is not within the tolerance, as in the array test
+    # `run` compares the current belief row, a list of floats, with the row
+    # a window back on a flat view of the array; a NaN is not within the
+    # tolerance, as in the array test
     rows = np.asarray([[0.25, 0.75, 0.5], [0.25, 0.75, 0.5]])
     rows[1, 1] += delta
     flat = memoryview(rows).cast("B").cast("d")
     want = bool(abs(rows[1] - rows[0]).max() < CONV_TOL)
-    assert dynamics._within(flat, 3, 0, 3, CONV_TOL) is want
+    assert dynamics._within(rows[1].tolist(), flat, 0, CONV_TOL) is want
     assert want == (delta in (0.0, 5e-6))
 
 

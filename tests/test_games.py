@@ -577,6 +577,33 @@ def test_sample_payoffs_mean_and_scale(cournot_game):
     assert abs(draws.std() - math.sqrt(0.5)) < 0.05
 
 
+@pytest.mark.parametrize("game_id", list(GAMES))
+@pytest.mark.parametrize("seed", [0, 7, 2025])
+def test_sample_payoffs_takes_the_noise_of_a_block_draw(game_id, seed):
+    # one (stages, sources) block of standard normals gives each stage the
+    # values that its own draws take from the same stream; a stage handed
+    # its row leaves the rng as it was
+    factory, _, defaults = GAMES[game_id]
+    game = factory(**defaults)
+    width = (game.obs_dim if game.noise_loadings is None
+             else len(game.noise_loadings[0]))
+    profiles = [game.box_center(), game.random_profile(
+        np.random.default_rng(seed))] * 3
+    if game.kind == "finite":  # payoffs realize at pure profiles
+        profiles = [[1.0, 0.0] * game.n_players] * 6
+    s_star = game.space.true_index
+    scalar = np.random.default_rng(seed)
+    want = [sample_payoffs(game, s_star, q, scalar) for q in profiles]
+    block = np.random.default_rng(seed)
+    rows = block.standard_normal((len(profiles), width)).tolist()
+    state = block.bit_generator.state
+    got = [sample_payoffs(game, s_star, q, block, noise=z)
+           for q, z in zip(profiles, rows)]
+    assert [[x.hex() for x in c] for c in got] == \
+        [[x.hex() for x in c] for c in want]
+    assert block.bit_generator.state == state == scalar.bit_generator.state
+
+
 def test_feasibility_and_box_center(zerosum_game, routing_game,
                                     cournot_game):
     assert zerosum_game.feasible([0.0, 6.0])
