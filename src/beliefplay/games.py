@@ -10,13 +10,15 @@ The kernels the stage loop calls are float-native.  ``channel_means(q)``
 returns the channel means under all |S| parameters at once, one row of
 ``obs_dim`` Python floats per parameter, built from ``space.params`` when the
 game is built; ``GameModel.sigmas`` is the matching (|S|, obs_dim) table of
-noise scales and ``log_sigmas`` their logs, computed once.  Best responses
-are closed forms: every continuous game supplies an ``analytic_br``, and a
-finite game without one plays one of its `tied_actions`, the optimal
-actions under the belief.  Both take lists of floats, and `best_response`
-returns the player's block as a tuple of floats.  `EquilibriumSet.project`
-is the one projection onto an equilibrium set, or a strategy box.  The
-geometry helpers (``box_lo``/``box_hi``/``box_center``/``random_profile``,
+noise scales, split once into the ``likelihood_table`` of the noisy
+channels and the ``likelihood_atoms`` of the noiseless ones that
+`log_likelihood` reads.  Best responses are closed forms: every continuous
+game supplies an ``analytic_br``, and a finite game without one plays one
+of its `tied_actions`, the optimal actions under the belief.  Both take
+lists of floats, and `best_response` returns the player's block as a tuple
+of floats.  `EquilibriumSet.project` is the one projection onto an
+equilibrium set, or a strategy box.  The geometry helpers
+(``box_lo``/``box_hi``/``box_center``/``random_profile``,
 `EquilibriumSet.sample`/``representatives``) return lists of floats.
 
 Bit rule: every sum over the parameters or over a probability vector runs
@@ -42,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .param_belief import (NEG_INF, ContractViolation, ParameterSpace,
+from .param_belief import (ContractViolation, ParameterSpace,
                            _check_length, _check_profile, _expect, _floats,
                            _is_count, _total)
 
@@ -175,11 +177,18 @@ class GameModel:
 
     ``channel_mean_fn(q)`` maps a list of floats to the channel means under
     every parameter (|S| rows of ``obs_dim`` floats), ``sigmas`` holds the
-    noise scale of each (parameter, channel) pair (0 is a noiseless channel)
-    and ``mean_payoff_fn(s, q, i)`` is player i's mean payoff under
-    parameter s at a list of floats q.  ``analytic_br(probs, i, q, current)``
-    is player i's closed-form best response, a tuple of floats; a continuous
-    game must supply one, a finite game may.
+    noise scale of each (parameter, channel) pair, finite and >= 0 (0 is a
+    noiseless channel), and ``mean_payoff_fn(s, q, i)`` is player i's mean
+    payoff under parameter s at a list of floats q.
+    ``analytic_br(probs, i, q, current)`` is player i's closed-form best
+    response, a tuple of floats; a continuous game must supply one, a finite
+    game may.
+
+    Built from ``sigmas`` and ``likelihood_channels``: ``likelihood_table``
+    holds, per parameter, the (k, sigma, log sigma) of each likelihood
+    channel k with sigma > 0, in channel order, and ``likelihood_atoms`` the
+    (parameter, channel) pairs of the likelihood channels with sigma 0,
+    which `log_likelihood` reads as atoms at their means.
     """
 
     name: str
@@ -195,31 +204,26 @@ class GameModel:
     noise_loadings: object = None  # obs_dim x n_noise matrix, or None for diag
     analytic_br: object = None
     analytic_eq: object = None
-    log_sigmas: tuple = field(init=False, repr=False)
-    likelihood_table: tuple | None = field(init=False, repr=False)
+    likelihood_table: tuple = field(init=False, repr=False)
+    likelihood_atoms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "continuous" and self.analytic_br is None:
             raise ContractViolation("a continuous game needs an analytic_br")
-        self.sigmas = tuple(tuple(float(x) for x in row) for row in self.sigmas)
+        self.sigmas = tuple(tuple(_noise_scale("sigmas", x) for x in row)
+                            for row in self.sigmas)
         if len(self.sigmas) != len(self.space) or any(
                 len(row) != self.obs_dim for row in self.sigmas):
             raise ContractViolation("sigmas must be a (%d, %d) table"
                                     % (len(self.space), self.obs_dim))
-        # log 0 = -inf is never read: the likelihood treats a noiseless
-        # channel as an atom
-        self.log_sigmas = tuple(
-            tuple(math.log(x) if x > 0.0 else NEG_INF for x in row)
-            for row in self.sigmas)
-        # per parameter, (k, sigma, log sigma) of each likelihood channel k,
-        # when every one of them is noisy: `log_likelihood` reads it in
-        # place of the atom test
         channels = self.likelihood_channels
-        self.likelihood_table = None
-        if all(row[k] > 0.0 for row in self.sigmas for k in channels):
-            self.likelihood_table = tuple(
-                tuple((k, sig[k], log_sig[k]) for k in channels)
-                for sig, log_sig in zip(self.sigmas, self.log_sigmas))
+        self.likelihood_table = tuple(
+            tuple((k, sig[k], math.log(sig[k])) for k in channels
+                  if sig[k] > 0.0)
+            for sig in self.sigmas)
+        self.likelihood_atoms = tuple(
+            (s, k) for s, sig in enumerate(self.sigmas) for k in channels
+            if sig[k] == 0.0)
 
     # -- geometry -----------------------------------------------------------
     # computed once: the stage loop reads them several times per stage
@@ -307,38 +311,32 @@ def sample_payoffs(game, s_idx, q, rng, *, means=None, noise=None):
     standard normals of the noise sources.  ``means``, when given, is taken
     as ``game.channel_means(q)`` instead of working it out again.  ``noise``,
     when given, holds those standard normals (a sequence of floats, one per
-    channel or noise source) and ``rng`` is not touched; else they are drawn
-    from ``rng``, one scalar draw per channel in channel order or one draw
-    of the noise sources, and a parameter whose channels are all noiseless
-    draws none.  `run` draws them in blocks of stages, which gives the same
-    values from the same stream."""
+    channel or noise source) and ``rng`` is not touched; else they are one
+    draw from ``rng`` of one normal per channel, or per noise source, and a
+    parameter whose channels are all noiseless draws none.  `run` draws them
+    in blocks of stages, which gives the same values from the same stream."""
     if means is None:
         means = game.channel_means(q)
     mu = means[s_idx]
     loadings = game.noise_loadings
     if loadings is not None:
-        z = rng.standard_normal(len(loadings[0])).tolist() if noise is None \
-            else noise
+        if noise is None:
+            noise = rng.standard_normal(len(loadings[0])).tolist()
         out = []
         for m, row in zip(mu, loadings):
-            noise = 0.0
-            for w, zj in zip(row, z):
-                noise += w * zj
-            out.append(m + noise)
+            total = 0.0
+            for w, z in zip(row, noise):
+                total += w * z
+            out.append(m + total)
         return out
     sig = game.sigmas[s_idx]
     if not any(sig):
         return list(mu)
+    if noise is None:
+        noise = rng.standard_normal(len(sig)).tolist()
     out = []
-    if noise is not None:
-        for m, s, z in zip(mu, sig, noise):
-            out.append(m + s * z)
-        return out
-    # one scalar draw per channel, in channel order: the same stream and
-    # values as one draw of obs_dim normals
-    normal = rng.standard_normal
-    for m, s in zip(mu, sig):
-        out.append(m + s * normal())
+    for m, s, z in zip(mu, sig, noise):
+        out.append(m + s * z)
     return out
 
 
@@ -359,12 +357,7 @@ def best_response(game, belief, i, q, current=None):
     There is no numeric search.  A belief whose length is not |S| raises
     ContractViolation.
     """
-    analytic_br = game.analytic_br
     # the stage loop passes lists of floats, which need no conversion
-    if (analytic_br is not None and type(belief) is list and type(q) is list
-            and type(current) is list
-            and len(belief) == len(game.space.params)):
-        return analytic_br(belief, i, q, current)
     probs = belief if type(belief) is list else _floats(belief)
     if len(probs) != len(game.space.params):  # one comparison per call
         _check_length(probs, game)
@@ -374,7 +367,7 @@ def best_response(game, belief, i, q, current=None):
         current = q[game.slices[i]]
     elif type(current) is not list:
         current = _floats(current)
-
+    analytic_br = game.analytic_br
     if analytic_br is not None:
         return analytic_br(probs, i, q, current)
     tied = tied_actions(game, probs, i, q)

@@ -22,7 +22,9 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# 0.5 * log(2 pi) as 0.5 * math.log(2.0 * math.pi) rounds it, one ulp below
+# the correctly rounded value: the bits every likelihood has been summed with
+_HALF_LOG_2PI = 0.9189385332046727
 
 
 class ContractViolation(ValueError):
@@ -205,15 +207,15 @@ def log_likelihood(game, q, c, *, means=None):
     """log phi^s(c|q) under every parameter s: a list of |S| values.
 
     The one Gaussian kernel.  It reads the channel means at q under all
-    parameters (`GameModel.channel_means`) and the game's sigma table, and
-    sums the game's likelihood channels left to right.  A noiseless channel
-    (sigma 0) is an atom at its mean: it adds 0 when c hits it and makes the
-    value -inf otherwise.  ``c`` holds one value per channel, or one array of
-    samples per likelihood channel; the values are then arrays of the same
-    shape.  ``means``, when given, is taken as ``game.channel_means(q)``
-    instead of working it out again.  When every likelihood channel is noisy
-    it reads the game's ``likelihood_table`` of (k, sigma, log sigma)
-    triples, with the same arithmetic in the same order.
+    parameters (`GameModel.channel_means`), sums the terms of each
+    parameter's noisy likelihood channels (the game's ``likelihood_table``
+    of (k, sigma, log sigma) triples) left to right, then reads its
+    noiseless ones (``likelihood_atoms``): an atom at its mean adds 0 when c
+    hits it and makes the value -inf otherwise.  ``c`` holds one value per
+    channel, or one array of samples per likelihood channel; the values are
+    then arrays of the same shape, and an atom adds 0 or -inf per sample.
+    ``means``, when given, is taken as ``game.channel_means(q)`` instead of
+    working it out again.
     """
     if len(c) != game.obs_dim:
         raise ContractViolation(
@@ -224,30 +226,17 @@ def log_likelihood(game, q, c, *, means=None):
     if means is None:
         means = game.channel_means(q)
     out = []
-    table = game.likelihood_table
-    if table is not None:
-        for mu, terms in zip(means, table):
-            total = 0.0
-            for k, s, log_s in terms:
-                z = (c[k] - mu[k]) / s
-                total += -0.5 * z * z - log_s - _HALF_LOG_2PI
-            out.append(total)
-        return out
-    channels = game.likelihood_channels
-    for mu, sig, log_sig in zip(means, game.sigmas, game.log_sigmas):
+    for mu, terms in zip(means, game.likelihood_table):
         total = 0.0
-        for k in channels:
-            s = sig[k]
-            if s == 0.0:
-                if isinstance(c[k], np.ndarray):
-                    total = total + np.where(c[k] == mu[k], 0.0, NEG_INF)
-                elif c[k] != mu[k]:
-                    total = NEG_INF
-                    break
-                continue
+        for k, s, log_s in terms:
             z = (c[k] - mu[k]) / s
-            total += -0.5 * z * z - log_sig[k] - _HALF_LOG_2PI
+            total += -0.5 * z * z - log_s - _HALF_LOG_2PI
         out.append(total)
+    for s, k in game.likelihood_atoms:
+        if isinstance(c[k], np.ndarray):
+            out[s] = out[s] + np.where(c[k] == means[s][k], 0.0, NEG_INF)
+        elif c[k] != means[s][k]:
+            out[s] = NEG_INF
     return out
 
 

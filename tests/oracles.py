@@ -12,6 +12,11 @@ the other `reference_*` functions are the numpy geometry (`sample`,
 `representatives`, `box_center`, `random_profile` and the belief grid) that
 the float versions must equal bit for bit, with the same draws.
 `log_normalize` is the belief normaliser on numpy arrays.
+`reference_log_likelihood` is the walk over each parameter's noise scales
+that `log_likelihood`'s table sum and atom pass replaced, and
+`reference_sample_payoffs` the payoff draw with one scalar normal per
+channel or noise source that `sample_payoffs`' one vector draw replaced:
+both must be equal bit for bit, the draw with the same stream after it.
 """
 
 import itertools
@@ -21,7 +26,8 @@ import numpy as np
 
 from beliefplay.games import (FLAT_TOL, SolverError, best_response,
                              expected_payoff)
-from beliefplay.param_belief import (ContractViolation, ImpossibleObservation,
+from beliefplay.param_belief import (_HALF_LOG_2PI, NEG_INF,
+                                     ContractViolation, ImpossibleObservation,
                                      _floats)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,6 +179,52 @@ def log_normalize(lp):
     for e in np.exp(shifted).tolist():
         total += e
     return (shifted - math.log(total)).tolist()
+
+
+def reference_log_likelihood(game, q, c):
+    """log phi^s(c|q) under every parameter s, walking the likelihood
+    channels of each row of ``game.sigmas`` in order, with log sigma taken
+    here: a noisy channel adds its Gaussian term, and a noiseless one is an
+    atom at its mean, which adds 0 on a hit and ends the walk at -inf on a
+    miss, or adds an array of 0 and -inf to an array of samples."""
+    out = []
+    for mu, sig in zip(game.channel_means(q), game.sigmas):
+        total = 0.0
+        for k in game.likelihood_channels:
+            s = sig[k]
+            if s == 0.0:
+                if isinstance(c[k], np.ndarray):
+                    total = total + np.where(c[k] == mu[k], 0.0, NEG_INF)
+                elif c[k] != mu[k]:
+                    total = NEG_INF
+                    break
+                continue
+            z = (c[k] - mu[k]) / s
+            total += -0.5 * z * z - math.log(s) - _HALF_LOG_2PI
+        out.append(total)
+    return out
+
+
+def reference_sample_payoffs(game, s_idx, q, rng):
+    """The observed channel vector (a list of floats) under parameter
+    s_idx, with one scalar draw from ``rng`` per noise source in source
+    order, or per channel in channel order, and none when every channel of
+    s_idx is noiseless."""
+    mu = game.channel_means(q)[s_idx]
+    normal = rng.standard_normal
+    if game.noise_loadings is not None:
+        z = [normal() for _ in game.noise_loadings[0]]
+        out = []
+        for m, row in zip(mu, game.noise_loadings):
+            total = 0.0
+            for w, zj in zip(row, z):
+                total += w * zj
+            out.append(m + total)
+        return out
+    sig = game.sigmas[s_idx]
+    if not any(sig):
+        return list(mu)
+    return [m + s * normal() for m, s in zip(mu, sig)]
 
 
 def reference_sample(eq, n, rng):

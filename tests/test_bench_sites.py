@@ -7,8 +7,9 @@ test reads those tables, and the tracer's ``HOOKS``, from the source with
 `ast` (it imports nothing from ``bench/`` and writes no bytecode there) and
 checks that every site and hook names a function the tracer can wrap.  A
 renamed or deleted function fails here.  The stage loop's sites
-(``_LOOP_SITES``) are also wrapped and counted over four short runs, one
-for each rule a workload's stage loop runs: each count must be the one the
+(``_LOOP_SITES``) are also wrapped and counted over five short runs, one
+for each rule a workload's stage loop runs and one on a game whose
+likelihood has an atom: each count must be the one the
 run's stages, its ``updated`` column and its rule imply (the channel means
 and the payoff draw once per stage, a best response once per moving player
 per stage, the likelihood once per scored record, the batch once per update
@@ -21,6 +22,7 @@ still seen only by a traced run.
 import ast
 import importlib
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -136,9 +138,10 @@ LOOP_SITES = _strings(_WORKLOADS["_LOOP_SITES"])
 def _loop_run(which):
     """(game, rule, schedule, theta1, q1) of a short run: Cournot with the
     linear rule, investment with the sequential rule and batches of 10
-    (the benchmark's global-stability runs), zerosum with the simultaneous
-    rule, or the CLI's default affine game with the geometric schedule (the
-    benchmark's affine op)."""
+    (the benchmark's global-stability runs), the same with a noiseless
+    channel under s = 0, zerosum with the simultaneous rule, or the CLI's
+    default affine game with the geometric schedule (the benchmark's affine
+    op)."""
     from beliefplay import games
     from beliefplay.cli import GAMES
     from beliefplay.dynamics import UpdateRule
@@ -147,9 +150,11 @@ def _loop_run(which):
     if which == "cournot":
         return (games.cournot(), UpdateRule.linear(),
                 UpdateSchedule.every_stage(), [0.5, 0.5], [1.0, 1.0])
-    if which == "investment_sequential":
-        return (games.investment(), UpdateRule.sequential(),
-                UpdateSchedule.fixed_batch(10), [1.0, 1.0, 1.0], [0.2, 0.7])
+    if which in ("investment_sequential", "investment_atom"):
+        game = games.investment() if which == "investment_sequential" else \
+            games.investment(sigmas=(0.0, math.sqrt(5.0), math.sqrt(10.0)))
+        return (game, UpdateRule.sequential(), UpdateSchedule.fixed_batch(10),
+                [1.0, 1.0, 1.0], [0.2, 0.7])
     if which == "zerosum_simultaneous":
         return (games.zerosum_example(), UpdateRule.simultaneous(),
                 UpdateSchedule.every_stage(), [1.0, 1.0, 1.0], [1.0, 2.0])
@@ -163,7 +168,8 @@ _MOVING = {"linear": "players", "simultaneous": "players", "sequential": 1}
 
 
 @pytest.mark.parametrize("which", ["cournot", "investment_sequential",
-                                   "zerosum_simultaneous", "affine_geometric"])
+                                   "zerosum_simultaneous", "affine_geometric",
+                                   "investment_atom"])
 def test_the_stage_loop_reaches_every_loop_site(monkeypatch, which):
     from beliefplay.analysis import _count_near
     from beliefplay.games import EquilibriumSet, GameModel

@@ -24,7 +24,7 @@ from beliefplay.dynamics import (
     run,
     trajectory_to_csv,
 )
-from beliefplay.games import best_response, sample_payoffs, tied_actions
+from beliefplay.games import best_response, tied_actions
 from beliefplay.param_belief import (
     ContractViolation,
     UpdateSchedule,
@@ -35,7 +35,7 @@ from beliefplay.param_belief import (
     log_belief,
     next_update_stage,
 )
-from oracles import log_normalize
+from oracles import log_normalize, reference_sample_payoffs
 
 
 def test_run_is_deterministic_given_seed(investment_game):
@@ -414,8 +414,9 @@ def test_trajectory_csv_matches_the_per_value_writer(tmp_path, meta,
 #
 # `_reference_run` is that loop, kept here as the scalar reference: it
 # recomputes exp(log_probs) wherever a belief is needed, builds a -inf log
-# vector for MAP, reads the game's geometry at every use and applies the
-# linear rule slice by slice.  `run` must reproduce it bit for bit.
+# vector for MAP, reads the game's geometry at every use, draws each
+# channel's noise with its own scalar draw and applies the linear rule slice
+# by slice.  `run` must reproduce it bit for bit.
 
 
 def _ref_realized_profile(game, rule_kind, log_probs, q, rng):
@@ -496,7 +497,8 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
         qs[t - 1] = q
         profile, actions = _ref_realized_profile(game, rule.kind, log_probs,
                                                  q, rng)
-        c = sample_payoffs(game, game.space.true_index, profile, rng)
+        c = reference_sample_payoffs(game, game.space.true_index, profile,
+                                     rng)
         pending.append((profile, c))
         updated = False
         if t + 1 == next_k:
@@ -553,6 +555,10 @@ def _reference_run(game, rule, schedule, init, horizon, seed,
 
 
 def _builtin_game(game_id):
+    if game_id == "investment_atom":
+        # noiseless under s = 0: the likelihood reads an atom there
+        return games.investment(sigmas=(0.0, math.sqrt(5.0),
+                                        math.sqrt(10.0)))
     factory, _, defaults = GAMES[game_id]
     return factory(**defaults)
 
@@ -611,7 +617,8 @@ _BLOCK = 64
 _BLOCK_HORIZONS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 _BLOCK_RUNS = [("cournot", "linear"), ("zerosum", "simultaneous"),
                ("investment", "sequential"),
-               ("two_route_congestion", "fictitious_play")]
+               ("two_route_congestion", "fictitious_play"),
+               ("investment_atom", "sequential")]
 
 
 @pytest.mark.parametrize("schedule", ["every_stage", "fixed_batch",

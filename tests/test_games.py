@@ -24,7 +24,7 @@ from beliefplay.param_belief import ContractViolation
 from oracles import (analytic_interval, numeric_best_response,
                      reference_box_center, reference_project,
                      reference_random_profile, reference_representatives,
-                     reference_sample)
+                     reference_sample, reference_sample_payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,11 @@ NOISE_FACTORIES = [
 def test_game_factories_reject_bad_noise_scales(factory, name, bad):
     with pytest.raises(ContractViolation, match="%s must be a finite" % name):
         factory(bad)
+    # so does the model, which splits its scales into noisy channels and atoms
+    game = factory(1.0)
+    with pytest.raises(ContractViolation, match="sigmas must be a finite"):
+        dataclasses.replace(game, sigmas=[[1.0] * (game.obs_dim - 1) + [bad]]
+                            * len(game.space))
     # degenerate (noiseless) channels stay allowed
     assert np.all(np.asarray(factory(0.0).sigmas[0]) >= 0.0)
 
@@ -581,8 +586,9 @@ def test_sample_payoffs_mean_and_scale(cournot_game):
 @pytest.mark.parametrize("seed", [0, 7, 2025])
 def test_sample_payoffs_takes_the_noise_of_a_block_draw(game_id, seed):
     # one (stages, sources) block of standard normals gives each stage the
-    # values that its own draws take from the same stream; a stage handed
-    # its row leaves the rng as it was
+    # values that its own scalar draws take from the same stream, and so
+    # does each stage's own draw; a stage handed its row leaves the rng as
+    # it was
     factory, _, defaults = GAMES[game_id]
     game = factory(**defaults)
     width = (game.obs_dim if game.noise_loadings is None
@@ -593,15 +599,20 @@ def test_sample_payoffs_takes_the_noise_of_a_block_draw(game_id, seed):
         profiles = [[1.0, 0.0] * game.n_players] * 6
     s_star = game.space.true_index
     scalar = np.random.default_rng(seed)
-    want = [sample_payoffs(game, s_star, q, scalar) for q in profiles]
+    want = [reference_sample_payoffs(game, s_star, q, scalar)
+            for q in profiles]
+    stage = np.random.default_rng(seed)
+    drawn = [sample_payoffs(game, s_star, q, stage) for q in profiles]
     block = np.random.default_rng(seed)
     rows = block.standard_normal((len(profiles), width)).tolist()
     state = block.bit_generator.state
     got = [sample_payoffs(game, s_star, q, block, noise=z)
            for q, z in zip(profiles, rows)]
-    assert [[x.hex() for x in c] for c in got] == \
-        [[x.hex() for x in c] for c in want]
-    assert block.bit_generator.state == state == scalar.bit_generator.state
+    for values in (got, drawn):
+        assert [[x.hex() for x in c] for c in values] == \
+            [[x.hex() for x in c] for c in want]
+    assert block.bit_generator.state == state == scalar.bit_generator.state \
+        == stage.bit_generator.state
 
 
 def test_feasibility_and_box_center(zerosum_game, routing_game,

@@ -78,7 +78,8 @@ from beliefplay.param_belief import (
     log_likelihood,
     map_update,
 )
-from oracles import (analytic_interval, log_normalize, reference_project,
+from oracles import (analytic_interval, log_normalize,
+                     reference_log_likelihood, reference_project,
                      reference_sample)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -410,6 +411,53 @@ def test_per_channel_sample_arrays_match_scalar_calls():
     atom = game.channel_means(q)[0][0]
     values = log_likelihood(game, q, [np.asarray([atom, atom + 1.0])])
     assert values[0].tolist() == [0.0, NEG_INF]
+
+
+@st.composite
+def atom_cases(draw):
+    """(game, q, c): investment with a noise scale of 0, 0.5 or sqrt(5) per
+    parameter, or another game with every channel noiseless; c holds, per
+    channel, a parameter's channel mean (an atom), that mean nudged, or a
+    random payoff, either as one value or as an array of samples."""
+    name = draw(st.sampled_from(sorted(FACTORIES)))
+    if name == "investment":
+        game = games.investment(sigmas=[draw(st.sampled_from(
+            [0.0, 0.5, math.sqrt(5.0)])) for _ in range(3)])
+    else:
+        game = FACTORIES[name](0.0)
+    q = _draw_profile(draw, game)
+    means = game.channel_means(q)
+    n_s = len(game.space)
+
+    def value(k):
+        mu = means[draw(st.integers(0, n_s - 1))][k]
+        return draw(st.one_of(st.just(mu), st.just(mu + 1e-9),
+                              st.floats(-30.0, 30.0)))
+
+    if draw(st.booleans()):
+        return game, q, [value(k) for k in range(game.obs_dim)]
+    n = draw(st.integers(1, 4))
+    return game, q, [np.asarray([value(k) for _ in range(n)])
+                     for k in range(game.obs_dim)]
+
+
+def _value_bits(values):
+    """Each value's shape and bytes: a scalar and a one-sample array differ."""
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes())
+            for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_cases())
+def test_log_likelihood_matches_the_sigma_walk(case):
+    # the table sum and the atom pass against the walk over each
+    # parameter's sigmas that they replaced, -inf and per-sample arrays
+    # included
+    game, q, c = case
+    want = _value_bits(reference_log_likelihood(game, q, c))
+    assert _value_bits(log_likelihood(game, q, c)) == want
+    assert _value_bits(log_likelihood(game, np.asarray(q), np.asarray(c),
+                                      means=game.channel_means(q))) == want
 
 
 # ---------------------------------------------------------------------------

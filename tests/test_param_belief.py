@@ -1,7 +1,9 @@
 """Unit tests for beliefs, likelihoods, the Bayesian/MAP/OLS estimators and
 the update schedules.  Numeric oracles are hand-computed closed forms."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -283,6 +285,24 @@ def test_degenerate_channel_atom():
     off = np.array(mu, copy=True)
     off[0] += 1e-9
     assert log_likelihood(game, q, off)[0] == NEG_INF
+
+
+def test_half_log_2pi_is_a_literal_within_an_ulp_of_the_exact_value():
+    # written as a literal, so that no platform's log can move it: the
+    # bits of 0.5 * math.log(2.0 * math.pi), one ulp below the correctly
+    # rounded value
+    mpmath = pytest.importorskip("mpmath")
+    tree = ast.parse(inspect.getsource(param_belief))
+    (node,) = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["_HALF_LOG_2PI"]]
+    assert isinstance(node, ast.Constant)
+    half_log_2pi = param_belief._HALF_LOG_2PI
+    assert half_log_2pi.hex() == "0x1.d67f1c864beb4p-1"
+    with mpmath.workprec(200):
+        gap = abs(mpmath.mpf(half_log_2pi) - mpmath.log(2 * mpmath.pi) / 2)
+        assert gap <= math.ulp(half_log_2pi)
 
 
 def test_bayes_hand_posterior(cournot_game):
